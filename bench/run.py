@@ -14,8 +14,7 @@ untraced and traced passes over the same operations, reports the per-layer
 metrics of the traced passes plus the tracing overhead, and writes the spans
 to ``.bench_out/``.  ``--smoke`` runs one operation per workload, checks the
 metric names and units against ``BENCHMARK.json`` and shows that the output
-checks reject a perturbed row.  ``--write-reference`` regenerates
-``reference.json`` from the current program.  See ``README.md``.
+checks reject a perturbed row.  See ``README.md``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import resource
 import statistics
 import subprocess
 import sys
-from time import perf_counter
+from time import perf_counter, process_time, thread_time
 
 import numpy as np
 
@@ -47,18 +46,24 @@ OUT_DIR = os.path.join(ROOT, ".bench_out")
 
 # Each run does a fixed amount of work: round(seconds / nominal pass time)
 # passes, measured on a 2-CPU x86-64 container at the commit that introduced
-# the benchmark.  Fixed work keeps the sample count, and so the tail
+# the benchmark (multistart at the reference speed of the calibration unit
+# below; a pass there takes 6-10 s of wall time, depending on the CPU's
+# phase).  Fixed work keeps the sample count, and so the tail
 # percentile, the same from run to run; a program that became more than
 # twice as fast keeps running whole passes until half of --seconds is used.
-NOMINAL_PASS_S = {"tables": 0.0133, "multistart": 4.0, "horizon": 1.82, "engine": 0.045}
-SETUP_REPEATS = 5
+NOMINAL_PASS_S = {"tables": 0.0133, "multistart": 6.6, "horizon": 1.82, "engine": 0.045}
+SETUP_REPEATS = 11
 TAIL_SAMPLES = 10
 
 # On that container the CPU's speed swings by up to 2x in phases of tens of ms
-# (CPU time swings with wall time, so it is not descheduling), and the mix
-# of phases drifts over minutes.  A fixed calibration unit, timed between
-# operations, tracks the swings: every reported time is wall time scaled to
-# the speed at which one unit takes CALIBRATION_REFERENCE_S (see Run).
+# (CPU time swings with wall time), and the mix of phases drifts over
+# minutes.  A fixed calibration unit, timed between operations, tracks the
+# swings: every reported time is CPU time scaled to the speed at which one
+# unit takes CALIBRATION_REFERENCE_S (see Run).  CPU time rather than wall
+# time, because when other tenants load the host the process also loses
+# whole time slices, which lengthen a few short operations by several ms
+# and so move the tail percentile; the program is single-threaded and does
+# no I/O in a timed operation, so its CPU time is its service time.
 CALIBRATION_INTERVAL_S = 0.01
 CALIBRATION_UNITS = 3
 CALIBRATION_REFERENCE_S = 1.2e-4
@@ -83,10 +88,9 @@ def _parse_args(argv):
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--write-reference", action="store_true")
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.workload is None and not (args.smoke or args.write_reference):
+    if args.workload is None and not args.smoke:
         parser.error("--workload is required")
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
@@ -150,8 +154,10 @@ def _prepare(workload: str, seed: int):
     return ops
 
 
-def _probe_setup(workload: str, seed: int) -> float:
-    """Wall seconds from starting a fresh interpreter to a warmed-up workload."""
+def _probe_setup(workload: str, seed: int) -> tuple:
+    """CPU and wall seconds from starting a fresh interpreter to a warmed-up
+    workload.  The CPU time is the interpreter's own, which it reports when
+    it is ready."""
     cmd = [sys.executable, os.path.abspath(__file__), "--setup-probe",
            "--workload", workload, "--seed", str(seed)]
     start = perf_counter()
@@ -159,34 +165,37 @@ def _probe_setup(workload: str, seed: int) -> float:
         line = proc.stdout.readline()
         elapsed = perf_counter() - start
         proc.communicate(timeout=120)
-    if line.strip() != "ready" or proc.returncode != 0:
+    word, _, cpu = line.strip().partition(" ")
+    if word != "ready" or proc.returncode != 0:
         raise RuntimeError(f"set-up probe failed with exit code {proc.returncode}")
-    return elapsed
+    return float(cpu), elapsed
 
 
 def _calibration_window() -> float:
-    """Mean calibration unit time over SETUP_CALIBRATION_S of repeated units."""
+    """Mean calibration unit CPU time over SETUP_CALIBRATION_S of repeated units."""
     units = 0
-    start = perf_counter()
+    start, cpu_start = perf_counter(), thread_time()
     while perf_counter() - start < SETUP_CALIBRATION_S:
         _calibration_unit()
         units += 1
-    return (perf_counter() - start) / units
+    return (thread_time() - cpu_start) / units
 
 
 def _measure_setup(workload: str, seed: int, repeats: int) -> tuple:
-    """Set-up times of ``repeats`` fresh interpreters, wall and scaled.
+    """Set-up times of ``repeats`` fresh interpreters: scaled CPU time, and wall.
 
     Calibration windows sit between the probes; each probe is scaled by the
     mean of the windows on either side, like the operations of a run.
     """
     windows = [_calibration_window()]
-    wall = []
+    cpu, wall = [], []
     for _ in range(repeats):
-        wall.append(_probe_setup(workload, seed))
+        probe_cpu, probe_wall = _probe_setup(workload, seed)
+        cpu.append(probe_cpu)
+        wall.append(probe_wall)
         windows.append(_calibration_window())
     scaled = [t * CALIBRATION_REFERENCE_S / ((windows[i] + windows[i + 1]) / 2)
-              for i, t in enumerate(wall)]
+              for i, t in enumerate(cpu)]
     return scaled, wall
 
 
@@ -217,9 +226,9 @@ def _calibration_unit() -> float:
 def _calibration_sample() -> float:
     times = []
     for _ in range(CALIBRATION_UNITS):
-        start = perf_counter()
+        start = thread_time()
         _calibration_unit()
-        times.append(perf_counter() - start)
+        times.append(thread_time() - start)
     return statistics.median(times)
 
 
@@ -227,16 +236,17 @@ class Run:
     """Timed operations of one run and their verified outputs.
 
     Between operations (never inside one) the run times a calibration sample
-    at least every CALIBRATION_INTERVAL_S.  End-to-end times are wall times
-    scaled by each op's speed factor (``_speed``); the wall times themselves
-    go to the info line.
+    at least every CALIBRATION_INTERVAL_S.  End-to-end times are CPU times
+    scaled by each op's speed factor (see ``_scaled_latencies``); the wall
+    times themselves go to the info line.
     """
 
     def __init__(self, ops):
         self.ops = ops
-        self.latencies = {op.name: [] for op in ops}   # wall seconds
+        self.latencies = {op.name: [] for op in ops}   # CPU seconds
+        self.wall = {op.name: [] for op in ops}        # wall seconds
         self.starts = {op.name: [] for op in ops}      # perf_counter at each op's start
-        self.calibration = []                           # seconds per unit, in time order
+        self.calibration = []                           # CPU seconds per unit, in time order
         self.calibration_times = []
         self._calibrated_at = -math.inf
         self.attempted = 0
@@ -244,7 +254,6 @@ class Run:
         self.cells = 0
         self.converged = 0
         self.errors = []
-        self._verified = {}
 
     def oracle(self, reference: dict) -> None:
         """Build and verify each op type's expectation, outside any timing."""
@@ -272,13 +281,16 @@ class Run:
         self.cells += op.cells
         output = None
         start = perf_counter()
+        cpu_start = thread_time()
         try:
             output = call()
         except Exception as exc:
             self.failed += 1
             self._error(f"{op.name} raised {exc!r}")
+        cpu = thread_time() - cpu_start
         elapsed = perf_counter() - start
-        self.latencies[op.name].append(elapsed)
+        self.latencies[op.name].append(cpu)
+        self.wall[op.name].append(elapsed)
         self.starts[op.name].append(start)
         if output is None:
             return elapsed
@@ -286,17 +298,17 @@ class Run:
             self.failed += 1
             return elapsed
         try:
-            self.converged += self._verify(op, output)
+            self.converged += op.check(output)
         except AssertionError as exc:
             self.failed += 1
             self._error(str(exc))
         return elapsed
 
     def _scaled_latencies(self) -> dict:
-        """Each op's wall time times its speed factor: the reference unit time
+        """Each op's CPU time times its speed factor: the reference unit time
         over the mean calibration unit time in a window around the op.
 
-        The window reaches CALIBRATION_WINDOW_SPANS op durations (at least
+        The window reaches CALIBRATION_WINDOW_SPANS op (wall) durations (at least
         CALIBRATION_INTERVAL_S) either side of the op's midpoint and always
         holds the calibrations just before and just after it, so a long op,
         which spans many speed phases, is scaled by a long-run average.
@@ -313,16 +325,9 @@ class Run:
             hi = max(before + 2, int(np.searchsorted(times, mid + reach, "right")))
             return CALIBRATION_REFERENCE_S * (hi - lo) / (cumsum[hi] - cumsum[lo])
 
-        return {name: [x * speed(start, x) for x, start in zip(xs, self.starts[name])]
+        return {name: [x * speed(start, wall)
+                       for x, start, wall in zip(xs, self.starts[name], self.wall[name])]
                 for name, xs in self.latencies.items() if xs}
-
-    def _verify(self, op, output) -> int:
-        if not op.cacheable:
-            return op.check(output)
-        key = (op.name, output)
-        if key not in self._verified:
-            self._verified[key] = op.check(output)
-        return self._verified[key]
 
     def end_to_end(self, setup_times: list) -> tuple:
         scaled = self._scaled_latencies()
@@ -341,7 +346,8 @@ class Run:
             "setup_s": statistics.median(setup_times),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
-        wall = {name: xs for name, xs in self.latencies.items() if xs}
+        wall = {name: xs for name, xs in self.wall.items() if xs}
+        cpu_s = sum(sum(xs) for xs in self.latencies.values())
         details = {
             "tail": {"percentile": percentile, "samples": n, "samples_beyond": n - rank},
             "calibration": {"samples": len(cal), "median_unit_s": statistics.median(cal),
@@ -350,6 +356,7 @@ class Run:
                 "latency_p50_ms": 1e3 * statistics.median(statistics.median(xs) for xs in wall.values()),
                 "throughput_ops_per_s": completed / sum(sum(xs) for xs in wall.values()),
                 "type_p50_ms": {name: 1e3 * statistics.median(xs) for name, xs in wall.items()},
+                "cpu_over_wall": cpu_s / sum(sum(xs) for xs in wall.values()),
             },
         }
         return {k: (v, END_TO_END_UNITS[k]) for k, v in metrics.items()}, details
@@ -525,13 +532,7 @@ def main(argv=None) -> int:
     _import_program()
     if args.setup_probe:
         _prepare(args.workload, args.seed)
-        print("ready", flush=True)
-        return 0
-    if args.write_reference:
-        import workloads
-
-        os.makedirs(OUT_DIR, exist_ok=True)
-        workloads.write_reference(OUT_DIR)
+        print(f"ready {process_time()!r}", flush=True)
         return 0
     if args.smoke:
         return smoke()

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-import tsvar
 from tsvar import cli as tcli
 from tsvar import econ as tecon
 from tsvar import variational as tvar
@@ -114,7 +113,6 @@ class CliOp:
     expected_code: int = 0
     cells: int = 0
     broken: bool = False               # the oracle rejected this op type
-    cacheable = True                   # equal outputs need checking once
 
     def run(self):
         buf = io.StringIO()
@@ -267,7 +265,6 @@ class EngineOp:
     expected: tuple = field(default=None, repr=False)
     cells: int = 3                     # the functional and two residuals
     broken: bool = False
-    cacheable = False
 
     def run(self):
         functional = tvar.eval_functional(self.problem, self.state)
@@ -388,18 +385,3 @@ def load_reference() -> dict:
     with open(REFERENCE_PATH, encoding="utf-8") as handle:
         return json.load(handle)["rows"]
 
-
-def write_reference(workdir: str) -> None:
-    """Regenerate reference.json from the program at the current commit."""
-    rows = {}
-    for workload in ("tables", "multistart", "horizon"):
-        for op in build_ops(workload, 0, workdir):
-            result = tcli.run_table(tcli.parse_config(op.config_text))
-            rows[op.name] = [row_record(r) for r in result]
-    payload = {
-        "about": "full-precision rows from tsvar.cli.run_table, tsvar " + tsvar.__version__,
-        "rows": rows,
-    }
-    with open(REFERENCE_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
-        handle.write("\n")
