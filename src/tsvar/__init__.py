@@ -25,11 +25,13 @@ from .variational import (
 )
 from .solver import (
     DEFAULT_GRID,
+    MAX_STARTS,
     ResidualSystem,
     SolveReport,
     SolverConfig,
     default_start_grid,
     fd_jacobian,
+    lockstep_solve,
     multistart_solve,
     newton_solve,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "FirmParams",
     "GridFunction",
     "Integrand",
+    "MAX_STARTS",
     "OuterFunction",
     "PointNotInScaleError",
     "ProblemKind",
@@ -86,6 +89,7 @@ __all__ = [
     "firm_problem",
     "gamma_term",
     "identity_outer",
+    "lockstep_solve",
     "main",
     "multistart_solve",
     "newton_solve",

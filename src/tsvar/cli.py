@@ -632,8 +632,12 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
         print(f"tsvar: error: {exc}", file=sys.stderr)
         return 2
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"tsvar: error: cannot write output: {exc}", file=sys.stderr)
+            return 2
     else:
         out.write(text)
     return 0 if all(row.converged for row in rows) else 1

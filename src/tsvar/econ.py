@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,25 +115,7 @@ class FirmParams:
 
 
 # ---------------------------------------------------------------------------
-# clamped index helpers on {0, ..., T}
-
-
-def _up(i: int, top: int) -> int:
-    return i + 1 if i < top else top
-
-
-def _down(i: int) -> int:
-    return i - 1 if i > 0 else 0
-
-
-def _dy(yv: Sequence[float], i: int) -> float:
-    """Forward difference, zero at the top by clamping."""
-    return yv[_up(i, len(yv) - 1)] - yv[i]
-
-
-def _ny(yv: Sequence[float], i: int) -> float:
-    """Backward difference, zero at the bottom by clamping."""
-    return yv[i] - yv[_down(i)]
+# guards and discounts shared by the integrands and the residual systems
 
 
 def _guarded_sqrt(p: FirmParams, rate: float, t) -> float:
@@ -227,42 +209,118 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 
 
 # ---------------------------------------------------------------------------
+# state tables
+#
+# A residual evaluation first tabulates, once per state, everything the
+# guards protect: the price-curve margins y_t - y_floor and the roots
+# sqrt(quotient + b).  The totals, gammas and el1/el2 parts below then read
+# these tables as plain arithmetic, so the same code evaluates one state
+# (an entry is a float) or a stack of states (an entry is a column holding
+# one value per state).
+
+
+class _Tables(NamedTuple):
+    """Per-point tables of a state on {0, ..., T}, clamped at the ends."""
+
+    y: Sequence            # sales y_t
+    margin: Sequence       # y_t - y_floor
+    up_rate: Sequence      # forward quotient y_{t+1} - y_t, zero at T
+    down_rate: Sequence    # backward quotient y_t - y_{t-1}, zero at 0
+    up_root: Sequence      # sqrt(up_rate + b)
+    down_root: Sequence    # sqrt(down_rate + b)
+    disc_delta: Sequence   # (1 + rho)^(t - T)
+    disc_nabla: Sequence   # (1 - rho)^(T - t)
+
+
+def _constants(p: FirmParams) -> tuple:
+    """The state-independent entries of the tables."""
+    points = range(p.horizon + 1)
+    return ([_disc_delta(p, t) for t in points], [_disc_nabla(p, t) for t in points],
+            math.sqrt(p.b))   # the root of a clamped (zero) quotient
+
+
+def _tables(constants: tuple, y: list, margin: list, rate: list, root: list) -> _Tables:
+    disc_delta, disc_nabla, edge = constants
+    return _Tables(y, margin, rate + [0.0], [0.0] + rate,
+                   root + [edge], [edge] + root, disc_delta, disc_nabla)
+
+
+def _checked_tables(p: FirmParams, constants: tuple, yv: list,
+                    capital_mode: str, technology_mode: str) -> _Tables:
+    """Tables of one state; raises :class:`DomainError` at a failed guard.
+
+    The margins are checked before the roots, each in ascending order, and
+    a failure is labelled with the summation index at which the component
+    integral of the given mode meets the value.
+    """
+    margin = [y - p.y_floor for y in yv]
+    if 0.0 in margin:
+        i = margin.index(0.0)
+        _guarded_margin(p, yv[i], i - 1 if capital_mode == "delta" else i + 1)
+    rate = [yv[t + 1] - yv[t] for t in range(len(yv) - 1)]
+    root = []
+    for t, r in enumerate(rate):
+        if r + p.b <= 0.0:
+            _guarded_sqrt(p, r, t if technology_mode == "delta" else t + 1)
+        root.append(math.sqrt(r + p.b))
+    return _tables(constants, yv, margin, rate, root)
+
+
+def _masked_tables(p: FirmParams, constants: tuple, yt: np.ndarray):
+    """Tables of the feasible columns of ``yt`` (shape (T+1, S)), and the mask.
+
+    A column is infeasible exactly where :func:`_checked_tables` would
+    raise for that state; the tables hold the feasible columns only.
+    """
+    margin = yt - p.y_floor
+    rate = yt[1:] - yt[:-1]
+    arg = rate + p.b
+    ok = ~((margin == 0.0).any(axis=0) | (arg <= 0.0).any(axis=0))
+    if not ok.all():
+        yt, margin, rate, arg = yt[:, ok], margin[:, ok], rate[:, ok], arg[:, ok]
+    tables = _tables(constants, list(yt), list(margin), list(rate), list(np.sqrt(arg)))
+    return tables, ok
+
+
+def _up(i: int, top: int) -> int:
+    return i + 1 if i < top else top
+
+
+def _down(i: int) -> int:
+    return i - 1 if i > 0 else 0
+
+
+# ---------------------------------------------------------------------------
 # component integrals
 
 
-def _capital_total(p: FirmParams, yv: Sequence[float], mode: str) -> float:
+def _capital_total(p: FirmParams, tab: _Tables, mode: str):
     total = 0.0
     if mode == "delta":
         for t in range(p.horizon):
-            y = yv[t + 1]
-            margin = _guarded_margin(p, y, t)
-            v = yv[t + 1] - yv[t]
-            total += _disc_delta(p, t) * (
-                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / margin
+            y = tab.y[t + 1]
+            v = tab.up_rate[t]
+            total += tab.disc_delta[t] * (
+                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / tab.margin[t + 1]
             )
     else:
         for t in range(1, p.horizon + 1):
-            y = yv[t - 1]
-            margin = _guarded_margin(p, y, t)
-            v = yv[t] - yv[t - 1]
-            total += _disc_nabla(p, t) * (
-                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / margin
+            y = tab.y[t - 1]
+            v = tab.down_rate[t]
+            total += tab.disc_nabla[t] * (
+                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / tab.margin[t - 1]
             )
     return total
 
 
-def _technology_total(p: FirmParams, yv: Sequence[float], mode: str) -> float:
+def _technology_total(p: FirmParams, tab: _Tables, mode: str):
     total = 0.0
     if mode == "delta":
         for t in range(p.horizon):
-            total += _disc_delta(p, t) * (
-                p.lam * yv[t + 1] + p.beta * _guarded_sqrt(p, yv[t + 1] - yv[t], t)
-            )
+            total += tab.disc_delta[t] * (p.lam * tab.y[t + 1] + p.beta * tab.up_root[t])
     else:
         for t in range(1, p.horizon + 1):
-            total += _disc_nabla(p, t) * (
-                p.lam * yv[t - 1] + p.beta * _guarded_sqrt(p, yv[t] - yv[t - 1], t)
-            )
+            total += tab.disc_nabla[t] * (p.lam * tab.y[t - 1] + p.beta * tab.down_root[t])
     return total
 
 
@@ -270,40 +328,38 @@ def _technology_total(p: FirmParams, yv: Sequence[float], mode: str) -> float:
 # gamma terms: pointwise Euler-Lagrange cores of the four integrands
 
 
-def _gamma_capital_delta(p: FirmParams, yv: Sequence[float], t: int) -> float:
-    sales = yv[_up(t, p.horizon)]
-    margin = _guarded_margin(p, sales, t)
-    dyt = _dy(yv, t)
-    ddyt = _dy(yv, _up(t, p.horizon)) - dyt
-    return _disc_delta(p, t) * (
-        (p.c1 - p.p0 + p.B * p.y_floor / margin**2)
+def _gamma_capital_delta(p: FirmParams, tab: _Tables, t: int):
+    up = _up(t, p.horizon)
+    dyt = tab.up_rate[t]
+    ddyt = tab.up_rate[up] - dyt
+    return tab.disc_delta[t] * (
+        (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[up]**2)
         - 2.0 * p.c2 * (p.discount_rate * dyt + (1.0 + p.discount_rate) * ddyt)
     )
 
 
-def _gamma_capital_nabla(p: FirmParams, yv: Sequence[float], t: int) -> float:
-    sales = yv[_down(t)]
-    margin = _guarded_margin(p, sales, t)
-    nyt = _ny(yv, t)
-    nnyt = nyt - _ny(yv, _down(t))
-    return _disc_nabla(p, t) * (
-        (p.c1 - p.p0 + p.B * p.y_floor / margin**2)
+def _gamma_capital_nabla(p: FirmParams, tab: _Tables, t: int):
+    down = _down(t)
+    nyt = tab.down_rate[t]
+    nnyt = nyt - tab.down_rate[down]
+    return tab.disc_nabla[t] * (
+        (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[down]**2)
         - 2.0 * p.c2 * (p.discount_rate * nyt + (1.0 - p.discount_rate) * nnyt)
     )
 
 
-def _gamma_technology_delta(p: FirmParams, yv: Sequence[float], t: int) -> float:
-    root_here = _guarded_sqrt(p, _dy(yv, t), t)
-    root_next = _guarded_sqrt(p, _dy(yv, _up(t, p.horizon)), t)
+def _gamma_technology_delta(p: FirmParams, tab: _Tables, t: int):
+    root_here = tab.up_root[t]
+    root_next = tab.up_root[_up(t, p.horizon)]
     numer = p.discount_rate * root_here - (root_next - root_here)
-    return _disc_delta(p, t) * (p.lam - p.beta * numer / (2.0 * root_here * root_next))
+    return tab.disc_delta[t] * (p.lam - p.beta * numer / (2.0 * root_here * root_next))
 
 
-def _gamma_technology_nabla(p: FirmParams, yv: Sequence[float], t: int) -> float:
-    root_here = _guarded_sqrt(p, _ny(yv, t), t)
-    root_prev = _guarded_sqrt(p, _ny(yv, _down(t)), t)
+def _gamma_technology_nabla(p: FirmParams, tab: _Tables, t: int):
+    root_here = tab.down_root[t]
+    root_prev = tab.down_root[_down(t)]
     numer = p.discount_rate * root_here - (root_here - root_prev)
-    return _disc_nabla(p, t) * (p.lam - p.beta * numer / (2.0 * root_here * root_prev))
+    return tab.disc_nabla[t] * (p.lam - p.beta * numer / (2.0 * root_here * root_prev))
 
 
 _GAMMAS = {
@@ -314,7 +370,7 @@ _GAMMAS = {
 }
 
 
-def _state_values(params: FirmParams, y) -> Sequence[float]:
+def _state_values(params: FirmParams, y) -> list:
     if isinstance(y, GridFunction):
         vals = y.values
     else:
@@ -332,54 +388,57 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
 
     ``y`` holds the sales values on the whole scale {0, ..., T}; shifts
     that leave the scale are clamped, so the term is defined at every
-    point.
+    point.  Raises :class:`DomainError` if a guard fails anywhere on the
+    state.
     """
     if which not in _GAMMAS:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     if int(t) != t or not 0 <= t <= params.horizon:
         raise ValueError(f"t={t} is not a point of the horizon scale")
-    return _GAMMAS[which](params, _state_values(params, y), int(t))
+    mode = which.rsplit("_", 1)[1]
+    tab = _checked_tables(params, _constants(params), _state_values(params, y), mode, mode)
+    return _GAMMAS[which](params, tab, int(t))
 
 
 # ---------------------------------------------------------------------------
 # mixed-kind time-scale Euler-Lagrange pieces
 
 
-def _parts_dn_el1(p: FirmParams, yv: Sequence[float], k_delta: float, t: int) -> float:
-    disc = _disc_nabla(p, _up(t, p.horizon))
+def _parts_dn_el1(p: FirmParams, tab: _Tables, k_delta, t: int):
+    up = _up(t, p.horizon)
+    disc = tab.disc_nabla[up]
     part1 = p.lam * disc
-    w_here = _guarded_sqrt(p, _ny(yv, t), t)
-    w_next = _guarded_sqrt(p, _ny(yv, _up(t, p.horizon)), t)
-    u_here = _guarded_sqrt(p, _dy(yv, t), t)
+    w_here = tab.down_root[t]
+    w_next = tab.down_root[up]
+    u_here = tab.up_root[t]
     numer = p.discount_rate * w_here - (1.0 - p.discount_rate) * (w_next - w_here)
     part2 = p.beta * disc * numer / (2.0 * w_here * u_here)
     return k_delta * (part1 - part2)
 
 
-def _parts_dn_el2(p: FirmParams, yv: Sequence[float], a_nabla: float, t: int) -> float:
-    disc = _disc_delta(p, _down(t))
-    margin = _guarded_margin(p, yv[t], t)
-    part3 = disc * (p.c1 - p.p0 + p.B * p.y_floor / margin**2)
-    curvature = yv[_up(t, p.horizon)] - 2.0 * yv[t] + yv[_down(t)]
-    part4 = 2.0 * p.c2 * disc * (p.discount_rate * _dy(yv, t) + curvature)
+def _parts_dn_el2(p: FirmParams, tab: _Tables, a_nabla, t: int):
+    disc = tab.disc_delta[_down(t)]
+    part3 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[t]**2)
+    curvature = tab.y[_up(t, p.horizon)] - 2.0 * tab.y[t] + tab.y[_down(t)]
+    part4 = 2.0 * p.c2 * disc * (p.discount_rate * tab.up_rate[t] + curvature)
     return a_nabla * (part3 - part4)
 
 
-def _parts_nd_el1(p: FirmParams, yv: Sequence[float], a_delta: float, t: int) -> float:
-    disc = _disc_nabla(p, _up(t, p.horizon))
-    margin = _guarded_margin(p, yv[t], t)
-    part5 = disc * (p.c1 - p.p0 + p.B * p.y_floor / margin**2)
-    rate_jump = _ny(yv, _up(t, p.horizon)) - _ny(yv, t)
-    part6 = 2.0 * p.c2 * disc * (p.discount_rate * _ny(yv, t) + rate_jump)
+def _parts_nd_el1(p: FirmParams, tab: _Tables, a_delta, t: int):
+    up = _up(t, p.horizon)
+    disc = tab.disc_nabla[up]
+    part5 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[t]**2)
+    rate_jump = tab.down_rate[up] - tab.down_rate[t]
+    part6 = 2.0 * p.c2 * disc * (p.discount_rate * tab.down_rate[t] + rate_jump)
     return a_delta * (part5 - part6)
 
 
-def _parts_nd_el2(p: FirmParams, yv: Sequence[float], k_nabla: float, t: int) -> float:
-    disc = _disc_delta(p, _down(t))
+def _parts_nd_el2(p: FirmParams, tab: _Tables, k_nabla, t: int):
+    disc = tab.disc_delta[_down(t)]
     part7 = p.lam * disc
-    u_here = _guarded_sqrt(p, _dy(yv, t), t)
-    u_prev = _guarded_sqrt(p, _dy(yv, _down(t)), t)
-    w_here = _guarded_sqrt(p, _ny(yv, t), t)
+    u_here = tab.up_root[t]
+    u_prev = tab.up_root[_down(t)]
+    w_here = tab.down_root[t]
     numer = p.discount_rate * u_here - (1.0 + p.discount_rate) * (u_here - u_prev)
     part8 = disc * p.beta * numer / (2.0 * u_here * w_here)
     return k_nabla * (part7 - part8)
@@ -398,59 +457,58 @@ def _domain_points(kind: ProblemKind, horizon: int) -> range:
 
 
 def _point_residual(p: FirmParams, kind: ProblemKind, eq: EquationKind,
-                    yv: Sequence[float], t: int,
-                    capital_total: float, technology_total: float) -> float:
+                    tab: _Tables, t: int, capital_total, technology_total):
     """One equation of the system at point t.
 
     The product rule pairs each integrand's core with the other
     component's integral; both totals are frozen at the current state.
     """
     if kind is ProblemKind.DELTA_DELTA:
-        return (technology_total * _gamma_capital_delta(p, yv, t)
-                + capital_total * _gamma_technology_delta(p, yv, t))
+        return (technology_total * _gamma_capital_delta(p, tab, t)
+                + capital_total * _gamma_technology_delta(p, tab, t))
     if kind is ProblemKind.NABLA_NABLA:
-        return (technology_total * _gamma_capital_nabla(p, yv, t)
-                + capital_total * _gamma_technology_nabla(p, yv, t))
+        return (technology_total * _gamma_capital_nabla(p, tab, t)
+                + capital_total * _gamma_technology_nabla(p, tab, t))
     top = p.horizon
     if kind is ProblemKind.DELTA_NABLA:
         if eq is EquationKind.DIRECT:
-            return (technology_total * _gamma_capital_delta(p, yv, t)
-                    + capital_total * _gamma_technology_nabla(p, yv, t))
+            return (technology_total * _gamma_capital_delta(p, tab, t)
+                    + capital_total * _gamma_technology_nabla(p, tab, t))
         if eq is EquationKind.TIMESCALE_EL1:
-            head = technology_total * _gamma_capital_delta(p, yv, t)
-            middle = _parts_dn_el1(p, yv, capital_total, t)
+            head = technology_total * _gamma_capital_delta(p, tab, t)
+            middle = _parts_dn_el1(p, tab, capital_total, t)
             def aggregated(s):
-                return capital_total * _gamma_technology_nabla(p, yv, s)
+                return capital_total * _gamma_technology_nabla(p, tab, s)
             tail = aggregated(_up(_up(t, top), top)) - aggregated(_up(t, top))
             return head + middle + tail
-        head = capital_total * _gamma_technology_nabla(p, yv, t)
-        middle = _parts_dn_el2(p, yv, technology_total, t)
+        head = capital_total * _gamma_technology_nabla(p, tab, t)
+        middle = _parts_dn_el2(p, tab, technology_total, t)
         def aggregated(s):
-            return technology_total * _gamma_capital_delta(p, yv, s)
+            return technology_total * _gamma_capital_delta(p, tab, s)
         tail = aggregated(_down(t)) - aggregated(_down(_down(t)))
         return middle + head - tail
     # nabla-delta
     if eq is EquationKind.DIRECT:
-        return (technology_total * _gamma_capital_nabla(p, yv, t)
-                + capital_total * _gamma_technology_delta(p, yv, t))
+        return (technology_total * _gamma_capital_nabla(p, tab, t)
+                + capital_total * _gamma_technology_delta(p, tab, t))
     if eq is EquationKind.TIMESCALE_EL1:
-        head = capital_total * _gamma_technology_delta(p, yv, t)
-        middle = _parts_nd_el1(p, yv, technology_total, t)
+        head = capital_total * _gamma_technology_delta(p, tab, t)
+        middle = _parts_nd_el1(p, tab, technology_total, t)
         def aggregated(s):
-            return technology_total * _gamma_capital_nabla(p, yv, s)
+            return technology_total * _gamma_capital_nabla(p, tab, s)
         tail = aggregated(_up(_up(t, top), top)) - aggregated(_up(t, top))
         return head + middle + tail
-    head = technology_total * _gamma_capital_nabla(p, yv, t)
-    middle = _parts_nd_el2(p, yv, capital_total, t)
+    head = technology_total * _gamma_capital_nabla(p, tab, t)
+    middle = _parts_nd_el2(p, tab, capital_total, t)
     def aggregated(s):
-        return capital_total * _gamma_technology_delta(p, yv, s)
+        return capital_total * _gamma_technology_delta(p, tab, s)
     tail = aggregated(_down(t)) - aggregated(_down(_down(t)))
     return middle + head - tail
 
 
-def _totals(p: FirmParams, kind: ProblemKind, yv: Sequence[float]):
-    capital = _capital_total(p, yv, kind.capital_mode)
-    technology = _technology_total(p, yv, kind.technology_mode)
+def _totals(p: FirmParams, kind: ProblemKind, tab: _Tables):
+    capital = _capital_total(p, tab, kind.capital_mode)
+    technology = _technology_total(p, tab, kind.technology_mode)
     return capital, technology
 
 
@@ -459,34 +517,61 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     """Square system in the interior sales values y_1, ..., y_{T-1}.
 
     For the pure kinds every :class:`EquationKind` yields the same
-    system; the mixed kinds dispatch on it.
+    system; the mixed kinds dispatch on it.  The system carries stacked
+    forms of its residual and functional, which evaluate many states at
+    once with the same arithmetic and mark infeasible states with NaN.
     """
     p = params
+    m = p.horizon - 1
     points = list(_domain_points(kind, p.horizon))
+    constants = _constants(p)
+    modes = (kind.capital_mode, kind.technology_mode)
 
-    def assemble(x) -> list:
-        if len(x) != p.horizon - 1:
-            raise ValueError(
-                f"expected {p.horizon - 1} interior values, got {len(x)}"
-            )
-        return [p.y_initial, *(float(v) for v in x), p.y_terminal]
+    def tables(x) -> _Tables:
+        if len(x) != m:
+            raise ValueError(f"expected {m} interior values, got {len(x)}")
+        yv = [p.y_initial, *np.asarray(x, dtype=float).tolist(), p.y_terminal]
+        return _checked_tables(p, constants, yv, *modes)
+
+    def stacked_tables(xs):
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != m:
+            raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
+        yt = np.empty((p.horizon + 1, len(xs)))
+        yt[0] = p.y_initial
+        yt[1:-1] = xs.T
+        yt[-1] = p.y_terminal
+        return _masked_tables(p, constants, yt)
+
+    def equations(tab: _Tables) -> list:
+        capital, technology = _totals(p, kind, tab)
+        return [_point_residual(p, kind, eq, tab, t, capital, technology) for t in points]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        yv = assemble(x)
-        capital, technology = _totals(p, kind, yv)
-        return np.array([
-            _point_residual(p, kind, eq, yv, t, capital, technology)
-            for t in points
-        ])
+        return np.array(equations(tables(x)))
 
     def functional(x: np.ndarray) -> float:
-        yv = assemble(x)
-        capital, technology = _totals(p, kind, yv)
+        capital, technology = _totals(p, kind, tables(x))
         return capital * technology
 
+    def stacked_residual(xs: np.ndarray) -> np.ndarray:
+        tab, ok = stacked_tables(xs)
+        out = np.full((len(ok), m), np.nan)
+        out[ok] = np.stack(equations(tab), axis=1)
+        return out
+
+    def stacked_functional(xs: np.ndarray) -> np.ndarray:
+        tab, ok = stacked_tables(xs)
+        capital, technology = _totals(p, kind, tab)
+        out = np.full(len(ok), np.nan)
+        out[ok] = capital * technology
+        return out
+
     return ResidualSystem(
-        dimension=p.horizon - 1,
+        dimension=m,
         residual=residual,
         label=f"{kind.value}/{eq.value}",
         functional=functional,
+        stacked_residual=stacked_residual,
+        stacked_functional=stacked_functional,
     )

@@ -322,3 +322,21 @@ def test_unconverged_rows_exit_with_one():
                           "--max-iter", "2"])
     assert code == 1
     assert ",false," in text
+
+
+def test_unwritable_output_exits_with_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    code, text = run_cli(["table1", "--output", str(path)])
+    assert code == 2
+    assert text == ""
+    assert "tsvar: error: cannot write output:" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_oversized_multistart_grid_exits_with_two(tmp_path, capsys):
+    path = tmp_path / "long.ini"
+    path.write_text("[params]\nhorizon = 6\n")
+    code, text = run_cli(["run", "--config", str(path), "--problem", "dd", "--multistart"])
+    assert code == 2
+    assert text == ""
+    assert "1048576 points, more than MAX_STARTS" in capsys.readouterr().err

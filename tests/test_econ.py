@@ -272,3 +272,58 @@ def test_discount_factor_conventions():
     assert_allclose(tech_d.value(0.0, 2.0, 0.0), base / 1.05**3, rtol=1e-15)
     assert_allclose(tech_n.value(3.0, 2.0, 0.0), base, rtol=1e-15)
     assert_allclose(tech_n.value(0.0, 2.0, 0.0), base * 0.95**3, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+
+
+EIGHT_SYSTEMS = tuple(WORKED_ROOTS)
+
+
+def stacked_test_states(params, rng, count=60):
+    """Random interior states plus rows that hit each guard."""
+    m = params.horizon - 1
+    states = rng.uniform(0.5, 8.0, (count, m))
+    states[1::7, rng.integers(0, m)] = params.y_floor               # price-curve pole
+    states[2::7, 0] = params.y_initial - params.b                   # quotient + b == 0
+    for row in range(3, count, 7):
+        j = rng.integers(0, m - 1) if m > 1 else 0
+        states[row, j] = 8.0
+        if m > 1:
+            states[row, j + 1] = 8.0 - params.b - rng.uniform(0.0, 2.0)   # quotient + b <= 0
+    return states
+
+
+@pytest.mark.parametrize("horizon", [3, 10, 20])
+def test_stacked_residual_and_functional_match_the_scalar_ones(horizon):
+    params = FirmParams(horizon=horizon)
+    rng = np.random.default_rng(2024 + horizon)
+    states = stacked_test_states(params, rng)
+    for kind, equation in EIGHT_SYSTEMS:
+        system = residual_system(params, kind, equation)
+        stacked = system.stacked_residual(states)
+        values = system.stacked_functional(states)
+        assert stacked.shape == states.shape and values.shape == (len(states),)
+        raised = 0
+        for x, row, value in zip(states, stacked, values):
+            try:
+                expected = system.residual(x)
+            except DomainError:
+                raised += 1
+                assert np.isnan(row).all() and np.isnan(value)
+                with pytest.raises(DomainError):
+                    system.functional(x)
+                continue
+            assert not np.isnan(row).any()
+            scale = float(np.max(np.abs(expected)))
+            assert float(np.max(np.abs(row - expected))) <= 1e-13 * scale
+            expected_value = system.functional(x)
+            assert abs(value - expected_value) <= 1e-13 * abs(expected_value)
+        assert raised >= len(states) // 7 * 3, f"{system.label}: guards not exercised"
+
+
+def test_stacked_residual_rejects_a_wrong_state_width():
+    system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
+    with pytest.raises(ValueError, match="interior values"):
+        system.stacked_residual(np.ones((4, 3)))

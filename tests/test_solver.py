@@ -1,12 +1,15 @@
 """Tests for the damped Newton solver and the multistart driver."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tsvar import solver as tsolver
 from tsvar import (
+    MAX_STARTS,
     DomainError,
     EquationKind,
     FirmParams,
@@ -15,6 +18,7 @@ from tsvar import (
     SolverConfig,
     default_start_grid,
     fd_jacobian,
+    lockstep_solve,
     multistart_solve,
     newton_solve,
     residual_system,
@@ -246,3 +250,137 @@ def test_multistart_recovers_hard_worked_roots_over_default_grid():
             float(np.max(np.abs(r.root - np.asarray(expected)))) for r in reports
         )
         assert best <= 1e-6
+
+
+def test_default_start_grid_refuses_oversized_grids_immediately():
+    assert len(default_start_grid(4)) == MAX_STARTS   # the default grid at T=5
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"16\\^5 = 1048576 points, more than MAX_STARTS = {MAX_STARTS}"):
+        default_start_grid(5)
+    with pytest.raises(ValueError, match=str(16 ** 40)):
+        default_start_grid(40)
+    # a fine axis is refused before it is built, too
+    with pytest.raises(ValueError, match="MAX_STARTS"):
+        default_start_grid(1, (0.0, 1.0, 1e-12))
+    assert time.perf_counter() - started < 0.5
+
+
+# ---------------------------------------------------------------------------
+# lock-step multistart against the one-start solver
+
+
+def sqrt_system():
+    """Feasible only for x0 >= 0; a root at (2.25, 2.25)."""
+    def residual(x):
+        if x[0] < 0.0:
+            raise DomainError(f"negative x0 = {x[0]}")
+        return np.array([math.sqrt(x[0]) - 1.5, x[1] - x[0]])
+
+    return ResidualSystem(2, residual, functional=lambda x: float(x[0] + x[1]))
+
+
+LIFTED_CASES = [
+    # (system, starts, config)
+    (affine_system()[0], [(0.0, 0.0), (1.0, 1.0), (5.0, -3.0), (1.0, 3.0)], None),
+    # x0 = 0 makes the difference Jacobian exactly singular
+    (ResidualSystem(2, lambda x: np.array([x[0] ** 2 - 1.0, x[1] - 2.0]),
+                    functional=lambda x: float(x[0])),
+     [(0.5, 0.0), (-0.5, 0.0), (0.0, 1.0), (2.0, 5.0), (0.0, 0.0), (-3.0, 7.0)], None),
+    # infeasible starts, a start on the edge whose lower difference fails,
+    # and steps that overshoot into the infeasible half-plane
+    (sqrt_system(),
+     [(-1.0, 0.0), (0.0, 1.0), (0.01, 0.0), (9.0, 1.0), (30.0, -4.0), (2.0, 2.0)], None),
+    # no root: damping stops every start but x = 0, where the Jacobian vanishes
+    (ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0])),
+     [(0.3,), (-2.0,), (5.0,), (0.0,)], SolverConfig(max_iterations=40)),
+    (ResidualSystem(1, lambda x: np.array([math.exp(x[0])])),
+     [(0.0,), (1.0,), (-3.0,)], SolverConfig(max_iterations=5)),
+    # the double root converges linearly, so the steps shrink below tol_step
+    (ResidualSystem(1, lambda x: np.array([x[0] ** 2])),
+     [(1.0,), (-3.0,), (0.5,)], SolverConfig(tol_step=1e-3)),
+    # the residual overflows at the first start, so its step is not finite
+    (ResidualSystem(1, lambda x: np.array([1e300 * (x[0] - 2.0)])),
+     [(1e10,), (3.0,)], SolverConfig(max_halvings=3)),
+]
+
+
+def assert_same_report(got, expected):
+    assert np.array_equal(got.root, expected.root)
+    assert got.converged == expected.converged
+    assert got.iterations == expected.iterations
+    assert got.residual_norm == expected.residual_norm
+    assert got.message == expected.message
+    assert got.functional_value == expected.functional_value
+    assert got.residual_norms == expected.residual_norms
+    assert len(got.iterates) == len(expected.iterates)
+    for a, b in zip(got.iterates, expected.iterates):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", range(len(LIFTED_CASES)))
+def test_lockstep_matches_newton_start_by_start_on_lifted_systems(case):
+    system, starts, config = LIFTED_CASES[case]
+    assert system.stacked_residual is None
+    with np.errstate(invalid="ignore", over="ignore"):
+        reports = lockstep_solve(system, starts, config)
+        expected = [newton_solve(system, guess, config) for guess in starts]
+    assert len(reports) == len(starts)
+    for got, want in zip(reports, expected):
+        assert_same_report(got, want)
+
+
+def test_lifted_cases_reach_every_stop_reason():
+    reasons = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for system, starts, config in LIFTED_CASES:
+            reasons.update(r.message.split(":")[0] for r in lockstep_solve(system, starts, config))
+    assert reasons == {
+        "residual tolerance reached", "infeasible start", "jacobian failed",
+        "singular jacobian", "non-finite newton step",
+        "damping found no residual decrease", "iteration limit reached",
+        "step below stagnation tolerance",
+    }
+
+
+def test_lockstep_results_do_not_depend_on_the_stack_size(monkeypatch):
+    system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL2)
+    grid = default_start_grid(2)[::5]
+    whole = lockstep_solve(system, grid)
+    monkeypatch.setattr(tsolver, "STACK_STARTS", 7)
+    for got, expected in zip(lockstep_solve(system, grid), whole):
+        assert_same_report(got, expected)
+
+
+def test_lockstep_rejects_guesses_of_the_wrong_dimension():
+    system, _ = affine_system()
+    with pytest.raises(ValueError, match="dimension"):
+        lockstep_solve(system, [(1.0, 2.0, 3.0)])
+    assert lockstep_solve(system, []) == []
+
+
+def distinct_roots(reports, tol=1e-6):
+    roots = []
+    for rep in sorted((r for r in reports if r.converged), key=lambda r: tuple(r.root)):
+        if not any(float(np.max(np.abs(rep.root - kept))) <= tol for kept in roots):
+            roots.append(rep.root)
+    return roots
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.02])
+def test_lockstep_multistart_finds_the_per_start_root_set(rate):
+    # per-start equality is not asserted for the firm systems: the stacked
+    # residual may differ from the scalar one in the last bit, which can
+    # flip a start that sits on a basin boundary
+    params = FirmParams(discount_rate=rate)
+    grid = default_start_grid(2)
+    for kind in ProblemKind:
+        equations = EquationKind if kind.is_mixed else (EquationKind.DIRECT,)
+        for equation in equations:
+            system = residual_system(params, kind, equation)
+            lockstep = [r.root for r in multistart_solve(system, grid)]
+            per_start = distinct_roots([newton_solve(system, g) for g in grid])
+            assert len(lockstep) == len(per_start), system.label
+            for ours, theirs in ((lockstep, per_start), (per_start, lockstep)):
+                for root in ours:
+                    gap = min(float(np.max(np.abs(root - other))) for other in theirs)
+                    assert gap <= 1e-9, f"{system.label}: root {root} unmatched ({gap:.1e})"
