@@ -104,6 +104,9 @@ class FirmParams:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
         if int(self.horizon) != self.horizon or self.horizon < 2:
             raise ValueError(f"horizon must be an integer >= 2, got {self.horizon}")
+        # an integral float (10.0) or numpy integer is kept as a Python int,
+        # which the point ranges of the residual systems need
+        object.__setattr__(self, "horizon", int(self.horizon))
         if self.y_initial <= self.y_floor:
             raise ValueError(
                 f"y_initial {self.y_initial} must exceed y_floor {self.y_floor}"
@@ -211,12 +214,12 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 # ---------------------------------------------------------------------------
 # state tables
 #
-# A residual evaluation first tabulates, once per state, everything the
-# guards protect: the price-curve margins y_t - y_floor and the roots
+# A scalar residual evaluation first tabulates, once per state, everything
+# the guards protect: the price-curve margins y_t - y_floor and the roots
 # sqrt(quotient + b).  The totals, gammas and el1/el2 parts below then read
-# these tables as plain arithmetic, so the same code evaluates one state
-# (an entry is a float) or a stack of states (an entry is a column holding
-# one value per state).
+# these tables point by point as float arithmetic.  The stacked residual
+# (further down) holds the same tables as (T+1, S) arrays, one column per
+# state, and evaluates each of those pieces at every point at once.
 
 
 class _Tables(NamedTuple):
@@ -239,12 +242,6 @@ def _constants(p: FirmParams) -> tuple:
             math.sqrt(p.b))   # the root of a clamped (zero) quotient
 
 
-def _tables(constants: tuple, y: list, margin: list, rate: list, root: list) -> _Tables:
-    disc_delta, disc_nabla, edge = constants
-    return _Tables(y, margin, rate + [0.0], [0.0] + rate,
-                   root + [edge], [edge] + root, disc_delta, disc_nabla)
-
-
 def _checked_tables(p: FirmParams, constants: tuple, yv: list,
                     capital_mode: str, technology_mode: str) -> _Tables:
     """Tables of one state; raises :class:`DomainError` at a failed guard.
@@ -263,23 +260,9 @@ def _checked_tables(p: FirmParams, constants: tuple, yv: list,
         if r + p.b <= 0.0:
             _guarded_sqrt(p, r, t if technology_mode == "delta" else t + 1)
         root.append(math.sqrt(r + p.b))
-    return _tables(constants, yv, margin, rate, root)
-
-
-def _masked_tables(p: FirmParams, constants: tuple, yt: np.ndarray):
-    """Tables of the feasible columns of ``yt`` (shape (T+1, S)), and the mask.
-
-    A column is infeasible exactly where :func:`_checked_tables` would
-    raise for that state; the tables hold the feasible columns only.
-    """
-    margin = yt - p.y_floor
-    rate = yt[1:] - yt[:-1]
-    arg = rate + p.b
-    ok = ~((margin == 0.0).any(axis=0) | (arg <= 0.0).any(axis=0))
-    if not ok.all():
-        yt, margin, rate, arg = yt[:, ok], margin[:, ok], rate[:, ok], arg[:, ok]
-    tables = _tables(constants, list(yt), list(margin), list(rate), list(np.sqrt(arg)))
-    return tables, ok
+    disc_delta, disc_nabla, edge = constants
+    return _Tables(yv, margin, rate + [0.0], [0.0] + rate,
+                   root + [edge], [edge] + root, disc_delta, disc_nabla)
 
 
 def _up(i: int, top: int) -> int:
@@ -445,6 +428,148 @@ def _parts_nd_el2(p: FirmParams, tab: _Tables, k_nabla, t: int):
 
 
 # ---------------------------------------------------------------------------
+# whole-array pieces of the stacked residual
+#
+# The same algebra as the per-point functions above, on (T+1, S) tables with
+# one column per state.  Each piece is evaluated at every point t = 0..T at
+# once: the clamped shifts i -> min(i+1, T) and i -> max(i-1, 0) become the
+# slices of _next and _prev, a total is a sum over axis 0, and a system keeps
+# the window of points it is posed on.
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """Row min(t+1, T) of ``a`` at every row t."""
+    return np.concatenate((a[1:], a[-1:]))
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """Row max(t-1, 0) of ``a`` at every row t."""
+    return np.concatenate((a[:1], a[:-1]))
+
+
+def _array_tables(p: FirmParams, discs: np.ndarray, yt: np.ndarray):
+    """Tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
+
+    A column is infeasible exactly where :func:`_checked_tables` would raise
+    for that state; the tables hold the feasible columns only, and the mask
+    is None when every column is feasible.  ``discs`` holds the two discount
+    factors as (T+1, 1) columns.
+    """
+    margin = yt - p.y_floor
+    rate = yt[1:] - yt[:-1]
+    arg = rate + p.b
+    ok = None
+    if not (margin.all() and (arg > 0.0).all()):
+        ok = ~((margin == 0.0).any(axis=0) | (arg <= 0.0).any(axis=0))
+        yt, margin, rate, arg = yt[:, ok], margin[:, ok], rate[:, ok], arg[:, ok]
+    # quotients and roots padded with the clamped values at both ends, so the
+    # forward and backward tables are the two overlapping views
+    rates = np.zeros((len(yt) + 1, yt.shape[1]))
+    rates[1:-1] = rate
+    roots = np.full(rates.shape, math.sqrt(p.b))
+    np.sqrt(arg, out=roots[1:-1])
+    return _Tables(yt, margin, rates[1:], rates[:-1], roots[1:], roots[:-1], *discs), ok
+
+
+def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:
+    """``rows``, one per feasible state, spread over all states with NaN rows at the others."""
+    if ok is None:
+        return rows
+    out = np.full((len(ok),) + rows.shape[1:], np.nan)
+    out[ok] = rows
+    return out
+
+
+def _array_totals(p: FirmParams, kind: ProblemKind, tab: _Tables):
+    """The capital and technology integrals of every state, shape (S,) each."""
+    if kind.capital_mode == "delta":
+        y, v, margin, disc = tab.y[1:], tab.up_rate[:-1], tab.margin[1:], tab.disc_delta[:-1]
+    else:
+        y, v, margin, disc = tab.y[:-1], tab.down_rate[1:], tab.margin[:-1], tab.disc_nabla[1:]
+    capital = (disc * (p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / margin)).sum(axis=0)
+    if kind.technology_mode == "delta":
+        y, root, disc = tab.y[1:], tab.up_root[:-1], tab.disc_delta[:-1]
+    else:
+        y, root, disc = tab.y[:-1], tab.down_root[1:], tab.disc_nabla[1:]
+    technology = (disc * (p.lam * y + p.beta * root)).sum(axis=0)
+    return capital, technology
+
+
+def _array_gamma_capital(p: FirmParams, tab: _Tables, mode: str) -> np.ndarray:
+    if mode == "delta":
+        dyt = tab.up_rate
+        return tab.disc_delta * (
+            (p.c1 - p.p0 + p.B * p.y_floor / _next(tab.margin)**2)
+            - 2.0 * p.c2 * (p.discount_rate * dyt + (1.0 + p.discount_rate) * (_next(dyt) - dyt))
+        )
+    nyt = tab.down_rate
+    return tab.disc_nabla * (
+        (p.c1 - p.p0 + p.B * p.y_floor / _prev(tab.margin)**2)
+        - 2.0 * p.c2 * (p.discount_rate * nyt + (1.0 - p.discount_rate) * (nyt - _prev(nyt)))
+    )
+
+
+def _array_gamma_technology(p: FirmParams, tab: _Tables, mode: str) -> np.ndarray:
+    if mode == "delta":
+        root_here = tab.up_root
+        root_next = _next(root_here)
+        numer = p.discount_rate * root_here - (root_next - root_here)
+        return tab.disc_delta * (p.lam - p.beta * numer / (2.0 * root_here * root_next))
+    root_here = tab.down_root
+    root_prev = _prev(root_here)
+    numer = p.discount_rate * root_here - (root_here - root_prev)
+    return tab.disc_nabla * (p.lam - p.beta * numer / (2.0 * root_here * root_prev))
+
+
+def _array_parts(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Tables,
+                 capital, technology) -> np.ndarray:
+    """The middle term of a mixed el1/el2 equation at every point."""
+    rho = p.discount_rate
+    if kind is ProblemKind.DELTA_NABLA and eq is EquationKind.TIMESCALE_EL1:
+        disc = _next(tab.disc_nabla)
+        w_here = tab.down_root
+        numer = rho * w_here - (1.0 - rho) * (_next(w_here) - w_here)
+        part2 = p.beta * disc * numer / (2.0 * w_here * tab.up_root)
+        return capital * (p.lam * disc - part2)
+    if kind is ProblemKind.DELTA_NABLA:
+        disc = _prev(tab.disc_delta)
+        part3 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin**2)
+        curvature = _next(tab.y) - 2.0 * tab.y + _prev(tab.y)
+        part4 = 2.0 * p.c2 * disc * (rho * tab.up_rate + curvature)
+        return technology * (part3 - part4)
+    if eq is EquationKind.TIMESCALE_EL1:
+        disc = _next(tab.disc_nabla)
+        part5 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin**2)
+        rate_jump = _next(tab.down_rate) - tab.down_rate
+        part6 = 2.0 * p.c2 * disc * (rho * tab.down_rate + rate_jump)
+        return technology * (part5 - part6)
+    disc = _prev(tab.disc_delta)
+    u_here = tab.up_root
+    numer = rho * u_here - (1.0 + rho) * (u_here - _prev(u_here))
+    part8 = disc * p.beta * numer / (2.0 * u_here * tab.down_root)
+    return capital * (p.lam * disc - part8)
+
+
+def _array_equations(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Tables,
+                     capital, technology) -> np.ndarray:
+    """Every equation of :func:`_point_residual`, at every point t = 0..T."""
+    capital_term = technology * _array_gamma_capital(p, tab, kind.capital_mode)
+    technology_term = capital * _array_gamma_technology(p, tab, kind.technology_mode)
+    if not kind.is_mixed or eq is EquationKind.DIRECT:
+        return capital_term + technology_term
+    middle = _array_parts(p, kind, eq, tab, capital, technology)
+    if kind is ProblemKind.DELTA_NABLA:
+        delta_term, nabla_term = capital_term, technology_term
+    else:
+        delta_term, nabla_term = technology_term, capital_term
+    if eq is EquationKind.TIMESCALE_EL1:
+        ahead = _next(nabla_term)
+        return delta_term + middle + (_next(ahead) - ahead)
+    behind = _prev(delta_term)
+    return middle + nabla_term - (behind - _prev(behind))
+
+
+# ---------------------------------------------------------------------------
 # residual systems
 
 
@@ -517,14 +642,17 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     """Square system in the interior sales values y_1, ..., y_{T-1}.
 
     For the pure kinds every :class:`EquationKind` yields the same
-    system; the mixed kinds dispatch on it.  The system carries stacked
-    forms of its residual and functional, which evaluate many states at
-    once with the same arithmetic and mark infeasible states with NaN.
+    system; the mixed kinds dispatch on it.  The residual and functional
+    evaluate one state point by point.  The system also carries stacked
+    forms of both, which evaluate a stack of states as whole-array
+    expressions of the same algebra and mark infeasible states with NaN.
     """
     p = params
     m = p.horizon - 1
-    points = list(_domain_points(kind, p.horizon))
+    points = _domain_points(kind, p.horizon)
+    window = slice(points.start, points.stop)
     constants = _constants(p)
+    discs = np.array(constants[:2])[:, :, None]   # both discounts as (T+1, 1) columns
     modes = (kind.capital_mode, kind.technology_mode)
 
     def tables(x) -> _Tables:
@@ -541,7 +669,7 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         yt[0] = p.y_initial
         yt[1:-1] = xs.T
         yt[-1] = p.y_terminal
-        return _masked_tables(p, constants, yt)
+        return _array_tables(p, discs, yt)
 
     def equations(tab: _Tables) -> list:
         capital, technology = _totals(p, kind, tab)
@@ -556,16 +684,13 @@ def residual_system(params: FirmParams, kind: ProblemKind,
 
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
-        out = np.full((len(ok), m), np.nan)
-        out[ok] = np.stack(equations(tab), axis=1)
-        return out
+        totals = _array_totals(p, kind, tab)
+        return _with_nan_rows(ok, _array_equations(p, kind, eq, tab, *totals)[window].T)
 
     def stacked_functional(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
-        capital, technology = _totals(p, kind, tab)
-        out = np.full(len(ok), np.nan)
-        out[ok] = capital * technology
-        return out
+        capital, technology = _array_totals(p, kind, tab)
+        return _with_nan_rows(ok, capital * technology)
 
     return ResidualSystem(
         dimension=m,

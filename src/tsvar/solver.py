@@ -1,10 +1,15 @@
 """Damped Newton iteration for square residual systems.
 
-The Jacobian is always approximated by central differences; damping
-halves the step until the residual sup-norm decreases.  Residual
-evaluations may signal infeasibility by raising
-:class:`~tsvar.timescale.DomainError`, which rejects the trial step the
-same way a norm increase does.
+The Jacobian is approximated by central differences; damping halves the
+step until the residual sup-norm decreases.  Residual evaluations may
+signal infeasibility by raising :class:`~tsvar.timescale.DomainError`,
+which rejects the trial step the same way a norm increase does.
+
+:func:`fd_jacobian` evaluates the 2m perturbed states of a system with a
+``stacked_residual`` in one stacked call once the dimension m reaches
+:data:`STACKED_JACOBIAN_DIMENSION`; below it, for systems without a stacked
+form, and wherever a perturbed state is infeasible, it goes column by
+column through the scalar residual.
 
 :func:`newton_solve` iterates from one start.  :func:`lockstep_solve`
 (behind :func:`multistart_solve`) iterates from many starts at once: the
@@ -59,6 +64,13 @@ STACK_STARTS = 1024
 #: halvings lockstep_solve tries together once the full Newton step fails
 HALVING_BLOCK = 32
 
+#: smallest dimension at which fd_jacobian makes one stacked residual call for
+#: all 2m perturbed states.  Measured on the eight firm systems against the
+#: column loop (x86-64, Python 3.11, numpy 2.4): at m = 2 the loop is
+#: 1.6-1.9x cheaper, at m = 3 the two are about even (0.9-1.15x), at m = 4
+#: one call is 1.4-2.0x cheaper and at m = 7 3.7-5.0x.
+STACKED_JACOBIAN_DIMENSION = 3
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -110,9 +122,24 @@ def _norm(r: np.ndarray) -> float:
 
 
 def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian, column by column."""
+    """Central-difference Jacobian.
+
+    A system with a ``stacked_residual`` and at least
+    :data:`STACKED_JACOBIAN_DIMENSION` coordinates, the measured crossover,
+    evaluates all 2m perturbed states in one stacked call, split into calls
+    of at most :data:`STACK_STARTS` states.  Any other system,
+    and any ``x`` at which a perturbed residual holds a NaN (a stacked
+    residual marks an infeasible state so), goes column by column through
+    the scalar residual, which raises the :class:`DomainError` naming the
+    coordinate being perturbed.  Both paths take the same steps and
+    differences.
+    """
     x = np.asarray(x, dtype=float)
     m = system.dimension
+    if system.stacked_residual is not None and m >= STACKED_JACOBIAN_DIMENSION:
+        jac, _ = _stacked_jacobian(_in_chunks(system.stacked_residual), x[None], step)
+        if not np.isnan(jac).any():
+            return jac[0]
     jac = np.empty((m, m))
     for j in range(m):
         h = step * max(1.0, abs(x[j]))
@@ -127,6 +154,15 @@ def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np
                 f"residual evaluation failed while perturbing coordinate {j}: {exc}"
             ) from exc
     return jac
+
+
+def _in_chunks(residual: Callable) -> Callable:
+    """``residual`` on a stack, called on at most :data:`STACK_STARTS` states at a time."""
+    def call(xs: np.ndarray) -> np.ndarray:
+        return np.concatenate([residual(xs[lo:lo + STACK_STARTS])
+                               for lo in range(0, len(xs), STACK_STARTS)])
+
+    return call
 
 
 def newton_solve(

@@ -75,6 +75,16 @@ def test_params_validation_names_the_field():
             FirmParams(**overrides)
 
 
+def test_integral_float_horizon_is_stored_as_an_int():
+    for horizon in (10.0, np.int64(10)):
+        params = FirmParams(horizon=horizon)
+        assert type(params.horizon) is int and params == FirmParams(horizon=10)
+        system = residual_system(params, ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
+        assert system.residual(np.linspace(2.0, 3.0, 11)[1:-1]).shape == (9,)
+    with pytest.raises(ValueError, match="horizon"):
+        FirmParams(horizon=10.5)
+
+
 def test_kind_properties():
     assert ProblemKind.DELTA_NABLA.capital_mode == "delta"
     assert ProblemKind.DELTA_NABLA.technology_mode == "nabla"
@@ -295,7 +305,7 @@ def stacked_test_states(params, rng, count=60):
     return states
 
 
-@pytest.mark.parametrize("horizon", [3, 10, 20])
+@pytest.mark.parametrize("horizon", [2, 3, 4, 10, 20])
 def test_stacked_residual_and_functional_match_the_scalar_ones(horizon):
     params = FirmParams(horizon=horizon)
     rng = np.random.default_rng(2024 + horizon)

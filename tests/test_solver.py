@@ -1,5 +1,6 @@
 """Tests for the damped Newton solver and the multistart driver."""
 
+import dataclasses
 import math
 import time
 
@@ -384,3 +385,119 @@ def test_lockstep_multistart_finds_the_per_start_root_set(rate):
                 for root in ours:
                     gap = min(float(np.max(np.abs(root - other))) for other in theirs)
                     assert gap <= 1e-9, f"{system.label}: root {root} unmatched ({gap:.1e})"
+
+
+# ---------------------------------------------------------------------------
+# one stacked residual call per finite-difference Jacobian
+
+
+FIRM_SYSTEMS = [(kind, equation) for kind in ProblemKind
+                for equation in (EquationKind if kind.is_mixed else (EquationKind.DIRECT,))]
+
+
+def column_loop(system):
+    return dataclasses.replace(system, stacked_residual=None)
+
+
+def linear_seed(params):
+    a, b, m = params.y_initial, params.y_terminal, params.horizon - 1
+    return np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
+
+
+@pytest.mark.parametrize("horizon", [4, 10, 20])
+def test_one_call_jacobian_matches_the_column_loop_on_firm_systems(horizon):
+    params = FirmParams(horizon=horizon)
+    rng = np.random.default_rng(300 + horizon)
+    for kind, equation in FIRM_SYSTEMS:
+        system = residual_system(params, kind, equation)
+        for _ in range(5):
+            x = linear_seed(params) + rng.uniform(-0.3, 0.3, horizon - 1)
+            expected = fd_jacobian(column_loop(system), x)
+            gap = float(np.max(np.abs(fd_jacobian(system, x) - expected)))
+            assert gap <= 1e-8 * float(np.max(np.abs(expected))), system.label
+
+
+def guarded_cubic(dimension):
+    """A coupled system defined for x0 >= 1 only, with a row-loop stacked form."""
+    def residual(x):
+        if x[0] < 1.0:
+            raise DomainError(f"x0 = {x[0]} below 1")
+        return np.array([x[j] ** 3 - x[j - 1] * math.sqrt(x[0]) for j in range(dimension)])
+
+    plain = ResidualSystem(dimension, residual)
+    return dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
+
+
+def counted(system):
+    """The system, and a dict counting its scalar calls and stacked rows."""
+    counts = {"scalar": 0, "stacked calls": 0, "stacked rows": 0}
+
+    def residual(x):
+        counts["scalar"] += 1
+        return system.residual(x)
+
+    def stacked_residual(xs):
+        counts["stacked calls"] += 1
+        counts["stacked rows"] += len(xs)
+        return system.stacked_residual(xs)
+
+    return dataclasses.replace(system, residual=residual,
+                               stacked_residual=stacked_residual), counts
+
+
+def test_one_call_jacobian_is_bit_identical_on_a_row_loop_system():
+    system = guarded_cubic(3)
+    x = np.array([1.7, -0.4, 2.9])
+    tracked, counts = counted(system)
+    assert np.array_equal(fd_jacobian(tracked, x), fd_jacobian(column_loop(system), x))
+    assert counts == {"scalar": 0, "stacked calls": 1, "stacked rows": 6}
+
+
+def test_jacobians_below_the_threshold_keep_the_column_loop():
+    assert tsolver.STACKED_JACOBIAN_DIMENSION == 3
+    tracked, counts = counted(guarded_cubic(2))
+    fd_jacobian(tracked, np.array([1.7, -0.4]))
+    assert counts == {"scalar": 4, "stacked calls": 0, "stacked rows": 0}
+
+
+def test_one_call_jacobian_raises_the_column_loops_domain_error():
+    system = guarded_cubic(3)
+    x = np.array([1.0, 2.0, 3.0])   # the lower probe of coordinate 0 leaves x0 >= 1
+    with pytest.raises(DomainError) as expected:
+        fd_jacobian(column_loop(system), x, step=1e-3)
+    assert "perturbing coordinate 0" in str(expected.value)
+    with pytest.raises(DomainError) as got:
+        fd_jacobian(system, x, step=1e-3)
+    assert str(got.value) == str(expected.value)
+
+
+def test_one_call_jacobian_does_not_depend_on_the_chunk_size(monkeypatch):
+    cases = [
+        (residual_system(FirmParams(horizon=20), ProblemKind.DELTA_NABLA,
+                         EquationKind.TIMESCALE_EL2), linear_seed(FirmParams(horizon=20))),
+        (guarded_cubic(7), np.linspace(1.5, 3.0, 7)),
+    ]
+    whole = [fd_jacobian(system, x) for system, x in cases]
+    monkeypatch.setattr(tsolver, "STACK_STARTS", 5)
+    for (system, x), expected in zip(cases, whole):
+        tracked, counts = counted(system)
+        assert np.array_equal(fd_jacobian(tracked, x), expected)
+        assert counts["stacked calls"] == -(-2 * system.dimension // 5)
+        assert counts["scalar"] == 0
+
+
+def test_long_horizon_solves_match_the_column_loop():
+    # every T=10 and T=20 cell from the linear seed: the same stop reason,
+    # and converged cells reach the same root and functional
+    for horizon in (10, 20):
+        params = FirmParams(horizon=horizon)
+        seed = linear_seed(params)
+        for kind, equation in FIRM_SYSTEMS:
+            system = residual_system(params, kind, equation)
+            got = newton_solve(system, seed)
+            expected = newton_solve(column_loop(system), seed)
+            assert got.message == expected.message, system.label
+            assert got.converged == expected.converged, system.label
+            if expected.converged:
+                assert float(np.max(np.abs(got.root - expected.root))) <= 1e-10
+                assert abs(got.functional_value - expected.functional_value) <= 1e-10
