@@ -137,6 +137,16 @@ def _guarded_margin(p: FirmParams, sales: float, t) -> float:
     return margin
 
 
+def _capital_slope(p: FirmParams, margin):
+    """c1 - p0 + B y_floor / margin^2: the sales derivative of the capital bracket.
+
+    The square is a product, not ``margin**2``: a float power raises
+    OverflowError where the product gives inf, as numpy's square does, so a
+    single state and a stack of states overflow alike.
+    """
+    return p.c1 - p.p0 + p.B * p.y_floor / (margin * margin)
+
+
 def _disc_delta(p: FirmParams, t: float) -> float:
     return (1.0 + p.discount_rate) ** (t - p.horizon)
 
@@ -171,7 +181,7 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
 
         def partial_y(t, y, v):
             margin = _guarded_margin(p, y, t)
-            return disc(p, t) * (p.c1 - p.p0 + p.B * p.y_floor / margin**2)
+            return disc(p, t) * _capital_slope(p, margin)
 
         def partial_v(t, y, v):
             return disc(p, t) * 2.0 * p.c2 * v
@@ -316,7 +326,7 @@ def _gamma_capital_delta(p: FirmParams, tab: _Tables, t: int):
     dyt = tab.up_rate[t]
     ddyt = tab.up_rate[up] - dyt
     return tab.disc_delta[t] * (
-        (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[up]**2)
+        _capital_slope(p, tab.margin[up])
         - 2.0 * p.c2 * (p.discount_rate * dyt + (1.0 + p.discount_rate) * ddyt)
     )
 
@@ -326,7 +336,7 @@ def _gamma_capital_nabla(p: FirmParams, tab: _Tables, t: int):
     nyt = tab.down_rate[t]
     nnyt = nyt - tab.down_rate[down]
     return tab.disc_nabla[t] * (
-        (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[down]**2)
+        _capital_slope(p, tab.margin[down])
         - 2.0 * p.c2 * (p.discount_rate * nyt + (1.0 - p.discount_rate) * nnyt)
     )
 
@@ -401,7 +411,7 @@ def _parts_dn_el1(p: FirmParams, tab: _Tables, k_delta, t: int):
 
 def _parts_dn_el2(p: FirmParams, tab: _Tables, a_nabla, t: int):
     disc = tab.disc_delta[_down(t)]
-    part3 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[t]**2)
+    part3 = disc * _capital_slope(p, tab.margin[t])
     curvature = tab.y[_up(t, p.horizon)] - 2.0 * tab.y[t] + tab.y[_down(t)]
     part4 = 2.0 * p.c2 * disc * (p.discount_rate * tab.up_rate[t] + curvature)
     return a_nabla * (part3 - part4)
@@ -410,7 +420,7 @@ def _parts_dn_el2(p: FirmParams, tab: _Tables, a_nabla, t: int):
 def _parts_nd_el1(p: FirmParams, tab: _Tables, a_delta, t: int):
     up = _up(t, p.horizon)
     disc = tab.disc_nabla[up]
-    part5 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin[t]**2)
+    part5 = disc * _capital_slope(p, tab.margin[t])
     rate_jump = tab.down_rate[up] - tab.down_rate[t]
     part6 = 2.0 * p.c2 * disc * (p.discount_rate * tab.down_rate[t] + rate_jump)
     return a_delta * (part5 - part6)
@@ -499,12 +509,12 @@ def _array_gamma_capital(p: FirmParams, tab: _Tables, mode: str) -> np.ndarray:
     if mode == "delta":
         dyt = tab.up_rate
         return tab.disc_delta * (
-            (p.c1 - p.p0 + p.B * p.y_floor / _next(tab.margin)**2)
+            _capital_slope(p, _next(tab.margin))
             - 2.0 * p.c2 * (p.discount_rate * dyt + (1.0 + p.discount_rate) * (_next(dyt) - dyt))
         )
     nyt = tab.down_rate
     return tab.disc_nabla * (
-        (p.c1 - p.p0 + p.B * p.y_floor / _prev(tab.margin)**2)
+        _capital_slope(p, _prev(tab.margin))
         - 2.0 * p.c2 * (p.discount_rate * nyt + (1.0 - p.discount_rate) * (nyt - _prev(nyt)))
     )
 
@@ -533,13 +543,13 @@ def _array_parts(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Table
         return capital * (p.lam * disc - part2)
     if kind is ProblemKind.DELTA_NABLA:
         disc = _prev(tab.disc_delta)
-        part3 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin**2)
+        part3 = disc * _capital_slope(p, tab.margin)
         curvature = _next(tab.y) - 2.0 * tab.y + _prev(tab.y)
         part4 = 2.0 * p.c2 * disc * (rho * tab.up_rate + curvature)
         return technology * (part3 - part4)
     if eq is EquationKind.TIMESCALE_EL1:
         disc = _next(tab.disc_nabla)
-        part5 = disc * (p.c1 - p.p0 + p.B * p.y_floor / tab.margin**2)
+        part5 = disc * _capital_slope(p, tab.margin)
         rate_jump = _next(tab.down_rate) - tab.down_rate
         part6 = 2.0 * p.c2 * disc * (rho * tab.down_rate + rate_jump)
         return technology * (part5 - part6)
@@ -646,6 +656,9 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     evaluate one state point by point.  The system also carries stacked
     forms of both, which evaluate a stack of states as whole-array
     expressions of the same algebra and mark infeasible states with NaN.
+    A state whose residual overflows (is not finite) is infeasible too: the
+    residual raises :class:`DomainError` there and the stacked residual
+    gives a NaN row.  The functional is returned as computed, inf included.
     """
     p = params
     m = p.horizon - 1
@@ -676,17 +689,31 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return [_point_residual(p, kind, eq, tab, t, capital, technology) for t in points]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return np.array(equations(tables(x)))
+        tab = tables(x)
+        try:
+            values = equations(tab)
+        except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
+            values = [math.inf]
+        if not all(map(math.isfinite, values)):
+            raise DomainError("residual is not finite at this state")
+        return np.array(values)
 
     def functional(x: np.ndarray) -> float:
         capital, technology = _totals(p, kind, tables(x))
         return capital * technology
 
+    # overflow is expected there and marked by the NaN rows, so numpy's
+    # warnings about it are off
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
         totals = _array_totals(p, kind, tab)
-        return _with_nan_rows(ok, _array_equations(p, kind, eq, tab, *totals)[window].T)
+        rows = _array_equations(p, kind, eq, tab, *totals)[window].T
+        if not np.isfinite(rows).all():
+            rows[~np.isfinite(rows).all(axis=1)] = np.nan
+        return _with_nan_rows(ok, rows)
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def stacked_functional(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
         capital, technology = _array_totals(p, kind, tab)

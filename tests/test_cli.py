@@ -324,6 +324,24 @@ def test_unconverged_rows_exit_with_one():
     assert ",false," in text
 
 
+def test_overflowing_start_is_reported_not_raised(tmp_path):
+    # the Newton residual overflows at this start; the cell is not converged
+    path = tmp_path / "huge.ini"
+    path.write_text("[params]\ny_terminal = 3e200\n[run]\nproblems = dd\nguess = 1e200,2e200\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert code == 1
+    lines = text.strip().split("\n")
+    assert len(lines) == 2 and lines[1].endswith(",false,0")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tolerance_exits_with_two(tol, capsys):
+    code, text = run_cli(["table1", "--tol", tol])
+    assert code == 2
+    assert text == ""
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_with_two(tmp_path, capsys):
     path = tmp_path / "missing" / "x.csv"
     code, text = run_cli(["table1", "--output", str(path)])

@@ -337,3 +337,36 @@ def test_stacked_residual_rejects_a_wrong_state_width():
     system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
     with pytest.raises(ValueError, match="interior values"):
         system.stacked_residual(np.ones((4, 3)))
+
+
+OVERFLOW_CASES = [
+    # (params, states): squares and products past 1.8e308, and a margin whose
+    # square underflows to zero
+    (FirmParams(y_terminal=3e200), [(1e200, 2e200), (2.0, 2.5), (1e154, 2e154)]),
+    (FirmParams(y_initial=1e200, y_terminal=1e200), [(1e200, 1e200)]),
+    (FirmParams(y_floor=0.0), [(1e-170, 2.0), (2.0, 2.5)]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_states_are_infeasible_in_both_forms():
+    raised = finite = 0
+    for params, states in OVERFLOW_CASES:
+        states = np.array(states)
+        for kind, equation in EIGHT_SYSTEMS:
+            system = residual_system(params, kind, equation)
+            stacked = system.stacked_residual(states)
+            values = system.stacked_functional(states)
+            for x, row, value in zip(states, stacked, values):
+                assert_allclose(value, system.functional(x), rtol=1e-13)
+                try:
+                    expected = system.residual(x)
+                except DomainError as exc:
+                    assert "not finite" in str(exc)
+                    assert np.isnan(row).all(), system.label
+                    raised += 1
+                    continue
+                assert np.isfinite(row).all() and np.isfinite(expected).all()
+                assert_allclose(row, expected, rtol=1e-13)
+                finite += 1
+    assert raised >= 8 * 3 and finite >= 8 * 2

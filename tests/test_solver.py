@@ -94,6 +94,10 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(max_halvings=-1)
+    for name in ("tol_residual", "tol_step", "fd_step"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SolverConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +491,8 @@ def test_one_call_jacobian_does_not_depend_on_the_chunk_size(monkeypatch):
 
 
 def test_long_horizon_solves_match_the_column_loop():
-    # every T=10 and T=20 cell from the linear seed: the same stop reason,
-    # and converged cells reach the same root and functional
+    # every T=10 and T=20 cell from the linear seed: the same stop reason and
+    # iteration count, and converged cells reach the same root and functional
     for horizon in (10, 20):
         params = FirmParams(horizon=horizon)
         seed = linear_seed(params)
@@ -498,6 +502,105 @@ def test_long_horizon_solves_match_the_column_loop():
             expected = newton_solve(column_loop(system), seed)
             assert got.message == expected.message, system.label
             assert got.converged == expected.converged, system.label
+            assert got.iterations == expected.iterations, system.label
             if expected.converged:
                 assert float(np.max(np.abs(got.root - expected.root))) <= 1e-10
                 assert abs(got.functional_value - expected.functional_value) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacked damping in the one-start solver
+
+
+def steep_system():
+    """Newton overshoots far from (1, -0.5); trials with x0 < -20 are infeasible."""
+    def residual(x):
+        if x[0] < -20.0:
+            raise DomainError(f"x0 = {x[0]} below -20")
+        return np.array([math.atan(x[0] - 1.0) + 0.01 * x[1], math.atan(x[1] + 0.5)])
+
+    plain = ResidualSystem(2, residual)
+    return dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
+
+
+STEEP_STARTS = [(50.0, -40.0), (-15.0, 60.0), (5.0, 5.0), (0.9, -0.4), (-30.0, 0.0),
+                (300.0, 2.0), (2.0, 400.0)]
+
+
+def logged(system):
+    """The system, and a log of its calls in order: ("scalar", 1, failed) and
+    ("stacked", rows, failed), failed when the call raised DomainError or
+    returned a NaN row."""
+    log = []
+
+    def residual(x):
+        try:
+            r = system.residual(x)
+        except DomainError:
+            log.append(("scalar", 1, True))
+            raise
+        log.append(("scalar", 1, False))
+        return r
+
+    def stacked_residual(xs):
+        rows = system.stacked_residual(xs)
+        log.append(("stacked", len(xs), bool(np.isnan(rows).any())))
+        return rows
+
+    return dataclasses.replace(system, residual=residual,
+                               stacked_residual=stacked_residual), log
+
+
+@pytest.mark.parametrize("block", [32, 5])
+@pytest.mark.parametrize("max_halvings", [0, 1, 2, 3, 40])
+def test_stacked_damping_matches_the_scalar_loop(monkeypatch, block, max_halvings):
+    # the 2-D system keeps the column-loop Jacobian, so every stacked call
+    # is a damping trial; its row loop is bit-identical to the scalar call
+    monkeypatch.setattr(tsolver, "HALVING_BLOCK", block)
+    system, log = logged(steep_system())
+    config = SolverConfig(max_halvings=max_halvings)
+    reasons = set()
+    for start in STEEP_STARTS:
+        got = newton_solve(system, start, config)
+        assert_same_report(got, newton_solve(column_loop(system), start, config))
+        reasons.add(got.message.split(":")[0])
+    stacked = [failed for kind, _, failed in log if kind == "stacked"]
+    assert any(failed for kind, _, failed in log if kind == "scalar")
+    if max_halvings < tsolver.SCALAR_LEVELS:
+        assert not stacked
+    else:
+        assert any(stacked)   # infeasible trials inside a stacked block
+    if max_halvings == 40:
+        assert reasons == {"residual tolerance reached", "infeasible start",
+                           "iteration limit reached"}
+        if block == 5:
+            # deeper than one block: consecutive stacked calls in one iteration
+            assert any(a[0] == b[0] == "stacked" for a, b in zip(log, log[1:]))
+
+
+def test_stalled_long_horizon_cell_keeps_its_damping_budget():
+    # dn/el2 at T=20 stalls from the linear seed after many deep halvings;
+    # each iteration makes one stacked Jacobian call (2m rows), at most
+    # SCALAR_LEVELS scalar trials and at most one block of the remaining levels
+    params = FirmParams(horizon=20)
+    system = residual_system(params, ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
+    tracked, log = logged(system)
+    config = SolverConfig()
+    got = newton_solve(tracked, linear_seed(params), config)
+    expected = newton_solve(column_loop(system), linear_seed(params), config)
+    assert (got.iterations, got.message) == (expected.iterations, expected.message)
+    assert got.message == "damping found no residual decrease"
+
+    assert log[0][0] == "scalar"   # the residual at the start
+    iterations = []
+    for kind, rows, _ in log[1:]:
+        if kind == "stacked" and rows == 2 * system.dimension:
+            iterations.append([])
+        else:
+            iterations[-1].append(kind)
+    assert len(iterations) == got.iterations + 1   # the last one found no step
+    blocks = -(-(config.max_halvings - 1) // tsolver.HALVING_BLOCK)
+    for calls in iterations:
+        assert calls.count("scalar") <= tsolver.SCALAR_LEVELS
+        assert calls.count("stacked") <= blocks
+    assert sum(calls.count("stacked") for calls in iterations) >= 10
