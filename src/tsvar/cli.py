@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import io
 import json
 import sys
@@ -516,7 +517,14 @@ def emit_table(rows: Sequence[ResultRow], output_format: str) -> str:
 # argument handling
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``parse_args`` leaves a parser as it found it (each call fills a fresh
+    namespace, and the repeatable flags start from a None default), so every
+    call of :func:`main` can share one.
+    """
     parser = argparse.ArgumentParser(
         prog="tsvar",
         description=(

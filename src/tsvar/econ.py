@@ -562,7 +562,7 @@ def _array_parts(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Table
 
 def _array_equations(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Tables,
                      capital, technology) -> np.ndarray:
-    """Every equation of :func:`_point_residual`, at every point t = 0..T."""
+    """Every equation of :func:`_point_equation`, at every point t = 0..T."""
     capital_term = technology * _array_gamma_capital(p, tab, kind.capital_mode)
     technology_term = capital * _array_gamma_technology(p, tab, kind.technology_mode)
     if not kind.is_mixed or eq is EquationKind.DIRECT:
@@ -591,60 +591,63 @@ def _domain_points(kind: ProblemKind, horizon: int) -> range:
     return range(1, horizon)
 
 
-def _point_residual(p: FirmParams, kind: ProblemKind, eq: EquationKind,
-                    tab: _Tables, t: int, capital_total, technology_total):
-    """One equation of the system at point t.
+def _point_equation(p: FirmParams, kind: ProblemKind, eq: EquationKind):
+    """The system's equation at one point: ``(tab, t, capital, technology) -> float``.
 
     The product rule pairs each integrand's core with the other
     component's integral; both totals are frozen at the current state.
+    The kind and equation are resolved here, once per system, so a call
+    runs only the float arithmetic of its own equation.
     """
-    if kind is ProblemKind.DELTA_DELTA:
-        return (technology_total * _gamma_capital_delta(p, tab, t)
-                + capital_total * _gamma_technology_delta(p, tab, t))
-    if kind is ProblemKind.NABLA_NABLA:
-        return (technology_total * _gamma_capital_nabla(p, tab, t)
-                + capital_total * _gamma_technology_nabla(p, tab, t))
+    gamma_capital = _GAMMAS[f"capital_{kind.capital_mode}"]
+    gamma_technology = _GAMMAS[f"technology_{kind.technology_mode}"]
+    if not kind.is_mixed or eq is EquationKind.DIRECT:
+        def direct(tab, t, capital, technology):
+            return (technology * gamma_capital(p, tab, t)
+                    + capital * gamma_technology(p, tab, t))
+        return direct
     top = p.horizon
     if kind is ProblemKind.DELTA_NABLA:
-        if eq is EquationKind.DIRECT:
-            return (technology_total * _gamma_capital_delta(p, tab, t)
-                    + capital_total * _gamma_technology_nabla(p, tab, t))
         if eq is EquationKind.TIMESCALE_EL1:
-            head = technology_total * _gamma_capital_delta(p, tab, t)
-            middle = _parts_dn_el1(p, tab, capital_total, t)
-            def aggregated(s):
-                return capital_total * _gamma_technology_nabla(p, tab, s)
-            tail = aggregated(_up(_up(t, top), top)) - aggregated(_up(t, top))
-            return head + middle + tail
-        head = capital_total * _gamma_technology_nabla(p, tab, t)
-        middle = _parts_dn_el2(p, tab, technology_total, t)
-        def aggregated(s):
-            return technology_total * _gamma_capital_delta(p, tab, s)
-        tail = aggregated(_down(t)) - aggregated(_down(_down(t)))
-        return middle + head - tail
-    # nabla-delta
-    if eq is EquationKind.DIRECT:
-        return (technology_total * _gamma_capital_nabla(p, tab, t)
-                + capital_total * _gamma_technology_delta(p, tab, t))
+            def dn_el1(tab, t, capital, technology):
+                head = technology * gamma_capital(p, tab, t)
+                middle = _parts_dn_el1(p, tab, capital, t)
+                ahead = _up(t, top)
+                tail = (capital * gamma_technology(p, tab, _up(ahead, top))
+                        - capital * gamma_technology(p, tab, ahead))
+                return head + middle + tail
+            return dn_el1
+
+        def dn_el2(tab, t, capital, technology):
+            head = capital * gamma_technology(p, tab, t)
+            middle = _parts_dn_el2(p, tab, technology, t)
+            behind = _down(t)
+            tail = (technology * gamma_capital(p, tab, behind)
+                    - technology * gamma_capital(p, tab, _down(behind)))
+            return middle + head - tail
+        return dn_el2
     if eq is EquationKind.TIMESCALE_EL1:
-        head = capital_total * _gamma_technology_delta(p, tab, t)
-        middle = _parts_nd_el1(p, tab, technology_total, t)
-        def aggregated(s):
-            return technology_total * _gamma_capital_nabla(p, tab, s)
-        tail = aggregated(_up(_up(t, top), top)) - aggregated(_up(t, top))
-        return head + middle + tail
-    head = technology_total * _gamma_capital_nabla(p, tab, t)
-    middle = _parts_nd_el2(p, tab, capital_total, t)
-    def aggregated(s):
-        return capital_total * _gamma_technology_delta(p, tab, s)
-    tail = aggregated(_down(t)) - aggregated(_down(_down(t)))
-    return middle + head - tail
+        def nd_el1(tab, t, capital, technology):
+            head = capital * gamma_technology(p, tab, t)
+            middle = _parts_nd_el1(p, tab, technology, t)
+            ahead = _up(t, top)
+            tail = (technology * gamma_capital(p, tab, _up(ahead, top))
+                    - technology * gamma_capital(p, tab, ahead))
+            return head + middle + tail
+        return nd_el1
+
+    def nd_el2(tab, t, capital, technology):
+        head = technology * gamma_capital(p, tab, t)
+        middle = _parts_nd_el2(p, tab, capital, t)
+        behind = _down(t)
+        tail = (capital * gamma_technology(p, tab, behind)
+                - capital * gamma_technology(p, tab, _down(behind)))
+        return middle + head - tail
+    return nd_el2
 
 
-def _totals(p: FirmParams, kind: ProblemKind, tab: _Tables):
-    capital = _capital_total(p, tab, kind.capital_mode)
-    technology = _technology_total(p, tab, kind.technology_mode)
-    return capital, technology
+def _totals(p: FirmParams, tab: _Tables, capital_mode: str, technology_mode: str):
+    return _capital_total(p, tab, capital_mode), _technology_total(p, tab, technology_mode)
 
 
 def residual_system(params: FirmParams, kind: ProblemKind,
@@ -684,9 +687,11 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         yt[-1] = p.y_terminal
         return _array_tables(p, discs, yt)
 
+    equation = _point_equation(p, kind, eq)
+
     def equations(tab: _Tables) -> list:
-        capital, technology = _totals(p, kind, tab)
-        return [_point_residual(p, kind, eq, tab, t, capital, technology) for t in points]
+        capital, technology = _totals(p, tab, *modes)
+        return [equation(tab, t, capital, technology) for t in points]
 
     def residual(x: np.ndarray) -> np.ndarray:
         tab = tables(x)
@@ -699,7 +704,7 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return np.array(values)
 
     def functional(x: np.ndarray) -> float:
-        capital, technology = _totals(p, kind, tables(x))
+        capital, technology = _totals(p, tables(x), *modes)
         return capital * technology
 
     # overflow is expected there and marked by the NaN rows, so numpy's

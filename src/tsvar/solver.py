@@ -18,11 +18,15 @@ column through the scalar residual.
 one by one on the scalar residual.  When both fail and the system has a
 ``stacked_residual``, it tries the deeper halvings in blocks of at most
 :data:`HALVING_BLOCK` per stacked call, and takes the same first decreasing
-level; a system without a stacked form tries every level on the scalar
-residual.  :func:`lockstep_solve` (behind :func:`multistart_solve`)
-iterates from many starts at once: the states of all active starts form
-one ``(S, m)`` stack, and each iteration makes one residual call for every
-central-difference Jacobian, one batched ``np.linalg.solve`` for every
+level; after a step that took such a deeper level, the next iteration
+starts its blocks at the full step.  A system without a stacked form tries
+every level on the scalar residual.  Neither solver tries a level past
+:data:`MAX_HALVINGS`, where the step scale 2**-k has become 0.
+
+:func:`lockstep_solve` (behind :func:`multistart_solve`) iterates from many
+starts at once: the states of all active starts form one ``(S, m)`` stack,
+and each iteration makes one residual call for every central-difference
+Jacobian, one batched ``np.linalg.solve`` for every
 step, and, for the damping, one residual call for all full steps plus one
 per :data:`HALVING_BLOCK` halvings of the starts whose full step failed.
 Both solvers share that block search.  Every start takes the same steps
@@ -81,7 +85,16 @@ HALVING_BLOCK = 32
 #: one stacked call.  Measured with ``bench/run.py --workload horizon`` (ten
 #: alternating pairs, x86-64, Python 3.11, numpy 2.4): one scalar level gives
 #: 4% more throughput and an 8% lower tail, but a 3.5% higher median latency.
+#: An iteration that follows one which took a deeper level skips them and
+#: starts its first block at the full step: after a deep step the next one
+#: mostly goes deep again (in 213 of the 216 iterations of the stalled T=20
+#: firm cells both scalar levels failed).
 SCALAR_LEVELS = 2
+
+#: deepest damping level either solver tries, whatever ``max_halvings`` says:
+#: 2.0**-1075 is 0.0, so every deeper level would retry the current state,
+#: whose norm never decreases.
+MAX_HALVINGS = 1074
 
 #: smallest dimension at which fd_jacobian makes one stacked residual call for
 #: all 2m perturbed states.  Measured on the eight firm systems against the
@@ -137,8 +150,21 @@ class SolveReport:
     iterates: tuple = ()
 
 
+# The reductions below are ndarray methods: np.max and np.all reach the same
+# ufunc reduction through a Python wrapper that costs a few microseconds a
+# call, several times per Newton iteration.  Both forms propagate NaN alike.
+
+
 def _norm(r: np.ndarray) -> float:
-    return float(np.max(np.abs(r)))
+    return float(np.abs(r).max())
+
+
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    return np.abs(r).max(axis=-1)
+
+
+def _nan_rows(r: np.ndarray) -> np.ndarray:
+    return np.isnan(r).all(axis=-1)
 
 
 def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np.ndarray:
@@ -215,6 +241,7 @@ def newton_solve(
     norm = _norm(res)
     norms = [norm]
     path = [x.copy()]
+    deep = False   # whether the last step took a level past the scalar ones
 
     for it in range(1, cfg.max_iterations + 1):
         if norm <= cfg.tol_residual:
@@ -227,11 +254,14 @@ def newton_solve(
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             return report(False, norm, it - 1, "singular jacobian", norms, path)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return report(False, norm, it - 1, "non-finite newton step", norms, path)
 
-        levels = cfg.max_halvings + 1
-        scalar_levels = levels if system.stacked_residual is None else min(SCALAR_LEVELS, levels)
+        levels = min(cfg.max_halvings, MAX_HALVINGS) + 1
+        if system.stacked_residual is None:
+            scalar_levels = levels
+        else:
+            scalar_levels = 0 if deep else min(SCALAR_LEVELS, levels)
         scale = 1.0
         accepted = False
         for _ in range(scalar_levels):
@@ -248,12 +278,13 @@ def newton_solve(
             scale *= 0.5
         if not accepted and scalar_levels < levels:
             rows = _first_decrease(system.stacked_residual, x[None], step[None],
-                                   np.array([norm]), scalar_levels, levels)
+                                   np.array([norm]), scalar_levels, levels, HALVING_BLOCK)
             trial, trial_res, trial_norm, scale, accepted = (row[0] for row in rows)
             trial_norm = float(trial_norm)
         if not accepted:
             return report(False, norm, it - 1,
                           "damping found no residual decrease", norms, path)
+        deep = scale <= 0.5 ** SCALAR_LEVELS
         step_size = _norm(scale * step)
         x, res, norm = trial, trial_res, trial_norm
         norms.append(norm)
@@ -286,14 +317,6 @@ def default_start_grid(dimension: int, spec: tuple = DEFAULT_GRID) -> list:
         )
     axis = [lo + i * step for i in range(count)]
     return list(itertools.product(axis, repeat=dimension))
-
-
-def _row_norms(r: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(r), axis=-1)
-
-
-def _nan_rows(r: np.ndarray) -> np.ndarray:
-    return np.isnan(r).all(axis=-1)
 
 
 def _lift_residual(system: ResidualSystem) -> Callable:
@@ -370,15 +393,15 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
 
 
 def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarray,
-                    level: int, levels: int):
+                    level: int, levels: int, block: int):
     """Damping of a stack of Newton steps, from halving ``level`` on.
 
     Row i tries the trial states ``x[i] + 2**-k * step[i]`` for k = ``level``,
     ..., ``levels - 1`` and takes the first whose residual norm is below
-    ``base[i]``; a NaN row (an infeasible trial) never is.  Level 0 is
-    tried alone, later levels in blocks of at most :data:`HALVING_BLOCK` per
-    residual call, and only for the rows still looking.  Returns the taken
-    trial states, residuals, norms and scales, and which rows took one.
+    ``base[i]``; a NaN row (an infeasible trial) never is.  The first
+    residual call tries ``block`` levels, each later one at most
+    :data:`HALVING_BLOCK`, and only for the rows still looking.  Returns the
+    taken trial states, residuals, norms and scales, and which rows took one.
     """
     count, m = x.shape
     scale = np.zeros(count)
@@ -387,7 +410,7 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     trial_norm = np.empty(count)
     pending = np.arange(count)
     while pending.size and level < levels:
-        block = 1 if level == 0 else min(HALVING_BLOCK, levels - level)
+        block = min(block, levels - level)
         scales = 0.5 ** np.arange(level, level + block)
         cand = (x[pending, None, :] + scales[None, :, None] * step[pending, None, :]).reshape(-1, m)
         cand_res = residual(cand)
@@ -402,6 +425,7 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
         scale[hit] = scales[first]
         pending = pending[~found]
         level += block
+        block = HALVING_BLOCK
     accepted = np.ones(count, dtype=bool)
     accepted[pending] = False
     return trial, trial_res, trial_norm, scale, accepted
@@ -480,9 +504,11 @@ def _lockstep(system, residual, functional, x0: np.ndarray, cfg: SolverConfig) -
         keep = ~singular & finite
         active, step = active[keep], step[keep]
 
-        # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm decreases
+        # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm
+        # decreases; the full steps alone, since most starts take them
         trial, trial_res, trial_norm, scale, accepted = _first_decrease(
-            residual, x[active], step, norm[active], 0, cfg.max_halvings + 1)
+            residual, x[active], step, norm[active], 0,
+            min(cfg.max_halvings, MAX_HALVINGS) + 1, 1)
         stop(active[~accepted], "damping found no residual decrease")
 
         moved = active[accepted]

@@ -1,11 +1,13 @@
 """Tests for config parsing, experiment orchestration, and table emission."""
 
+import argparse
 import io
 import json
 
 import pytest
 from numpy.testing import assert_allclose
 
+from tsvar import cli as tcli
 from tsvar import (
     ConfigError,
     EquationKind,
@@ -358,3 +360,50 @@ def test_oversized_multistart_grid_exits_with_two(tmp_path, capsys):
     assert code == 2
     assert text == ""
     assert "1048576 points, more than MAX_STARTS" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one argument parser per process
+
+
+def test_consecutive_calls_print_the_rows_each_prints_alone():
+    # the repeatable flags must not carry values from one call into the next
+    first = ["run", "--problem", "dn", "--problem", "nd", "--equation", "el1",
+             "--guess", "2.9,3.0"]
+    second = ["run", "--problem", "nd", "--equation", "el2",
+              "--guess", "2.2,2.5", "--guess", "2.3,2.6"]
+    alone = []
+    for argv in (first, second):
+        tcli._build_parser.cache_clear()
+        alone.append(run_cli(argv))
+    assert [len(text.splitlines()) for _, text in alone] == [3, 2]
+    tcli._build_parser.cache_clear()
+    assert [run_cli(first), run_cli(second)] == alone
+    assert [run_cli(second), run_cli(first)] == alone[::-1]
+
+
+def test_bad_flag_exits_with_two_on_every_call(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--no-such-flag"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert run_cli(["run", "--problem", "dd"])[0] == 0
+
+
+def test_argument_parser_is_built_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    tcli._build_parser.cache_clear()
+    try:
+        for argv in (["table1"], ["table2", "--format", "json"], ["run", "--problem", "dd"]):
+            assert run_cli(argv)[0] == 0
+    finally:
+        tcli._build_parser.cache_clear()
+    assert built.count("tsvar") == 1

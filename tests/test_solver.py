@@ -445,6 +445,8 @@ def counted(system):
         counts["stacked rows"] += len(xs)
         return system.stacked_residual(xs)
 
+    if system.stacked_residual is None:
+        stacked_residual = None
     return dataclasses.replace(system, residual=residual,
                                stacked_residual=stacked_residual), counts
 
@@ -523,8 +525,9 @@ def steep_system():
     return dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
 
 
+# (26, 5), (14, -2) and (17, 40) alternate deep and shallow damping levels
 STEEP_STARTS = [(50.0, -40.0), (-15.0, 60.0), (5.0, 5.0), (0.9, -0.4), (-30.0, 0.0),
-                (300.0, 2.0), (2.0, 400.0)]
+                (300.0, 2.0), (2.0, 400.0), (26.0, 5.0), (14.0, -2.0), (17.0, 40.0)]
 
 
 def logged(system):
@@ -549,6 +552,61 @@ def logged(system):
 
     return dataclasses.replace(system, residual=residual,
                                stacked_residual=stacked_residual), log
+
+
+def damping_trace(monkeypatch, system, start, config):
+    """The report of newton_solve, and what its damping did at each iteration.
+
+    Per iteration: the residual calls after the Jacobian, "scalar" or
+    "stacked", and the block search as (first level, scale taken, taken),
+    None when the scalar trials took a step.
+    """
+    tracked, log = logged(system)
+    jacobian, first_decrease = tsolver.fd_jacobian, tsolver._first_decrease
+
+    def marked_jacobian(*args):
+        calls = len(log)
+        try:
+            return jacobian(*args)
+        finally:
+            del log[calls:]   # the Jacobian's own residual calls
+            log.append(("jacobian",))
+
+    def marked_search(residual, x, step, base, level, levels, block):
+        rows = first_decrease(residual, x, step, base, level, levels, block)
+        log.append(("search", level, float(rows[3][0]), bool(rows[4][0])))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsolver, "fd_jacobian", marked_jacobian)
+        patch.setattr(tsolver, "_first_decrease", marked_search)
+        report = newton_solve(tracked, start, config)
+    iterations = []
+    for entry in log[1:]:   # after the residual at the start
+        if entry[0] == "jacobian":
+            iterations.append({"calls": [], "search": None})
+        elif entry[0] == "search":
+            iterations[-1]["search"] = entry[1:]
+        else:
+            iterations[-1]["calls"].append(entry[0])
+    return report, iterations
+
+
+def deep_steps(iterations):
+    """Whether each iteration took a damping level past the scalar ones."""
+    return [it["search"] is not None and it["search"][2] and
+            it["search"][1] <= 0.5 ** tsolver.SCALAR_LEVELS for it in iterations]
+
+
+def assert_scalar_levels_skipped_after_deep_steps(iterations):
+    for before, it in zip(deep_steps(iterations), iterations[1:]):
+        if before:
+            # the whole search is stacked, from the full step on
+            assert "scalar" not in it["calls"]
+            assert it["search"] is None or it["search"][0] == 0
+        else:
+            assert it["calls"][:1] == ["scalar"]
+            assert it["search"] is None or it["search"][0] == tsolver.SCALAR_LEVELS
 
 
 @pytest.mark.parametrize("block", [32, 5])
@@ -576,31 +634,59 @@ def test_stacked_damping_matches_the_scalar_loop(monkeypatch, block, max_halving
         if block == 5:
             # deeper than one block: consecutive stacked calls in one iteration
             assert any(a[0] == b[0] == "stacked" for a, b in zip(log, log[1:]))
+        for start in STEEP_STARTS[-3:]:
+            _, iterations = damping_trace(monkeypatch, steep_system(), start, config)
+            deep = "".join("d" if d else "s" for d in deep_steps(iterations))
+            assert "dsd" in deep   # deep, shallow after a deep one, deep again
+            assert_scalar_levels_skipped_after_deep_steps(iterations)
 
 
-def test_stalled_long_horizon_cell_keeps_its_damping_budget():
+def test_stalled_long_horizon_cell_keeps_its_damping_budget(monkeypatch):
     # dn/el2 at T=20 stalls from the linear seed after many deep halvings;
-    # each iteration makes one stacked Jacobian call (2m rows), at most
-    # SCALAR_LEVELS scalar trials and at most one block of the remaining levels
+    # each iteration makes one Jacobian call, at most SCALAR_LEVELS scalar
+    # trials and at most one block of the remaining levels, and none of the
+    # scalar trials once the iteration before it went deep
     params = FirmParams(horizon=20)
     system = residual_system(params, ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
-    tracked, log = logged(system)
     config = SolverConfig()
-    got = newton_solve(tracked, linear_seed(params), config)
+    got, iterations = damping_trace(monkeypatch, system, linear_seed(params), config)
     expected = newton_solve(column_loop(system), linear_seed(params), config)
     assert (got.iterations, got.message) == (expected.iterations, expected.message)
     assert got.message == "damping found no residual decrease"
 
-    assert log[0][0] == "scalar"   # the residual at the start
-    iterations = []
-    for kind, rows, _ in log[1:]:
-        if kind == "stacked" and rows == 2 * system.dimension:
-            iterations.append([])
-        else:
-            iterations[-1].append(kind)
     assert len(iterations) == got.iterations + 1   # the last one found no step
-    blocks = -(-(config.max_halvings - 1) // tsolver.HALVING_BLOCK)
-    for calls in iterations:
-        assert calls.count("scalar") <= tsolver.SCALAR_LEVELS
-        assert calls.count("stacked") <= blocks
-    assert sum(calls.count("stacked") for calls in iterations) >= 10
+    blocks = -(-(config.max_halvings + 1) // tsolver.HALVING_BLOCK)
+    for it in iterations:
+        assert it["calls"].count("scalar") <= tsolver.SCALAR_LEVELS
+        assert it["calls"].count("stacked") <= blocks
+    assert sum(it["calls"].count("stacked") for it in iterations) >= 10
+    assert_scalar_levels_skipped_after_deep_steps(iterations)
+    assert sum(deep_steps(iterations)) >= 10
+
+
+def test_damping_levels_stop_where_the_step_scale_reaches_zero():
+    # past level MAX_HALVINGS every trial is the current state, so a larger
+    # max_halvings gives the same reports from the same residual calls
+    assert 2.0 ** -tsolver.MAX_HALVINGS > 0.0 == 2.0 ** -(tsolver.MAX_HALVINGS + 1)
+    plain = ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0]))   # no root
+    stacked = dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
+    capped = SolverConfig(max_halvings=tsolver.MAX_HALVINGS)
+    huge = SolverConfig(max_halvings=10 ** 6)
+    for system in (plain, stacked):
+        tracked, counts = counted(system)
+        expected = newton_solve(tracked, (0.3,), capped)
+        assert expected.message == "damping found no residual decrease"
+        calls = dict(counts)
+        tracked, counts = counted(system)
+        assert_same_report(newton_solve(tracked, (0.3,), huge), expected)
+        assert counts == calls
+        # per iteration: the Jacobian (2 calls) and at most every level once
+        bound = 1 + (expected.iterations + 1) * (2 + tsolver.MAX_HALVINGS + 1)
+        assert counts["scalar"] + counts["stacked rows"] <= bound
+    tracked, counts = counted(stacked)
+    expected = lockstep_solve(tracked, [(0.3,), (-2.0,)], capped)
+    calls = dict(counts)
+    tracked, counts = counted(stacked)
+    for got, want in zip(lockstep_solve(tracked, [(0.3,), (-2.0,)], huge), expected):
+        assert_same_report(got, want)
+    assert counts == calls
