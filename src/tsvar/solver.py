@@ -26,12 +26,17 @@ every level on the scalar residual.  Neither solver tries a level past
 :func:`lockstep_solve` (behind :func:`multistart_solve`) iterates from many
 starts at once: the states of all active starts form one ``(S, m)`` stack,
 and each iteration makes one residual call for every central-difference
-Jacobian, one batched ``np.linalg.solve`` for every
-step, and, for the damping, one residual call for all full steps plus one
-per :data:`HALVING_BLOCK` halvings of the starts whose full step failed.
-Both solvers share that block search.  Every start takes the same steps
-and stops for the same reason as under :func:`newton_solve`.  A system
-evaluates the stack through its ``stacked_residual`` and
+Jacobian, one batched ``np.linalg.solve`` for every step, and, for the
+damping, one residual call in which each start tries a window of levels
+from the full step on, chosen from the level L its last step took: the
+full step alone after a full step (and at the first iteration), levels
+0 .. 2L+1 (at most :data:`HALVING_BLOCK`) after a step at level L >= 1.  A
+start that takes about the level it took last time, as most do, needs no
+further call; the starts that find no decrease in their window go on, all
+in one call per block, in blocks of :data:`HALVING_BLOCK` levels from their
+own next level.  Both solvers share that block search.  Every start takes
+the same steps and stops for the same reason as under :func:`newton_solve`.
+A system evaluates the stack through its ``stacked_residual`` and
 ``stacked_functional`` when it has them, and otherwise through a loop over
 its scalar callables.
 
@@ -262,30 +267,27 @@ def newton_solve(
             scalar_levels = levels
         else:
             scalar_levels = 0 if deep else min(SCALAR_LEVELS, levels)
-        scale = 1.0
         accepted = False
-        for _ in range(scalar_levels):
-            trial = x + scale * step
+        for level in range(scalar_levels):
+            trial = x + 0.5 ** level * step
             try:
                 trial_res = np.asarray(system.residual(trial), dtype=float)
             except DomainError:
-                scale *= 0.5
                 continue
             trial_norm = _norm(trial_res)
             if trial_norm < norm:
                 accepted = True
                 break
-            scale *= 0.5
         if not accepted and scalar_levels < levels:
             rows = _first_decrease(system.stacked_residual, x[None], step[None],
                                    np.array([norm]), scalar_levels, levels, HALVING_BLOCK)
-            trial, trial_res, trial_norm, scale, accepted = (row[0] for row in rows)
+            trial, trial_res, trial_norm, level, accepted = (row[0] for row in rows)
             trial_norm = float(trial_norm)
         if not accepted:
             return report(False, norm, it - 1,
                           "damping found no residual decrease", norms, path)
-        deep = scale <= 0.5 ** SCALAR_LEVELS
-        step_size = _norm(scale * step)
+        deep = level >= SCALAR_LEVELS
+        step_size = _norm(0.5 ** level * step)
         x, res, norm = trial, trial_res, trial_norm
         norms.append(norm)
         path.append(x.copy())
@@ -300,15 +302,23 @@ def newton_solve(
 def default_start_grid(dimension: int, spec: tuple = DEFAULT_GRID) -> list:
     """Cartesian product of an inclusive coordinate grid lo:hi:step.
 
-    Raises ValueError, before enumerating anything, when the grid has more
-    than :data:`MAX_STARTS` points.
+    Raises ValueError, before enumerating anything, when lo, hi or step is
+    not finite, or when the grid has more than :data:`MAX_STARTS` points.
     """
     lo, hi, step = spec
+    if not all(math.isfinite(v) for v in spec):
+        raise ValueError(f"start grid {spec} is not finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"bad start grid {spec}")
-    count = int(round((hi - lo) / step)) + 1
+    # counted up to MAX_STARTS + 1 per coordinate: (hi - lo) / step may be
+    # hundreds of digits long, or overflow to inf
+    count = int(round(min((hi - lo) / step, MAX_STARTS))) + 1
     if lo + (count - 1) * step > hi + 1e-12:
         count -= 1
+    if count > MAX_STARTS:
+        raise ValueError(
+            f"start grid {spec} has more than MAX_STARTS = {MAX_STARTS} points per coordinate"
+        )
     starts = count ** dimension
     if starts > MAX_STARTS:
         raise ValueError(
@@ -393,42 +403,70 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
 
 
 def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarray,
-                    level: int, levels: int, block: int):
+                    level: int, levels: int, window: int | np.ndarray):
     """Damping of a stack of Newton steps, from halving ``level`` on.
 
     Row i tries the trial states ``x[i] + 2**-k * step[i]`` for k = ``level``,
-    ..., ``levels - 1`` and takes the first whose residual norm is below
-    ``base[i]``; a NaN row (an infeasible trial) never is.  The first
-    residual call tries ``block`` levels, each later one at most
-    :data:`HALVING_BLOCK`, and only for the rows still looking.  Returns the
-    taken trial states, residuals, norms and scales, and which rows took one.
+    ..., ``levels - 1`` in ascending order and takes the first whose
+    residual norm is below ``base[i]``; a NaN row (an infeasible trial)
+    never is.  The first residual call tries ``window[i]`` levels of row i
+    (``window`` may be one int for every row); each later call tries, for
+    every row still looking, at most :data:`HALVING_BLOCK` levels from that
+    row's own next level, all rows in one call.  Returns the taken trial
+    states, residuals, norms and levels, and which rows took one.
     """
     count, m = x.shape
-    scale = np.zeros(count)
+    taken = np.zeros(count, dtype=int)
+    accepted = np.zeros(count, dtype=bool)
     trial = np.empty((count, m))
     trial_res = np.empty((count, m))
     trial_norm = np.empty(count)
     pending = np.arange(count)
-    while pending.size and level < levels:
-        block = min(block, levels - level)
-        scales = 0.5 ** np.arange(level, level + block)
-        cand = (x[pending, None, :] + scales[None, :, None] * step[pending, None, :]).reshape(-1, m)
-        cand_res = residual(cand)
-        cand_norm = _row_norms(cand_res).reshape(-1, block)
+    ragged = np.ndim(window) > 0
+    if ragged:
+        level = np.full(count, level)   # each pending row's next level
+    narrow = np.minimum if ragged else min
+    width = narrow(window, levels - level)
+    while pending.size:
+        if ragged:
+            # row r of the call is level level[owner[r]] + offset[r] of start
+            # pending[owner[r]]: the rows of one start are consecutive, in
+            # ascending level, and end where its window does
+            inside = np.arange(width.max()) < width[:, None]
+            owner, offset = np.nonzero(inside)
+            rows = pending[owner]
+            cand = x[rows] + (0.5 ** (level[owner] + offset))[:, None] * step[rows]
+            cand_res = residual(cand)
+            cand_norm = np.full(inside.shape, np.inf)
+            cand_norm[inside] = _row_norms(cand_res)
+            start = np.cumsum(width) - width
+        else:
+            # one window for every row: a rectangular block of levels, which
+            # keeps the one-row calls of newton_solve lean
+            scales = 0.5 ** np.arange(level, level + width)
+            cand = (x[pending, None, :] + scales[None, :, None] * step[pending, None, :]).reshape(-1, m)
+            cand_res = residual(cand)
+            cand_norm = _row_norms(cand_res).reshape(-1, width)
+            start = np.arange(0, cand_norm.size, width)
         better = cand_norm < base[pending, None]
         found = better.any(axis=1)
         first = better.argmax(axis=1)[found]
-        rows = np.flatnonzero(found) * block + first
+        at = start[found] + first
         hit = pending[found]
         trial[hit], trial_res[hit], trial_norm[hit] = (
-            cand[rows], cand_res[rows], cand_norm[found, first])
-        scale[hit] = scales[first]
-        pending = pending[~found]
-        level += block
-        block = HALVING_BLOCK
-    accepted = np.ones(count, dtype=bool)
-    accepted[pending] = False
-    return trial, trial_res, trial_norm, scale, accepted
+            cand[at], cand_res[at], cand_norm[found, first])
+        accepted[hit] = True
+        # the rows still looking with levels left go on from their next level
+        looking = ~found & (width < levels - level)
+        if ragged:
+            taken[hit] = level[found] + first
+            level = level[looking] + width[looking]
+        else:
+            taken[hit] = level + first
+            level += width
+        pending = pending[looking]
+        width = narrow(HALVING_BLOCK, levels - level)
+    return trial, trial_res, trial_norm, taken, accepted
 
 
 def lockstep_solve(
@@ -480,6 +518,7 @@ def _lockstep(system, residual, functional, x0: np.ndarray, cfg: SolverConfig) -
         messages[s] = f"infeasible start: {_domain_message(system.residual, x0[s])}"
     x = x0
     active = np.flatnonzero(~infeasible)
+    last = np.zeros(count, dtype=int)   # the damping level of each start's last step
 
     def stop(rows, message, ok=False):
         converged[rows] = ok
@@ -505,14 +544,19 @@ def _lockstep(system, residual, functional, x0: np.ndarray, cfg: SolverConfig) -
         active, step = active[keep], step[keep]
 
         # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm
-        # decreases; the full steps alone, since most starts take them
-        trial, trial_res, trial_norm, scale, accepted = _first_decrease(
+        # decreases.  A start mostly takes about the level its last step took,
+        # so the first call tries the full step alone after a full step, and
+        # levels 0 .. 2L+1 after a step at level L >= 1
+        prior = last[active]
+        window = np.where(prior > 0, np.minimum(2 * prior + 2, HALVING_BLOCK), 1)
+        trial, trial_res, trial_norm, level, accepted = _first_decrease(
             residual, x[active], step, norm[active], 0,
-            min(cfg.max_halvings, MAX_HALVINGS) + 1, 1)
+            min(cfg.max_halvings, MAX_HALVINGS) + 1, window)
         stop(active[~accepted], "damping found no residual decrease")
 
         moved = active[accepted]
-        step_size = _row_norms(scale[accepted, None] * step[accepted])
+        last[moved] = level[accepted]
+        step_size = _row_norms(0.5 ** level[accepted, None] * step[accepted])
         x, norm = x.copy(), norm.copy()
         x[moved], res[moved], norm[moved] = (
             trial[accepted], trial_res[accepted], trial_norm[accepted])

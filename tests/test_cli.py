@@ -362,6 +362,28 @@ def test_oversized_multistart_grid_exits_with_two(tmp_path, capsys):
     assert "1048576 points, more than MAX_STARTS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0.5, inf, 0.5", "0.5, 8, inf", "0.5, nan, 0.5"])
+def test_non_finite_multistart_grid_exits_with_two(grid, tmp_path, capsys):
+    path = tmp_path / "grid.ini"
+    path.write_text(f"[run]\nmultistart = true\ngrid = {grid}\n")
+    code, text = run_cli(["run", "--config", str(path), "--problem", "dd"])
+    assert code == 2
+    assert text == ""
+    spec = tuple(float(v) for v in grid.split(","))
+    assert f"start grid {spec} is not finite" in capsys.readouterr().err
+
+
+def test_too_fine_multistart_grid_names_the_count_per_coordinate(tmp_path, capsys):
+    path = tmp_path / "fine.ini"
+    path.write_text("[run]\nmultistart = true\ngrid = 0.5, 8, 1e-300\n")
+    code, text = run_cli(["run", "--config", str(path), "--problem", "dd"])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "more than MAX_STARTS = 65536 points per coordinate" in err
+    assert len(err) < 200   # not the 600-digit point count
+
+
 # ---------------------------------------------------------------------------
 # one argument parser per process
 

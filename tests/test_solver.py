@@ -264,9 +264,12 @@ def test_default_start_grid_refuses_oversized_grids_immediately():
         default_start_grid(5)
     with pytest.raises(ValueError, match=str(16 ** 40)):
         default_start_grid(40)
-    # a fine axis is refused before it is built, too
-    with pytest.raises(ValueError, match="MAX_STARTS"):
+    # a fine axis is refused before it is built, too, by its own count
+    with pytest.raises(ValueError, match="MAX_STARTS = 65536 points per coordinate"):
         default_start_grid(1, (0.0, 1.0, 1e-12))
+    with pytest.raises(ValueError, match="per coordinate"):
+        default_start_grid(1, (0.0, float(MAX_STARTS), 1.0))
+    assert len(default_start_grid(1, (1.0, float(MAX_STARTS), 1.0))) == MAX_STARTS
     assert time.perf_counter() - started < 0.5
 
 
@@ -558,7 +561,7 @@ def damping_trace(monkeypatch, system, start, config):
     """The report of newton_solve, and what its damping did at each iteration.
 
     Per iteration: the residual calls after the Jacobian, "scalar" or
-    "stacked", and the block search as (first level, scale taken, taken),
+    "stacked", and the block search as (first level, level taken, taken),
     None when the scalar trials took a step.
     """
     tracked, log = logged(system)
@@ -572,9 +575,9 @@ def damping_trace(monkeypatch, system, start, config):
             del log[calls:]   # the Jacobian's own residual calls
             log.append(("jacobian",))
 
-    def marked_search(residual, x, step, base, level, levels, block):
-        rows = first_decrease(residual, x, step, base, level, levels, block)
-        log.append(("search", level, float(rows[3][0]), bool(rows[4][0])))
+    def marked_search(residual, x, step, base, level, levels, window):
+        rows = first_decrease(residual, x, step, base, level, levels, window)
+        log.append(("search", level, int(rows[3][0]), bool(rows[4][0])))
         return rows
 
     with monkeypatch.context() as patch:
@@ -595,7 +598,7 @@ def damping_trace(monkeypatch, system, start, config):
 def deep_steps(iterations):
     """Whether each iteration took a damping level past the scalar ones."""
     return [it["search"] is not None and it["search"][2] and
-            it["search"][1] <= 0.5 ** tsolver.SCALAR_LEVELS for it in iterations]
+            it["search"][1] >= tsolver.SCALAR_LEVELS for it in iterations]
 
 
 def assert_scalar_levels_skipped_after_deep_steps(iterations):
@@ -618,9 +621,12 @@ def test_stacked_damping_matches_the_scalar_loop(monkeypatch, block, max_halving
     system, log = logged(steep_system())
     config = SolverConfig(max_halvings=max_halvings)
     reasons = set()
-    for start in STEEP_STARTS:
+    lockstep = lockstep_solve(steep_system(), STEEP_STARTS, config)
+    for start, together in zip(STEEP_STARTS, lockstep):
         got = newton_solve(system, start, config)
-        assert_same_report(got, newton_solve(column_loop(system), start, config))
+        expected = newton_solve(column_loop(system), start, config)
+        assert_same_report(got, expected)
+        assert_same_report(together, expected)
         reasons.add(got.message.split(":")[0])
     stacked = [failed for kind, _, failed in log if kind == "stacked"]
     assert any(failed for kind, _, failed in log if kind == "scalar")
@@ -690,3 +696,50 @@ def test_damping_levels_stop_where_the_step_scale_reaches_zero():
     for got, want in zip(lockstep_solve(tracked, [(0.3,), (-2.0,)], huge), expected):
         assert_same_report(got, want)
     assert counts == calls
+
+
+def lockstep_searches(monkeypatch, system, starts):
+    """The reports of lockstep_solve, and per iteration its damping search as
+    (first windows, levels taken, which starts took one, residual calls)."""
+    searches = []
+    first_decrease = tsolver._first_decrease
+
+    def marked_search(residual, x, step, base, level, levels, window):
+        calls = []
+
+        def counted_residual(xs):
+            calls.append(len(xs))
+            return residual(xs)
+
+        rows = first_decrease(counted_residual, x, step, base, level, levels, window)
+        searches.append((np.broadcast_to(window, len(x)), rows[3], rows[4], len(calls)))
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsolver, "_first_decrease", marked_search)
+        reports = lockstep_solve(system, starts)
+    return reports, searches
+
+
+def test_lockstep_damping_starts_from_the_last_level(monkeypatch):
+    # nd/el1 at rho = 0.05: many starts crawl at deep levels until the
+    # iteration cap
+    system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL1)
+    reports, searches = lockstep_searches(monkeypatch, system, default_start_grid(2))
+    # one start alone: the full step alone at first and after a full step,
+    # levels 0 .. 2L+1 after a step at level L >= 1
+    crawlers = [tuple(r.iterates[0]) for r in reports if r.iterations >= 50][:3]
+    assert len(crawlers) == 3
+    for start in crawlers:
+        _, alone = lockstep_searches(monkeypatch, system, [start])
+        assert len(alone) >= 50 and alone[0][0][0] == 1
+        for (_, level, accepted, _), (window, *_) in zip(alone, alone[1:]):
+            assert accepted[0]
+            expected = 1 if level[0] == 0 else min(2 * level[0] + 2, tsolver.HALVING_BLOCK)
+            assert window[0] == expected
+    # an iteration whose starts all took a halving last time and all find a
+    # decrease inside their windows makes exactly one damping call
+    inside = [calls for window, level, accepted, calls in searches
+              if (window > 1).all() and accepted.all() and (level < window).all()]
+    assert len(inside) >= 10
+    assert inside == [1] * len(inside)
