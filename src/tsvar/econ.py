@@ -10,14 +10,19 @@ Euler-Lagrange formulations beside the directly discretized system.
 
 Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
-taken as zero.
+taken as zero.  The residual systems' Euler-Lagrange algebra (the component
+totals, the gammas and the el1/el2 parts) is written once, as functions of
+a point; one state evaluates it as float arithmetic at int points, and a
+stack of states evaluates the same functions as whole arrays on a slice of
+points.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -92,6 +97,11 @@ class FirmParams:
     y_terminal: float = 3.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # compared, not converted to float: an int may exceed its range
+            if value != value or abs(value) == math.inf:
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not 0.0 < self.discount_rate < 1.0:
             raise ValueError(f"discount_rate must lie in (0, 1), got {self.discount_rate}")
         if self.c2 <= 0:
@@ -224,12 +234,16 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 # ---------------------------------------------------------------------------
 # state tables
 #
-# A scalar residual evaluation first tabulates, once per state, everything
-# the guards protect: the price-curve margins y_t - y_floor and the roots
-# sqrt(quotient + b).  The totals, gammas and el1/el2 parts below then read
-# these tables point by point as float arithmetic.  The stacked residual
-# (further down) holds the same tables as (T+1, S) arrays, one column per
-# state, and evaluates each of those pieces at every point at once.
+# A residual evaluation first tabulates, once per state, everything the
+# guards protect: the price-curve margins y_t - y_floor and the roots
+# sqrt(quotient + b).  The totals, gammas and el1/el2 parts below read these
+# tables at a point t, and at its clamped jumps through the index maps
+# up[t] = min(t+1, T) and down[t] = max(t-1, 0).  Each piece is written once
+# and serves both evaluations.  One state holds its tables as lists and t is
+# an int, so a piece is float arithmetic.  A stack holds them as (T+1, S)
+# arrays with one column per state and the maps as int arrays, and t is the
+# slice of points a system is posed on, so a piece evaluates every state at
+# every point of that window at once.
 
 
 class _Tables(NamedTuple):
@@ -243,12 +257,15 @@ class _Tables(NamedTuple):
     down_root: Sequence    # sqrt(down_rate + b)
     disc_delta: Sequence   # (1 + rho)^(t - T)
     disc_nabla: Sequence   # (1 - rho)^(T - t)
+    up: Sequence           # min(t + 1, T)
+    down: Sequence         # max(t - 1, 0)
 
 
 def _constants(p: FirmParams) -> tuple:
     """The state-independent entries of the tables."""
     points = range(p.horizon + 1)
     return ([_disc_delta(p, t) for t in points], [_disc_nabla(p, t) for t in points],
+            [*points[1:], p.horizon], [0, *points[:-1]],
             math.sqrt(p.b))   # the root of a clamped (zero) quotient
 
 
@@ -270,59 +287,89 @@ def _checked_tables(p: FirmParams, constants: tuple, yv: list,
         if r + p.b <= 0.0:
             _guarded_sqrt(p, r, t if technology_mode == "delta" else t + 1)
         root.append(math.sqrt(r + p.b))
-    disc_delta, disc_nabla, edge = constants
+    *shared, edge = constants
     return _Tables(yv, margin, rate + [0.0], [0.0] + rate,
-                   root + [edge], [edge] + root, disc_delta, disc_nabla)
+                   root + [edge], [edge] + root, *shared)
 
 
-def _up(i: int, top: int) -> int:
-    return i + 1 if i < top else top
+def _array_tables(p: FirmParams, shared: tuple, yt: np.ndarray):
+    """Tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
+
+    A column is infeasible exactly where :func:`_checked_tables` would raise
+    for that state; the tables hold the feasible columns only, and the mask
+    is None when every column is feasible.  ``shared`` holds the two discount
+    factors as (T+1, 1) columns and the two index maps as int arrays.
+    """
+    margin = yt - p.y_floor
+    rate = yt[1:] - yt[:-1]
+    arg = rate + p.b
+    ok = None
+    if not (margin.all() and (arg > 0.0).all()):
+        ok = ~((margin == 0.0).any(axis=0) | (arg <= 0.0).any(axis=0))
+        yt, margin, rate, arg = yt[:, ok], margin[:, ok], rate[:, ok], arg[:, ok]
+    # quotients and roots padded with the clamped values at both ends, so the
+    # forward and backward tables are the two overlapping views
+    rates = np.zeros((len(yt) + 1, yt.shape[1]))
+    rates[1:-1] = rate
+    roots = np.full(rates.shape, math.sqrt(p.b))
+    np.sqrt(arg, out=roots[1:-1])
+    return _Tables(yt, margin, rates[1:], rates[:-1], roots[1:], roots[:-1], *shared), ok
 
 
-def _down(i: int) -> int:
-    return i - 1 if i > 0 else 0
+def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:
+    """``rows``, one per feasible state, spread over all states with NaN rows at the others."""
+    if ok is None:
+        return rows
+    out = np.full((len(ok),) + rows.shape[1:], np.nan)
+    out[ok] = rows
+    return out
 
 
 # ---------------------------------------------------------------------------
 # component integrals
+#
+# A component integral sums its integrand over T summation points t, reading
+# the sales at the jump s of t: t + 1 in the delta mode (t = 0..T-1), t - 1
+# in the nabla mode (t = 1..T).  Neither jump leaves the scale there, so one
+# state sums the terms of (t, s) int pairs in order, and a stack evaluates
+# them once on the two slices and sums over axis 0.
 
 
-def _capital_total(p: FirmParams, tab: _Tables, mode: str):
-    total = 0.0
+def _summation(mode: str, horizon: int) -> tuple:
+    """The (t, s) pairs of a component integral of ``mode``, and the slices of t and s."""
     if mode == "delta":
-        for t in range(p.horizon):
-            y = tab.y[t + 1]
-            v = tab.up_rate[t]
-            total += tab.disc_delta[t] * (
-                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / tab.margin[t + 1]
-            )
+        points, jumps = range(horizon), range(1, horizon + 1)
     else:
-        for t in range(1, p.horizon + 1):
-            y = tab.y[t - 1]
-            v = tab.down_rate[t]
-            total += tab.disc_nabla[t] * (
-                p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / tab.margin[t - 1]
-            )
-    return total
+        points, jumps = range(1, horizon + 1), range(horizon)
+    return (list(zip(points, jumps)),
+            (slice(points.start, points.stop), slice(jumps.start, jumps.stop)))
 
 
-def _technology_total(p: FirmParams, tab: _Tables, mode: str):
-    total = 0.0
+def _mode_tables(tab: _Tables, mode: str) -> tuple:
+    """The quotient, root and discount tables an integral of ``mode`` reads at t."""
     if mode == "delta":
-        for t in range(p.horizon):
-            total += tab.disc_delta[t] * (p.lam * tab.y[t + 1] + p.beta * tab.up_root[t])
-    else:
-        for t in range(1, p.horizon + 1):
-            total += tab.disc_nabla[t] * (p.lam * tab.y[t - 1] + p.beta * tab.down_root[t])
-    return total
+        return tab.up_rate, tab.up_root, tab.disc_delta
+    return tab.down_rate, tab.down_root, tab.disc_nabla
+
+
+def _capital_term(p: FirmParams, tab: _Tables, rate, disc, t, s):
+    """The capital integrand at summation point t with sales jump s."""
+    y = tab.y[s]
+    v = rate[t]
+    return disc[t] * (p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / tab.margin[s])
+
+
+def _technology_term(p: FirmParams, tab: _Tables, root, disc, t, s):
+    """The technology integrand at summation point t with sales jump s."""
+    return disc[t] * (p.lam * tab.y[s] + p.beta * root[t])
 
 
 # ---------------------------------------------------------------------------
 # gamma terms: pointwise Euler-Lagrange cores of the four integrands
 
 
-def _gamma_capital_delta(p: FirmParams, tab: _Tables, t: int):
-    up = _up(t, p.horizon)
+def _gamma_capital_delta(p: FirmParams, tab: _Tables, t):
+    up = tab.up[t]
     dyt = tab.up_rate[t]
     ddyt = tab.up_rate[up] - dyt
     return tab.disc_delta[t] * (
@@ -331,8 +378,8 @@ def _gamma_capital_delta(p: FirmParams, tab: _Tables, t: int):
     )
 
 
-def _gamma_capital_nabla(p: FirmParams, tab: _Tables, t: int):
-    down = _down(t)
+def _gamma_capital_nabla(p: FirmParams, tab: _Tables, t):
+    down = tab.down[t]
     nyt = tab.down_rate[t]
     nnyt = nyt - tab.down_rate[down]
     return tab.disc_nabla[t] * (
@@ -341,16 +388,16 @@ def _gamma_capital_nabla(p: FirmParams, tab: _Tables, t: int):
     )
 
 
-def _gamma_technology_delta(p: FirmParams, tab: _Tables, t: int):
+def _gamma_technology_delta(p: FirmParams, tab: _Tables, t):
     root_here = tab.up_root[t]
-    root_next = tab.up_root[_up(t, p.horizon)]
+    root_next = tab.up_root[tab.up[t]]
     numer = p.discount_rate * root_here - (root_next - root_here)
     return tab.disc_delta[t] * (p.lam - p.beta * numer / (2.0 * root_here * root_next))
 
 
-def _gamma_technology_nabla(p: FirmParams, tab: _Tables, t: int):
+def _gamma_technology_nabla(p: FirmParams, tab: _Tables, t):
     root_here = tab.down_root[t]
-    root_prev = tab.down_root[_down(t)]
+    root_prev = tab.down_root[tab.down[t]]
     numer = p.discount_rate * root_here - (root_here - root_prev)
     return tab.disc_nabla[t] * (p.lam - p.beta * numer / (2.0 * root_here * root_prev))
 
@@ -386,7 +433,7 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
     """
     if which not in _GAMMAS:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
-    if int(t) != t or not 0 <= t <= params.horizon:
+    if not math.isfinite(t) or int(t) != t or not 0 <= t <= params.horizon:
         raise ValueError(f"t={t} is not a point of the horizon scale")
     mode = which.rsplit("_", 1)[1]
     tab = _checked_tables(params, _constants(params), _state_values(params, y), mode, mode)
@@ -397,8 +444,8 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
 # mixed-kind time-scale Euler-Lagrange pieces
 
 
-def _parts_dn_el1(p: FirmParams, tab: _Tables, k_delta, t: int):
-    up = _up(t, p.horizon)
+def _parts_dn_el1(p: FirmParams, tab: _Tables, k_delta, t):
+    up = tab.up[t]
     disc = tab.disc_nabla[up]
     part1 = p.lam * disc
     w_here = tab.down_root[t]
@@ -409,16 +456,17 @@ def _parts_dn_el1(p: FirmParams, tab: _Tables, k_delta, t: int):
     return k_delta * (part1 - part2)
 
 
-def _parts_dn_el2(p: FirmParams, tab: _Tables, a_nabla, t: int):
-    disc = tab.disc_delta[_down(t)]
+def _parts_dn_el2(p: FirmParams, tab: _Tables, a_nabla, t):
+    down = tab.down[t]
+    disc = tab.disc_delta[down]
     part3 = disc * _capital_slope(p, tab.margin[t])
-    curvature = tab.y[_up(t, p.horizon)] - 2.0 * tab.y[t] + tab.y[_down(t)]
+    curvature = tab.y[tab.up[t]] - 2.0 * tab.y[t] + tab.y[down]
     part4 = 2.0 * p.c2 * disc * (p.discount_rate * tab.up_rate[t] + curvature)
     return a_nabla * (part3 - part4)
 
 
-def _parts_nd_el1(p: FirmParams, tab: _Tables, a_delta, t: int):
-    up = _up(t, p.horizon)
+def _parts_nd_el1(p: FirmParams, tab: _Tables, a_delta, t):
+    up = tab.up[t]
     disc = tab.disc_nabla[up]
     part5 = disc * _capital_slope(p, tab.margin[t])
     rate_jump = tab.down_rate[up] - tab.down_rate[t]
@@ -426,157 +474,16 @@ def _parts_nd_el1(p: FirmParams, tab: _Tables, a_delta, t: int):
     return a_delta * (part5 - part6)
 
 
-def _parts_nd_el2(p: FirmParams, tab: _Tables, k_nabla, t: int):
-    disc = tab.disc_delta[_down(t)]
+def _parts_nd_el2(p: FirmParams, tab: _Tables, k_nabla, t):
+    down = tab.down[t]
+    disc = tab.disc_delta[down]
     part7 = p.lam * disc
     u_here = tab.up_root[t]
-    u_prev = tab.up_root[_down(t)]
+    u_prev = tab.up_root[down]
     w_here = tab.down_root[t]
     numer = p.discount_rate * u_here - (1.0 + p.discount_rate) * (u_here - u_prev)
     part8 = disc * p.beta * numer / (2.0 * u_here * w_here)
     return k_nabla * (part7 - part8)
-
-
-# ---------------------------------------------------------------------------
-# whole-array pieces of the stacked residual
-#
-# The same algebra as the per-point functions above, on (T+1, S) tables with
-# one column per state.  Each piece is evaluated at every point t = 0..T at
-# once: the clamped shifts i -> min(i+1, T) and i -> max(i-1, 0) become the
-# slices of _next and _prev, a total is a sum over axis 0, and a system keeps
-# the window of points it is posed on.
-
-
-def _next(a: np.ndarray) -> np.ndarray:
-    """Row min(t+1, T) of ``a`` at every row t."""
-    return np.concatenate((a[1:], a[-1:]))
-
-
-def _prev(a: np.ndarray) -> np.ndarray:
-    """Row max(t-1, 0) of ``a`` at every row t."""
-    return np.concatenate((a[:1], a[:-1]))
-
-
-def _array_tables(p: FirmParams, discs: np.ndarray, yt: np.ndarray):
-    """Tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
-
-    A column is infeasible exactly where :func:`_checked_tables` would raise
-    for that state; the tables hold the feasible columns only, and the mask
-    is None when every column is feasible.  ``discs`` holds the two discount
-    factors as (T+1, 1) columns.
-    """
-    margin = yt - p.y_floor
-    rate = yt[1:] - yt[:-1]
-    arg = rate + p.b
-    ok = None
-    if not (margin.all() and (arg > 0.0).all()):
-        ok = ~((margin == 0.0).any(axis=0) | (arg <= 0.0).any(axis=0))
-        yt, margin, rate, arg = yt[:, ok], margin[:, ok], rate[:, ok], arg[:, ok]
-    # quotients and roots padded with the clamped values at both ends, so the
-    # forward and backward tables are the two overlapping views
-    rates = np.zeros((len(yt) + 1, yt.shape[1]))
-    rates[1:-1] = rate
-    roots = np.full(rates.shape, math.sqrt(p.b))
-    np.sqrt(arg, out=roots[1:-1])
-    return _Tables(yt, margin, rates[1:], rates[:-1], roots[1:], roots[:-1], *discs), ok
-
-
-def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:
-    """``rows``, one per feasible state, spread over all states with NaN rows at the others."""
-    if ok is None:
-        return rows
-    out = np.full((len(ok),) + rows.shape[1:], np.nan)
-    out[ok] = rows
-    return out
-
-
-def _array_totals(p: FirmParams, kind: ProblemKind, tab: _Tables):
-    """The capital and technology integrals of every state, shape (S,) each."""
-    if kind.capital_mode == "delta":
-        y, v, margin, disc = tab.y[1:], tab.up_rate[:-1], tab.margin[1:], tab.disc_delta[:-1]
-    else:
-        y, v, margin, disc = tab.y[:-1], tab.down_rate[1:], tab.margin[:-1], tab.disc_nabla[1:]
-    capital = (disc * (p.c0 + p.c1 * y + p.c2 * v * v - y * p.p0 - p.B * y / margin)).sum(axis=0)
-    if kind.technology_mode == "delta":
-        y, root, disc = tab.y[1:], tab.up_root[:-1], tab.disc_delta[:-1]
-    else:
-        y, root, disc = tab.y[:-1], tab.down_root[1:], tab.disc_nabla[1:]
-    technology = (disc * (p.lam * y + p.beta * root)).sum(axis=0)
-    return capital, technology
-
-
-def _array_gamma_capital(p: FirmParams, tab: _Tables, mode: str) -> np.ndarray:
-    if mode == "delta":
-        dyt = tab.up_rate
-        return tab.disc_delta * (
-            _capital_slope(p, _next(tab.margin))
-            - 2.0 * p.c2 * (p.discount_rate * dyt + (1.0 + p.discount_rate) * (_next(dyt) - dyt))
-        )
-    nyt = tab.down_rate
-    return tab.disc_nabla * (
-        _capital_slope(p, _prev(tab.margin))
-        - 2.0 * p.c2 * (p.discount_rate * nyt + (1.0 - p.discount_rate) * (nyt - _prev(nyt)))
-    )
-
-
-def _array_gamma_technology(p: FirmParams, tab: _Tables, mode: str) -> np.ndarray:
-    if mode == "delta":
-        root_here = tab.up_root
-        root_next = _next(root_here)
-        numer = p.discount_rate * root_here - (root_next - root_here)
-        return tab.disc_delta * (p.lam - p.beta * numer / (2.0 * root_here * root_next))
-    root_here = tab.down_root
-    root_prev = _prev(root_here)
-    numer = p.discount_rate * root_here - (root_here - root_prev)
-    return tab.disc_nabla * (p.lam - p.beta * numer / (2.0 * root_here * root_prev))
-
-
-def _array_parts(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Tables,
-                 capital, technology) -> np.ndarray:
-    """The middle term of a mixed el1/el2 equation at every point."""
-    rho = p.discount_rate
-    if kind is ProblemKind.DELTA_NABLA and eq is EquationKind.TIMESCALE_EL1:
-        disc = _next(tab.disc_nabla)
-        w_here = tab.down_root
-        numer = rho * w_here - (1.0 - rho) * (_next(w_here) - w_here)
-        part2 = p.beta * disc * numer / (2.0 * w_here * tab.up_root)
-        return capital * (p.lam * disc - part2)
-    if kind is ProblemKind.DELTA_NABLA:
-        disc = _prev(tab.disc_delta)
-        part3 = disc * _capital_slope(p, tab.margin)
-        curvature = _next(tab.y) - 2.0 * tab.y + _prev(tab.y)
-        part4 = 2.0 * p.c2 * disc * (rho * tab.up_rate + curvature)
-        return technology * (part3 - part4)
-    if eq is EquationKind.TIMESCALE_EL1:
-        disc = _next(tab.disc_nabla)
-        part5 = disc * _capital_slope(p, tab.margin)
-        rate_jump = _next(tab.down_rate) - tab.down_rate
-        part6 = 2.0 * p.c2 * disc * (rho * tab.down_rate + rate_jump)
-        return technology * (part5 - part6)
-    disc = _prev(tab.disc_delta)
-    u_here = tab.up_root
-    numer = rho * u_here - (1.0 + rho) * (u_here - _prev(u_here))
-    part8 = disc * p.beta * numer / (2.0 * u_here * tab.down_root)
-    return capital * (p.lam * disc - part8)
-
-
-def _array_equations(p: FirmParams, kind: ProblemKind, eq: EquationKind, tab: _Tables,
-                     capital, technology) -> np.ndarray:
-    """Every equation of :func:`_point_equation`, at every point t = 0..T."""
-    capital_term = technology * _array_gamma_capital(p, tab, kind.capital_mode)
-    technology_term = capital * _array_gamma_technology(p, tab, kind.technology_mode)
-    if not kind.is_mixed or eq is EquationKind.DIRECT:
-        return capital_term + technology_term
-    middle = _array_parts(p, kind, eq, tab, capital, technology)
-    if kind is ProblemKind.DELTA_NABLA:
-        delta_term, nabla_term = capital_term, technology_term
-    else:
-        delta_term, nabla_term = technology_term, capital_term
-    if eq is EquationKind.TIMESCALE_EL1:
-        ahead = _next(nabla_term)
-        return delta_term + middle + (_next(ahead) - ahead)
-    behind = _prev(delta_term)
-    return middle + nabla_term - (behind - _prev(behind))
 
 
 # ---------------------------------------------------------------------------
@@ -592,62 +499,61 @@ def _domain_points(kind: ProblemKind, horizon: int) -> range:
 
 
 def _point_equation(p: FirmParams, kind: ProblemKind, eq: EquationKind):
-    """The system's equation at one point: ``(tab, t, capital, technology) -> float``.
+    """The system's equation at t, and the term its tail differences.
 
-    The product rule pairs each integrand's core with the other
-    component's integral; both totals are frozen at the current state.
-    The kind and equation are resolved here, once per system, so a call
-    runs only the float arithmetic of its own equation.
+    The equation is ``(tab, t, capital, technology, core) -> value``.  The
+    product rule pairs each integrand's gamma with the other component's
+    integral; both totals are frozen at the current state.  An el1 (el2)
+    equation ends in the forward (backward) difference of its nabla
+    (delta) term.  That term is the second function returned,
+    ``(tab, t, capital, technology) -> value``, None for the direct
+    systems; ``core`` holds it at the points the difference reads,
+    evaluated once per state.  The kind and equation are resolved here,
+    once per system, so a call runs only the arithmetic of its own equation.
     """
     gamma_capital = _GAMMAS[f"capital_{kind.capital_mode}"]
     gamma_technology = _GAMMAS[f"technology_{kind.technology_mode}"]
+
+    def capital_term(tab, t, capital, technology):
+        return technology * gamma_capital(p, tab, t)
+
+    def technology_term(tab, t, capital, technology):
+        return capital * gamma_technology(p, tab, t)
+
     if not kind.is_mixed or eq is EquationKind.DIRECT:
-        def direct(tab, t, capital, technology):
+        def direct(tab, t, capital, technology, core):
             return (technology * gamma_capital(p, tab, t)
                     + capital * gamma_technology(p, tab, t))
-        return direct
-    top = p.horizon
+        return direct, None
     if kind is ProblemKind.DELTA_NABLA:
         if eq is EquationKind.TIMESCALE_EL1:
-            def dn_el1(tab, t, capital, technology):
+            def dn_el1(tab, t, capital, technology, core):
                 head = technology * gamma_capital(p, tab, t)
                 middle = _parts_dn_el1(p, tab, capital, t)
-                ahead = _up(t, top)
-                tail = (capital * gamma_technology(p, tab, _up(ahead, top))
-                        - capital * gamma_technology(p, tab, ahead))
-                return head + middle + tail
-            return dn_el1
+                ahead = tab.up[t]
+                return head + middle + (core[tab.up[ahead]] - core[ahead])
+            return dn_el1, technology_term
 
-        def dn_el2(tab, t, capital, technology):
+        def dn_el2(tab, t, capital, technology, core):
             head = capital * gamma_technology(p, tab, t)
             middle = _parts_dn_el2(p, tab, technology, t)
-            behind = _down(t)
-            tail = (technology * gamma_capital(p, tab, behind)
-                    - technology * gamma_capital(p, tab, _down(behind)))
-            return middle + head - tail
-        return dn_el2
+            behind = tab.down[t]
+            return middle + head - (core[behind] - core[tab.down[behind]])
+        return dn_el2, capital_term
     if eq is EquationKind.TIMESCALE_EL1:
-        def nd_el1(tab, t, capital, technology):
+        def nd_el1(tab, t, capital, technology, core):
             head = capital * gamma_technology(p, tab, t)
             middle = _parts_nd_el1(p, tab, technology, t)
-            ahead = _up(t, top)
-            tail = (technology * gamma_capital(p, tab, _up(ahead, top))
-                    - technology * gamma_capital(p, tab, ahead))
-            return head + middle + tail
-        return nd_el1
+            ahead = tab.up[t]
+            return head + middle + (core[tab.up[ahead]] - core[ahead])
+        return nd_el1, capital_term
 
-    def nd_el2(tab, t, capital, technology):
+    def nd_el2(tab, t, capital, technology, core):
         head = technology * gamma_capital(p, tab, t)
         middle = _parts_nd_el2(p, tab, capital, t)
-        behind = _down(t)
-        tail = (capital * gamma_technology(p, tab, behind)
-                - capital * gamma_technology(p, tab, _down(behind)))
-        return middle + head - tail
-    return nd_el2
-
-
-def _totals(p: FirmParams, tab: _Tables, capital_mode: str, technology_mode: str):
-    return _capital_total(p, tab, capital_mode), _technology_total(p, tab, technology_mode)
+        behind = tab.down[t]
+        return middle + head - (core[behind] - core[tab.down[behind]])
+    return nd_el2, technology_term
 
 
 def residual_system(params: FirmParams, kind: ProblemKind,
@@ -656,12 +562,13 @@ def residual_system(params: FirmParams, kind: ProblemKind,
 
     For the pure kinds every :class:`EquationKind` yields the same
     system; the mixed kinds dispatch on it.  The residual and functional
-    evaluate one state point by point.  The system also carries stacked
-    forms of both, which evaluate a stack of states as whole-array
-    expressions of the same algebra and mark infeasible states with NaN.
-    A state whose residual overflows (is not finite) is infeasible too: the
-    residual raises :class:`DomainError` there and the stacked residual
-    gives a NaN row.  The functional is returned as computed, inf included.
+    evaluate one state as float arithmetic.  The system also carries
+    stacked forms of both, which run the same functions on whole arrays,
+    one column per state, and mark infeasible states with NaN; a stacked
+    row therefore equals the one-state result bit for bit.  A state whose
+    residual overflows (is not finite) is infeasible too: the residual
+    raises :class:`DomainError` there and the stacked residual gives a NaN
+    row.  The functional is returned as computed, inf included.
     """
     p = params
     m = p.horizon - 1
@@ -669,7 +576,17 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     window = slice(points.start, points.stop)
     constants = _constants(p)
     discs = np.array(constants[:2])[:, :, None]   # both discounts as (T+1, 1) columns
+    maps = np.array(constants[2:4])
+    shared = (discs[0], discs[1], maps[0], maps[1])
     modes = (kind.capital_mode, kind.technology_mode)
+    capital_pairs, capital_slices = _summation(modes[0], p.horizon)
+    technology_pairs, technology_slices = _summation(modes[1], p.horizon)
+    equation, tail = _point_equation(p, kind, eq)
+    # an el1 tail reads its core at the up-jumps of the window, 2..T, and an
+    # el2 tail at the down-jumps, 0..T-2; one state evaluates the core there
+    # only, since elsewhere it can divide by a square that underflows to zero,
+    # which raises in float arithmetic
+    reads = range(2, p.horizon + 1) if eq is EquationKind.TIMESCALE_EL1 else range(p.horizon - 1)
 
     def tables(x) -> _Tables:
         if len(x) != m:
@@ -685,18 +602,32 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         yt[0] = p.y_initial
         yt[1:-1] = xs.T
         yt[-1] = p.y_terminal
-        return _array_tables(p, discs, yt)
+        return _array_tables(p, shared, yt)
 
-    equation = _point_equation(p, kind, eq)
+    def totals(tab: _Tables):
+        rate, _, disc = _mode_tables(tab, modes[0])
+        capital = 0.0
+        for t, s in capital_pairs:
+            capital += _capital_term(p, tab, rate, disc, t, s)
+        _, root, disc = _mode_tables(tab, modes[1])
+        technology = 0.0
+        for t, s in technology_pairs:
+            technology += _technology_term(p, tab, root, disc, t, s)
+        return capital, technology
 
-    def equations(tab: _Tables) -> list:
-        capital, technology = _totals(p, tab, *modes)
-        return [equation(tab, t, capital, technology) for t in points]
+    def stacked_totals(tab: _Tables):
+        rate, _, disc = _mode_tables(tab, modes[0])
+        capital = _capital_term(p, tab, rate, disc, *capital_slices)
+        _, root, disc = _mode_tables(tab, modes[1])
+        technology = _technology_term(p, tab, root, disc, *technology_slices)
+        return capital.sum(axis=0), technology.sum(axis=0)
 
     def residual(x: np.ndarray) -> np.ndarray:
         tab = tables(x)
         try:
-            values = equations(tab)
+            capital, technology = totals(tab)
+            core = None if tail is None else {s: tail(tab, s, capital, technology) for s in reads}
+            values = [equation(tab, t, capital, technology, core) for t in points]
         except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
             values = [math.inf]
         if not all(map(math.isfinite, values)):
@@ -704,24 +635,21 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return np.array(values)
 
     def functional(x: np.ndarray) -> float:
-        capital, technology = _totals(p, tables(x), *modes)
+        capital, technology = totals(tables(x))
         return capital * technology
 
-    # overflow is expected there and marked by the NaN rows, so numpy's
-    # warnings about it are off
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
-        totals = _array_totals(p, kind, tab)
-        rows = _array_equations(p, kind, eq, tab, *totals)[window].T
+        capital, technology = stacked_totals(tab)
+        core = None if tail is None else tail(tab, slice(None), capital, technology)
+        rows = equation(tab, window, capital, technology, core).T
         if not np.isfinite(rows).all():
             rows[~np.isfinite(rows).all(axis=1)] = np.nan
         return _with_nan_rows(ok, rows)
 
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def stacked_functional(xs: np.ndarray) -> np.ndarray:
         tab, ok = stacked_tables(xs)
-        capital, technology = _array_totals(p, kind, tab)
+        capital, technology = stacked_totals(tab)
         return _with_nan_rows(ok, capital * technology)
 
     return ResidualSystem(
@@ -729,6 +657,14 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         residual=residual,
         label=f"{kind.value}/{eq.value}",
         functional=functional,
-        stacked_residual=stacked_residual,
-        stacked_functional=stacked_functional,
+        stacked_residual=partial(_quietly, stacked_residual),
+        stacked_functional=partial(_quietly, stacked_functional),
     )
+
+
+# overflow is expected in the stacked forms and marked by their NaN rows, so
+# numpy's warnings about it are off there; decorated once here rather than
+# per system, where the decoration cost a quarter of building one
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _quietly(evaluate, xs: np.ndarray) -> np.ndarray:
+    return evaluate(xs)

@@ -319,6 +319,12 @@ def default_start_grid(dimension: int, spec: tuple = DEFAULT_GRID) -> list:
         raise ValueError(
             f"start grid {spec} has more than MAX_STARTS = {MAX_STARTS} points per coordinate"
         )
+    # at a long horizon count ** dimension has thousands of digits, more than
+    # int-to-str conversion allows; it is formed and named only when short
+    if dimension * math.log10(count) > 64:
+        raise ValueError(
+            f"start grid {spec} has {count}^{dimension} points, more than MAX_STARTS = {MAX_STARTS}"
+        )
     starts = count ** dimension
     if starts > MAX_STARTS:
         raise ValueError(

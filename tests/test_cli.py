@@ -362,6 +362,31 @@ def test_oversized_multistart_grid_exits_with_two(tmp_path, capsys):
     assert "1048576 points, more than MAX_STARTS" in capsys.readouterr().err
 
 
+def test_long_horizon_multistart_grid_exits_with_two(tmp_path, capsys):
+    # 16^4999 has 6,020 digits, past the int-to-str conversion limit
+    path = tmp_path / "long.ini"
+    path.write_text("[params]\nhorizon = 5000\n[run]\nmultistart = true\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert code == 2
+    assert text == ""
+    err = capsys.readouterr().err
+    assert "16^4999 points, more than MAX_STARTS = 65536" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("line, key", [
+    ("c2 = nan", "c2"), ("c0 = inf", "c0"), ("y_terminal = nan", "y_terminal"),
+    ("rho = -inf", "rho"),
+])
+def test_non_finite_param_exits_with_two(line, key, tmp_path, capsys):
+    path = tmp_path / "params.ini"
+    path.write_text(f"[params]\n{line}\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert code == 2
+    assert text == ""
+    assert f"{key} must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["0.5, inf, 0.5", "0.5, 8, inf", "0.5, nan, 0.5"])
 def test_non_finite_multistart_grid_exits_with_two(grid, tmp_path, capsys):
     path = tmp_path / "grid.ini"

@@ -1,5 +1,6 @@
 """Tests for the firm production/investment model and its residual systems."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,7 +70,12 @@ def test_params_validation_names_the_field():
         (dict(horizon=1), "horizon"),
         (dict(y_initial=1.0), "y_initial"),
         (dict(y_terminal=0.5), "y_terminal"),
+        (dict(horizon=math.inf), "horizon"),
     ]
+    # every field must be finite: a NaN passes the range checks above
+    cases += [({field.name: bad}, field.name)
+              for field in dataclasses.fields(FirmParams)
+              for bad in (math.nan, math.inf, -math.inf)]
     for overrides, name in cases:
         with pytest.raises(ValueError, match=name):
             FirmParams(**overrides)
@@ -194,6 +200,9 @@ def test_gamma_term_accepts_grid_functions_and_sequences():
     assert_allclose(from_grid, from_list, rtol=0)
     with pytest.raises(ValueError):
         gamma_term(params, "sideways", y, 1)
+    for t in (math.inf, math.nan, 1.5, params.horizon + 1):
+        with pytest.raises(ValueError, match="not a point of the horizon scale"):
+            gamma_term(params, "technology_delta", y, t)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +334,9 @@ def test_stacked_residual_and_functional_match_the_scalar_ones(horizon):
                 with pytest.raises(DomainError):
                     system.functional(x)
                 continue
-            assert not np.isnan(row).any()
-            scale = float(np.max(np.abs(expected)))
-            assert float(np.max(np.abs(row - expected))) <= 1e-13 * scale
-            expected_value = system.functional(x)
-            assert abs(value - expected_value) <= 1e-13 * abs(expected_value)
+            # one algebra serves both forms, so they agree bit for bit
+            assert row.tolist() == expected.tolist()
+            assert value == system.functional(x)
         assert raised >= len(states) // 7 * 3, f"{system.label}: guards not exercised"
 
 
@@ -345,6 +352,10 @@ OVERFLOW_CASES = [
     (FirmParams(y_terminal=3e200), [(1e200, 2e200), (2.0, 2.5), (1e154, 2e154)]),
     (FirmParams(y_initial=1e200, y_terminal=1e200), [(1e200, 1e200)]),
     (FirmParams(y_floor=0.0), [(1e-170, 2.0), (2.0, 2.5)]),
+    # an el2 tail reads its core at 0..T-2 only; the dn core at t = 2 reads the
+    # margin 1e-170 at t = 3, whose square underflows to zero, so a one-state
+    # residual that evaluated the core there too would raise
+    (FirmParams(y_floor=0.0, y_terminal=1e-170), [(1.5, 1.0), (2.0, 0.5)]),
 ]
 
 
@@ -358,7 +369,7 @@ def test_overflowing_states_are_infeasible_in_both_forms():
             stacked = system.stacked_residual(states)
             values = system.stacked_functional(states)
             for x, row, value in zip(states, stacked, values):
-                assert_allclose(value, system.functional(x), rtol=1e-13)
+                assert value == system.functional(x)
                 try:
                     expected = system.residual(x)
                 except DomainError as exc:
@@ -367,6 +378,6 @@ def test_overflowing_states_are_infeasible_in_both_forms():
                     raised += 1
                     continue
                 assert np.isfinite(row).all() and np.isfinite(expected).all()
-                assert_allclose(row, expected, rtol=1e-13)
+                assert row.tolist() == expected.tolist()
                 finite += 1
     assert raised >= 8 * 3 and finite >= 8 * 2
