@@ -36,6 +36,7 @@ from .solver import (
     newton_solve,
 )
 from .econ import (
+    MAX_HORIZON,
     EquationKind,
     FirmParams,
     ProblemKind,
@@ -68,6 +69,7 @@ __all__ = [
     "FirmParams",
     "GridFunction",
     "Integrand",
+    "MAX_HORIZON",
     "MAX_STARTS",
     "OuterFunction",
     "PointNotInScaleError",

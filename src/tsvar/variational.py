@@ -7,9 +7,13 @@ The objects here describe functionals of the form
 where the first k components are delta integrals of integrands evaluated
 along ``(t, y(sigma(t)), delta-quotient of y)`` and the remaining n are
 nabla integrals evaluated along ``(t, y(rho(t)), nabla-quotient of y)``.
-Two residual forms of the stationarity system are provided, plus the
-specialization to contiguous integer scales written directly with index
-shifts.
+The main theorem's stationarity system is assembled once, from the
+integrands and the outer partials; one state evaluates the assembly as
+float arithmetic and a stack of states on whole arrays.  The public
+functions validate their arguments and read it, and the firm model in
+:mod:`tsvar.econ` reads windows of it.  :func:`corollary_z_residual`, the
+integer-scale specialization written with index shifts, shares none of it
+and serves as the independent check.
 
 Shifted difference quotients near the scale's extremes exit their
 natural domains.  The ``strict`` policy leaves such points undefined
@@ -22,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from operator import add, itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,8 +112,8 @@ def sum_outer(arity: int) -> OuterFunction:
 def product_outer() -> OuterFunction:
     return OuterFunction(
         2,
-        lambda c: float(c[0] * c[1]),
-        (lambda c: float(c[1]), lambda c: float(c[0])),
+        lambda c: c[0] * c[1],
+        (itemgetter(1), itemgetter(0)),
     )
 
 
@@ -136,10 +142,260 @@ class CompositeProblem:
         for g in self.nabla_integrands:
             if g.kind != "nabla":
                 raise ValueError("nabla integrand slot holds a delta integrand")
+        try:
+            finite = all(map(math.isfinite, self.boundary)) and len(self.boundary) == 2
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"boundary must be two finite numbers, got {self.boundary!r}")
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the Euler-Lagrange assembly
+#
+# The theorem's equations are assembled from pieces written once as functions
+# of a point index i, on an assembly (the scale's jump maps and graininess,
+# and the integrands) and a state's tables (its values at the jumps and its
+# two quotients).  One state holds lists and i is an int, so a piece is
+# float arithmetic at a point; a stack holds (n, S) arrays, one column per
+# state, and i is a slice or an int array, so a piece evaluates the whole
+# window at once.  The two evaluations agree bit for bit.
+#
+# A quotient past an end of the scale takes the policy's value, zero when
+# clamped and NaN when strict; the graininess holds the policy's step there,
+# 1 or NaN, so a clamped quotient across an end is exactly zero.
+
+
+class _Pointwise(NamedTuple):
+    """An integrand as the assembly reads it: ``value``, ``partial_y`` and
+    ``partial_v`` take ``(at[i], y, v)`` at point i.  ``at`` holds the
+    times of the points for an :class:`Integrand`; a model may tabulate
+    something else there, as the firm model does its discount factors."""
+
+    value: Callable
+    partial_y: Callable
+    partial_v: Callable
+    at: Sequence
+
+
+class _Assembly(NamedTuple):
+    """A problem's scale tables and integrands, as lists or as columns."""
+
+    up: Sequence        # index of sigma(t_i)
+    down: Sequence      # index of rho(t_i)
+    mu: Sequence        # forward graininess; the policy's step at the top
+    nu: Sequence        # backward graininess; the policy's step at the bottom
+    edge: float         # a quotient past an end: 0.0 clamped, NaN strict
+    unit: bool          # every step is 1, so the pieces skip it
+    delta: tuple        # _Pointwise delta integrands
+    nabla: tuple        # _Pointwise nabla integrands
+    outer: OuterFunction
+    stacked: bool
+
+
+def _assembly(gaps: list, delta, nabla, outer: OuterFunction,
+              policy: str, stacked: bool = False) -> _Assembly:
+    """The assembly of these integrands on the scale with these gaps between
+    consecutive points, for lists or for arrays."""
+    n = len(gaps) + 1
+    step = 1.0 if policy == CLAMPED else math.nan
+    up, down = [*range(1, n), n - 1], [0, *range(n - 1)]
+    mu, nu = gaps + [step], [step] + gaps
+    edge = 0.0 if policy == CLAMPED else math.nan
+    unit = all(g == 1.0 for g in mu)   # 1.0 * x and x / 1.0 are x exactly
+    if not stacked:
+        return _Assembly(up, down, mu, nu, edge, unit, tuple(delta), tuple(nabla), outer, False)
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    return _Assembly(_Jump(up, 1), _Jump(down, -1), column(mu), column(nu), edge, unit,
+                     tuple(f._replace(at=column(f.at)) for f in delta),
+                     tuple(g._replace(at=column(g.at)) for g in nabla), outer, True)
+
+
+class _Jump:
+    """A jump map for arrays: it takes a slice of points to the slice it is
+    shifted to where the jumps stay inside the scale, so a stack reads a
+    view, and any other points to an int array."""
+
+    def __init__(self, jumps: list, shift: int):
+        self.jumps, self.shift, self.n = np.array(jumps), shift, len(jumps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice) and i.step is None:
+            start, stop = i.start or 0, self.n if i.stop is None else i.stop
+            if 0 <= start + self.shift and stop + self.shift <= self.n and start < stop:
+                return slice(start + self.shift, stop + self.shift)
+        return self.jumps[i]
+
+
+def _state(a: _Assembly, y) -> tuple:
+    """The tables (sig, rho, d_rate, n_rate) of ``y``, a state's values as a
+    list or a stack's as an (n, S) array: the values at the jumps and the
+    delta and nabla quotients, which take the policy's edge value past the
+    top and the bottom."""
+    if a.stacked:
+        quotient = y[1:] - y[:-1] if a.unit else (y[1:] - y[:-1]) / a.mu[:-1]
+        rates = np.full((len(y) + 1, y.shape[1]), a.edge)
+        rates[1:-1] = quotient
+        padded = np.concatenate((y[:1], y, y[-1:]))
+        return padded[2:], padded[:-2], rates[1:], rates[:-1]
+    # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
+    quotient = [ahead - here for here, ahead in zip(y, y[1:])] if a.unit else [
+        (ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
+    return y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient
+
+
+def _integrals(a: _Assembly, s: tuple) -> list:
+    """The delta then the nabla component integrals of the state(s).
+
+    A delta integral sums mu f over the points 0..n-2, a nabla one nu g over
+    1..n-1, where the quotients stay on the scale.  One state adds the terms
+    in order; a stack sums its (n-1, S) term array over axis 0, which adds
+    the rows in the same order.
+    """
+    sig, rho, d_rate, n_rate = s
+    top, unit = len(a.mu) - 1, a.unit
+    comps = []
+    for integrands, step, y, v, first, stop in ((a.delta, a.mu, sig, d_rate, 0, top),
+                                                (a.nabla, a.nu, rho, n_rate, 1, top + 1)):
+        for f, _, _, at in integrands:
+            if a.stacked:
+                i = slice(first, stop)
+                terms = f(at[i], y[i], v[i])
+                comps.append((terms if unit else step[i] * terms).sum(axis=0))
+                continue
+            total = 0.0
+            for i in range(first, stop):
+                term = f(at[i], y[i], v[i])
+                total += term if unit else step[i] * term
+            comps.append(total)
+    return comps
+
+
+def _evaluator(a: _Assembly, form: str, points):
+    """``form`` at ``points``, as a function of a state's tables.
+
+    ``form`` is ``"cores"`` (both kinds' weighted cores, the directly
+    discretized system), ``"delta"`` or ``"nabla"`` (the theorem's two
+    forms).  For lists ``points`` is a range and the values come as a list;
+    for arrays it is a slice and they come as a (len, S) array.
+    """
+    up, down, mu, nu, unit = a.up, a.down, a.mu, a.nu, a.unit
+    derivatives = a.outer.partials
+    # each integrand with the index of its component, whose outer partial weights it
+    delta_integrands = tuple(enumerate(a.delta))
+    nabla_integrands = tuple(enumerate(a.nabla, len(a.delta)))
+
+    # A kind is read through (y, v, weights, integrands, jump, step, forward):
+    # y at the jump and the quotient (sig and d_rate for the delta kind, rho
+    # and n_rate for the nabla kind), the weights and the kind's indexed
+    # integrands, its jump map and graininess, and whether its quotient looks
+    # forward (delta) or back.
+
+    def cores(kind, i):
+        """sum w (f_y - (f_v)^Delta), or sum w (g_y - (g_v)^nabla), at t_i.
+
+        The core of :func:`terms` alone: most residual calls read only the
+        cores, and taking them from ``terms`` made a ``tsvar table1`` run
+        about a tenth slower."""
+        y, v, weights, integrands, jump, step, forward = kind
+        j = jump[i]
+        total = None
+        for index, (_, partial_y, partial_v, at) in integrands:
+            here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
+            quotient = there - here if forward else here - there
+            if not unit:
+                quotient = quotient / step[i]
+            term = weights[index] * (partial_y(at[i], y[i], v[i]) - quotient)
+            total = term if total is None else total + term
+        return 0.0 if total is None else total
+
+    def terms(kind, i):
+        """The kind's weighted core at t_i, and the weighted sums of its state
+        partial at t_i and of its rate partial at t_i and at the jump."""
+        y, v, weights, integrands, jump, step, forward = kind
+        j = jump[i]
+        sums = None
+        for index, (_, partial_y, partial_v, at) in integrands:
+            w = weights[index]
+            state = partial_y(at[i], y[i], v[i])
+            here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
+            quotient = there - here if forward else here - there
+            if not unit:
+                quotient = quotient / step[i]
+            parts = (w * (state - quotient), w * state, w * here, w * there)
+            sums = parts if sums is None else tuple(map(add, sums, parts))
+        return (0.0, 0.0, 0.0, 0.0) if sums is None else sums
+
+    if form == "cores":
+        def equation(d, n, i, other):
+            return cores(d, i) + cores(n, i)
+    elif form == "delta":
+        def equation(d, n, i, nabla):
+            """The delta cores; the nabla state partials sigma-shifted, less the
+            forward quotient of the nabla rate partials; the forward quotient
+            of nu times the nabla cores across the sigma-shifted points."""
+            j = up[i]
+            k = up[j]
+            core_ahead, state_ahead, rate_ahead, rate_here = nabla(j)
+            if unit:
+                return (cores(d, i) + (state_ahead - (rate_ahead - rate_here))
+                        + (nabla(k)[0] - core_ahead))
+            return (cores(d, i) + (state_ahead - (rate_ahead - rate_here) / mu[i])
+                    + (nu[k] * nabla(k)[0] - nu[j] * core_ahead) / mu[i])
+    elif form == "nabla":
+        def equation(d, n, i, delta):
+            """The mirror image: the delta state partials rho-shifted, less the
+            backward quotient of the delta rate partials; the nabla cores;
+            less the backward quotient of mu times the delta cores across the
+            rho-shifted points."""
+            j = down[i]
+            k = down[j]
+            core_behind, state_behind, rate_behind, rate_here = delta(j)
+            if unit:
+                return ((state_behind - (rate_here - rate_behind)) + cores(n, i)
+                        - (core_behind - delta(k)[0]))
+            return ((state_behind - (rate_here - rate_behind) / nu[i]) + cores(n, i)
+                    - (mu[j] * core_behind - mu[k] * delta(k)[0]) / nu[i])
+    else:
+        raise ValueError(f"unknown form {form!r}")
+
+    # The delta (nabla) form reads the other kind's terms at the jumps of
+    # each point and at their jumps, by a call.  One state tabulates them
+    # there only, since elsewhere an integrand may fail to evaluate; a stack
+    # tabulates them everywhere.
+    jump = up if form == "delta" else down
+    reads = sorted({j for i in points for j in (jump[i], jump[jump[i]])}) \
+        if form != "cores" and not a.stacked else ()
+
+    def evaluate(s: tuple):
+        sig, rho, d_rate, n_rate = s
+        comps = _integrals(a, s)
+        weights = [derivative(comps) for derivative in derivatives]
+        d = (sig, d_rate, weights, delta_integrands, up, mu, True)
+        n = (rho, n_rate, weights, nabla_integrands, down, nu, False)
+        other = None
+        if form != "cores":
+            kind = n if form == "delta" else d
+            if a.stacked:
+                other = partial(_at, terms(kind, slice(None)))
+            else:
+                other = {j: terms(kind, j) for j in reads}.__getitem__
+        if a.stacked:
+            return equation(d, n, points, other)
+        return [equation(d, n, i, other) for i in points]
+
+    return evaluate
+
+
+def _at(columns: tuple, j) -> tuple:
+    return tuple(column[j] for column in columns)
+
+
+# ---------------------------------------------------------------------------
+# validating wrappers
 
 
 def _admissible_values(problem: CompositeProblem, y: GridFunction) -> np.ndarray:
@@ -156,80 +412,40 @@ def _admissible_values(problem: CompositeProblem, y: GridFunction) -> np.ndarray
     return vals
 
 
-def eval_component_integrals(problem: CompositeProblem, y: GridFunction) -> np.ndarray:
-    """Vector of the k delta and n nabla component integrals at state y."""
-    vals = _admissible_values(problem, y)
-    scale = problem.scale
-    pts = scale.points
-    mu = scale.mu_values()
-    nu = scale.nu_values()
-    n = len(scale)
-    out = []
-    for f in problem.delta_integrands:
-        total = 0.0
-        for i in range(n - 1):
-            total += mu[i] * f.value(pts[i], vals[i + 1], (vals[i + 1] - vals[i]) / mu[i])
-        out.append(total)
-    for g in problem.nabla_integrands:
-        total = 0.0
-        for i in range(1, n):
-            total += nu[i] * g.value(pts[i], vals[i - 1], (vals[i] - vals[i - 1]) / nu[i])
-        out.append(total)
-    return np.asarray(out)
-
-
-def eval_functional(problem: CompositeProblem, y: GridFunction) -> float:
-    """Outer function applied to the component integrals."""
-    return float(problem.outer.value(eval_component_integrals(problem, y)))
-
-
-# ---------------------------------------------------------------------------
-# residual assembly
-
 def _check_policy(policy: str) -> None:
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
 
 
-def _rate_tables(scale: TimeScale, vals: np.ndarray, policy: str):
-    """Shifted states and difference-quotient rates for both kinds.
-
-    Entries that are undefined under the strict policy come back NaN.
-    """
-    n = len(scale)
-    mu = scale.mu_values()
-    nu = scale.nu_values()
-    sig_state = np.empty(n)
-    sig_state[:-1] = vals[1:]
-    sig_state[-1] = vals[-1]
-    rho_state = np.empty(n)
-    rho_state[1:] = vals[:-1]
-    rho_state[0] = vals[0]
-    d_rate = np.full(n, 0.0 if policy == CLAMPED else np.nan)
-    d_rate[:-1] = (vals[1:] - vals[:-1]) / mu[:-1]
-    n_rate = np.full(n, 0.0 if policy == CLAMPED else np.nan)
-    n_rate[1:] = (vals[1:] - vals[:-1]) / nu[1:]
-    return sig_state, rho_state, d_rate, n_rate
+def _undefined_past_an_end(fn):
+    """``fn``, but NaN where the strict quotient is undefined."""
+    return lambda t, y, v: math.nan if math.isnan(v) else fn(t, y, v)
 
 
-def _apply(fn, pts, state, rate) -> np.ndarray:
-    out = np.full(len(pts), np.nan)
-    for i in range(len(pts)):
-        if not (math.isnan(state[i]) or math.isnan(rate[i])):
-            out[i] = fn(pts[i], state[i], rate[i])
-    return out
+def _problem_tables(problem: CompositeProblem, y: GridFunction, policy: str):
+    """The float assembly of ``problem`` and the state tables of ``y``."""
+    vals = _admissible_values(problem, y)
+    points = problem.scale.points
+    wrap = _undefined_past_an_end if policy == STRICT else (lambda fn: fn)
+
+    def pointwise(f: Integrand) -> _Pointwise:
+        return _Pointwise(f.value, wrap(f.partial_y), wrap(f.partial_v), points)
+
+    a = _assembly(problem.scale.mu_values()[:-1].tolist(),
+                  map(pointwise, problem.delta_integrands),
+                  map(pointwise, problem.nabla_integrands), problem.outer, policy)
+    return a, _state(a, vals.tolist())
 
 
-def _delta_quotient(arr: np.ndarray, mu: np.ndarray, policy: str) -> np.ndarray:
-    out = np.full(len(arr), 0.0 if policy == CLAMPED else np.nan)
-    out[:-1] = (arr[1:] - arr[:-1]) / mu[:-1]
-    return out
+def eval_component_integrals(problem: CompositeProblem, y: GridFunction) -> np.ndarray:
+    """Vector of the k delta and n nabla component integrals at state y."""
+    return np.asarray(_integrals(*_problem_tables(problem, y, CLAMPED)))
 
 
-def _nabla_quotient(arr: np.ndarray, nu: np.ndarray, policy: str) -> np.ndarray:
-    out = np.full(len(arr), 0.0 if policy == CLAMPED else np.nan)
-    out[1:] = (arr[1:] - arr[:-1]) / nu[1:]
-    return out
+def eval_functional(problem: CompositeProblem, y: GridFunction) -> float:
+    """Outer function applied to the component integrals."""
+    comps = _integrals(*_problem_tables(problem, y, CLAMPED))
+    return float(problem.outer.value(np.asarray(comps)))
 
 
 def theorem_main_residual(
@@ -248,63 +464,11 @@ def theorem_main_residual(
     _check_policy(policy)
     if form not in ("delta", "nabla"):
         raise ValueError(f"form must be 'delta' or 'nabla', got {form!r}")
-    vals = _admissible_values(problem, y)
-    scale = problem.scale
-    pts = scale.points
-    n = len(scale)
-    mu = scale.mu_values()
-    nu = scale.nu_values()
-    comps = eval_component_integrals(problem, y)
-    weights_delta = [p(comps) for p in
-                     (problem.outer.partials[: len(problem.delta_integrands)])]
-    weights_nabla = [p(comps) for p in
-                     (problem.outer.partials[len(problem.delta_integrands):])]
-
-    sig_state, rho_state, d_rate, n_rate = _rate_tables(scale, vals, policy)
-
-    # weighted Euler-Lagrange cores of each kind
-    delta_core = np.zeros(n)
-    for w, f in zip(weights_delta, problem.delta_integrands):
-        ptl_y = _apply(f.partial_y, pts, sig_state, d_rate)
-        ptl_v = _apply(f.partial_v, pts, sig_state, d_rate)
-        delta_core = delta_core + w * (ptl_y - _delta_quotient(ptl_v, mu, policy))
-    nabla_core = np.zeros(n)
-    nabla_state_partial = np.zeros(n)   # nabla partial_y tables, sigma-shifted later
-    nabla_rate_partial = np.zeros(n)
-    for w, g in zip(weights_nabla, problem.nabla_integrands):
-        ptl_y = _apply(g.partial_y, pts, rho_state, n_rate)
-        ptl_v = _apply(g.partial_v, pts, rho_state, n_rate)
-        nabla_core = nabla_core + w * (ptl_y - _nabla_quotient(ptl_v, nu, policy))
-        nabla_state_partial = nabla_state_partial + w * ptl_y
-        nabla_rate_partial = nabla_rate_partial + w * ptl_v
-
-    sig_idx = np.minimum(np.arange(n) + 1, n - 1)
-    rho_idx = np.maximum(np.arange(n) - 1, 0)
-
-    if form == "delta":
-        # unshifted delta core, sigma-shifted nabla state term with a
-        # forward-differenced nabla aggregate
-        middle = nabla_state_partial[sig_idx] - _delta_quotient(nabla_rate_partial, mu, policy)
-        tail = _delta_quotient((nu * nabla_core)[sig_idx], mu, policy)
-        res = delta_core + middle + tail
-    else:
-        delta_state_partial = np.zeros(n)
-        delta_rate_partial = np.zeros(n)
-        for w, f in zip(weights_delta, problem.delta_integrands):
-            delta_state_partial = delta_state_partial + w * _apply(
-                f.partial_y, pts, sig_state, d_rate
-            )
-            delta_rate_partial = delta_rate_partial + w * _apply(
-                f.partial_v, pts, sig_state, d_rate
-            )
-        middle = delta_state_partial[rho_idx] - _nabla_quotient(delta_rate_partial, nu, policy)
-        tail = _nabla_quotient((mu * delta_core)[rho_idx], nu, policy)
-        res = middle + nabla_core - tail
-
-    out = np.full(n, np.nan)
-    interior = scale.interior_domain
-    out[interior.start : interior.stop] = res[interior.start : interior.stop]
-    return GridFunction(scale, out, interior)
+    a, s = _problem_tables(problem, y, policy)
+    interior = problem.scale.interior_domain
+    out = np.full(len(problem.scale), np.nan)
+    out[interior.start : interior.stop] = _evaluator(a, form, interior)(s)
+    return GridFunction(problem.scale, out, interior)
 
 
 def corollary_z_residual(

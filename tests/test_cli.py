@@ -363,15 +363,25 @@ def test_oversized_multistart_grid_exits_with_two(tmp_path, capsys):
 
 
 def test_long_horizon_multistart_grid_exits_with_two(tmp_path, capsys):
-    # 16^4999 has 6,020 digits, past the int-to-str conversion limit
+    # 16^999 has 1,203 digits, past the 64 digits the message spells out
     path = tmp_path / "long.ini"
-    path.write_text("[params]\nhorizon = 5000\n[run]\nmultistart = true\n")
+    path.write_text("[params]\nhorizon = 1000\n[run]\nmultistart = true\n")
     code, text = run_cli(["run", "--config", str(path)])
     assert code == 2
     assert text == ""
     err = capsys.readouterr().err
-    assert "16^4999 points, more than MAX_STARTS = 65536" in err
+    assert "16^999 points, more than MAX_STARTS = 65536" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("horizon", [5000, 10 ** 5])
+def test_horizon_past_the_bound_exits_with_two(horizon, tmp_path, capsys):
+    path = tmp_path / "long.ini"
+    path.write_text(f"[params]\nhorizon = {horizon}\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert code == 2
+    assert text == ""
+    assert f"horizon must be at most MAX_HORIZON = 1000, got {horizon}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line, key", [

@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tsvar import (
+    CLAMPED,
     DomainError,
     EquationKind,
     FirmParams,
     GridFunction,
     ProblemKind,
     TimeScale,
+    corollary_z_residual,
     eval_component_integrals,
     eval_functional,
     firm_integrand,
@@ -71,6 +75,7 @@ def test_params_validation_names_the_field():
         (dict(y_initial=1.0), "y_initial"),
         (dict(y_terminal=0.5), "y_terminal"),
         (dict(horizon=math.inf), "horizon"),
+        (dict(horizon=1001), "horizon"),
     ]
     # every field must be finite: a NaN passes the range checks above
     cases += [({field.name: bad}, field.name)
@@ -381,3 +386,52 @@ def test_overflowing_states_are_infeasible_in_both_forms():
                 assert row.tolist() == expected.tolist()
                 finite += 1
     assert raised >= 8 * 3 and finite >= 8 * 2
+
+
+# ---------------------------------------------------------------------------
+# the systems against oracles that share none of their code
+#
+# The systems are windows of the general Euler-Lagrange assembly, so they
+# agree with theorem_main_residual by construction.  The integer-grid
+# corollary, written directly with index shifts, and central differences of
+# the functional are independent of it.
+
+
+@st.composite
+def feasible_states(draw):
+    """Firm parameters at T = 2..20 and either rate, and interior sales
+    safely above the floor whose quotients keep the roots real."""
+    horizon = draw(st.integers(2, 20))
+    params = FirmParams(horizon=horizon, discount_rate=draw(st.sampled_from([0.05, 0.02])))
+    inner = draw(st.lists(st.floats(1.3, 3.8), min_size=horizon - 1, max_size=horizon - 1))
+    return params, np.array(inner)
+
+
+@given(feasible_states())
+def test_timescale_systems_match_the_integer_grid_corollary(case):
+    params, inner = case
+    for kind in (ProblemKind.DELTA_NABLA, ProblemKind.NABLA_DELTA):
+        problem = firm_problem(params, kind)
+        y = GridFunction(problem.scale, [params.y_initial, *inner, params.y_terminal])
+        for eq, which in ((EquationKind.TIMESCALE_EL1, "first"),
+                          (EquationKind.TIMESCALE_EL2, "second")):
+            rows = residual_system(params, kind, eq).residual(inner)
+            oracle = corollary_z_residual(problem, y, which, CLAMPED).values[1:-1]
+            gap = np.abs(rows - oracle) / np.maximum(1.0, np.abs(oracle))
+            assert gap.max() <= 1e-10, f"{kind.value}/{eq.value}: {gap.max():.3e}"
+
+
+@given(feasible_states())
+def test_pure_systems_are_the_functional_gradient(case):
+    # a pure kind's system is the gradient of the functional in y_1..y_{T-1}
+    params, inner = case
+    for kind in (ProblemKind.DELTA_DELTA, ProblemKind.NABLA_NABLA):
+        system = residual_system(params, kind)
+        rows = system.residual(inner)
+        for j in range(len(inner)):
+            h = 1e-6 * max(1.0, abs(inner[j]))
+            hi, lo = inner.copy(), inner.copy()
+            hi[j] += h
+            lo[j] -= h
+            fd = (system.functional(hi) - system.functional(lo)) / (2 * h)
+            assert_allclose(rows[j], fd, rtol=1e-6, atol=1e-9, err_msg=kind.value)

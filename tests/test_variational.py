@@ -1,5 +1,7 @@
 """Tests for composite functionals and their stationarity residuals."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -93,6 +95,19 @@ def test_composite_problem_validates_slots():
         CompositeProblem(scale, (g,), (), identity_outer(), (0.0, 1.0))
     with pytest.raises(ValueError):
         CompositeProblem(scale, (), (f,), identity_outer(), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("boundary", [
+    (math.nan, math.nan), (0.0, math.inf), (-math.inf, 1.0), (0.0,), (0.0, 1.0, 2.0),
+    ("0", 1.0), 1.0,
+])
+def test_composite_problem_rejects_a_boundary_that_is_not_two_finite_numbers(boundary):
+    # unchecked, a NaN boundary admits every state (|v - nan| > tol is
+    # False), and a tuple of the wrong length fails only at the first state
+    scale = TimeScale.integer_range(0, 3)
+    f = quadratic_rate_integrand("delta")
+    with pytest.raises(ValueError, match="boundary must be two finite numbers"):
+        CompositeProblem(scale, (f,), (), identity_outer(), boundary)
 
 
 def test_firm_integrand_worked_value():
