@@ -12,8 +12,8 @@ Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
 taken as zero.  The model declares its integrands, checks its guards in
 one pass per state, and picks for each residual system an output of the
-Euler-Lagrange assembly in :mod:`tsvar.variational` and the window of
-points it is read on; it holds no Euler-Lagrange algebra of its own.
+Euler-Lagrange assembly, :func:`tsvar.variational.assemble`, and the window
+of points it is read on; it holds no Euler-Lagrange algebra of its own.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ from .variational import (
     CLAMPED,
     CompositeProblem,
     Integrand,
-    _assembly,
-    _evaluator,
-    _integrals,
-    _Pointwise,
-    _state,
+    Pointwise,
+    assemble,
     identity_outer,
     product_outer,
 )
@@ -283,13 +280,13 @@ def _discounts(p: FirmParams) -> dict:
             "nabla": [_disc_nabla(p, t) for t in points]}
 
 
-def _pointwise(p: FirmParams, which: str, discounts: dict, sqrt) -> _Pointwise:
+def _pointwise(p: FirmParams, which: str, discounts: dict, sqrt) -> Pointwise:
     family, mode = which.rsplit("_", 1)
-    return _Pointwise(*_terms(p, family, sqrt), discounts[mode])
+    return Pointwise(*_terms(p, family, sqrt), discounts[mode])
 
 
-def _checked_state(p: FirmParams, a, yv: list, capital_mode: str, technology_mode: str):
-    """The assembly's tables of one state; raises :class:`DomainError` at a failed guard.
+def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):
+    """The assembled tables of one state; raises :class:`DomainError` at a failed guard.
 
     The margins are checked before the roots, each in ascending order, and
     a failure is labelled with the summation index at which the component
@@ -298,8 +295,8 @@ def _checked_state(p: FirmParams, a, yv: list, capital_mode: str, technology_mod
     if p.y_floor in yv:
         i = yv.index(p.y_floor)
         _guarded_margin(p, yv[i], i - 1 if capital_mode == "delta" else i + 1)
-    state = _state(a, yv)
-    rates = state[2][:-1]   # the delta quotients
+    state = assembled.state(yv)
+    rates = state.d_rate[:-1]
     if not min(rates) + p.b > 0.0:   # false too where a NaN leads
         for t, rate in enumerate(rates):
             if rate + p.b <= 0.0:
@@ -307,19 +304,19 @@ def _checked_state(p: FirmParams, a, yv: list, capital_mode: str, technology_mod
     return state
 
 
-def _checked_stack(p: FirmParams, a, yt: np.ndarray):
-    """The assembly's tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
+def _checked_stack(p: FirmParams, assembled, yt: np.ndarray):
+    """The assembled tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
 
     A column is infeasible exactly where :func:`_checked_state` would raise
     for that state; the tables hold the feasible columns only, and the mask
     is None when every column is feasible.
     """
-    state = _state(a, yt)
-    arg = state[2][:-1] + p.b   # the delta quotients, plus b
+    state = assembled.state(yt)
+    arg = state.d_rate[:-1] + p.b
     if (yt != p.y_floor).all() and (arg > 0.0).all():
         return state, None
     ok = ~((yt == p.y_floor).any(axis=0) | (arg <= 0.0).any(axis=0))
-    return _state(a, yt[:, ok]), ok
+    return assembled.state(yt[:, ok]), ok
 
 
 def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:
@@ -359,10 +356,11 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
     mode = which.rsplit("_", 1)[1]
     # the integrand alone under the identity outer: its core, weighted by 1
     f = _pointwise(params, which, _discounts(params), math.sqrt)
-    a = _assembly([1.0] * params.horizon, *(((f,), ()) if mode == "delta" else ((), (f,))),
-                  identity_outer(), CLAMPED)
-    state = _checked_state(params, a, _state_values(params, y), mode, mode)
-    return _evaluator(a, "cores", range(int(t), int(t) + 1))(state)[0]
+    assembled = assemble([1.0] * params.horizon,
+                         *(((f,), ()) if mode == "delta" else ((), (f,))),
+                         identity_outer(), CLAMPED, "cores", range(int(t), int(t) + 1))
+    state = _checked_state(params, assembled, _state_values(params, y), mode, mode)
+    return assembled.evaluate(state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +399,19 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     capital_mode, technology_mode = kind.capital_mode, kind.technology_mode
     form, points = _window(kind, eq, p.horizon)
     discounts = _discounts(p)
+    outer = product_outer()
 
     def assembly(sqrt, stacked):
         capital = _pointwise(p, f"capital_{capital_mode}", discounts, sqrt)
         technology = _pointwise(p, f"technology_{technology_mode}", discounts, sqrt)
-        return _assembly([1.0] * p.horizon, *_slots(kind, capital, technology),
-                         product_outer(), CLAMPED, stacked)
+        return assemble([1.0] * p.horizon, *_slots(kind, capital, technology),
+                        outer, CLAMPED, form, points, stacked)
 
     one = assembly(math.sqrt, False)
-    evaluate = _evaluator(one, form, points)
-    product = one.outer.value
 
     @cache   # built on first use: most short one-start solves never stack
     def stacked():
-        stack = assembly(np.sqrt, True)
-        return stack, _evaluator(stack, form, slice(points.start, points.stop))
+        return assembly(np.sqrt, True)
 
     def state(x):
         if len(x) != m:
@@ -431,12 +427,12 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         yt[0] = p.y_initial
         yt[1:-1] = xs.T
         yt[-1] = p.y_terminal
-        return _checked_stack(p, stacked()[0], yt)
+        return _checked_stack(p, stacked(), yt)
 
     def residual(x: np.ndarray) -> np.ndarray:
         s = state(x)
         try:
-            values = evaluate(s)
+            values = one.evaluate(s)
         except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
             values = [math.inf]
         if not all(map(math.isfinite, values)):
@@ -444,18 +440,18 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return np.array(values)
 
     def functional(x: np.ndarray) -> float:
-        return product(_integrals(one, state(x)))
+        return outer.value(one.integrals(state(x)))
 
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         s, ok = stacked_state(xs)
-        rows = stacked()[1](s).T
+        rows = stacked().evaluate(s).T
         if not np.isfinite(rows).all():
             rows[~np.isfinite(rows).all(axis=1)] = np.nan
         return _with_nan_rows(ok, rows)
 
     def stacked_functional(xs: np.ndarray) -> np.ndarray:
         s, ok = stacked_state(xs)
-        return _with_nan_rows(ok, product(_integrals(stacked()[0], s)))
+        return _with_nan_rows(ok, outer.value(stacked().integrals(s)))
 
     return ResidualSystem(
         dimension=m,

@@ -9,11 +9,11 @@ along ``(t, y(sigma(t)), delta-quotient of y)`` and the remaining n are
 nabla integrals evaluated along ``(t, y(rho(t)), nabla-quotient of y)``.
 The main theorem's stationarity system is assembled once, from the
 integrands and the outer partials; one state evaluates the assembly as
-float arithmetic and a stack of states on whole arrays.  The public
-functions validate their arguments and read it, and the firm model in
-:mod:`tsvar.econ` reads windows of it.  :func:`corollary_z_residual`, the
-integer-scale specialization written with index shifts, shares none of it
-and serves as the independent check.
+float arithmetic and a stack of states on whole arrays.  :func:`assemble`
+is its one entry point: the public functions validate their arguments and
+read it, and the firm model in :mod:`tsvar.econ` reads windows of it.
+:func:`corollary_z_residual`, the integer-scale specialization written
+with index shifts, shares none of it and serves as the independent check.
 
 Shifted difference quotients near the scale's extremes exit their
 natural domains.  The ``strict`` policy leaves such points undefined
@@ -35,12 +35,16 @@ import numpy as np
 from .timescale import DomainError, GridFunction, TimeScale
 
 __all__ = [
+    "Assembled",
     "BoundaryMismatchError",
     "CompositeProblem",
     "Integrand",
     "OuterFunction",
+    "Pointwise",
     "STRICT",
+    "State",
     "CLAMPED",
+    "assemble",
     "check_integrand_partials",
     "corollary_z_residual",
     "eval_component_integrals",
@@ -156,17 +160,17 @@ class CompositeProblem:
 # The theorem's equations are assembled from pieces written once as functions
 # of a point index i, on an assembly (the scale's jump maps and graininess,
 # and the integrands) and a state's tables (its values at the jumps and its
-# two quotients).  One state holds lists and i is an int, so a piece is
-# float arithmetic at a point; a stack holds (n, S) arrays, one column per
-# state, and i is a slice or an int array, so a piece evaluates the whole
-# window at once.  The two evaluations agree bit for bit.
+# two quotients).  One state holds lists and i is an int, so a piece is float
+# arithmetic at a point; a stack holds (n, S) arrays, one column per state,
+# and i is a slice or an int array, so a piece evaluates the whole window at
+# once.  The two evaluations agree bit for bit.
 #
 # A quotient past an end of the scale takes the policy's value, zero when
 # clamped and NaN when strict; the graininess holds the policy's step there,
 # 1 or NaN, so a clamped quotient across an end is exactly zero.
 
 
-class _Pointwise(NamedTuple):
+class Pointwise(NamedTuple):
     """An integrand as the assembly reads it: ``value``, ``partial_y`` and
     ``partial_v`` take ``(at[i], y, v)`` at point i.  ``at`` holds the
     times of the points for an :class:`Integrand`; a model may tabulate
@@ -178,46 +182,73 @@ class _Pointwise(NamedTuple):
     at: Sequence
 
 
-class _Assembly(NamedTuple):
-    """A problem's scale tables and integrands, as lists or as columns."""
+class State(NamedTuple):
+    """A state's tables, lists for one state and (n, S) arrays for a stack.
+    The quotients take the policy's edge value past the top (delta) and the
+    bottom (nabla)."""
 
+    sig: Sequence      # y at sigma(t_i)
+    rho: Sequence      # y at rho(t_i)
+    d_rate: Sequence   # delta quotient at t_i
+    n_rate: Sequence   # nabla quotient at t_i
+
+
+class Assembled(NamedTuple):
+    """One output of the assembly on a window of points; see :func:`assemble`."""
+
+    state: Callable       # a state's values -> its State
+    integrals: Callable   # State -> the delta then the nabla component integrals
+    evaluate: Callable    # State -> the output on the window
+
+
+class _Assembly(NamedTuple):
     up: Sequence        # index of sigma(t_i)
     down: Sequence      # index of rho(t_i)
     mu: Sequence        # forward graininess; the policy's step at the top
     nu: Sequence        # backward graininess; the policy's step at the bottom
     edge: float         # a quotient past an end: 0.0 clamped, NaN strict
-    unit: bool          # every step is 1, so the pieces skip it
-    delta: tuple        # _Pointwise delta integrands
-    nabla: tuple        # _Pointwise nabla integrands
+    delta: tuple        # Pointwise delta integrands
+    nabla: tuple        # Pointwise nabla integrands
     outer: OuterFunction
     stacked: bool
 
 
-def _assembly(gaps: list, delta, nabla, outer: OuterFunction,
-              policy: str, stacked: bool = False) -> _Assembly:
-    """The assembly of these integrands on the scale with these gaps between
-    consecutive points, for lists or for arrays."""
+def assemble(gaps: list, delta, nabla, outer: OuterFunction, policy: str,
+             form: str = "cores", points: range = range(0), stacked: bool = False) -> Assembled:
+    """The Euler-Lagrange assembly of :class:`Pointwise` integrands on the
+    scale with these gaps between consecutive points, read on a window.
+
+    ``form`` is ``"cores"`` (both kinds' weighted cores, f_y - (f_v)^Delta
+    and g_y - (g_v)^nabla, summed: the directly discretized system),
+    ``"delta"`` or ``"nabla"`` (the theorem's two forms); ``points`` is the
+    window, a range.  One state's values are a list, and its output a list;
+    with ``stacked`` the values are an (n, S) array, one column per state,
+    and the output a (len(points), S) array.
+    """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
     up, down = [*range(1, n), n - 1], [0, *range(n - 1)]
     mu, nu = gaps + [step], [step] + gaps
+    delta, nabla = tuple(delta), tuple(nabla)
+    if stacked:
+        def column(values):
+            return np.array(values, dtype=float)[:, None]
+
+        up, down, mu, nu = _Jump(up, 1), _Jump(down, -1), column(mu), column(nu)
+        delta = tuple(f._replace(at=column(f.at)) for f in delta)
+        nabla = tuple(g._replace(at=column(g.at)) for g in nabla)
+        points = slice(points.start, points.stop)
     edge = 0.0 if policy == CLAMPED else math.nan
-    unit = all(g == 1.0 for g in mu)   # 1.0 * x and x / 1.0 are x exactly
-    if not stacked:
-        return _Assembly(up, down, mu, nu, edge, unit, tuple(delta), tuple(nabla), outer, False)
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    return _Assembly(_Jump(up, 1), _Jump(down, -1), column(mu), column(nu), edge, unit,
-                     tuple(f._replace(at=column(f.at)) for f in delta),
-                     tuple(g._replace(at=column(g.at)) for g in nabla), outer, True)
+    a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked)
+    return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points))
 
 
 class _Jump:
     """A jump map for arrays: it takes a slice of points to the slice it is
     shifted to where the jumps stay inside the scale, so a stack reads a
-    view, and any other points to an int array."""
+    view, and any other points to an int array.  Int arrays alone, which
+    copy, cost 3.4% of the benchmark's ``horizon`` and 1.9% of its
+    ``multistart`` throughput (ten pairs each, x86-64)."""
 
     def __init__(self, jumps: list, shift: int):
         self.jumps, self.shift, self.n = np.array(jumps), shift, len(jumps)
@@ -230,24 +261,18 @@ class _Jump:
         return self.jumps[i]
 
 
-def _state(a: _Assembly, y) -> tuple:
-    """The tables (sig, rho, d_rate, n_rate) of ``y``, a state's values as a
-    list or a stack's as an (n, S) array: the values at the jumps and the
-    delta and nabla quotients, which take the policy's edge value past the
-    top and the bottom."""
+def _state(a: _Assembly, y) -> State:
     if a.stacked:
-        quotient = y[1:] - y[:-1] if a.unit else (y[1:] - y[:-1]) / a.mu[:-1]
         rates = np.full((len(y) + 1, y.shape[1]), a.edge)
-        rates[1:-1] = quotient
+        rates[1:-1] = (y[1:] - y[:-1]) / a.mu[:-1]
         padded = np.concatenate((y[:1], y, y[-1:]))
-        return padded[2:], padded[:-2], rates[1:], rates[:-1]
+        return State(padded[2:], padded[:-2], rates[1:], rates[:-1])
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
-    quotient = [ahead - here for here, ahead in zip(y, y[1:])] if a.unit else [
-        (ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
-    return y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient
+    quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
+    return State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
 
 
-def _integrals(a: _Assembly, s: tuple) -> list:
+def _integrals(a: _Assembly, s: State) -> list:
     """The delta then the nabla component integrals of the state(s).
 
     A delta integral sums mu f over the points 0..n-2, a nabla one nu g over
@@ -255,59 +280,66 @@ def _integrals(a: _Assembly, s: tuple) -> list:
     in order; a stack sums its (n-1, S) term array over axis 0, which adds
     the rows in the same order.
     """
-    sig, rho, d_rate, n_rate = s
-    top, unit = len(a.mu) - 1, a.unit
+    top = len(a.mu) - 1
     comps = []
-    for integrands, step, y, v, first, stop in ((a.delta, a.mu, sig, d_rate, 0, top),
-                                                (a.nabla, a.nu, rho, n_rate, 1, top + 1)):
+    for integrands, step, y, v, first, stop in ((a.delta, a.mu, s.sig, s.d_rate, 0, top),
+                                                (a.nabla, a.nu, s.rho, s.n_rate, 1, top + 1)):
         for f, _, _, at in integrands:
             if a.stacked:
                 i = slice(first, stop)
-                terms = f(at[i], y[i], v[i])
-                comps.append((terms if unit else step[i] * terms).sum(axis=0))
+                comps.append((step[i] * f(at[i], y[i], v[i])).sum(axis=0))
                 continue
             total = 0.0
             for i in range(first, stop):
-                term = f(at[i], y[i], v[i])
-                total += term if unit else step[i] * term
+                total += step[i] * f(at[i], y[i], v[i])
             comps.append(total)
     return comps
 
 
 def _evaluator(a: _Assembly, form: str, points):
-    """``form`` at ``points``, as a function of a state's tables.
-
-    ``form`` is ``"cores"`` (both kinds' weighted cores, the directly
-    discretized system), ``"delta"`` or ``"nabla"`` (the theorem's two
-    forms).  For lists ``points`` is a range and the values come as a list;
-    for arrays it is a slice and they come as a (len, S) array.
-    """
-    up, down, mu, nu, unit = a.up, a.down, a.mu, a.nu, a.unit
+    """``form`` at ``points``, as a function of a state's tables: for lists
+    ``points`` is a range and the values come as a list, for arrays it is a
+    slice and they come as a (len, S) array."""
+    up, down, mu, nu = a.up, a.down, a.mu, a.nu
     derivatives = a.outer.partials
     # each integrand with the index of its component, whose outer partial weights it
-    delta_integrands = tuple(enumerate(a.delta))
-    nabla_integrands = tuple(enumerate(a.nabla, len(a.delta)))
+    delta_integrands = tuple((index, f.partial_y, f.partial_v, f.at, None)
+                             for index, f in enumerate(a.delta))
+    nabla_integrands = tuple((index, g.partial_y, g.partial_v, g.at, None)
+                             for index, g in enumerate(a.nabla, len(a.delta)))
 
     # A kind is read through (y, v, weights, integrands, jump, step, forward):
     # y at the jump and the quotient (sig and d_rate for the delta kind, rho
-    # and n_rate for the nabla kind), the weights and the kind's indexed
-    # integrands, its jump map and graininess, and whether its quotient looks
-    # forward (delta) or back.
+    # and n_rate for the nabla kind), the weights, the kind's integrands as
+    # (component index, partial_y, partial_v, at, rates), its jump map and
+    # graininess, and whether its quotient looks forward (delta) or back.  A
+    # rate partial is read at a point and at its jump: a stack tabulates it
+    # once per state (``rates``; 4.3% of the benchmark's ``horizon``
+    # throughput), one state calls it at both points (``rates`` is None), as
+    # tables made a one-state residual at T = 3 about a sixth slower.
+    stacked = a.stacked
+
+    def as_kind(integrands, y, v, weights, jump, step, forward):
+        if stacked:
+            integrands = [(index, partial_y, partial_v, at, partial_v(at, y, v))
+                          for index, partial_y, partial_v, at, _ in integrands]
+        return y, v, weights, integrands, jump, step, forward
 
     def cores(kind, i):
         """sum w (f_y - (f_v)^Delta), or sum w (g_y - (g_v)^nabla), at t_i.
 
         The core of :func:`terms` alone: most residual calls read only the
-        cores, and taking them from ``terms`` made a ``tsvar table1`` run
-        about a tenth slower."""
+        cores, and taking them from ``terms`` cost 3% of the benchmark's
+        ``tables`` and ``horizon`` throughput (ten pairs each, x86-64)."""
         y, v, weights, integrands, jump, step, forward = kind
         j = jump[i]
         total = None
-        for index, (_, partial_y, partial_v, at) in integrands:
-            here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
-            quotient = there - here if forward else here - there
-            if not unit:
-                quotient = quotient / step[i]
+        for index, partial_y, partial_v, at, rates in integrands:
+            if stacked:
+                here, there = rates[i], rates[j]
+            else:
+                here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
+            quotient = (there - here if forward else here - there) / step[i]
             term = weights[index] * (partial_y(at[i], y[i], v[i]) - quotient)
             total = term if total is None else total + term
         return 0.0 if total is None else total
@@ -318,13 +350,14 @@ def _evaluator(a: _Assembly, form: str, points):
         y, v, weights, integrands, jump, step, forward = kind
         j = jump[i]
         sums = None
-        for index, (_, partial_y, partial_v, at) in integrands:
+        for index, partial_y, partial_v, at, rates in integrands:
             w = weights[index]
             state = partial_y(at[i], y[i], v[i])
-            here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
-            quotient = there - here if forward else here - there
-            if not unit:
-                quotient = quotient / step[i]
+            if stacked:
+                here, there = rates[i], rates[j]
+            else:
+                here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
+            quotient = (there - here if forward else here - there) / step[i]
             parts = (w * (state - quotient), w * state, w * here, w * there)
             sums = parts if sums is None else tuple(map(add, sums, parts))
         return (0.0, 0.0, 0.0, 0.0) if sums is None else sums
@@ -340,9 +373,6 @@ def _evaluator(a: _Assembly, form: str, points):
             j = up[i]
             k = up[j]
             core_ahead, state_ahead, rate_ahead, rate_here = nabla(j)
-            if unit:
-                return (cores(d, i) + (state_ahead - (rate_ahead - rate_here))
-                        + (nabla(k)[0] - core_ahead))
             return (cores(d, i) + (state_ahead - (rate_ahead - rate_here) / mu[i])
                     + (nu[k] * nabla(k)[0] - nu[j] * core_ahead) / mu[i])
     elif form == "nabla":
@@ -354,9 +384,6 @@ def _evaluator(a: _Assembly, form: str, points):
             j = down[i]
             k = down[j]
             core_behind, state_behind, rate_behind, rate_here = delta(j)
-            if unit:
-                return ((state_behind - (rate_here - rate_behind)) + cores(n, i)
-                        - (core_behind - delta(k)[0]))
             return ((state_behind - (rate_here - rate_behind) / nu[i]) + cores(n, i)
                     - (mu[j] * core_behind - mu[k] * delta(k)[0]) / nu[i])
     else:
@@ -370,20 +397,19 @@ def _evaluator(a: _Assembly, form: str, points):
     reads = sorted({j for i in points for j in (jump[i], jump[jump[i]])}) \
         if form != "cores" and not a.stacked else ()
 
-    def evaluate(s: tuple):
-        sig, rho, d_rate, n_rate = s
+    def evaluate(s: State):
         comps = _integrals(a, s)
         weights = [derivative(comps) for derivative in derivatives]
-        d = (sig, d_rate, weights, delta_integrands, up, mu, True)
-        n = (rho, n_rate, weights, nabla_integrands, down, nu, False)
+        d = as_kind(delta_integrands, s.sig, s.d_rate, weights, up, mu, True)
+        n = as_kind(nabla_integrands, s.rho, s.n_rate, weights, down, nu, False)
         other = None
         if form != "cores":
-            kind = n if form == "delta" else d
-            if a.stacked:
-                other = partial(_at, terms(kind, slice(None)))
+            tail = n if form == "delta" else d
+            if stacked:
+                other = partial(_at, terms(tail, slice(None)))
             else:
-                other = {j: terms(kind, j) for j in reads}.__getitem__
-        if a.stacked:
+                other = {j: terms(tail, j) for j in reads}.__getitem__
+        if stacked:
             return equation(d, n, points, other)
         return [equation(d, n, i, other) for i in points]
 
@@ -391,7 +417,8 @@ def _evaluator(a: _Assembly, form: str, points):
 
 
 def _at(columns: tuple, j) -> tuple:
-    return tuple(column[j] for column in columns)
+    """The rows j of the columns; the zeros of a kind without integrands stay floats."""
+    return tuple(column if isinstance(column, float) else column[j] for column in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -422,30 +449,33 @@ def _undefined_past_an_end(fn):
     return lambda t, y, v: math.nan if math.isnan(v) else fn(t, y, v)
 
 
-def _problem_tables(problem: CompositeProblem, y: GridFunction, policy: str):
-    """The float assembly of ``problem`` and the state tables of ``y``."""
+def _problem_assembly(problem: CompositeProblem, y: GridFunction, policy: str,
+                      form: str = "cores", points: range = range(0)):
+    """The float assembly of ``problem`` read on ``points``, and the tables of ``y``."""
     vals = _admissible_values(problem, y)
-    points = problem.scale.points
+    times = problem.scale.points
     wrap = _undefined_past_an_end if policy == STRICT else (lambda fn: fn)
 
-    def pointwise(f: Integrand) -> _Pointwise:
-        return _Pointwise(f.value, wrap(f.partial_y), wrap(f.partial_v), points)
+    def pointwise(f: Integrand) -> Pointwise:
+        return Pointwise(f.value, wrap(f.partial_y), wrap(f.partial_v), times)
 
-    a = _assembly(problem.scale.mu_values()[:-1].tolist(),
-                  map(pointwise, problem.delta_integrands),
-                  map(pointwise, problem.nabla_integrands), problem.outer, policy)
-    return a, _state(a, vals.tolist())
+    assembled = assemble(problem.scale.mu_values()[:-1].tolist(),
+                         map(pointwise, problem.delta_integrands),
+                         map(pointwise, problem.nabla_integrands), problem.outer, policy,
+                         form, points)
+    return assembled, assembled.state(vals.tolist())
 
 
 def eval_component_integrals(problem: CompositeProblem, y: GridFunction) -> np.ndarray:
     """Vector of the k delta and n nabla component integrals at state y."""
-    return np.asarray(_integrals(*_problem_tables(problem, y, CLAMPED)))
+    assembled, s = _problem_assembly(problem, y, CLAMPED)
+    return np.asarray(assembled.integrals(s))
 
 
 def eval_functional(problem: CompositeProblem, y: GridFunction) -> float:
     """Outer function applied to the component integrals."""
-    comps = _integrals(*_problem_tables(problem, y, CLAMPED))
-    return float(problem.outer.value(np.asarray(comps)))
+    assembled, s = _problem_assembly(problem, y, CLAMPED)
+    return float(problem.outer.value(np.asarray(assembled.integrals(s))))
 
 
 def theorem_main_residual(
@@ -464,10 +494,10 @@ def theorem_main_residual(
     _check_policy(policy)
     if form not in ("delta", "nabla"):
         raise ValueError(f"form must be 'delta' or 'nabla', got {form!r}")
-    a, s = _problem_tables(problem, y, policy)
     interior = problem.scale.interior_domain
+    assembled, s = _problem_assembly(problem, y, policy, form, interior)
     out = np.full(len(problem.scale), np.nan)
-    out[interior.start : interior.stop] = _evaluator(a, form, interior)(s)
+    out[interior.start : interior.stop] = assembled.evaluate(s)
     return GridFunction(problem.scale, out, interior)
 
 

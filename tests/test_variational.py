@@ -29,6 +29,7 @@ from tsvar import (
     sum_outer,
     theorem_main_residual,
 )
+from tsvar.variational import Pointwise, assemble
 
 
 def quadratic_rate_integrand(kind):
@@ -257,6 +258,37 @@ def test_policy_name_is_validated():
         theorem_main_residual(problem, y, form="delta", policy="loose")
     with pytest.raises(ValueError):
         theorem_main_residual(problem, y, form="diagonal", policy=CLAMPED)
+
+
+def test_stacked_assembly_matches_one_state_on_a_non_uniform_scale():
+    """Every form, on windows that reach both ends of a scale whose
+    graininess is not 1, evaluates a stack as its states bit for bit."""
+    rng = np.random.default_rng(33)
+    gaps = rng.uniform(0.3, 1.7, 7).tolist()
+    times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
+
+    def pointwise(c):
+        return Pointwise(lambda t, y, v: t * y * y + c * v * v,
+                         lambda t, y, v: 2.0 * t * y,
+                         lambda t, y, v: 2.0 * c * v, times)
+
+    states = rng.uniform(1.0, 3.0, (6, 8))
+    slots = [((pointwise(0.5),), (pointwise(1.5),)),
+             ((pointwise(0.5), pointwise(2.0)), ()),
+             ((), (pointwise(0.5), pointwise(2.0)))]
+    for delta, nabla in slots:
+        for form in ("cores", "delta", "nabla"):
+            for points in (range(0, 8), range(1, 7), range(2, 5)):
+                one = assemble(gaps, delta, nabla, product_outer(), CLAMPED, form, points)
+                stack = assemble(gaps, delta, nabla, product_outer(), CLAMPED, form, points,
+                                 stacked=True)
+                tables = stack.state(states.T)
+                rows = stack.evaluate(tables).T
+                comps = np.array(stack.integrals(tables)).T
+                for x, row, comp in zip(states, rows, comps):
+                    s = one.state(x.tolist())
+                    assert row.tolist() == one.evaluate(s)
+                    assert comp.tolist() == one.integrals(s)
 
 
 # ---------------------------------------------------------------------------
