@@ -49,10 +49,10 @@ __all__ = [
 ]
 
 #: longest horizon a FirmParams accepts.  A one-start solve at horizon T
-#: builds its finite-difference Jacobian from 2(T-1) perturbed states, two
-#: (2(T-1), T-1) arrays: at T = 1000 one call on the dd system raised the
-#: peak RSS from 30 to 121 MB and took 0.14 s of CPU (x86-64, Python 3.11,
-#: numpy 2.4); at T = 10^5 each array would take 160 GB.
+#: assembles a dense (T-1, T-1) Jacobian per iteration: at T = 1000 one call
+#: on the dd system took 0.04 s of CPU and raised the peak RSS from 32 to
+#: 56 MB (x86-64, Python 3.11, numpy 2.4); at T = 10^5 the matrix alone
+#: would take 80 GB.
 MAX_HORIZON = 1000
 
 INTEGRAND_NAMES = (
@@ -174,10 +174,14 @@ def _disc_nabla(p: FirmParams, t: float) -> float:
 # integrands
 
 
+def _zero(d, y, v) -> float:
+    return 0.0
+
+
 def _terms(p: FirmParams, family: str, sqrt) -> tuple:
-    """The value and partials of a family's integrand as functions of
-    ``(d, y, v)``: the discount factor at the point, the jump-shifted sales
-    and the quotient.
+    """The value, the partials in y and v and the second partials in yy, yv
+    and vv of a family's integrand as functions of ``(d, y, v)``: the
+    discount factor at the point, the jump-shifted sales and the quotient.
 
     They hold no guards and run on floats or on arrays alike; ``sqrt`` is
     :func:`math.sqrt` or :func:`numpy.sqrt`, which round alike.  The square
@@ -197,17 +201,30 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
 
         def partial_v(d, y, v):
             return d * 2.0 * c2 * v
-    else:
-        def value(d, y, v):
-            return d * (lam * y + beta * sqrt(v + b))
 
-        def partial_y(d, y, v):
-            return d * lam
+        def partial_yy(d, y, v):
+            margin = y - floor
+            return -2.0 * d * B * floor / (margin * margin * margin)
 
-        def partial_v(d, y, v):
-            return d * beta / (2.0 * sqrt(v + b))
+        def partial_vv(d, y, v):
+            return 2.0 * d * c2
 
-    return value, partial_y, partial_v
+        return value, partial_y, partial_v, partial_yy, _zero, partial_vv
+
+    def value(d, y, v):
+        return d * (lam * y + beta * sqrt(v + b))
+
+    def partial_y(d, y, v):
+        return d * lam
+
+    def partial_v(d, y, v):
+        return d * beta / (2.0 * sqrt(v + b))
+
+    def partial_vv(d, y, v):
+        root = sqrt(v + b)
+        return -d * beta / (4.0 * (v + b) * root)
+
+    return value, partial_y, partial_v, _zero, _zero, partial_vv
 
 
 def firm_integrand(params: FirmParams, which: str) -> Integrand:
@@ -224,7 +241,7 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     family, mode = which.rsplit("_", 1)
     disc = _disc_delta if mode == "delta" else _disc_nabla
     p = params
-    value, partial_y, partial_v = _terms(p, family, math.sqrt)
+    value, partial_y, partial_v, partial_yy, partial_yv, partial_vv = _terms(p, family, math.sqrt)
     capital = family == "capital"
 
     def discounted(term, guarded: bool):
@@ -237,7 +254,8 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
         return at_time
 
     return Integrand(mode, discounted(value, True), discounted(partial_y, capital),
-                     discounted(partial_v, not capital))
+                     discounted(partial_v, not capital), discounted(partial_yy, capital),
+                     discounted(partial_yv, False), discounted(partial_vv, not capital))
 
 
 def _slots(kind: ProblemKind, capital, technology) -> tuple:
@@ -282,7 +300,8 @@ def _discounts(p: FirmParams) -> dict:
 
 def _pointwise(p: FirmParams, which: str, discounts: dict, sqrt) -> Pointwise:
     family, mode = which.rsplit("_", 1)
-    return Pointwise(*_terms(p, family, sqrt), discounts[mode])
+    value, partial_y, partial_v, *second = _terms(p, family, sqrt)
+    return Pointwise(value, partial_y, partial_v, discounts[mode], *second)
 
 
 def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):
@@ -392,7 +411,9 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     one-state result bit for bit, and mark infeasible states with NaN rows.
     A state whose residual is not finite is infeasible too: the residual
     raises :class:`DomainError` there.  The functional is returned as
-    computed, inf included.
+    computed, inf included.  The jacobian is the residual's exact Jacobian,
+    from the integrands' second partials; it raises :class:`DomainError`
+    where it is not finite.
     """
     p = params
     m = p.horizon - 1
@@ -405,7 +426,7 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         capital = _pointwise(p, f"capital_{capital_mode}", discounts, sqrt)
         technology = _pointwise(p, f"technology_{technology_mode}", discounts, sqrt)
         return assemble([1.0] * p.horizon, *_slots(kind, capital, technology),
-                        outer, CLAMPED, form, points, stacked)
+                        outer, CLAMPED, form, points, stacked, jacobian=not stacked)
 
     one = assembly(math.sqrt, False)
 
@@ -413,11 +434,23 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     def stacked():
         return assembly(np.sqrt, True)
 
-    def state(x):
+    # newton_solve takes the Jacobian at the state whose residual it has just
+    # evaluated, so the tables and integrals of the last state are kept, by
+    # the bytes of its values
+    last = (None, None, None)
+
+    def tables(x):
+        """The checked tables of one state and its component integrals."""
+        nonlocal last
         if len(x) != m:
             raise ValueError(f"expected {m} interior values, got {len(x)}")
-        yv = [p.y_initial, *np.asarray(x, dtype=float).tolist(), p.y_terminal]
-        return _checked_state(p, one, yv, capital_mode, technology_mode)
+        values = np.asarray(x, dtype=float)
+        key, kept = values.tobytes(), last
+        if key != kept[0]:
+            yv = [p.y_initial, *values.tolist(), p.y_terminal]
+            s = _checked_state(p, one, yv, capital_mode, technology_mode)
+            kept = last = key, s, one.integrals(s)
+        return kept[1], kept[2]
 
     def stacked_state(xs):
         xs = np.asarray(xs, dtype=float)
@@ -430,17 +463,26 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return _checked_stack(p, stacked(), yt)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        s = state(x)
+        s, comps = tables(x)
         try:
-            values = one.evaluate(s)
+            values = one.evaluate(s, comps)
         except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
             values = [math.inf]
         if not all(map(math.isfinite, values)):
             raise DomainError("residual is not finite at this state")
         return np.array(values)
 
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        try:
+            jac = one.jacobian(*tables(x))
+        except ZeroDivisionError:   # a power of the margin that underflows to 0
+            jac = None
+        if jac is None or not np.isfinite(jac).all():
+            raise DomainError("jacobian is not finite at this state")
+        return jac
+
     def functional(x: np.ndarray) -> float:
-        return outer.value(one.integrals(state(x)))
+        return outer.value(tables(x)[1])
 
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         s, ok = stacked_state(xs)
@@ -458,6 +500,7 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         residual=residual,
         label=f"{kind.value}/{eq.value}",
         functional=functional,
+        jacobian=jacobian,
         stacked_residual=partial(_quietly, stacked_residual),
         stacked_functional=partial(_quietly, stacked_functional),
     )

@@ -1,17 +1,14 @@
 """Damped Newton iteration for square residual systems.
 
-The Jacobian is approximated by central differences; damping tries the
+:func:`newton_solve` takes the Jacobian a system supplies (its
+``jacobian``) and otherwise approximates it by central differences
+(:func:`fd_jacobian`, column by column through the scalar residual);
+:func:`lockstep_solve` always takes central differences.  Damping tries the
 steps 1, 1/2, 1/4, ... of the Newton step, at most ``max_halvings``
 halvings, and takes the first whose residual sup-norm decreases.  Residual
 evaluations may signal infeasibility by raising
 :class:`~tsvar.timescale.DomainError` (a stacked residual by a NaN row),
 which rejects the trial step the same way a norm increase does.
-
-:func:`fd_jacobian` evaluates the 2m perturbed states of a system with a
-``stacked_residual`` in one stacked call once the dimension m reaches
-:data:`STACKED_JACOBIAN_DIMENSION`; below it, for systems without a stacked
-form, and wherever a perturbed state is infeasible, it goes column by
-column through the scalar residual.
 
 :func:`newton_solve` iterates from one start.  It tries the first
 :data:`SCALAR_LEVELS` damping levels (the full step and the first halving)
@@ -34,11 +31,13 @@ full step alone after a full step (and at the first iteration), levels
 start that takes about the level it took last time, as most do, needs no
 further call; the starts that find no decrease in their window go on, all
 in one call per block, in blocks of :data:`HALVING_BLOCK` levels from their
-own next level.  Both solvers share that block search.  Every start takes
-the same steps and stops for the same reason as under :func:`newton_solve`.
-A system evaluates the stack through its ``stacked_residual`` and
-``stacked_functional`` when it has them, and otherwise through a loop over
-its scalar callables.
+own next level.  Both solvers share that block search.  For a system
+without a ``jacobian``, every start takes the same steps and stops for the
+same reason as under :func:`newton_solve`; for one with a ``jacobian`` the
+two solvers take Newton steps from different Jacobians, which can lead a
+start to a different root.  A system evaluates the stack through its
+``stacked_residual`` and ``stacked_functional`` when it has them, and
+otherwise through a loop over its scalar callables.
 
 Multistart sweeps are bounded: :func:`default_start_grid` refuses to
 enumerate more than :data:`MAX_STARTS` points, and a sweep is solved in
@@ -101,14 +100,6 @@ SCALAR_LEVELS = 2
 #: whose norm never decreases.
 MAX_HALVINGS = 1074
 
-#: smallest dimension at which fd_jacobian makes one stacked residual call for
-#: all 2m perturbed states.  Measured on the eight firm systems against the
-#: column loop (x86-64, Python 3.11, numpy 2.4): at m = 2 the loop is
-#: 1.6-1.9x cheaper, at m = 3 the two are about even (0.9-1.15x), at m = 4
-#: one call is 1.4-2.0x cheaper and at m = 7 3.7-5.0x.
-STACKED_JACOBIAN_DIMENSION = 3
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     tol_residual: float = 1e-12   # sup-norm of the residual at acceptance
@@ -129,6 +120,8 @@ class SolverConfig:
 class ResidualSystem:
     """A square nonlinear system with an optional objective attached.
 
+    ``jacobian``, when given, is the residual's exact Jacobian, an (m, m)
+    array; it may raise :class:`DomainError` where it is not finite.
     ``stacked_residual`` and ``stacked_functional``, when given, evaluate a
     stack of states at once, ``(S, m) -> (S, m)`` and ``(S, m) -> (S,)``.
     Row ``i`` equals the scalar callable at state ``i``, and is all-NaN
@@ -139,6 +132,7 @@ class ResidualSystem:
     residual: Callable[[np.ndarray], np.ndarray]
     label: str = ""
     functional: Callable[[np.ndarray], float] | None = None
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     stacked_residual: Callable[[np.ndarray], np.ndarray] | None = None
     stacked_functional: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -173,24 +167,11 @@ def _nan_rows(r: np.ndarray) -> np.ndarray:
 
 
 def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian.
-
-    A system with a ``stacked_residual`` and at least
-    :data:`STACKED_JACOBIAN_DIMENSION` coordinates, the measured crossover,
-    evaluates all 2m perturbed states in one stacked call, split into calls
-    of at most :data:`STACK_STARTS` states.  Any other system,
-    and any ``x`` at which a perturbed residual holds a NaN (a stacked
-    residual marks an infeasible state so), goes column by column through
-    the scalar residual, which raises the :class:`DomainError` naming the
-    coordinate being perturbed.  Both paths take the same steps and
-    differences.
-    """
+    """Central-difference Jacobian, column by column through the scalar
+    residual; a perturbed state at which it raises :class:`DomainError`
+    raises one that names the coordinate being perturbed."""
     x = np.asarray(x, dtype=float)
     m = system.dimension
-    if system.stacked_residual is not None and m >= STACKED_JACOBIAN_DIMENSION:
-        jac, _ = _stacked_jacobian(_in_chunks(system.stacked_residual), x[None], step)
-        if not np.isnan(jac).any():
-            return jac[0]
     jac = np.empty((m, m))
     for j in range(m):
         h = step * max(1.0, abs(x[j]))
@@ -205,15 +186,6 @@ def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np
                 f"residual evaluation failed while perturbing coordinate {j}: {exc}"
             ) from exc
     return jac
-
-
-def _in_chunks(residual: Callable) -> Callable:
-    """``residual`` on a stack, called on at most :data:`STACK_STARTS` states at a time."""
-    def call(xs: np.ndarray) -> np.ndarray:
-        return np.concatenate([residual(xs[lo:lo + STACK_STARTS])
-                               for lo in range(0, len(xs), STACK_STARTS)])
-
-    return call
 
 
 def newton_solve(
@@ -252,7 +224,10 @@ def newton_solve(
         if norm <= cfg.tol_residual:
             return report(True, norm, it - 1, "residual tolerance reached", norms, path)
         try:
-            jac = fd_jacobian(system, x, cfg.fd_step)
+            if system.jacobian is None:
+                jac = fd_jacobian(system, x, cfg.fd_step)
+            else:
+                jac = system.jacobian(x)
         except DomainError as exc:
             return report(False, norm, it - 1, f"jacobian failed: {exc}", norms, path)
         try:
@@ -482,8 +457,10 @@ def lockstep_solve(
 ) -> list:
     """Damped Newton from every guess at once; one report per guess, in order.
 
-    Each report has the fields :func:`newton_solve` gives for that guess:
-    the same steps, halvings, tolerances and stop reason.
+    The Jacobians are central differences, whatever the system supplies.
+    For a system without a ``jacobian``, each report has the fields
+    :func:`newton_solve` gives for that guess: the same steps, halvings,
+    tolerances and stop reason.
     """
     return list(_stacked_reports(system, guesses, config))
 

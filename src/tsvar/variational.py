@@ -9,7 +9,9 @@ along ``(t, y(sigma(t)), delta-quotient of y)`` and the remaining n are
 nabla integrals evaluated along ``(t, y(rho(t)), nabla-quotient of y)``.
 The main theorem's stationarity system is assembled once, from the
 integrands and the outer partials; one state evaluates the assembly as
-float arithmetic and a stack of states on whole arrays.  :func:`assemble`
+float arithmetic and a stack of states on whole arrays.  For one state the
+assembly also gives the system's Jacobian, in the same float arithmetic,
+from the integrands' second partials and the outer Hessian.  :func:`assemble`
 is its one entry point: the public functions validate their arguments and
 read it, and the firm model in :mod:`tsvar.econ` reads windows of it.
 :func:`corollary_z_residual`, the integer-scale specialization written
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,13 +73,17 @@ class Integrand:
 
     ``value``, ``partial_y`` and ``partial_v`` all take ``(t, y, v)``:
     the time point, the jump-shifted state and the difference-quotient
-    rate fed to this integrand by its kind.
+    rate fed to this integrand by its kind.  The second partials, when
+    given, take the same arguments.
     """
 
     kind: str  # "delta" or "nabla"
     value: Callable[[float, float, float], float]
     partial_y: Callable[[float, float, float], float]
     partial_v: Callable[[float, float, float], float]
+    partial_yy: Callable[[float, float, float], float] | None = None
+    partial_yv: Callable[[float, float, float], float] | None = None
+    partial_vv: Callable[[float, float, float], float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("delta", "nabla"):
@@ -86,11 +92,16 @@ class Integrand:
 
 @dataclass(frozen=True)
 class OuterFunction:
-    """Outer combining function with one partial per component integral."""
+    """Outer combining function with one partial per component integral.
+
+    ``hessian``, when given, maps the component integrals to the matrix of
+    second partials, ``arity`` rows of ``arity`` numbers.
+    """
 
     arity: int
     value: Callable[[Sequence[float]], float]
     partials: tuple = field(default=())
+    hessian: Callable[[Sequence[float]], Sequence] | None = None
 
     def __post_init__(self):
         if self.arity < 1:
@@ -102,14 +113,16 @@ class OuterFunction:
 
 
 def identity_outer() -> OuterFunction:
-    return OuterFunction(1, lambda c: float(c[0]), (lambda c: 1.0,))
+    return OuterFunction(1, lambda c: float(c[0]), (lambda c: 1.0,), lambda c: ((0.0,),))
 
 
 def sum_outer(arity: int) -> OuterFunction:
+    zero = ((0.0,) * arity,) * arity
     return OuterFunction(
         arity,
         lambda c: float(sum(c)),
         tuple((lambda c: 1.0) for _ in range(arity)),
+        lambda c: zero,
     )
 
 
@@ -118,6 +131,7 @@ def product_outer() -> OuterFunction:
         2,
         lambda c: c[0] * c[1],
         (itemgetter(1), itemgetter(0)),
+        lambda c: ((0.0, 1.0), (1.0, 0.0)),
     )
 
 
@@ -172,14 +186,18 @@ class CompositeProblem:
 
 class Pointwise(NamedTuple):
     """An integrand as the assembly reads it: ``value``, ``partial_y`` and
-    ``partial_v`` take ``(at[i], y, v)`` at point i.  ``at`` holds the
-    times of the points for an :class:`Integrand`; a model may tabulate
-    something else there, as the firm model does its discount factors."""
+    ``partial_v`` take ``(at[i], y, v)`` at point i, and so do the second
+    partials, which only the Jacobian reads.  ``at`` holds the times of the
+    points for an :class:`Integrand`; a model may tabulate something else
+    there, as the firm model does its discount factors."""
 
     value: Callable
     partial_y: Callable
     partial_v: Callable
     at: Sequence
+    partial_yy: Callable | None = None
+    partial_yv: Callable | None = None
+    partial_vv: Callable | None = None
 
 
 class State(NamedTuple):
@@ -198,7 +216,8 @@ class Assembled(NamedTuple):
 
     state: Callable       # a state's values -> its State
     integrals: Callable   # State -> the delta then the nabla component integrals
-    evaluate: Callable    # State -> the output on the window
+    evaluate: Callable    # State (and its integrals, if known) -> the output on the window
+    jacobian: Callable | None = None   # the same -> its Jacobian, when asked for
 
 
 class _Assembly(NamedTuple):
@@ -214,7 +233,8 @@ class _Assembly(NamedTuple):
 
 
 def assemble(gaps: list, delta, nabla, outer: OuterFunction, policy: str,
-             form: str = "cores", points: range = range(0), stacked: bool = False) -> Assembled:
+             form: str = "cores", points: range = range(0), stacked: bool = False,
+             jacobian: bool = False) -> Assembled:
     """The Euler-Lagrange assembly of :class:`Pointwise` integrands on the
     scale with these gaps between consecutive points, read on a window.
 
@@ -224,6 +244,11 @@ def assemble(gaps: list, delta, nabla, outer: OuterFunction, policy: str,
     window, a range.  One state's values are a list, and its output a list;
     with ``stacked`` the values are an (n, S) array, one column per state,
     and the output a (len(points), S) array.
+
+    With ``jacobian``, one state's output also has its Jacobian in the
+    interior values y_1, ..., y_{n-2}, a (len(points), n - 2) array; it
+    needs every integrand's second partials and the outer function's
+    Hessian.
     """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
@@ -240,7 +265,17 @@ def assemble(gaps: list, delta, nabla, outer: OuterFunction, policy: str,
         points = slice(points.start, points.stop)
     edge = 0.0 if policy == CLAMPED else math.nan
     a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked)
-    return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points))
+    one_jacobian = None
+    if jacobian:
+        if stacked:
+            raise ValueError("the Jacobian is assembled for one state, not a stack")
+        if outer.hessian is None:
+            raise ValueError("the Jacobian needs the outer function's hessian")
+        if any(None in (f.partial_yy, f.partial_yv, f.partial_vv) for f in delta + nabla):
+            raise ValueError("the Jacobian needs every integrand's second partials")
+        one_jacobian = _jacobian(a, form, points)
+    return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points),
+                     one_jacobian)
 
 
 class _Jump:
@@ -277,21 +312,27 @@ def _integrals(a: _Assembly, s: State) -> list:
 
     A delta integral sums mu f over the points 0..n-2, a nabla one nu g over
     1..n-1, where the quotients stay on the scale.  One state adds the terms
-    in order; a stack sums its (n-1, S) term array over axis 0, which adds
-    the rows in the same order.
+    in order, and so does a stack: ``sum(axis=0)`` adds the rows of its
+    (n-1, S) term array in order, but a single column pairwise, which
+    differs from the one-state sum from about eight terms on, so one column
+    is summed by ``cumsum``, which is in order but several times slower
+    across a wide array (at S = 256 and 2048).
     """
     top = len(a.mu) - 1
     comps = []
     for integrands, step, y, v, first, stop in ((a.delta, a.mu, s.sig, s.d_rate, 0, top),
                                                 (a.nabla, a.nu, s.rho, s.n_rate, 1, top + 1)):
-        for f, _, _, at in integrands:
+        for f in integrands:
+            value, at = f.value, f.at
             if a.stacked:
                 i = slice(first, stop)
-                comps.append((step[i] * f(at[i], y[i], v[i])).sum(axis=0))
+                terms = step[i] * value(at[i], y[i], v[i])
+                comps.append(terms.sum(axis=0) if terms.shape[1] > 1
+                             else np.cumsum(terms, axis=0)[-1])
                 continue
             total = 0.0
             for i in range(first, stop):
-                total += step[i] * f(at[i], y[i], v[i])
+                total += step[i] * value(at[i], y[i], v[i])
             comps.append(total)
     return comps
 
@@ -397,8 +438,9 @@ def _evaluator(a: _Assembly, form: str, points):
     reads = sorted({j for i in points for j in (jump[i], jump[jump[i]])}) \
         if form != "cores" and not a.stacked else ()
 
-    def evaluate(s: State):
-        comps = _integrals(a, s)
+    def evaluate(s: State, comps=None):
+        if comps is None:
+            comps = _integrals(a, s)
         weights = [derivative(comps) for derivative in derivatives]
         d = as_kind(delta_integrands, s.sig, s.d_rate, weights, up, mu, True)
         n = as_kind(nabla_integrands, s.rho, s.n_rate, weights, down, nu, False)
@@ -419,6 +461,158 @@ def _evaluator(a: _Assembly, form: str, points):
 def _at(columns: tuple, j) -> tuple:
     """The rows j of the columns; the zeros of a kind without integrands stay floats."""
     return tuple(column if isinstance(column, float) else column[j] for column in columns)
+
+
+@lru_cache(maxsize=32)
+def _stencils(mu: tuple, nu: tuple, form: str, points: range) -> tuple:
+    """The fixed part of :func:`_jacobian` on a scale with these graininess
+    tables: for each kind, what reads the partials of its integrands at each
+    point, and where the band lands in a padded array.  Cached: it depends
+    on the scale and the window alone, and building it costs about as much
+    as building the rest of a horizon-3 firm system (23 and 26 us, x86-64,
+    Python 3.11).
+
+    A kind's readers at point p are its rows as (r, cy, cv, k, hi, lo), and
+    its integral gradient as (j, cy, cv).  Row r reads cy f_y(p) + cv f_v(p),
+    and its band gains hi . (f_yy, f_yv, f_vv)(p) at index k, the column of
+    the upper end of p's quotient, and lo . (f_yy, f_yv, f_vv)(p) at k - 1,
+    its lower end: the jump of p is the upper end for the delta kind and the
+    lower for the nabla kind, and past an end of the scale the quotient is
+    constant and the jump a boundary value, so nothing moves.  Entry j of
+    the gradient in y_1..y_{n-2} reads cy f_y(p) + cv f_v(p).  Band entry
+    (r, offset) sits at column points[r] + offset of a zero-padded
+    (len(points), n + 4) array, whose columns 3..n are y_1..y_{n-2}.
+    """
+    n = len(mu)
+
+    def up(i):
+        return min(i + 1, n - 1)
+
+    def down(i):
+        return max(i - 1, 0)
+
+    # a kind's share of the row at i, as (point p, coefficient of the state
+    # partial at p, of the rate partial at p)
+    def delta_core(i, scale=1.0):
+        return (i, scale, scale / mu[i]), (up(i), 0.0, -scale / mu[i])
+
+    def nabla_core(i, scale=1.0):
+        return (i, scale, -scale / nu[i]), (down(i), 0.0, scale / nu[i])
+
+    def delta_row(i):
+        if form != "nabla":
+            return delta_core(i)
+        j = down(i)
+        k = down(j)
+        return ((j, 1.0, 1.0 / nu[i]), (up(j), 0.0, -1.0 / nu[i]),
+                *delta_core(j, -mu[j] / nu[i]), *delta_core(k, mu[k] / nu[i]))
+
+    def nabla_row(i):
+        if form != "delta":
+            return nabla_core(i)
+        j = up(i)
+        k = up(j)
+        return ((j, 1.0, -1.0 / mu[i]), (down(j), 0.0, 1.0 / mu[i]),
+                *nabla_core(k, nu[k] / mu[i]), *nabla_core(j, -nu[j] / mu[i]))
+
+    def readers(row, forward):
+        rows, gradient = [[] for _ in range(n)], [[] for _ in range(n)]
+        edge, shift = (n - 1, 3) if forward else (0, 2)
+        for r, i in enumerate(points):
+            merged = {}
+            for p, cy, cv in row(i):
+                if p in merged:
+                    old_y, old_v = merged[p]
+                    cy, cv = cy + old_y, cv + old_v
+                merged[p] = cy, cv
+            for p, (cy, cv) in merged.items():
+                k = 5 * r + p - i + shift
+                if p == edge:
+                    rows[p].append((r, cy, cv, k, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+                elif forward:
+                    q = 1.0 / mu[p]
+                    rows[p].append((r, cy, cv, k, cy, cy * q + cv, cv * q, 0.0, -cy * q, -cv * q))
+                else:
+                    q = 1.0 / nu[p]
+                    rows[p].append((r, cy, cv, k, 0.0, cy * q, cv * q, cy, cv - cy * q, -cv * q))
+        # a delta integral sums mu_p f(p) over p = 0..n-2, and f(p) moves with
+        # y_{p+1} (f_y and f_v / mu_p) and y_p (-f_v / mu_p); a nabla integral
+        # sums nu_p g(p) over p = 1..n-1, and g(p) moves with y_{p-1}
+        # (g_y and -g_v / nu_p) and y_p (g_v / nu_p)
+        for p in range(n - 1) if forward else range(1, n):
+            lower, upper = (p, p + 1) if forward else (p - 1, p)
+            step = mu[p] if forward else nu[p]
+            jump = upper if forward else lower
+            for column, cy, cv in ((jump, step, 0.0), (upper, 0.0, 1.0), (lower, 0.0, -1.0)):
+                if 0 < column < n - 1:
+                    gradient[p].append((column - 1, cy, cv))
+        return tuple(zip(map(tuple, rows), map(tuple, gradient)))
+
+    targets = np.array([r * (n + 4) + i + offset for r, i in enumerate(points)
+                        for offset in range(5)])
+    targets.flags.writeable = False
+    return readers(delta_row, True), readers(nabla_row, False), targets
+
+
+def _jacobian(a: _Assembly, form: str, points: range):
+    """The Jacobian of ``form`` at ``points`` in the interior values
+    y_1, ..., y_{n-2}, as a function of one state's tables (and, when known,
+    its component integrals).
+
+    Every form is linear in the outer weights: its row at a point is
+    sum_c w_c R_c, where R_c adds integrand c's state and rate partials at a
+    few points with coefficients fixed by the scale and the form.  So the
+    Jacobian is sum_c w_c dR_c + sum_c R_c (x) dw_c.  The first part is
+    banded: a partial at point p moves with y at the two ends of p's
+    quotient, one of them its jump, and every form reads points whose
+    quotient ends lie within two points of the row's.  The second part has
+    rank at most the number of components: dw_c = sum_d H_cd dI_d, with H
+    the outer Hessian and dI_d the gradient of component integral d.  One
+    pass over the points of each integrand evaluates its partials once and
+    adds them to every row, band entry and gradient entry that reads them.
+    """
+    n = len(a.mu)
+    delta_readers, nabla_readers, targets = _stencils(tuple(a.mu), tuple(a.nu), form, points)
+    kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
+    size = len(points)
+    derivatives, hessian = a.outer.partials, a.outer.hessian
+
+    def jacobian(s: State, comps=None) -> np.ndarray:
+        if comps is None:
+            comps = _integrals(a, s)
+        weights = [derivative(comps) for derivative in derivatives]
+        band = [0.0] * (5 * size)
+        rows, grads = [], []
+        for (integrands, readers), ys, vs in zip(kinds, (s.sig, s.rho), (s.d_rate, s.n_rate)):
+            for f in integrands:
+                w = weights[len(rows)]
+                f_y, f_v, f_yy, f_yv, f_vv = (f.partial_y, f.partial_v, f.partial_yy,
+                                              f.partial_yv, f.partial_vv)
+                row, grad = [0.0] * size, [0.0] * (n - 2)
+                for t, y, v, (reading_rows, reading_grad) in zip(f.at, ys, vs, readers):
+                    if not (reading_rows or reading_grad):
+                        continue
+                    py, pv = f_y(t, y, v), f_v(t, y, v)
+                    if reading_rows:
+                        yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
+                        for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
+                            row[r] += cy * py + cv * pv
+                            band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
+                            band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
+                    for j, cy, cv in reading_grad:
+                        grad[j] += cy * py + cv * pv
+                rows.append(row)
+                grads.append(grad)
+        jac = np.zeros(size * (n + 4))
+        jac[targets] = band
+        jac = jac.reshape(size, n + 4)[:, 3:n + 1]
+        outer_hessian = hessian(comps)
+        if any(map(any, outer_hessian)):
+            # ndarray.dot: a third cheaper than @ on these small arrays
+            jac += np.array(rows).T.dot(np.array(outer_hessian, dtype=float).dot(np.array(grads)))
+        return jac
+
+    return jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -605,18 +799,32 @@ def check_integrand_partials(
     rel_tol: float = 1e-6,
 ) -> float:
     """Largest relative error of the analytic partials against central
-    differences over the sample triples; raises if it exceeds ``rel_tol``."""
+    differences over the sample triples; raises if it exceeds ``rel_tol``.
+
+    The first partials are checked against differences of the value, and
+    the second partials, when given, against differences of the first:
+    ``partial_yv`` against both the y-difference of ``partial_v`` and the
+    v-difference of ``partial_y``.
+    """
+    checks = [("partial_y", integrand.partial_y, integrand.value, 1),
+              ("partial_v", integrand.partial_v, integrand.value, 2)]
+    for which, differenced, pos in (("partial_yy", integrand.partial_y, 1),
+                                    ("partial_yv", integrand.partial_y, 2),
+                                    ("partial_yv", integrand.partial_v, 1),
+                                    ("partial_vv", integrand.partial_v, 2)):
+        fn = getattr(integrand, which)
+        if fn is not None:
+            checks.append((which, fn, differenced, pos))
     worst = 0.0
     for (t, yv, vv) in samples:
-        for which, fn in (("partial_y", integrand.partial_y), ("partial_v", integrand.partial_v)):
-            pos = 1 if which == "partial_y" else 2
-            arg = (t, yv, vv)
+        arg = (t, yv, vv)
+        for which, fn, differenced, pos in checks:
             h = 1e-6 * max(1.0, abs(arg[pos]))
             hi = list(arg)
             lo = list(arg)
             hi[pos] += h
             lo[pos] -= h
-            approx = (integrand.value(*hi) - integrand.value(*lo)) / (2 * h)
+            approx = (differenced(*hi) - differenced(*lo)) / (2 * h)
             exact = fn(t, yv, vv)
             err = abs(approx - exact) / max(1.0, abs(exact))
             worst = max(worst, err)

@@ -20,6 +20,7 @@ from tsvar import (
     corollary_z_residual,
     eval_component_integrals,
     eval_functional,
+    fd_jacobian,
     firm_integrand,
     firm_problem,
     gamma_term,
@@ -339,9 +340,12 @@ def test_stacked_residual_and_functional_match_the_scalar_ones(horizon):
                 with pytest.raises(DomainError):
                     system.functional(x)
                 continue
-            # one algebra serves both forms, so they agree bit for bit
+            # one algebra serves both forms, so they agree bit for bit, in a
+            # stack of one state too, whose integrals add in the same order
             assert row.tolist() == expected.tolist()
             assert value == system.functional(x)
+            assert system.stacked_residual(x[None])[0].tolist() == expected.tolist()
+            assert system.stacked_functional(x[None])[0] == value
         assert raised >= len(states) // 7 * 3, f"{system.label}: guards not exercised"
 
 
@@ -435,3 +439,50 @@ def test_pure_systems_are_the_functional_gradient(case):
             lo[j] -= h
             fd = (system.functional(hi) - system.functional(lo)) / (2 * h)
             assert_allclose(rows[j], fd, rtol=1e-6, atol=1e-9, err_msg=kind.value)
+
+
+@st.composite
+def firm_states(draw):
+    """Firm parameters at T = 2, 3, 4, 10 or 20 and either rate, and interior
+    sales safely above the floor whose quotients keep the roots real."""
+    horizon = draw(st.sampled_from([2, 3, 4, 10, 20]))
+    params = FirmParams(horizon=horizon, discount_rate=draw(st.sampled_from([0.05, 0.02])))
+    inner = draw(st.lists(st.floats(1.3, 3.8), min_size=horizon - 1, max_size=horizon - 1))
+    return params, np.array(inner)
+
+
+@given(firm_states())
+def test_analytic_jacobians_match_central_differences(case):
+    params, inner = case
+    for kind, equation in EIGHT_SYSTEMS:
+        system = residual_system(params, kind, equation)
+        expected = fd_jacobian(dataclasses.replace(system, jacobian=None), inner)
+        got = system.jacobian(inner)
+        assert got.shape == expected.shape
+        gap = float(np.abs(got - expected).max())
+        assert gap <= 1e-6 * max(1.0, float(np.abs(expected).max())), system.label
+
+
+def test_jacobian_where_a_second_partial_fails_is_not_finite():
+    # with the floor at 0 the capital state partial's B y_floor / margin^2 is
+    # 0 for any positive sales, but its y-derivative divides 0 by a margin
+    # cubed that underflows to 0; the residual itself is finite there.  The
+    # dn direct and el1 rows read that derivative only where the sales are
+    # 2.5, so their Jacobians stay finite
+    params = FirmParams(y_floor=0.0)
+    x = np.array([1e-110, 2.5])
+    failed = set()
+    for kind, equation in EIGHT_SYSTEMS:
+        system = residual_system(params, kind, equation)
+        assert np.isfinite(system.residual(x)).all()
+        try:
+            got = system.jacobian(x)
+        except DomainError as exc:
+            assert str(exc) == "jacobian is not finite at this state"
+            report = newton_solve(system, x)
+            assert report.message == "jacobian failed: jacobian is not finite at this state"
+            failed.add(system.label)
+            continue
+        expected = fd_jacobian(dataclasses.replace(system, jacobian=None), x)
+        assert float(np.abs(got - expected).max()) <= 1e-6 * float(np.abs(expected).max())
+    assert failed == {"dd/direct", "nn/direct", "dn/el2", "nd/direct", "nd/el1", "nd/el2"}

@@ -24,6 +24,7 @@ from tsvar import (
     newton_solve,
     residual_system,
 )
+from tsvar.cli import CELL_SEEDS
 
 
 def affine_system():
@@ -378,13 +379,15 @@ def distinct_roots(reports, tol=1e-6):
 def test_lockstep_multistart_finds_the_per_start_root_set(rate):
     # per-start equality is not asserted for the firm systems: the stacked
     # residual may differ from the scalar one in the last bit, which can
-    # flip a start that sits on a basin boundary
+    # flip a start that sits on a basin boundary.  Both solvers take
+    # difference Jacobians here: with the analytic one, newton_solve reaches
+    # a different root set from this grid (see the analytic-Jacobian tests)
     params = FirmParams(discount_rate=rate)
     grid = default_start_grid(2)
     for kind in ProblemKind:
         equations = EquationKind if kind.is_mixed else (EquationKind.DIRECT,)
         for equation in equations:
-            system = residual_system(params, kind, equation)
+            system = dataclasses.replace(residual_system(params, kind, equation), jacobian=None)
             lockstep = [r.root for r in multistart_solve(system, grid)]
             per_start = distinct_roots([newton_solve(system, g) for g in grid])
             assert len(lockstep) == len(per_start), system.label
@@ -395,7 +398,7 @@ def test_lockstep_multistart_finds_the_per_start_root_set(rate):
 
 
 # ---------------------------------------------------------------------------
-# one stacked residual call per finite-difference Jacobian
+# the firm systems from their seeds
 
 
 FIRM_SYSTEMS = [(kind, equation) for kind in ProblemKind
@@ -409,30 +412,6 @@ def column_loop(system):
 def linear_seed(params):
     a, b, m = params.y_initial, params.y_terminal, params.horizon - 1
     return np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
-
-
-@pytest.mark.parametrize("horizon", [4, 10, 20])
-def test_one_call_jacobian_matches_the_column_loop_on_firm_systems(horizon):
-    params = FirmParams(horizon=horizon)
-    rng = np.random.default_rng(300 + horizon)
-    for kind, equation in FIRM_SYSTEMS:
-        system = residual_system(params, kind, equation)
-        for _ in range(5):
-            x = linear_seed(params) + rng.uniform(-0.3, 0.3, horizon - 1)
-            expected = fd_jacobian(column_loop(system), x)
-            gap = float(np.max(np.abs(fd_jacobian(system, x) - expected)))
-            assert gap <= 1e-8 * float(np.max(np.abs(expected))), system.label
-
-
-def guarded_cubic(dimension):
-    """A coupled system defined for x0 >= 1 only, with a row-loop stacked form."""
-    def residual(x):
-        if x[0] < 1.0:
-            raise DomainError(f"x0 = {x[0]} below 1")
-        return np.array([x[j] ** 3 - x[j - 1] * math.sqrt(x[0]) for j in range(dimension)])
-
-    plain = ResidualSystem(dimension, residual)
-    return dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
 
 
 def counted(system):
@@ -454,55 +433,16 @@ def counted(system):
                                stacked_residual=stacked_residual), counts
 
 
-def test_one_call_jacobian_is_bit_identical_on_a_row_loop_system():
-    system = guarded_cubic(3)
-    x = np.array([1.7, -0.4, 2.9])
-    tracked, counts = counted(system)
-    assert np.array_equal(fd_jacobian(tracked, x), fd_jacobian(column_loop(system), x))
-    assert counts == {"scalar": 0, "stacked calls": 1, "stacked rows": 6}
-
-
-def test_jacobians_below_the_threshold_keep_the_column_loop():
-    assert tsolver.STACKED_JACOBIAN_DIMENSION == 3
-    tracked, counts = counted(guarded_cubic(2))
-    fd_jacobian(tracked, np.array([1.7, -0.4]))
-    assert counts == {"scalar": 4, "stacked calls": 0, "stacked rows": 0}
-
-
-def test_one_call_jacobian_raises_the_column_loops_domain_error():
-    system = guarded_cubic(3)
-    x = np.array([1.0, 2.0, 3.0])   # the lower probe of coordinate 0 leaves x0 >= 1
-    with pytest.raises(DomainError) as expected:
-        fd_jacobian(column_loop(system), x, step=1e-3)
-    assert "perturbing coordinate 0" in str(expected.value)
-    with pytest.raises(DomainError) as got:
-        fd_jacobian(system, x, step=1e-3)
-    assert str(got.value) == str(expected.value)
-
-
-def test_one_call_jacobian_does_not_depend_on_the_chunk_size(monkeypatch):
-    cases = [
-        (residual_system(FirmParams(horizon=20), ProblemKind.DELTA_NABLA,
-                         EquationKind.TIMESCALE_EL2), linear_seed(FirmParams(horizon=20))),
-        (guarded_cubic(7), np.linspace(1.5, 3.0, 7)),
-    ]
-    whole = [fd_jacobian(system, x) for system, x in cases]
-    monkeypatch.setattr(tsolver, "STACK_STARTS", 5)
-    for (system, x), expected in zip(cases, whole):
-        tracked, counts = counted(system)
-        assert np.array_equal(fd_jacobian(tracked, x), expected)
-        assert counts["stacked calls"] == -(-2 * system.dimension // 5)
-        assert counts["scalar"] == 0
-
-
 def test_long_horizon_solves_match_the_column_loop():
-    # every T=10 and T=20 cell from the linear seed: the same stop reason and
-    # iteration count, and converged cells reach the same root and functional
+    # every T=10 and T=20 cell from the linear seed, with difference
+    # Jacobians, with and without the stacked damping: the same stop reason
+    # and iteration count, and converged cells reach the same root and
+    # functional
     for horizon in (10, 20):
         params = FirmParams(horizon=horizon)
         seed = linear_seed(params)
         for kind, equation in FIRM_SYSTEMS:
-            system = residual_system(params, kind, equation)
+            system = dataclasses.replace(residual_system(params, kind, equation), jacobian=None)
             got = newton_solve(system, seed)
             expected = newton_solve(column_loop(system), seed)
             assert got.message == expected.message, system.label
@@ -511,6 +451,84 @@ def test_long_horizon_solves_match_the_column_loop():
             if expected.converged:
                 assert float(np.max(np.abs(got.root - expected.root))) <= 1e-10
                 assert abs(got.functional_value - expected.functional_value) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the firm systems' analytic Jacobian in the one-start solver
+
+
+def published_and_linear_starts():
+    """Every table cell from its published seed at rho 0.05 and 0.02, and every
+    cell at T = 10 and 20 from the linear seed, as (params, kind, equation, start)."""
+    for rate in (0.05, 0.02):
+        params = FirmParams(discount_rate=rate)
+        for (kind, equation), seed in CELL_SEEDS.items():
+            yield params, kind, equation, np.array(seed)
+    for horizon in (10, 20):
+        params = FirmParams(horizon=horizon)
+        for kind, equation in FIRM_SYSTEMS:
+            yield params, kind, equation, linear_seed(params)
+
+
+# (horizon, rate, system): (iterations with difference Jacobians, with the
+# analytic one); every other solve takes the same number of iterations
+ITERATION_MOVES = {(20, 0.05, "dd/direct"): (32, 33)}
+
+
+def test_analytic_jacobian_solves_match_the_difference_solves():
+    moves = {}
+    for params, kind, equation, start in published_and_linear_starts():
+        system = residual_system(params, kind, equation)
+        got = newton_solve(system, start)
+        expected = newton_solve(dataclasses.replace(system, jacobian=None), start)
+        label = (params.horizon, params.discount_rate, system.label)
+        assert got.message == expected.message, label
+        assert got.converged == expected.converged, label
+        if expected.converged:
+            assert float(np.max(np.abs(got.root - expected.root))) <= 1e-10, label
+            gap = abs(got.functional_value - expected.functional_value)
+            assert gap <= 1e-10 * max(1.0, abs(expected.functional_value)), label
+        if got.iterations != expected.iterations:
+            moves[label] = (expected.iterations, got.iterations)
+    assert moves == ITERATION_MOVES
+
+
+def test_newton_takes_the_systems_jacobian_and_differences_without_one(monkeypatch):
+    system, solution = affine_system()
+    calls = []
+
+    def jacobian(x):
+        calls.append(x.copy())
+        return np.array([[2.0, 1.0], [1.0, 3.0]])
+
+    def refused(*args):
+        raise AssertionError("difference Jacobian taken for a system that has one")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsolver, "fd_jacobian", refused)
+        report = newton_solve(dataclasses.replace(system, jacobian=jacobian), (0.0, 0.0))
+    assert report.converged and len(calls) == report.iterations >= 1
+    assert_allclose(report.root, solution, rtol=1e-12)
+    differences, taken = tsolver.fd_jacobian, []
+
+    def counted_differences(*args):
+        taken.append(args[1].copy())
+        return differences(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tsolver, "fd_jacobian", counted_differences)
+        report = newton_solve(system, (0.0, 0.0))
+    assert report.converged and len(taken) == report.iterations >= 1
+
+
+def test_a_failing_jacobian_stops_the_solve_with_its_reason():
+    def jacobian(x):
+        raise DomainError("jacobian is not finite at this state")
+
+    system, _ = affine_system()
+    report = newton_solve(dataclasses.replace(system, jacobian=jacobian), (0.0, 0.0))
+    assert not report.converged and report.iterations == 0
+    assert report.message == "jacobian failed: jacobian is not finite at this state"
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +583,21 @@ def damping_trace(monkeypatch, system, start, config):
     None when the scalar trials took a step.
     """
     tracked, log = logged(system)
-    jacobian, first_decrease = tsolver.fd_jacobian, tsolver._first_decrease
+    first_decrease = tsolver._first_decrease
 
-    def marked_jacobian(*args):
-        calls = len(log)
-        try:
-            return jacobian(*args)
-        finally:
-            del log[calls:]   # the Jacobian's own residual calls
-            log.append(("jacobian",))
+    def marked(jacobian):
+        def call(*args):
+            calls = len(log)
+            try:
+                return jacobian(*args)
+            finally:
+                del log[calls:]   # the Jacobian's own residual calls
+                log.append(("jacobian",))
+
+        return call
+
+    if tracked.jacobian is not None:
+        tracked = dataclasses.replace(tracked, jacobian=marked(tracked.jacobian))
 
     def marked_search(residual, x, step, base, level, levels, window):
         rows = first_decrease(residual, x, step, base, level, levels, window)
@@ -581,7 +605,7 @@ def damping_trace(monkeypatch, system, start, config):
         return rows
 
     with monkeypatch.context() as patch:
-        patch.setattr(tsolver, "fd_jacobian", marked_jacobian)
+        patch.setattr(tsolver, "fd_jacobian", marked(tsolver.fd_jacobian))
         patch.setattr(tsolver, "_first_decrease", marked_search)
         report = newton_solve(tracked, start, config)
     iterations = []

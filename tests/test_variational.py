@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tsvar import (
@@ -17,11 +19,13 @@ from tsvar import (
     Integrand,
     OuterFunction,
     ProblemKind,
+    ResidualSystem,
     TimeScale,
     check_integrand_partials,
     corollary_z_residual,
     eval_component_integrals,
     eval_functional,
+    fd_jacobian,
     firm_integrand,
     firm_problem,
     identity_outer,
@@ -82,6 +86,9 @@ def test_outer_factories():
     assert prod.value([2.0, 5.0]) == 10.0
     assert prod.partials[0]([2.0, 5.0]) == 5.0
     assert prod.partials[1]([2.0, 5.0]) == 2.0
+    assert np.array_equal(prod.hessian([2.0, 5.0]), [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(total.hessian([1.0, 2.0, 3.0]), np.zeros((3, 3)))
+    assert np.array_equal(ident.hessian([4.0]), [[0.0]])
 
 
 def test_composite_problem_validates_slots():
@@ -345,7 +352,10 @@ def test_partials_checker_accepts_firm_integrands():
         "technology_delta",
         "technology_nabla",
     ):
-        worst = check_integrand_partials(firm_integrand(params, name), samples)
+        integrand = firm_integrand(params, name)
+        # the checker covers the second partials too, which these all have
+        assert None not in (integrand.partial_yy, integrand.partial_yv, integrand.partial_vv)
+        worst = check_integrand_partials(integrand, samples)
         assert worst <= 1e-7
 
 
@@ -358,3 +368,90 @@ def test_partials_checker_flags_wrong_partials():
     )
     with pytest.raises(AssertionError):
         check_integrand_partials(wrong, [(0.0, 2.0, 0.5)])
+
+
+def test_partials_checker_flags_wrong_second_partials():
+    def integrand(**second):
+        return Integrand("delta", lambda t, y, v: y * y * v, lambda t, y, v: 2.0 * y * v,
+                         lambda t, y, v: y * y, **second)
+
+    right = {"partial_yy": lambda t, y, v: 2.0 * v, "partial_yv": lambda t, y, v: 2.0 * y,
+             "partial_vv": lambda t, y, v: 0.0}
+    samples = [(0.0, 2.0, 0.5), (1.0, -1.5, 3.0)]
+    assert check_integrand_partials(integrand(**right), samples) <= 1e-7
+    for which in right:
+        wrong = dict(right, **{which: lambda t, y, v: 1.0})
+        with pytest.raises(AssertionError, match=which):
+            check_integrand_partials(integrand(**wrong), samples)
+
+
+# ---------------------------------------------------------------------------
+# the assembly's analytic Jacobian
+
+
+def smooth_pointwise(coefficients, times):
+    """a t y^2 + b v^2 + c y v + d y^3 / 3 + e cos v, with its partials."""
+    a, b, c, d, e = coefficients
+    return Pointwise(
+        lambda t, y, v: a * t * y * y + b * v * v + c * y * v + d * y ** 3 / 3 + e * math.cos(v),
+        lambda t, y, v: 2 * a * t * y + c * v + d * y * y,
+        lambda t, y, v: 2 * b * v + c * y - e * math.sin(v),
+        times,
+        lambda t, y, v: 2 * a * t + 2 * d * y,
+        lambda t, y, v: c,
+        lambda t, y, v: 2 * b - e * math.cos(v),
+    )
+
+
+@st.composite
+def assemblies(draw):
+    """A random non-uniform scale with 3 to 10 points, generic integrands of
+    either kind under the product or the sum outer, a form, a window of
+    n - 2 points and a state."""
+    n = draw(st.integers(3, 10))
+    gaps = draw(st.lists(st.floats(0.3, 1.7), min_size=n - 1, max_size=n - 1))
+    times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
+    k, m = draw(st.sampled_from([(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (1, 0), (0, 1)]))
+    outer = draw(st.sampled_from([product_outer(), sum_outer(2)])) if k + m == 2 \
+        else sum_outer(k + m)
+    coefficients = st.tuples(*[st.floats(-2.0, 2.0)] * 5)
+    integrands = [smooth_pointwise(draw(coefficients), times) for _ in range(k + m)]
+    form = draw(st.sampled_from(["cores", "delta", "nabla"]))
+    start = draw(st.integers(0, 2))
+    values = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    return (gaps, integrands[:k], integrands[k:], outer, form, range(start, start + n - 2),
+            values)
+
+
+@given(assemblies())
+def test_analytic_jacobian_matches_central_differences(case):
+    gaps, delta, nabla, outer, form, points, values = case
+    assembled = assemble(gaps, delta, nabla, outer, CLAMPED, form, points, jacobian=True)
+
+    def residual(x):
+        return np.array(assembled.evaluate(assembled.state([values[0], *x, values[-1]])))
+
+    x = np.array(values[1:-1])
+    expected = fd_jacobian(ResidualSystem(len(x), residual), x)
+    got = assembled.jacobian(assembled.state(values))
+    assert got.shape == expected.shape
+    gap = float(np.abs(got - expected).max())
+    assert gap <= 1e-6 * max(1.0, float(np.abs(expected).max()))
+
+
+def test_the_jacobian_needs_second_partials_and_an_outer_hessian():
+    times = [0.0, 1.0, 2.5, 3.0]
+    f = smooth_pointwise((1.0, 0.5, 0.2, -0.1, 0.3), times)
+    gaps = [1.0, 1.5, 0.5]
+
+    def build(delta=(f,), outer=identity_outer(), **options):
+        return assemble(gaps, delta, (), outer, CLAMPED, "cores", range(1, 3), **options)
+
+    assert build().jacobian is None
+    assert build(jacobian=True).jacobian is not None
+    with pytest.raises(ValueError, match="second partials"):
+        build(delta=(f._replace(partial_yv=None),), jacobian=True)
+    with pytest.raises(ValueError, match="hessian"):
+        build(outer=OuterFunction(1, lambda c: c[0], (lambda c: 1.0,)), jacobian=True)
+    with pytest.raises(ValueError, match="one state"):
+        build(jacobian=True, stacked=True)
