@@ -32,6 +32,7 @@ from .variational import (
     CompositeProblem,
     Integrand,
     Pointwise,
+    State,
     assemble,
     identity_outer,
     product_outer,
@@ -335,7 +336,10 @@ def _checked_stack(p: FirmParams, assembled, yt: np.ndarray):
     if (yt != p.y_floor).all() and (arg > 0.0).all():
         return state, None
     ok = ~((yt == p.y_floor).any(axis=0) | (arg <= 0.0).any(axis=0))
-    return assembled.state(yt[:, ok]), ok
+    # compress keeps the tables in C order, so the integrals still add their
+    # terms in order; a fancy index on the columns gives Fortran order, whose
+    # sum along the points is pairwise
+    return State(*(np.compress(ok, table, axis=1) for table in state)), ok
 
 
 def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:

@@ -39,6 +39,17 @@ start to a different root.  A system evaluates the stack through its
 ``stacked_residual`` and ``stacked_functional`` when it has them, and
 otherwise through a loop over its scalar callables.
 
+The lock-step loop keeps the state of the active starts only, and records
+per iteration the states and norms its damping built.  Each start's stop
+reason, iteration count, last state and norm, and the functional at the
+converged roots (one stacked call per stack), come out of the loop; the
+rest of a report is built only for the reports a caller returns.
+:func:`lockstep_solve` rebuilds every start's ``iterates`` and
+``residual_norms`` from the records and its failure text from the scalar
+callables; :func:`multistart_solve` merges the converged roots first and
+builds the reports of the survivors only, so it never calls a system that
+has a stacked residual one state at a time.
+
 Multistart sweeps are bounded: :func:`default_start_grid` refuses to
 enumerate more than :data:`MAX_STARTS` points, and a sweep is solved in
 stacks of at most :data:`STACK_STARTS` starts.
@@ -50,7 +61,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -395,6 +406,11 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     every row still looking, at most :data:`HALVING_BLOCK` levels from that
     row's own next level, all rows in one call.  Returns the taken trial
     states, residuals, norms and levels, and which rows took one.
+
+    With one ``window`` per row (lock-step) the trials are ragged: the
+    trials of each row are consecutive, laid out by ``np.repeat`` of the
+    widths, and one ``np.minimum.reduceat`` over the indices of the trials
+    that decrease finds each row's first.
     """
     count, m = x.shape
     taken = np.zeros(count, dtype=int)
@@ -410,17 +426,29 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     width = narrow(window, levels - level)
     while pending.size:
         if ragged:
-            # row r of the call is level level[owner[r]] + offset[r] of start
-            # pending[owner[r]]: the rows of one start are consecutive, in
-            # ascending level, and end where its window does
-            inside = np.arange(width.max()) < width[:, None]
-            owner, offset = np.nonzero(inside)
-            rows = pending[owner]
-            cand = x[rows] + (0.5 ** (level[owner] + offset))[:, None] * step[rows]
+            # trial r belongs to row owner[r] and tries its level tried[r];
+            # every width is at least 1, so the segments start strictly later
+            first = np.cumsum(width) - width
+            total = int(first[-1] + width[-1])
+            index = np.arange(total)
+            owner = np.repeat(pending, width)
+            tried = np.repeat(level - first, width) + index
+            # take gathers rows several times faster than an index array does
+            cand = x.take(owner, axis=0) + (0.5 ** tried)[:, None] * step.take(owner, axis=0)
             cand_res = residual(cand)
-            cand_norm = np.full(inside.shape, np.inf)
-            cand_norm[inside] = _row_norms(cand_res)
-            start = np.cumsum(width) - width
+            cand_norm = _row_norms(cand_res)
+            at = np.minimum.reduceat(np.where(cand_norm < base.take(owner), index, total), first)
+            found = at < total
+            at = at[found]
+            hit = pending[found]
+            trial[hit], trial_res[hit], trial_norm[hit] = cand[at], cand_res[at], cand_norm[at]
+            taken[hit] = tried[at]
+            accepted[hit] = True
+            if at.size == found.size:   # every row took a level
+                break
+            # the rows still looking with levels left go on from their next level
+            looking = ~found & (width < levels - level)
+            level = level[looking] + width[looking]
         else:
             # one window for every row: a rectangular block of levels, which
             # keeps the one-row calls of newton_solve lean
@@ -429,25 +457,45 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
             cand_res = residual(cand)
             cand_norm = _row_norms(cand_res).reshape(-1, width)
             start = np.arange(0, cand_norm.size, width)
-        better = cand_norm < base[pending, None]
-        found = better.any(axis=1)
-        first = better.argmax(axis=1)[found]
-        at = start[found] + first
-        hit = pending[found]
-        trial[hit], trial_res[hit], trial_norm[hit] = (
-            cand[at], cand_res[at], cand_norm[found, first])
-        accepted[hit] = True
-        # the rows still looking with levels left go on from their next level
-        looking = ~found & (width < levels - level)
-        if ragged:
-            taken[hit] = level[found] + first
-            level = level[looking] + width[looking]
-        else:
+            better = cand_norm < base[pending, None]
+            found = better.any(axis=1)
+            first = better.argmax(axis=1)[found]
+            at = start[found] + first
+            hit = pending[found]
+            trial[hit], trial_res[hit], trial_norm[hit] = (
+                cand[at], cand_res[at], cand_norm[found, first])
+            accepted[hit] = True
+            looking = ~found & (width < levels - level)
             taken[hit] = level + first
             level += width
         pending = pending[looking]
         width = narrow(HALVING_BLOCK, levels - level)
     return trial, trial_res, trial_norm, taken, accepted
+
+
+# why a start stopped, as _lockstep records it: the codes index these texts,
+# which begin the messages of the reports
+(_INFEASIBLE, _JACOBIAN_FAILED, _TOLERANCE, _SINGULAR, _NOT_FINITE, _NO_DECREASE,
+ _STAGNANT, _LIMIT) = range(8)
+_REASONS = (
+    "infeasible start", "jacobian failed", "residual tolerance reached",
+    "singular jacobian", "non-finite newton step", "damping found no residual decrease",
+    "step below stagnation tolerance", "iteration limit reached",
+)
+
+
+class _Outcome(NamedTuple):
+    """What :func:`_lockstep` keeps of one stack of starts; each array has a row per start."""
+
+    reason: np.ndarray       # why it stopped, an index into _REASONS
+    converged: np.ndarray
+    iterations: np.ndarray
+    root: np.ndarray         # its last state: the start itself where infeasible
+    norm: np.ndarray         # that state's residual sup-norm; inf where infeasible
+    values: np.ndarray | None   # the functional at converged roots, NaN elsewhere
+    # per iteration, from the starts themselves on: (ids, states, norms) of
+    # the starts that moved then, ids ascending
+    path: list
 
 
 def lockstep_solve(
@@ -462,13 +510,15 @@ def lockstep_solve(
     :func:`newton_solve` gives for that guess: the same steps, halvings,
     tolerances and stop reason.
     """
-    return list(_stacked_reports(system, guesses, config))
-
-
-def _stacked_reports(system: ResidualSystem, guesses: Iterable[Sequence[float]],
-                     config: SolverConfig | None):
-    """The reports of :func:`lockstep_solve`, one stack of starts at a time."""
     cfg = config or SolverConfig()
+    reports = []
+    for out in _stacks(system, guesses, cfg):
+        reports.extend(_reports(system, cfg, out, range(len(out.reason))))
+    return reports
+
+
+def _stacks(system: ResidualSystem, guesses: Iterable[Sequence[float]], cfg: SolverConfig):
+    """The :class:`_Outcome` of each stack of starts, in turn."""
     m = system.dimension
     starts = np.array(list(guesses), dtype=float)
     if starts.size == 0:
@@ -480,95 +530,144 @@ def _stacked_reports(system: ResidualSystem, guesses: Iterable[Sequence[float]],
     if functional is None and system.functional is not None:
         functional = _lift_functional(system)
     for lo in range(0, len(starts), STACK_STARTS):
-        stack = starts[lo:lo + STACK_STARTS]
-        yield from _lockstep(system, residual, functional, stack, cfg)
+        yield _lockstep(residual, functional, starts[lo:lo + STACK_STARTS], cfg)
 
 
-def _lockstep(system, residual, functional, x0: np.ndarray, cfg: SolverConfig) -> list:
+def _lockstep(residual: Callable, functional: Callable | None, x0: np.ndarray,
+              cfg: SolverConfig) -> _Outcome:
+    """Damped Newton from every row of ``x0`` at once.
+
+    The loop's state (``ids``, ``x``, ``res``, ``norm`` and the damping level
+    ``last`` of each start's last step) holds the active starts only; it
+    shrinks when a start stops, which records the start's reason, iteration
+    count, state and norm.  Each iteration appends to the path the ids,
+    states and norms the damping has just built, without copying them.  The
+    functional is evaluated at the converged roots in one call.  Failure
+    texts and the per-start paths are left to :func:`_reports`, for the
+    reports a caller returns.
+    """
     count = len(x0)
     res = residual(x0)
     if res.shape != x0.shape:
         raise ValueError("residual shape does not match the system dimension")
     norm = _row_norms(res)
-    # the state and norm of every start after each iteration; a start that
-    # stopped keeps its last row, so its path is the first taken + 1 rows
-    states, norms = [x0], [norm]
-    taken = np.zeros(count, dtype=int)
+    reason = np.full(count, _INFEASIBLE)
     converged = np.zeros(count, dtype=bool)
-    messages = [""] * count
-    infeasible = _nan_rows(res)
-    for s in np.flatnonzero(infeasible).tolist():
-        messages[s] = f"infeasible start: {_domain_message(system.residual, x0[s])}"
+    iterations = np.zeros(count, dtype=int)
+    root = x0.copy()
+    final_norm = np.full(count, np.inf)
+    ids = np.flatnonzero(~_nan_rows(res))
     x = x0
-    active = np.flatnonzero(~infeasible)
-    last = np.zeros(count, dtype=int)   # the damping level of each start's last step
+    if ids.size < count:
+        x, res, norm = x[ids], res[ids], norm[ids]
+    last = np.zeros(ids.size, dtype=int)
+    path = [(ids, x, norm)]
 
-    def stop(rows, message, ok=False):
-        converged[rows] = ok
-        for s in rows.tolist():
-            messages[s] = message
+    def stop(rows, why, taken, ok=False):
+        """Records that the active starts marked in ``rows`` stop."""
+        s = ids[rows]
+        reason[s], converged[s], iterations[s] = why, ok, taken
+        root[s], final_norm[s] = x[rows], norm[rows]
 
-    for _ in range(cfg.max_iterations):
-        done = norm[active] <= cfg.tol_residual
-        stop(active[done], "residual tolerance reached", True)
-        active = active[~done]
-        if not active.size:
+    levels = min(cfg.max_halvings, MAX_HALVINGS) + 1
+    for it in range(1, cfg.max_iterations + 1):
+        done = norm <= cfg.tol_residual
+        if done.any():
+            stop(done, _TOLERANCE, it - 1, True)
+            keep = ~done
+            ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
+        if not ids.size:
             break
 
-        jac, failed = _stacked_jacobian(residual, x[active], cfg.fd_step)
-        for s in active[failed].tolist():
-            messages[s] = f"jacobian failed: {_domain_message(fd_jacobian, system, x[s], cfg.fd_step)}"
-        active, jac = active[~failed], jac[~failed]
-        step, singular = _newton_steps(jac, -res[active])
-        stop(active[singular], "singular jacobian")
-        finite = np.isfinite(step).all(axis=1)
-        stop(active[~singular & ~finite], "non-finite newton step")
-        keep = ~singular & finite
-        active, step = active[keep], step[keep]
+        jac, failed = _stacked_jacobian(residual, x, cfg.fd_step)
+        if failed.any():
+            stop(failed, _JACOBIAN_FAILED, it - 1)
+            keep = ~failed
+            ids, x, res, norm, last, jac = (
+                ids[keep], x[keep], res[keep], norm[keep], last[keep], jac[keep])
+        step, singular = _newton_steps(jac, -res)
+        bad = singular | ~np.isfinite(step).all(axis=1)
+        if bad.any():
+            stop(singular, _SINGULAR, it - 1)
+            stop(bad & ~singular, _NOT_FINITE, it - 1)
+            keep = ~bad
+            ids, x, res, norm, last, step = (
+                ids[keep], x[keep], res[keep], norm[keep], last[keep], step[keep])
 
         # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm
         # decreases.  A start mostly takes about the level its last step took,
         # so the first call tries the full step alone after a full step, and
         # levels 0 .. 2L+1 after a step at level L >= 1
-        prior = last[active]
-        window = np.where(prior > 0, np.minimum(2 * prior + 2, HALVING_BLOCK), 1)
+        window = np.where(last > 0, np.minimum(2 * last + 2, HALVING_BLOCK), 1)
         trial, trial_res, trial_norm, level, accepted = _first_decrease(
-            residual, x[active], step, norm[active], 0,
-            min(cfg.max_halvings, MAX_HALVINGS) + 1, window)
-        stop(active[~accepted], "damping found no residual decrease")
+            residual, x, step, norm, 0, levels, window)
+        if accepted.all():
+            x, res, norm, last = trial, trial_res, trial_norm, level
+        else:
+            stop(~accepted, _NO_DECREASE, it - 1)
+            ids, step = ids[accepted], step[accepted]
+            x, res, norm, last = (
+                trial[accepted], trial_res[accepted], trial_norm[accepted], level[accepted])
+        path.append((ids, x, norm))
 
-        moved = active[accepted]
-        last[moved] = level[accepted]
-        step_size = _row_norms(0.5 ** level[accepted, None] * step[accepted])
-        x, norm = x.copy(), norm.copy()
-        x[moved], res[moved], norm[moved] = (
-            trial[accepted], trial_res[accepted], trial_norm[accepted])
-        states.append(x)
-        norms.append(norm)
-        taken[moved] += 1
-        stagnant = step_size <= cfg.tol_step
-        stop(moved[stagnant], "step below stagnation tolerance",
-             norm[moved[stagnant]] <= cfg.tol_residual)
-        active = moved[~stagnant]
-    stop(active, "iteration limit reached", norm[active] <= cfg.tol_residual)
+        stagnant = _row_norms(0.5 ** last[:, None] * step) <= cfg.tol_step
+        if stagnant.any():
+            stop(stagnant, _STAGNANT, it, norm[stagnant] <= cfg.tol_residual)
+            keep = ~stagnant
+            ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
+    if ids.size:
+        stop(slice(None), _LIMIT, cfg.max_iterations, norm <= cfg.tol_residual)
 
-    states, norms = np.stack(states), np.stack(norms)
-    values = [None] * count
-    found = np.flatnonzero(converged)
-    if found.size and functional is not None:
-        for s, value in zip(found.tolist(), functional(states[taken[found], found]).tolist()):
-            values[s] = value
+    values = None
+    if functional is not None:
+        values = np.full(count, np.nan)
+        if converged.any():
+            values[converged] = functional(root[converged])
+    return _Outcome(reason, converged, iterations, root, final_norm, values, path)
+
+
+def _paths(out: _Outcome, rows: np.ndarray):
+    """The iterates and residual norms of the feasible starts ``rows`` of a
+    stack, as (k + 1, len(rows), m) and (k + 1, len(rows)) arrays, k their
+    most iterations; start j's own path is the first iterations + 1 entries."""
+    depth = int(out.iterations[rows].max()) + 1 if rows.size else 0
+    where = np.full(len(out.reason), -1)
+    where[rows] = np.arange(rows.size)
+    states = np.empty((depth, rows.size, out.root.shape[1]))
+    norms = np.empty((depth, rows.size))
+    for k, (ids, xs, ns) in enumerate(out.path[:depth]):
+        j = where[ids]
+        mine = j >= 0
+        states[k, j[mine]], norms[k, j[mine]] = xs[mine], ns[mine]
+    return states, norms
+
+
+def _reports(system: ResidualSystem, cfg: SolverConfig, out: _Outcome, rows) -> list:
+    """The full reports of the starts ``rows`` of one stack, in that order:
+    failure texts from the scalar callables, paths from ``out.path``."""
+    rows = np.asarray(rows, dtype=int)
+    moved = rows[out.reason[rows] != _INFEASIBLE]
+    states, norms = _paths(out, moved)
+    column = dict(zip(moved.tolist(), range(moved.size)))
     reports = []
-    for s in range(count):
-        if infeasible[s]:
-            reports.append(SolveReport(x0[s].copy(), np.inf, 0, False, message=messages[s]))
+    for s in rows.tolist():
+        why, x = int(out.reason[s]), out.root[s]
+        message = _REASONS[why]
+        if why == _INFEASIBLE:
+            message += f": {_domain_message(system.residual, x)}"
+            reports.append(SolveReport(x.copy(), np.inf, 0, False, message=message))
             continue
-        k = int(taken[s])
+        if why == _JACOBIAN_FAILED:
+            message += f": {_domain_message(fd_jacobian, system, x, cfg.fd_step)}"
+        k, j = int(out.iterations[s]), column[s]
+        value = None
+        if out.values is not None and out.converged[s]:
+            value = float(out.values[s])
         reports.append(SolveReport(
-            root=states[k, s].copy(), residual_norm=float(norms[k, s]), iterations=k,
-            converged=bool(converged[s]), functional_value=values[s], message=messages[s],
-            residual_norms=tuple(norms[:k + 1, s].tolist()),
-            iterates=tuple(states[:k + 1, s].copy()),
+            root=x.copy(), residual_norm=float(out.norm[s]), iterations=k,
+            converged=bool(out.converged[s]), functional_value=value, message=message,
+            residual_norms=tuple(norms[:k + 1, j].tolist()),
+            iterates=tuple(states[:k + 1, j].copy()),
         ))
     return reports
 
@@ -581,36 +680,52 @@ def multistart_solve(
 ) -> list:
     """Newton from every guess; distinct converged roots, best first.
 
-    The guesses are solved as by :func:`lockstep_solve`, and the failed
-    starts of each stack are dropped as soon as it finishes.  Roots
-    closer than ``distinct_tol`` in sup-norm are merged (the copy with the
-    smaller residual survives).  When the system carries a functional the
-    survivors are ordered by its value, otherwise lexicographically.
+    The guesses are solved as by :func:`lockstep_solve`, and each returned
+    report equals that start's report there.  Roots closer than
+    ``distinct_tol`` in sup-norm are merged: in the lexicographic order of
+    the roots, each goes to the first kept root within the tolerance, and
+    the copy with the smaller residual survives.  When the system carries a
+    functional the survivors are ordered by its value, otherwise
+    lexicographically.  Only the survivors' reports are built, so a system
+    with a stacked residual is never called one state at a time.
     """
-    converged = []
-    failed = 0
+    cfg = config or SolverConfig()
+    stacks, found = [], []   # found: (stack, start) of each converged start
     total = 0
-    for rep in _stacked_reports(system, guesses, config):
-        total += 1
-        if rep.converged:
-            converged.append(rep)
-        else:
-            failed += 1
-    if failed:
+    for out in _stacks(system, guesses, cfg):
+        rows = np.flatnonzero(out.converged)
+        found.extend(zip(itertools.repeat(len(stacks)), rows.tolist()))
+        stacks.append(out)
+        total += len(out.reason)
+    if len(found) < total:
         log.debug("%s: %d of %d starts failed to converge",
-                  system.label or "system", failed, total)
+                  system.label or "system", total - len(found), total)
+    if not found:
+        return []
 
-    converged.sort(key=lambda r: tuple(r.root))
-    distinct = []
-    for rep in converged:
-        for i, kept in enumerate(distinct):
-            if _norm(rep.root - kept.root) <= distinct_tol:
-                if rep.residual_norm < kept.residual_norm:
-                    distinct[i] = rep
-                break
-        else:
-            distinct.append(rep)
+    roots = np.concatenate([out.root[out.converged] for out in stacks])
+    norms = np.concatenate([out.norm[out.converged] for out in stacks])
+    # stable, as the sort by tuple(root) is: equal roots keep the start order
+    order = np.lexsort(roots.T[::-1])
+    kept_roots = np.empty_like(roots)
+    kept = []   # the index into found of each kept root, in the order kept
+    for i in order.tolist():
+        gaps = _row_norms(kept_roots[:len(kept)] - roots[i])
+        near = np.flatnonzero(gaps <= distinct_tol)
+        if not near.size:
+            kept_roots[len(kept)] = roots[i]
+            kept.append(i)
+        elif norms[i] < norms[kept[near[0]]]:
+            kept_roots[near[0]] = roots[i]
+            kept[near[0]] = i
 
+    by_stack = {}
+    for i in kept:
+        by_stack.setdefault(found[i][0], []).append(found[i][1])
+    reports = {}
+    for stack, rows in by_stack.items():
+        reports.update(zip(((stack, s) for s in rows), _reports(system, cfg, stacks[stack], rows)))
+    distinct = [reports[found[i]] for i in kept]
     if system.functional is not None:
         distinct.sort(key=lambda r: (r.functional_value, tuple(r.root)))
     else:

@@ -1,11 +1,14 @@
 """Tests for the damped Newton solver and the multistart driver."""
 
 import dataclasses
+import logging
 import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from tsvar import solver as tsolver
@@ -767,3 +770,118 @@ def test_lockstep_damping_starts_from_the_last_level(monkeypatch):
               if (window > 1).all() and accepted.all() and (level < window).all()]
     assert len(inside) >= 10
     assert inside == [1] * len(inside)
+
+
+# ---------------------------------------------------------------------------
+# what multistart builds of the lock-step reports
+
+
+def merged_roots(reports, tol=1e-6):
+    """multistart_solve's merge of the converged reports, as a plain loop: in
+    root order, each goes to the first kept root within tol, the smaller
+    residual survives, and the survivors are ordered by (functional, root)."""
+    distinct = []
+    for rep in sorted((r for r in reports if r.converged), key=lambda r: tuple(r.root)):
+        for i, kept in enumerate(distinct):
+            if float(np.max(np.abs(rep.root - kept.root))) <= tol:
+                if rep.residual_norm < kept.residual_norm:
+                    distinct[i] = rep
+                break
+        else:
+            distinct.append(rep)
+    return sorted(distinct, key=lambda r: (r.functional_value, tuple(r.root)))
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.02])
+def test_multistart_returns_the_merged_lockstep_reports(rate):
+    grid = default_start_grid(2)
+    for kind, equation in FIRM_SYSTEMS:
+        system = residual_system(FirmParams(discount_rate=rate), kind, equation)
+        expected = merged_roots(lockstep_solve(system, grid))
+        got = multistart_solve(system, grid)
+        assert len(got) == len(expected), system.label
+        for ours, theirs in zip(got, expected):
+            assert_same_report(ours, theirs)
+
+
+def test_multistart_makes_no_scalar_call_on_a_stacked_system():
+    # the grid has infeasible starts (on the pole y = y_floor) and starts
+    # whose difference Jacobian fails; their failure texts are not built
+    def refused(*args):
+        raise AssertionError("scalar call from multistart_solve")
+
+    for kind, equation in FIRM_SYSTEMS:
+        system, counts = counted(residual_system(FirmParams(), kind, equation))
+        sizes = []
+
+        def stacked_residual(xs, inner=system.stacked_residual):
+            sizes.append(len(xs))
+            return inner(xs)
+
+        system = dataclasses.replace(system, functional=refused, jacobian=refused,
+                                     stacked_residual=stacked_residual)
+        assert multistart_solve(system, default_start_grid(2)), system.label
+        assert counts["scalar"] == 0, system.label
+        assert min(sizes) > 0, system.label   # no call once every start stopped
+    reports = lockstep_solve(residual_system(FirmParams(), *FIRM_SYSTEMS[0]), default_start_grid(2))
+    assert any(r.message.startswith("infeasible start: ") for r in reports)
+
+
+def test_multistart_logs_the_exact_failure_count(monkeypatch, caplog):
+    system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL1)
+    grid = default_start_grid(2)
+    failed = sum(not r.converged for r in lockstep_solve(system, grid))
+    assert 0 < failed < len(grid)
+    whole = multistart_solve(system, grid)
+    monkeypatch.setattr(tsolver, "STACK_STARTS", 100)   # three stacks
+    with caplog.at_level(logging.DEBUG, logger="tsvar.solver"):
+        stacked = multistart_solve(system, grid)
+        multistart_solve(*affine_system()[:1], [(0.0, 0.0), (1.0, 1.0)])   # none failed
+    assert caplog.messages == [f"nd/el1: {failed} of {len(grid)} starts failed to converge"]
+    assert len(stacked) == len(whole)
+    for got, expected in zip(stacked, whole):
+        assert_same_report(got, expected)
+
+
+@st.composite
+def damping_searches(draw):
+    """A stack of Newton steps with a window per row, a level range and a
+    residual that is NaN (infeasible) on a band of trial states."""
+    count = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    coords = st.floats(-4.0, 4.0)
+    x = np.array(draw(st.lists(st.lists(coords, min_size=m, max_size=m),
+                               min_size=count, max_size=count)))
+    step = np.array(draw(st.lists(st.lists(coords, min_size=m, max_size=m),
+                                  min_size=count, max_size=count)))
+    base = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=count, max_size=count)))
+    window = np.array(draw(st.lists(st.integers(1, 40), min_size=count, max_size=count)))
+    level = draw(st.integers(0, 40))
+    levels = draw(st.integers(level + 1, level + 80))
+    centre = np.array(draw(st.lists(coords, min_size=m, max_size=m)))
+    band = draw(st.floats(-1.0, 1.1))   # above 1: no NaN row
+
+    def residual(xs):
+        rows = np.abs(xs - centre)
+        rows[np.sin(7.0 * xs[:, 0]) > band] = np.nan
+        return rows
+
+    return residual, x, step, base, level, levels, window
+
+
+@given(damping_searches())
+def test_ragged_damping_search_takes_each_rows_first_decreasing_level(case):
+    residual, x, step, base, level, levels, window = case
+    trial, trial_res, trial_norm, taken, accepted = tsolver._first_decrease(
+        residual, x, step, base, level, levels, window)
+    for i in range(len(x)):
+        for k in range(level, levels):
+            cand = x[i] + 0.5 ** k * step[i]
+            res = residual(cand[None])[0]
+            if float(np.abs(res).max()) < base[i]:   # False on a NaN row
+                assert accepted[i] and taken[i] == k
+                assert np.array_equal(trial[i], cand) and np.array_equal(trial_res[i], res)
+                assert trial_norm[i] == np.abs(res).max()
+                break
+        else:
+            assert not accepted[i]
