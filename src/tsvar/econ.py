@@ -342,15 +342,6 @@ def _checked_stack(p: FirmParams, assembled, yt: np.ndarray):
     return State(*(np.compress(ok, table, axis=1) for table in state)), ok
 
 
-def _with_nan_rows(ok, rows: np.ndarray) -> np.ndarray:
-    """``rows``, one per feasible state, spread over all states with NaN rows at the others."""
-    if ok is None:
-        return rows
-    out = np.full((len(ok),) + rows.shape[1:], np.nan)
-    out[ok] = rows
-    return out
-
-
 def _state_values(params: FirmParams, y) -> list:
     if isinstance(y, GridFunction):
         vals = y.values
@@ -410,9 +401,10 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     The system reads a window of the Euler-Lagrange assembly of
     :mod:`tsvar.variational` (see :func:`_window`); the pure kinds yield
     the same system for every :class:`EquationKind`.  The residual and
-    functional evaluate one state as float arithmetic; the stacked forms run
-    the same assembly on one column per state, so a stacked row equals the
-    one-state result bit for bit, and mark infeasible states with NaN rows.
+    functional evaluate one state as float arithmetic; the stacked residual
+    runs the same assembly on one column per state, so a stacked row equals
+    the one-state residual bit for bit, and marks infeasible states with NaN
+    rows.
     A state whose residual is not finite is infeasible too: the residual
     raises :class:`DomainError` there.  The functional is returned as
     computed, inf included.  The jacobian is the residual's exact Jacobian,
@@ -456,16 +448,6 @@ def residual_system(params: FirmParams, kind: ProblemKind,
             kept = last = key, s, one.integrals(s)
         return kept[1], kept[2]
 
-    def stacked_state(xs):
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != m:
-            raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
-        yt = np.empty((p.horizon + 1, len(xs)))
-        yt[0] = p.y_initial
-        yt[1:-1] = xs.T
-        yt[-1] = p.y_terminal
-        return _checked_stack(p, stacked(), yt)
-
     def residual(x: np.ndarray) -> np.ndarray:
         s, comps = tables(x)
         try:
@@ -489,15 +471,22 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         return outer.value(tables(x)[1])
 
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
-        s, ok = stacked_state(xs)
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != m:
+            raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
+        yt = np.empty((p.horizon + 1, len(xs)))
+        yt[0] = p.y_initial
+        yt[1:-1] = xs.T
+        yt[-1] = p.y_terminal
+        s, ok = _checked_stack(p, stacked(), yt)
         rows = stacked().evaluate(s).T
         if not np.isfinite(rows).all():
             rows[~np.isfinite(rows).all(axis=1)] = np.nan
-        return _with_nan_rows(ok, rows)
-
-    def stacked_functional(xs: np.ndarray) -> np.ndarray:
-        s, ok = stacked_state(xs)
-        return _with_nan_rows(ok, outer.value(stacked().integrals(s)))
+        if ok is None:
+            return rows
+        out = np.full((len(ok), m), np.nan)   # a NaN row at each infeasible state
+        out[ok] = rows
+        return out
 
     return ResidualSystem(
         dimension=m,
@@ -506,11 +495,10 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         functional=functional,
         jacobian=jacobian,
         stacked_residual=partial(_quietly, stacked_residual),
-        stacked_functional=partial(_quietly, stacked_functional),
     )
 
 
-# overflow is expected in the stacked forms and marked by their NaN rows, so
+# overflow is expected in the stacked residual and marked by its NaN rows, so
 # numpy's warnings about it are off there; decorated once here rather than
 # per system, where the decoration cost a quarter of building one
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -31,24 +31,26 @@ full step alone after a full step (and at the first iteration), levels
 start that takes about the level it took last time, as most do, needs no
 further call; the starts that find no decrease in their window go on, all
 in one call per block, in blocks of :data:`HALVING_BLOCK` levels from their
-own next level.  Both solvers share that block search.  For a system
-without a ``jacobian``, every start takes the same steps and stops for the
-same reason as under :func:`newton_solve`; for one with a ``jacobian`` the
-two solvers take Newton steps from different Jacobians, which can lead a
-start to a different root.  A system evaluates the stack through its
-``stacked_residual`` and ``stacked_functional`` when it has them, and
-otherwise through a loop over its scalar callables.
+own next level.  Both solvers share that block search, whose trials are
+laid out row by row, one window per row.  For a system without a
+``jacobian``, every start takes the same steps and stops for the same
+reason as under :func:`newton_solve`; for one with a ``jacobian`` the two
+solvers take Newton steps from different Jacobians, which can lead a start
+to a different root.  A system evaluates the stack through its
+``stacked_residual`` when it has one, and otherwise through a loop over its
+scalar residual.
 
 The lock-step loop keeps the state of the active starts only, and records
 per iteration the states and norms its damping built.  Each start's stop
-reason, iteration count, last state and norm, and the functional at the
-converged roots (one stacked call per stack), come out of the loop; the
-rest of a report is built only for the reports a caller returns.
+reason, iteration count, last state and norm come out of the loop; the rest
+of a report is built only for the reports a caller returns, the functional
+included, from the scalar ``functional`` at that report's root.
 :func:`lockstep_solve` rebuilds every start's ``iterates`` and
 ``residual_norms`` from the records and its failure text from the scalar
 callables; :func:`multistart_solve` merges the converged roots first and
 builds the reports of the survivors only, so it never calls a system that
-has a stacked residual one state at a time.
+has a stacked residual one state at a time, and evaluates the functional
+at the roots it returns only.
 
 Multistart sweeps are bounded: :func:`default_start_grid` refuses to
 enumerate more than :data:`MAX_STARTS` points, and a sweep is solved in
@@ -106,6 +108,9 @@ HALVING_BLOCK = 32
 #: firm cells both scalar levels failed).
 SCALAR_LEVELS = 2
 
+#: sup-norm distance within which multistart_solve merges two converged roots
+DISTINCT_TOL = 1e-6
+
 #: deepest damping level either solver tries, whatever ``max_halvings`` says:
 #: 2.0**-1075 is 0.0, so every deeper level would retry the current state,
 #: whose norm never decreases.
@@ -123,6 +128,13 @@ class SolverConfig:
         steps = (self.tol_residual, self.tol_step, self.fd_step)
         if not all(math.isfinite(v) and v > 0 for v in steps):
             raise ValueError("tolerances and the difference step must be positive and finite")
+        for name in ("max_iterations", "max_halvings"):
+            value = getattr(self, name)
+            # compared, not converted to float: an int may exceed its range
+            if value != value or abs(value) == math.inf or int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value}")
+            # an integral float or numpy integer is kept as a Python int, which range() needs
+            object.__setattr__(self, name, int(value))
         if self.max_iterations < 1 or self.max_halvings < 0:
             raise ValueError("iteration limits out of range")
 
@@ -133,10 +145,11 @@ class ResidualSystem:
 
     ``jacobian``, when given, is the residual's exact Jacobian, an (m, m)
     array; it may raise :class:`DomainError` where it is not finite.
-    ``stacked_residual`` and ``stacked_functional``, when given, evaluate a
-    stack of states at once, ``(S, m) -> (S, m)`` and ``(S, m) -> (S,)``.
-    Row ``i`` equals the scalar callable at state ``i``, and is all-NaN
-    where the scalar call would raise :class:`DomainError`.
+    ``stacked_residual``, when given, evaluates a stack of states at once,
+    ``(S, m) -> (S, m)``: row ``i`` equals the residual at state ``i``, and
+    is all-NaN where that call would raise :class:`DomainError`.  The
+    functional has no stacked form: the solvers evaluate it at the roots
+    they report only.
     """
 
     dimension: int
@@ -145,7 +158,6 @@ class ResidualSystem:
     functional: Callable[[np.ndarray], float] | None = None
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     stacked_residual: Callable[[np.ndarray], np.ndarray] | None = None
-    stacked_functional: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -266,7 +278,8 @@ def newton_solve(
                 break
         if not accepted and scalar_levels < levels:
             rows = _first_decrease(system.stacked_residual, x[None], step[None],
-                                   np.array([norm]), scalar_levels, levels, HALVING_BLOCK)
+                                   np.array([norm]), scalar_levels, levels,
+                                   np.array([HALVING_BLOCK]))
             trial, trial_res, trial_norm, level, accepted = (row[0] for row in rows)
             trial_norm = float(trial_norm)
         if not accepted:
@@ -339,19 +352,6 @@ def _lift_residual(system: ResidualSystem) -> Callable:
     return residual
 
 
-def _lift_functional(system: ResidualSystem) -> Callable:
-    def functional(xs: np.ndarray) -> np.ndarray:
-        out = np.full(len(xs), np.nan)
-        for i, x in enumerate(xs):
-            try:
-                out[i] = system.functional(x)
-            except DomainError:
-                pass
-        return out
-
-    return functional
-
-
 def _domain_message(call, *args) -> str:
     """The DomainError text of a scalar call that its stacked form marked NaN."""
     try:
@@ -395,22 +395,21 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
 
 
 def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarray,
-                    level: int, levels: int, window: int | np.ndarray):
+                    level: int, levels: int, window: np.ndarray):
     """Damping of a stack of Newton steps, from halving ``level`` on.
 
     Row i tries the trial states ``x[i] + 2**-k * step[i]`` for k = ``level``,
     ..., ``levels - 1`` in ascending order and takes the first whose
     residual norm is below ``base[i]``; a NaN row (an infeasible trial)
-    never is.  The first residual call tries ``window[i]`` levels of row i
-    (``window`` may be one int for every row); each later call tries, for
-    every row still looking, at most :data:`HALVING_BLOCK` levels from that
-    row's own next level, all rows in one call.  Returns the taken trial
-    states, residuals, norms and levels, and which rows took one.
+    never is.  The first residual call tries ``window[i]`` levels of row i;
+    each later call tries, for every row still looking, at most
+    :data:`HALVING_BLOCK` levels from that row's own next level, all rows in
+    one call.  Returns the taken trial states, residuals, norms and levels,
+    and which rows took one.
 
-    With one ``window`` per row (lock-step) the trials are ragged: the
-    trials of each row are consecutive, laid out by ``np.repeat`` of the
-    widths, and one ``np.minimum.reduceat`` over the indices of the trials
-    that decrease finds each row's first.
+    The trials are ragged: the trials of each row are consecutive, laid out
+    by ``np.repeat`` of the widths, and one ``np.minimum.reduceat`` over the
+    indices of the trials that decrease finds each row's first.
     """
     count, m = x.shape
     taken = np.zeros(count, dtype=int)
@@ -419,57 +418,34 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     trial_res = np.empty((count, m))
     trial_norm = np.empty(count)
     pending = np.arange(count)
-    ragged = np.ndim(window) > 0
-    if ragged:
-        level = np.full(count, level)   # each pending row's next level
-    narrow = np.minimum if ragged else min
-    width = narrow(window, levels - level)
+    level = np.full(count, level)   # each pending row's next level
+    width = np.minimum(window, levels - level)
     while pending.size:
-        if ragged:
-            # trial r belongs to row owner[r] and tries its level tried[r];
-            # every width is at least 1, so the segments start strictly later
-            first = np.cumsum(width) - width
-            total = int(first[-1] + width[-1])
-            index = np.arange(total)
-            owner = np.repeat(pending, width)
-            tried = np.repeat(level - first, width) + index
-            # take gathers rows several times faster than an index array does
-            cand = x.take(owner, axis=0) + (0.5 ** tried)[:, None] * step.take(owner, axis=0)
-            cand_res = residual(cand)
-            cand_norm = _row_norms(cand_res)
-            at = np.minimum.reduceat(np.where(cand_norm < base.take(owner), index, total), first)
-            found = at < total
-            at = at[found]
-            hit = pending[found]
-            trial[hit], trial_res[hit], trial_norm[hit] = cand[at], cand_res[at], cand_norm[at]
-            taken[hit] = tried[at]
-            accepted[hit] = True
-            if at.size == found.size:   # every row took a level
-                break
-            # the rows still looking with levels left go on from their next level
-            looking = ~found & (width < levels - level)
-            level = level[looking] + width[looking]
-        else:
-            # one window for every row: a rectangular block of levels, which
-            # keeps the one-row calls of newton_solve lean
-            scales = 0.5 ** np.arange(level, level + width)
-            cand = (x[pending, None, :] + scales[None, :, None] * step[pending, None, :]).reshape(-1, m)
-            cand_res = residual(cand)
-            cand_norm = _row_norms(cand_res).reshape(-1, width)
-            start = np.arange(0, cand_norm.size, width)
-            better = cand_norm < base[pending, None]
-            found = better.any(axis=1)
-            first = better.argmax(axis=1)[found]
-            at = start[found] + first
-            hit = pending[found]
-            trial[hit], trial_res[hit], trial_norm[hit] = (
-                cand[at], cand_res[at], cand_norm[found, first])
-            accepted[hit] = True
-            looking = ~found & (width < levels - level)
-            taken[hit] = level + first
-            level += width
+        # trial r belongs to row owner[r] and tries its level tried[r]; every
+        # width is at least 1, so the segments start strictly later
+        first = np.cumsum(width) - width
+        total = int(first[-1] + width[-1])
+        index = np.arange(total)
+        owner = np.repeat(pending, width)
+        tried = np.repeat(level - first, width) + index
+        # take gathers rows several times faster than an index array does
+        cand = x.take(owner, axis=0) + (0.5 ** tried)[:, None] * step.take(owner, axis=0)
+        cand_res = residual(cand)
+        cand_norm = _row_norms(cand_res)
+        at = np.minimum.reduceat(np.where(cand_norm < base.take(owner), index, total), first)
+        found = at < total
+        at = at[found]
+        hit = pending[found]
+        trial[hit], trial_res[hit], trial_norm[hit] = cand[at], cand_res[at], cand_norm[at]
+        taken[hit] = tried[at]
+        accepted[hit] = True
+        if at.size == found.size:   # every row took a level
+            break
+        # the rows still looking with levels left go on from their next level
+        looking = ~found & (width < levels - level)
+        level = level[looking] + width[looking]
         pending = pending[looking]
-        width = narrow(HALVING_BLOCK, levels - level)
+        width = np.minimum(HALVING_BLOCK, levels - level)
     return trial, trial_res, trial_norm, taken, accepted
 
 
@@ -492,7 +468,6 @@ class _Outcome(NamedTuple):
     iterations: np.ndarray
     root: np.ndarray         # its last state: the start itself where infeasible
     norm: np.ndarray         # that state's residual sup-norm; inf where infeasible
-    values: np.ndarray | None   # the functional at converged roots, NaN elsewhere
     # per iteration, from the starts themselves on: (ids, states, norms) of
     # the starts that moved then, ids ascending
     path: list
@@ -526,25 +501,20 @@ def _stacks(system: ResidualSystem, guesses: Iterable[Sequence[float]], cfg: Sol
     if starts.ndim != 2 or starts.shape[1] != m:
         raise ValueError(f"guesses have shape {starts.shape}, system dimension is {m}")
     residual = system.stacked_residual or _lift_residual(system)
-    functional = system.stacked_functional
-    if functional is None and system.functional is not None:
-        functional = _lift_functional(system)
     for lo in range(0, len(starts), STACK_STARTS):
-        yield _lockstep(residual, functional, starts[lo:lo + STACK_STARTS], cfg)
+        yield _lockstep(residual, starts[lo:lo + STACK_STARTS], cfg)
 
 
-def _lockstep(residual: Callable, functional: Callable | None, x0: np.ndarray,
-              cfg: SolverConfig) -> _Outcome:
+def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome:
     """Damped Newton from every row of ``x0`` at once.
 
     The loop's state (``ids``, ``x``, ``res``, ``norm`` and the damping level
     ``last`` of each start's last step) holds the active starts only; it
     shrinks when a start stops, which records the start's reason, iteration
     count, state and norm.  Each iteration appends to the path the ids,
-    states and norms the damping has just built, without copying them.  The
-    functional is evaluated at the converged roots in one call.  Failure
-    texts and the per-start paths are left to :func:`_reports`, for the
-    reports a caller returns.
+    states and norms the damping has just built, without copying them.
+    Failure texts, functional values and the per-start paths are left to
+    :func:`_reports`, for the reports a caller returns.
     """
     count = len(x0)
     res = residual(x0)
@@ -617,13 +587,7 @@ def _lockstep(residual: Callable, functional: Callable | None, x0: np.ndarray,
             ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
     if ids.size:
         stop(slice(None), _LIMIT, cfg.max_iterations, norm <= cfg.tol_residual)
-
-    values = None
-    if functional is not None:
-        values = np.full(count, np.nan)
-        if converged.any():
-            values[converged] = functional(root[converged])
-    return _Outcome(reason, converged, iterations, root, final_norm, values, path)
+    return _Outcome(reason, converged, iterations, root, final_norm, path)
 
 
 def _paths(out: _Outcome, rows: np.ndarray):
@@ -644,7 +608,9 @@ def _paths(out: _Outcome, rows: np.ndarray):
 
 def _reports(system: ResidualSystem, cfg: SolverConfig, out: _Outcome, rows) -> list:
     """The full reports of the starts ``rows`` of one stack, in that order:
-    failure texts from the scalar callables, paths from ``out.path``."""
+    failure texts and functional values from the scalar callables (the
+    functional NaN where it raises :class:`DomainError` at a root), paths from
+    ``out.path``."""
     rows = np.asarray(rows, dtype=int)
     moved = rows[out.reason[rows] != _INFEASIBLE]
     states, norms = _paths(out, moved)
@@ -661,8 +627,11 @@ def _reports(system: ResidualSystem, cfg: SolverConfig, out: _Outcome, rows) -> 
             message += f": {_domain_message(fd_jacobian, system, x, cfg.fd_step)}"
         k, j = int(out.iterations[s]), column[s]
         value = None
-        if out.values is not None and out.converged[s]:
-            value = float(out.values[s])
+        if system.functional is not None and out.converged[s]:
+            try:
+                value = float(system.functional(x))
+            except DomainError:
+                value = math.nan
         reports.append(SolveReport(
             root=x.copy(), residual_norm=float(out.norm[s]), iterations=k,
             converged=bool(out.converged[s]), functional_value=value, message=message,
@@ -676,18 +645,18 @@ def multistart_solve(
     system: ResidualSystem,
     guesses: Iterable[Sequence[float]],
     config: SolverConfig | None = None,
-    distinct_tol: float = 1e-6,
 ) -> list:
     """Newton from every guess; distinct converged roots, best first.
 
     The guesses are solved as by :func:`lockstep_solve`, and each returned
-    report equals that start's report there.  Roots closer than
-    ``distinct_tol`` in sup-norm are merged: in the lexicographic order of
-    the roots, each goes to the first kept root within the tolerance, and
-    the copy with the smaller residual survives.  When the system carries a
+    report equals that start's report there.  Roots within
+    :data:`DISTINCT_TOL` of each other in sup-norm are merged: in the
+    lexicographic order of the roots, each goes to the first kept root within
+    the tolerance, and the copy with the smaller residual survives.  When the system carries a
     functional the survivors are ordered by its value, otherwise
     lexicographically.  Only the survivors' reports are built, so a system
-    with a stacked residual is never called one state at a time.
+    with a stacked residual is never called one state at a time, and the
+    functional is evaluated at the returned roots only.
     """
     cfg = config or SolverConfig()
     stacks, found = [], []   # found: (stack, start) of each converged start
@@ -711,7 +680,7 @@ def multistart_solve(
     kept = []   # the index into found of each kept root, in the order kept
     for i in order.tolist():
         gaps = _row_norms(kept_roots[:len(kept)] - roots[i])
-        near = np.flatnonzero(gaps <= distinct_tol)
+        near = np.flatnonzero(gaps <= DISTINCT_TOL)
         if not near.size:
             kept_roots[len(kept)] = roots[i]
             kept.append(i)

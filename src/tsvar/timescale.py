@@ -51,6 +51,9 @@ class TimeScale:
                 )
         self._points = pts
         self._array = np.asarray(pts, dtype=float)
+        if not np.isfinite(self._array).all():   # NaN fails the order check above
+            bad = next(p for p in pts if not np.isfinite(p))
+            raise ValueError(f"time points must be finite, got {bad}")
         self._index = {p: i for i, p in enumerate(pts)}
         gaps = np.diff(self._array)
         self._mu = np.append(gaps, 0.0)        # sigma(max) = max

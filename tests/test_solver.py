@@ -104,6 +104,25 @@ def test_solver_config_validation():
                 SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["max_iterations", "max_halvings"])
+def test_solver_config_limits_must_be_integers(name):
+    for value in (2.5, math.inf, -math.inf, math.nan, np.float64(0.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: value})
+    for value in (4.0, np.int64(4), np.float64(4.0)):
+        limit = getattr(SolverConfig(**{name: value}), name)
+        assert limit == 4 and type(limit) is int
+    # an integral float limit gives both solvers the int limit's reports
+    system = ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0]))   # no root
+    starts = [(0.3,), (-2.0,)]
+    config, whole = SolverConfig(**{name: 4.0}), SolverConfig(**{name: 4})
+    for got, expected in zip(lockstep_solve(system, starts, config),
+                             lockstep_solve(system, starts, whole)):
+        assert_same_report(got, expected)
+    assert_same_report(newton_solve(system, starts[0], config),
+                       newton_solve(system, starts[0], whole))
+
+
 # ---------------------------------------------------------------------------
 # newton iteration
 
@@ -806,25 +825,45 @@ def test_multistart_returns_the_merged_lockstep_reports(rate):
 
 def test_multistart_makes_no_scalar_call_on_a_stacked_system():
     # the grid has infeasible starts (on the pole y = y_floor) and starts
-    # whose difference Jacobian fails; their failure texts are not built
+    # whose difference Jacobian fails; their failure texts are not built,
+    # and the functional is evaluated once at each returned root only
     def refused(*args):
         raise AssertionError("scalar call from multistart_solve")
 
     for kind, equation in FIRM_SYSTEMS:
         system, counts = counted(residual_system(FirmParams(), kind, equation))
-        sizes = []
+        sizes, evaluated = [], []
 
         def stacked_residual(xs, inner=system.stacked_residual):
             sizes.append(len(xs))
             return inner(xs)
 
-        system = dataclasses.replace(system, functional=refused, jacobian=refused,
+        def functional(x, inner=system.functional):
+            evaluated.append(tuple(x))
+            return inner(x)
+
+        system = dataclasses.replace(system, functional=functional, jacobian=refused,
                                      stacked_residual=stacked_residual)
-        assert multistart_solve(system, default_start_grid(2)), system.label
+        reports = multistart_solve(system, default_start_grid(2))
+        assert reports, system.label
         assert counts["scalar"] == 0, system.label
         assert min(sizes) > 0, system.label   # no call once every start stopped
+        assert sorted(evaluated) == sorted(tuple(r.root) for r in reports), system.label
     reports = lockstep_solve(residual_system(FirmParams(), *FIRM_SYSTEMS[0]), default_start_grid(2))
     assert any(r.message.startswith("infeasible start: ") for r in reports)
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.02])
+def test_sweep_functionals_are_the_scalar_functional_at_each_root(rate):
+    grid = default_start_grid(2)
+    for kind, equation in FIRM_SYSTEMS:
+        system = residual_system(FirmParams(discount_rate=rate), kind, equation)
+        together = lockstep_solve(system, grid)
+        assert all(r.functional_value is None for r in together if not r.converged)
+        reports = [r for r in together if r.converged] + multistart_solve(system, grid)
+        assert reports, system.label
+        for report in reports:
+            assert report.functional_value == system.functional(report.root), system.label
 
 
 def test_multistart_logs_the_exact_failure_count(monkeypatch, caplog):

@@ -31,6 +31,15 @@ def test_scale_rejects_non_increasing_points():
         TimeScale([0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("points", [[0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+                                    [0.0, 1.0, 2.0, np.inf]])
+def test_scale_rejects_points_that_are_not_finite(points):
+    with pytest.raises(ValueError, match="finite, got -?inf"):
+        TimeScale(points)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        TimeScale([0.0, np.nan, 1.0])
+
+
 def test_index_and_membership():
     ts = TimeScale([0.0, 0.5, 2.0])
     assert ts.index(0.5) == 1
