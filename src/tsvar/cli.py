@@ -6,6 +6,24 @@ discretization kinds and emits one table row per residual system solved.
 published scenarios (discount rates 0.05 and 0.02); ``tsvar run`` accepts a
 config file plus overriding flags for parameter sweeps.
 
+Every command resolves its settings in one pass: the preset's or the
+file's INI text, with each given flag written over the key it stands for
+(``FLAG_KEYS``), goes through one :func:`parse_config` call.  The flags
+and the keys they write:
+
+    --rho         [params] rho
+    --tol         [solver] tol
+    --max-iter    [solver] max_iter
+    --problem     [run] problems     (repeated values joined by spaces)
+    --equation    [run] equations    (repeated values joined by spaces)
+    --guess       [run] guess        (repeated values joined by ';')
+    --multistart  [run] multistart   (writes true)
+    --format      [run] format
+    --output      [run] output
+
+A malformed flag value is reported as its key's value would be, with exit
+code 2.
+
 Root selection: each preset cell seeds Newton's method at the published
 operating region for that system (the iteration then refines it to machine
 precision).  With ``--multistart`` the solver instead sweeps the documented
@@ -20,13 +38,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import functools
 import io
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import Mapping, Sequence, TextIO
 
 from .econ import EquationKind, FirmParams, ProblemKind, residual_system
 from .solver import (
@@ -49,19 +66,8 @@ __all__ = [
     "console_main",
 ]
 
-OUTPUT_FORMATS = ("csv", "json", "markdown")
-
-KIND_ORDER = (
-    ProblemKind.DELTA_DELTA,
-    ProblemKind.NABLA_NABLA,
-    ProblemKind.DELTA_NABLA,
-    ProblemKind.NABLA_DELTA,
-)
-EQUATION_ORDER = (
-    EquationKind.DIRECT,
-    EquationKind.TIMESCALE_EL1,
-    EquationKind.TIMESCALE_EL2,
-)
+KIND_ORDER = tuple(ProblemKind)
+EQUATION_ORDER = tuple(EquationKind)
 
 KIND_SYMBOLS = {
     ProblemKind.DELTA_DELTA: "ΔΔ",
@@ -144,127 +150,91 @@ class ResultRow:
 # configuration parsing
 
 
-_PARAM_KEYS = {
-    "rho": "discount_rate",
-    "c0": "c0",
-    "c1": "c1",
-    "c2": "c2",
-    "lam": "lam",
-    "beta": "beta",
-    "b": "b",
-    "B": "B",
-    "p0": "p0",
-    "y_floor": "y_floor",
-    "horizon": "horizon",
-    "y_initial": "y_initial",
-    "y_terminal": "y_terminal",
-}
-_FIELD_TO_KEY = {v: k for k, v in _PARAM_KEYS.items()}
-
-_SOLVER_KEYS = {
-    "tol": "tol_residual",
-    "step_tol": "tol_step",
-    "max_iter": "max_iterations",
-    "fd_step": "fd_step",
-    "max_halvings": "max_halvings",
-}
-
-_RUN_KEYS = ("problems", "equations", "guess", "multistart", "grid", "format", "output")
-
-_KIND_NAMES = {k.value: k for k in KIND_ORDER}
-_EQUATION_NAMES = {e.value: e for e in EQUATION_ORDER}
+def _names(enum, what: str):
+    """Parser for a list of enum values, in order and without repeats."""
+    def parse(text: str) -> tuple:
+        out = []
+        for token in text.replace(",", " ").split():
+            try:
+                member = enum(token)
+            except ValueError:
+                raise ValueError(
+                    f"unknown {what} {token!r}; choose from "
+                    f"{', '.join(m.value for m in enum)}"
+                ) from None
+            if member not in out:
+                out.append(member)
+        return tuple(out)
+    return parse
 
 
-def _parse_float(section: str, key: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected a number, got {text!r}"
-        ) from None
-
-
-def _parse_int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(
-            f"[{section}] {key}: expected an integer, got {text!r}"
-        ) from None
-
-
-def _parse_bool(section: str, key: str, text: str) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "on", "1"):
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ConfigError(f"[{section}] {key}: expected true or false, got {text!r}")
+    raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_point(text: str, what: str) -> tuple:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError(f"{what}: expected comma separated numbers, got {text!r}")
+def _parse_point(text: str) -> tuple:
     try:
-        return tuple(float(p) for p in parts)
+        point = tuple(float(p) for p in text.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(
-            f"{what}: expected comma separated numbers, got {text!r}"
-        ) from None
+        point = ()
+    if not point:
+        raise ValueError(f"expected comma separated numbers, got {text!r}")
+    return point
 
 
-def _parse_kinds(text: str) -> tuple:
-    out = []
-    for token in text.replace(",", " ").split():
-        if token not in _KIND_NAMES:
-            raise ConfigError(
-                f"unknown problem kind {token!r}; choose from "
-                f"{', '.join(_KIND_NAMES)}"
-            )
-        kind = _KIND_NAMES[token]
-        if kind not in out:
-            out.append(kind)
-    if not out:
-        raise ConfigError("problems must not be empty")
-    return tuple(out)
+def _parse_guesses(text: str) -> tuple:
+    return tuple(_parse_point(chunk) for chunk in text.split(";") if chunk.strip())
 
 
-def _parse_equations(text: str) -> tuple:
-    out = []
-    for token in text.replace(",", " ").split():
-        if token not in _EQUATION_NAMES:
-            raise ConfigError(
-                f"unknown equation {token!r}; choose from "
-                f"{', '.join(_EQUATION_NAMES)}"
-            )
-        eq = _EQUATION_NAMES[token]
-        if eq not in out:
-            out.append(eq)
-    if not out:
-        raise ConfigError("equations must not be empty")
-    return tuple(out)
+def _parse_grid(text: str) -> tuple:
+    grid = _parse_point(text)
+    if len(grid) != 3:
+        raise ValueError(f"expected low,high,step, got {text!r}")
+    return grid
 
 
-def _build_params(overrides: dict) -> FirmParams:
-    try:
-        return FirmParams(**overrides)
-    except ValueError as exc:
-        message = str(exc)
-        for fname, key in _FIELD_TO_KEY.items():
-            if fname in message:
-                message = message.replace(fname, key, 1)
-                break
-        raise ConfigError(message) from exc
+# section -> key -> (the field it sets, the parser of its text); only rho
+# is named apart from its field among the [params] keys
+_KEYS = {
+    "params": {
+        "rho": ("discount_rate", float),
+        **{key: (key, float) for key in ("c0", "c1", "c2", "lam", "beta", "b", "B", "p0",
+                                         "y_floor", "y_initial", "y_terminal")},
+        "horizon": ("horizon", int),
+    },
+    "solver": {
+        "tol": ("tol_residual", float),
+        "step_tol": ("tol_step", float),
+        "max_iter": ("max_iterations", int),
+        "fd_step": ("fd_step", float),
+        "max_halvings": ("max_halvings", int),
+    },
+    "run": {
+        "problems": ("problems", _names(ProblemKind, "problem kind")),
+        "equations": ("equations", _names(EquationKind, "equation")),
+        "guess": ("guesses", _parse_guesses),
+        "multistart": ("multistart", _parse_bool),
+        "grid": ("grid", _parse_grid),
+        "format": ("output_format", str.strip),
+        "output": ("output_path", str.strip),
+    },
+}
+_EXPECTED = {float: "a number", int: "an integer"}
 
 
-def parse_config(source: str) -> ExperimentConfig:
+def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> ExperimentConfig:
     """Parse INI-style config text into a fully resolved ExperimentConfig.
 
     Sections [params], [solver], and [run] are recognised; every key is
     optional and missing keys fall back to the horizon-3 defaults.  Unknown
     sections or keys are rejected by name; malformed lines are reported with
-    their line number.
+    their line number.  ``overrides`` maps ``(section, key)`` to text that
+    replaces the file's value of that key, as a command line flag does.
     """
     parser = configparser.ConfigParser(
         comment_prefixes=("#",), inline_comment_prefixes=("#",)
@@ -274,83 +244,34 @@ def parse_config(source: str) -> ExperimentConfig:
         parser.read_string(source)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for (section, key), text in (overrides or {}).items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, text.replace("%", "%%"))  # a literal value
 
+    values: dict = {section: {} for section in _KEYS}
     for section in parser.sections():
-        if section not in ("params", "solver", "run"):
+        if section not in _KEYS:
             raise ConfigError(f"unknown section [{section}]")
-
-    param_overrides: dict = {}
-    if parser.has_section("params"):
-        for key, value in parser.items("params"):
-            if key not in _PARAM_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [params]")
-            fname = _PARAM_KEYS[key]
-            if fname == "horizon":
-                param_overrides[fname] = _parse_int("params", key, value)
-            else:
-                param_overrides[fname] = _parse_float("params", key, value)
-    params = _build_params(param_overrides)
-
-    solver_overrides: dict = {}
-    if parser.has_section("solver"):
-        for key, value in parser.items("solver"):
-            if key not in _SOLVER_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [solver]")
-            fname = _SOLVER_KEYS[key]
-            if fname in ("max_iterations", "max_halvings"):
-                solver_overrides[fname] = _parse_int("solver", key, value)
-            else:
-                solver_overrides[fname] = _parse_float("solver", key, value)
+        for key, text in parser.items(section):
+            if key not in _KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name, parse = _KEYS[section][key]
+            try:
+                values[section][name] = parse(text)
+            except ValueError as exc:
+                reason = (f"expected {_EXPECTED[parse]}, got {text!r}"
+                          if parse in _EXPECTED else exc)
+                raise ConfigError(f"[{section}] {key}: {reason}") from None
     try:
-        solver = SolverConfig(**solver_overrides)
+        params = FirmParams(**values["params"])
+    except ValueError as exc:
+        raise ConfigError(str(exc).replace("discount_rate", "rho", 1)) from exc
+    try:
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
-
-    problems = KIND_ORDER
-    equations = EQUATION_ORDER
-    guesses: tuple = ()
-    multistart = False
-    grid = DEFAULT_GRID
-    output_format = "csv"
-    output_path = None
-    if parser.has_section("run"):
-        for key, value in parser.items("run"):
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [run]")
-            if key == "problems":
-                problems = _parse_kinds(value)
-            elif key == "equations":
-                equations = _parse_equations(value)
-            elif key == "guess":
-                guesses = tuple(
-                    _parse_point(chunk, "[run] guess")
-                    for chunk in value.split(";")
-                    if chunk.strip()
-                )
-            elif key == "multistart":
-                multistart = _parse_bool("run", key, value)
-            elif key == "grid":
-                grid = _parse_point(value, "[run] grid")
-                if len(grid) != 3:
-                    raise ConfigError(
-                        f"[run] grid: expected low,high,step, got {value!r}"
-                    )
-            elif key == "format":
-                output_format = value.strip()
-            elif key == "output":
-                output_path = value.strip()
-
-    return ExperimentConfig(
-        params=params,
-        problems=problems,
-        equations=equations,
-        guesses=guesses,
-        multistart=multistart,
-        grid=grid,
-        solver=solver,
-        output_format=output_format,
-        output_path=output_path,
-    )
+    return ExperimentConfig(params=params, solver=solver, **values["run"])
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +414,16 @@ def _emit_markdown(rows: Sequence[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = {"csv": _emit_csv, "json": _emit_json, "markdown": _emit_markdown}
+OUTPUT_FORMATS = tuple(_EMITTERS)
+
+
 def emit_table(rows: Sequence[ResultRow], output_format: str) -> str:
     """Render rows as csv, json, or markdown text (deterministic order)."""
     if not rows:
         raise ValueError("no rows to emit")
+    if output_format not in _EMITTERS:
+        raise ValueError(f"format must be one of {', '.join(OUTPUT_FORMATS)}")
     ordered = sorted(
         rows,
         key=lambda r: (
@@ -504,17 +431,28 @@ def emit_table(rows: Sequence[ResultRow], output_format: str) -> str:
             -1 if r.equation is None else EQUATION_ORDER.index(r.equation),
         ),
     )
-    if output_format == "csv":
-        return _emit_csv(ordered)
-    if output_format == "json":
-        return _emit_json(ordered)
-    if output_format == "markdown":
-        return _emit_markdown(ordered)
-    raise ValueError(f"format must be one of {', '.join(OUTPUT_FORMATS)}")
+    return _EMITTERS[output_format](ordered)
 
 
 # ---------------------------------------------------------------------------
 # argument handling
+
+
+# each flag writes the INI key it names here, over the file's or the
+# preset's value; a repeated flag's values are joined by spaces, or for
+# --guess by semicolons, the separators the key reads
+FLAG_KEYS = {
+    "--rho": ("params", "rho"),
+    "--tol": ("solver", "tol"),
+    "--max-iter": ("solver", "max_iter"),
+    "--problem": ("run", "problems"),
+    "--equation": ("run", "equations"),
+    "--guess": ("run", "guess"),
+    "--multistart": ("run", "multistart"),
+    "--format": ("run", "format"),
+    "--output": ("run", "output"),
+}
+PRESETS = {"table1": "", "table2": "[params]\nrho = 0.02\n"}
 
 
 @functools.cache
@@ -523,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` leaves a parser as it found it (each call fills a fresh
     namespace, and the repeatable flags start from a None default), so every
-    call of :func:`main` can share one.
+    call of :func:`main` can share one.  Flag values stay text: the config
+    parser reads them as it reads the keys they write.
     """
     parser = argparse.ArgumentParser(
         prog="tsvar",
@@ -537,17 +476,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, presets: bool) -> None:
         p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
         p.add_argument("--output", metavar="PATH", help="write the table to a file")
-        p.add_argument("--tol", type=float, help="residual tolerance")
-        p.add_argument("--max-iter", type=int, help="Newton iteration cap")
+        p.add_argument("--tol", help="residual tolerance")
+        p.add_argument("--max-iter", help="Newton iteration cap")
         p.add_argument(
             "--multistart",
-            action="store_true",
+            action="store_const",
+            const="true",
             help="sweep the start grid and keep the lowest-functional root",
         )
         if presets:
             return
         p.add_argument("--config", metavar="PATH", help="INI config file")
-        p.add_argument("--rho", type=float, help="discount rate override")
+        p.add_argument("--rho", help="discount rate override")
         p.add_argument(
             "--problem",
             action="append",
@@ -576,55 +516,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
-    if getattr(args, "rho", None) is not None:
-        params = dataclasses.asdict(cfg.params)
-        params["discount_rate"] = args.rho
-        updates["params"] = _build_params(params)
-    if getattr(args, "problem", None):
-        updates["problems"] = _parse_kinds(" ".join(args.problem))
-    if getattr(args, "equation", None):
-        updates["equations"] = _parse_equations(" ".join(args.equation))
-    if getattr(args, "guess", None):
-        updates["guesses"] = tuple(
-            _parse_point(g, "--guess") for g in args.guess
-        )
-    if args.multistart:
-        updates["multistart"] = True
-    if args.format is not None:
-        updates["output_format"] = args.format
-    if args.output is not None:
-        updates["output_path"] = args.output
-    solver_updates: dict = {}
-    if args.tol is not None:
-        solver_updates["tol_residual"] = args.tol
-    if args.max_iter is not None:
-        solver_updates["max_iterations"] = args.max_iter
-    if solver_updates:
-        try:
-            updates["solver"] = dataclasses.replace(cfg.solver, **solver_updates)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.command == "run":
-        if args.config is not None:
-            try:
-                with open(args.config, encoding="utf-8") as handle:
-                    source = handle.read()
-            except OSError as exc:
-                raise ConfigError(f"cannot read config file: {exc}") from exc
-            cfg = parse_config(source)
-        else:
-            cfg = parse_config("")
-    elif args.command == "table1":
-        cfg = parse_config("")
-    else:  # table2
-        cfg = parse_config("[params]\nrho = 0.02\n")
-    return _apply_flags(cfg, args)
+    """The preset's or the config file's text, each given flag written over
+    its key, resolved by one :func:`parse_config` call."""
+    if args.command in PRESETS:
+        source = PRESETS[args.command]
+    elif args.config is None:
+        source = ""
+    else:
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                source = handle.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+    overrides = {}
+    for flag, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            overrides[section, key] = (
+                value if isinstance(value, str) else (";" if key == "guess" else " ").join(value)
+            )
+    return parse_config(source, overrides)
 
 
 def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int:

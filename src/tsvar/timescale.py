@@ -54,8 +54,12 @@ class TimeScale:
         if not np.isfinite(self._array).all():   # NaN fails the order check above
             bad = next(p for p in pts if not np.isfinite(p))
             raise ValueError(f"time points must be finite, got {bad}")
+        with np.errstate(over="ignore"):
+            gaps = np.diff(self._array)
+        if not np.isfinite(gaps).all():
+            i = int(np.argmin(np.isfinite(gaps)))
+            raise ValueError(f"the gap between time points {pts[i]} and {pts[i + 1]} overflows")
         self._index = {p: i for i, p in enumerate(pts)}
-        gaps = np.diff(self._array)
         self._mu = np.append(gaps, 0.0)        # sigma(max) = max
         self._nu = np.insert(gaps, 0, 0.0)     # rho(min) = min
 

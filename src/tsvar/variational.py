@@ -15,7 +15,8 @@ from the integrands' second partials and the outer Hessian.  :func:`assemble`
 is its one entry point: the public functions validate their arguments and
 read it, and the firm model in :mod:`tsvar.econ` reads windows of it.
 :func:`corollary_z_residual`, the integer-scale specialization written
-with index shifts, shares none of it and serves as the independent check.
+with index shifts, sums its own component integrals and shares none of it,
+so it serves as the independent check.
 
 Shifted difference quotients near the scale's extremes exit their
 natural domains.  The ``strict`` policy leaves such points undefined
@@ -703,9 +704,9 @@ def corollary_z_residual(
 ) -> GridFunction:
     """Residual of the one-delta/one-nabla specialization on an integer scale.
 
-    Written directly with unit index shifts; serves as an independent
-    cross-check of :func:`theorem_main_residual` on contiguous integer
-    scales.
+    Written directly with unit index shifts, its component integrals
+    included; serves as an independent cross-check of
+    :func:`theorem_main_residual` on contiguous integer scales.
     """
     _check_policy(policy)
     if which not in ("first", "second"):
@@ -720,10 +721,6 @@ def corollary_z_residual(
     n = len(scale)
     f = problem.delta_integrands[0]
     g = problem.nabla_integrands[0]
-    comps = eval_component_integrals(problem, y)
-    wf = problem.outer.partials[0](comps)
-    wg = problem.outer.partials[1](comps)
-
     clamped = policy == CLAMPED
 
     def fwd(i):
@@ -757,6 +754,16 @@ def corollary_z_residual(
     def g_v(i):
         v = ny(i)
         return math.nan if math.isnan(v) else g.partial_v(pts[i], vals[bwd(i)], v)
+
+    # unit steps: the delta integral sums f over 0..n-2, the nabla one g
+    # over 1..n-1, each in order from 0.0
+    comps = [0.0, 0.0]
+    for i in range(n - 1):
+        comps[0] += f.value(pts[i], vals[i + 1], dy(i))
+        comps[1] += g.value(pts[i + 1], vals[i], ny(i + 1))
+    comps = np.array(comps)
+    wf = problem.outer.partials[0](comps)
+    wg = problem.outer.partials[1](comps)
 
     def gamma_f(i):
         # delta core of f at i: f_y(i) - (f_v(i+1) - f_v(i)); forward

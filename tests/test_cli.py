@@ -419,6 +419,54 @@ def test_too_fine_multistart_grid_names_the_count_per_coordinate(tmp_path, capsy
     assert len(err) < 200   # not the 600-digit point count
 
 
+# each flag writes its INI key: (the key's value in a file, the flag's value)
+FLAG_SAMPLES = {
+    "--rho": ("0.05", "0.03"),
+    "--tol": ("1e-12", "1e-10"),
+    "--max-iter": ("100", "2"),
+    "--problem": ("dd", "nn"),
+    "--equation": ("el1", "el2"),
+    "--guess": ("2.2,2.5", "2.3,2.7"),
+    "--multistart": ("false", None),
+    "--format": ("json", "markdown"),
+    "--output": ("other.csv", "table.csv"),
+}
+
+
+@pytest.mark.parametrize("flag", list(tcli.FLAG_KEYS))
+def test_a_flag_acts_as_its_ini_key_over_the_file(flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    section, key = tcli.FLAG_KEYS[flag]
+    in_file, by_flag = FLAG_SAMPLES[flag]
+    (tmp_path / "file.ini").write_text(f"[{section}]\n{key} = {in_file}\n")
+    (tmp_path / "flag.ini").write_text(f"[{section}]\n{key} = {by_flag or 'true'}\n")
+
+    def outcome(argv):
+        code, text = run_cli(argv)
+        written = sorted(tmp_path.glob("*.csv"))
+        files = [(path.name, path.read_text()) for path in written]
+        for path in written:
+            path.unlink()
+        return code, text, files
+
+    given = [flag] if by_flag is None else [flag, by_flag]
+    by_flag_run = outcome(["run", "--config", "file.ini", *given])
+    assert by_flag_run == outcome(["run", "--config", "flag.ini"])
+    assert by_flag_run != outcome(["run", "--config", "file.ini"])
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--rho", "abc", "[params] rho"),
+    ("--tol", "x", "[solver] tol"),
+    ("--max-iter", "2.5", "[solver] max_iter"),
+])
+def test_malformed_flag_value_exits_with_two_and_names_its_key(flag, value, key, capsys):
+    code, text = run_cli(["run", flag, value])
+    assert code == 2
+    assert text == ""
+    assert f"tsvar: error: {key}: expected" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # one argument parser per process
 

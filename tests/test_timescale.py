@@ -38,6 +38,9 @@ def test_scale_rejects_points_that_are_not_finite(points):
         TimeScale(points)
     with pytest.raises(ValueError, match="strictly increasing"):
         TimeScale([0.0, np.nan, 1.0])
+    # finite points whose gap overflows: refused by name, without a warning
+    with pytest.raises(ValueError, match="-1.7e\\+308 and 1.7e\\+308 overflows"):
+        TimeScale([-1.7e308, 1.7e308, 1.75e308])
 
 
 def test_index_and_membership():

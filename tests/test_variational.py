@@ -320,6 +320,29 @@ def test_corollary_matches_theorem_on_integer_scales():
                 assert_allclose(second(t), th_nabla(t), rtol=1e-10, atol=1e-12)
 
 
+def test_corollary_does_not_read_the_engine(monkeypatch):
+    # the corollary is the engine's independent check, so breaking the
+    # engine's component integrals must move the theorem's residual only
+    from tsvar import variational
+
+    params = FirmParams(horizon=6)
+    rng = np.random.default_rng(22)
+    problem = firm_problem(params, ProblemKind.DELTA_NABLA)
+    states = [random_feasible_state(params, rng) for _ in range(5)]
+
+    def residuals(residual, forms):
+        return np.array([residual(problem, y, form, CLAMPED).values[1:-1]
+                         for y in states for form in forms])
+
+    corollary = residuals(corollary_z_residual, ("first", "second"))
+    theorem = residuals(theorem_main_residual, ("delta", "nabla"))
+    integrals = variational._integrals
+    monkeypatch.setattr(variational, "_integrals",
+                        lambda a, s: [2.0 * c for c in integrals(a, s)])
+    assert not np.allclose(residuals(theorem_main_residual, ("delta", "nabla")), theorem)
+    assert np.array_equal(residuals(corollary_z_residual, ("first", "second")), corollary)
+
+
 def test_corollary_requires_unit_grid_and_single_pair():
     params = FirmParams()
     problem = firm_problem(params, ProblemKind.DELTA_DELTA)
