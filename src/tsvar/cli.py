@@ -198,8 +198,8 @@ def _parse_grid(text: str) -> tuple:
     return grid
 
 
-# section -> key -> (the field it sets, the parser of its text); only rho
-# is named apart from its field among the [params] keys
+# section -> key -> (the field it sets, the parser of its text); a refused
+# field is named by its key (rho for discount_rate, tol for tol_residual)
 _KEYS = {
     "params": {
         "rho": ("discount_rate", float),
@@ -266,12 +266,20 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     try:
         params = FirmParams(**values["params"])
     except ValueError as exc:
-        raise ConfigError(str(exc).replace("discount_rate", "rho", 1)) from exc
+        raise ConfigError(_keyed("params", exc)) from exc
     try:
         solver = SolverConfig(**values["solver"])
     except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from exc
+        raise ConfigError(f"[solver] {_keyed('solver', exc)}") from exc
     return ExperimentConfig(params=params, solver=solver, **values["run"])
+
+
+def _keyed(section: str, exc: ValueError) -> str:
+    """The message of ``exc``, which starts with a field's name, with that
+    name rewritten to the field's key in ``section``."""
+    name, space, rest = str(exc).partition(" ")
+    keys = {field: key for key, (field, _) in _KEYS[section].items()}
+    return keys.get(name, name) + space + rest
 
 
 # ---------------------------------------------------------------------------

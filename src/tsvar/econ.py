@@ -10,10 +10,11 @@ Euler-Lagrange formulations beside the directly discretized system.
 
 Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
-taken as zero.  The model declares its integrands, checks its guards in
-one pass per state, and picks for each residual system an output of the
-Euler-Lagrange assembly, :func:`tsvar.variational.assemble`, and the window
-of points it is read on; it holds no Euler-Lagrange algebra of its own.
+taken as zero.  The model declares its integrands, each of one kind and
+read at its discount factors, checks its guards in one pass per state, and
+picks for each residual system an output of the Euler-Lagrange assembly,
+:func:`tsvar.variational.assemble`, and the window of points it is read on;
+it holds no Euler-Lagrange algebra of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .variational import (
     CLAMPED,
     CompositeProblem,
     Integrand,
-    Pointwise,
     State,
     assemble,
     identity_outer,
@@ -259,25 +259,14 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
                      discounted(partial_yv, False), discounted(partial_vv, not capital))
 
 
-def _slots(kind: ProblemKind, capital, technology) -> tuple:
-    """The delta and the nabla slots of a kind: delta before nabla, capital before technology."""
-    if kind is ProblemKind.DELTA_DELTA:
-        return (capital, technology), ()
-    if kind is ProblemKind.NABLA_NABLA:
-        return (), (capital, technology)
-    if kind is ProblemKind.DELTA_NABLA:
-        return (capital,), (technology,)
-    return (technology,), (capital,)
-
-
 def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
     """Composite product problem for the requested discretization kind."""
-    delta, nabla = _slots(kind, firm_integrand(params, f"capital_{kind.capital_mode}"),
-                          firm_integrand(params, f"technology_{kind.technology_mode}"))
+    integrands = (firm_integrand(params, f"capital_{kind.capital_mode}"),
+                  firm_integrand(params, f"technology_{kind.technology_mode}"))
     return CompositeProblem(
         scale=TimeScale.integer_range(0, params.horizon),
-        delta_integrands=delta,
-        nabla_integrands=nabla,
+        delta_integrands=tuple(f for f in integrands if f.kind == "delta"),
+        nabla_integrands=tuple(f for f in integrands if f.kind == "nabla"),
         outer=product_outer(),
         boundary=(params.y_initial, params.y_terminal),
     )
@@ -299,10 +288,11 @@ def _discounts(p: FirmParams) -> dict:
             "nabla": [_disc_nabla(p, t) for t in points]}
 
 
-def _pointwise(p: FirmParams, which: str, discounts: dict, sqrt) -> Pointwise:
+def _tabulated(p: FirmParams, which: str, discounts: dict, sqrt) -> Integrand:
+    """The unguarded integrand ``which``, read at its kind's discount factors."""
     family, mode = which.rsplit("_", 1)
     value, partial_y, partial_v, *second = _terms(p, family, sqrt)
-    return Pointwise(value, partial_y, partial_v, discounts[mode], *second)
+    return Integrand(mode, value, partial_y, partial_v, *second, at=discounts[mode])
 
 
 def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):
@@ -369,10 +359,9 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
         raise ValueError(f"t={t} is not a point of the horizon scale")
     mode = which.rsplit("_", 1)[1]
     # the integrand alone under the identity outer: its core, weighted by 1
-    f = _pointwise(params, which, _discounts(params), math.sqrt)
-    assembled = assemble([1.0] * params.horizon,
-                         *(((f,), ()) if mode == "delta" else ((), (f,))),
-                         identity_outer(), CLAMPED, "cores", range(int(t), int(t) + 1))
+    f = _tabulated(params, which, _discounts(params), math.sqrt)
+    assembled = assemble([1.0] * params.horizon, (f,), identity_outer(), CLAMPED, "cores",
+                         range(int(t), int(t) + 1))
     state = _checked_state(params, assembled, _state_values(params, y), mode, mode)
     return assembled.evaluate(state)[0]
 
@@ -419,10 +408,9 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     outer = product_outer()
 
     def assembly(sqrt, stacked):
-        capital = _pointwise(p, f"capital_{capital_mode}", discounts, sqrt)
-        technology = _pointwise(p, f"technology_{technology_mode}", discounts, sqrt)
-        return assemble([1.0] * p.horizon, *_slots(kind, capital, technology),
-                        outer, CLAMPED, form, points, stacked, jacobian=not stacked)
+        integrands = (_tabulated(p, f"capital_{capital_mode}", discounts, sqrt),
+                      _tabulated(p, f"technology_{technology_mode}", discounts, sqrt))
+        return assemble([1.0] * p.horizon, integrands, outer, CLAMPED, form, points, stacked)
 
     one = assembly(math.sqrt, False)
 

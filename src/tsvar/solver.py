@@ -125,18 +125,19 @@ class SolverConfig:
     max_halvings: int = 30
 
     def __post_init__(self):
-        steps = (self.tol_residual, self.tol_step, self.fd_step)
-        if not all(math.isfinite(v) and v > 0 for v in steps):
-            raise ValueError("tolerances and the difference step must be positive and finite")
-        for name in ("max_iterations", "max_halvings"):
+        for name in ("tol_residual", "tol_step", "fd_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name, least in (("max_iterations", 1), ("max_halvings", 0)):
             value = getattr(self, name)
             # compared, not converted to float: an int may exceed its range
             if value != value or abs(value) == math.inf or int(value) != value:
                 raise ValueError(f"{name} must be an integer, got {value}")
             # an integral float or numpy integer is kept as a Python int, which range() needs
             object.__setattr__(self, name, int(value))
-        if self.max_iterations < 1 or self.max_halvings < 0:
-            raise ValueError("iteration limits out of range")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,10 @@ def newton_solve(
                norms: list, path: list) -> SolveReport:
         fval = None
         if converged and system.functional is not None:
-            fval = float(system.functional(x))
+            try:
+                fval = float(system.functional(x))
+            except DomainError:   # as _reports has it
+                fval = math.nan
         return SolveReport(
             root=x.copy(), residual_norm=norm, iterations=iters, converged=converged,
             functional_value=fval, message=msg,

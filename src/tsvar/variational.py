@@ -7,16 +7,17 @@ The objects here describe functionals of the form
 where the first k components are delta integrals of integrands evaluated
 along ``(t, y(sigma(t)), delta-quotient of y)`` and the remaining n are
 nabla integrals evaluated along ``(t, y(rho(t)), nabla-quotient of y)``.
-The main theorem's stationarity system is assembled once, from the
-integrands and the outer partials; one state evaluates the assembly as
-float arithmetic and a stack of states on whole arrays.  For one state the
-assembly also gives the system's Jacobian, in the same float arithmetic,
-from the integrands' second partials and the outer Hessian.  :func:`assemble`
-is its one entry point: the public functions validate their arguments and
-read it, and the firm model in :mod:`tsvar.econ` reads windows of it.
-:func:`corollary_z_residual`, the integer-scale specialization written
-with index shifts, sums its own component integrals and shares none of it,
-so it serves as the independent check.
+An :class:`Integrand` states its kind, and the kind alone places it among
+the components.  The main theorem's stationarity system is assembled once,
+from the integrands and the outer partials; one state evaluates the
+assembly as float arithmetic and a stack of states on whole arrays.  For
+one state the assembly also gives the system's Jacobian, in the same float
+arithmetic, from the integrands' second partials and the outer Hessian.
+:func:`assemble` is its one entry point: the public functions validate
+their arguments and read it, and the firm model in :mod:`tsvar.econ` reads
+windows of it.  :func:`corollary_z_residual`, the integer-scale
+specialization written with index shifts, sums its own component integrals
+and shares none of it, so it serves as the independent check.
 
 Shifted difference quotients near the scale's extremes exit their
 natural domains.  The ``strict`` policy leaves such points undefined
@@ -28,7 +29,7 @@ mirroring the convention used by the firm model in :mod:`tsvar.econ`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -43,7 +44,6 @@ __all__ = [
     "CompositeProblem",
     "Integrand",
     "OuterFunction",
-    "Pointwise",
     "STRICT",
     "State",
     "CLAMPED",
@@ -75,7 +75,9 @@ class Integrand:
     ``value``, ``partial_y`` and ``partial_v`` all take ``(t, y, v)``:
     the time point, the jump-shifted state and the difference-quotient
     rate fed to this integrand by its kind.  The second partials, when
-    given, take the same arguments.
+    given, take the same arguments; the assembly reads them for its Jacobian.
+    ``at`` is the table :func:`assemble` reads in place of the times, which
+    a :class:`CompositeProblem` sets to its scale's points.
     """
 
     kind: str  # "delta" or "nabla"
@@ -85,6 +87,7 @@ class Integrand:
     partial_yy: Callable[[float, float, float], float] | None = None
     partial_yv: Callable[[float, float, float], float] | None = None
     partial_vv: Callable[[float, float, float], float] | None = None
+    at: Sequence | None = None
 
     def __post_init__(self):
         if self.kind not in ("delta", "nabla"):
@@ -96,31 +99,25 @@ class OuterFunction:
     """Outer combining function with one partial per component integral.
 
     ``hessian``, when given, maps the component integrals to the matrix of
-    second partials, ``arity`` rows of ``arity`` numbers.
+    second partials, a row of ``len(partials)`` numbers per partial.
     """
 
-    arity: int
     value: Callable[[Sequence[float]], float]
-    partials: tuple = field(default=())
+    partials: tuple
     hessian: Callable[[Sequence[float]], Sequence] | None = None
 
     def __post_init__(self):
-        if self.arity < 1:
+        if not self.partials:
             raise ValueError("outer function needs at least one argument")
-        if len(self.partials) != self.arity:
-            raise ValueError(
-                f"expected {self.arity} partials, got {len(self.partials)}"
-            )
 
 
 def identity_outer() -> OuterFunction:
-    return OuterFunction(1, lambda c: float(c[0]), (lambda c: 1.0,), lambda c: ((0.0,),))
+    return OuterFunction(lambda c: float(c[0]), (lambda c: 1.0,), lambda c: ((0.0,),))
 
 
 def sum_outer(arity: int) -> OuterFunction:
     zero = ((0.0,) * arity,) * arity
     return OuterFunction(
-        arity,
         lambda c: float(sum(c)),
         tuple((lambda c: 1.0) for _ in range(arity)),
         lambda c: zero,
@@ -129,7 +126,6 @@ def sum_outer(arity: int) -> OuterFunction:
 
 def product_outer() -> OuterFunction:
     return OuterFunction(
-        2,
         lambda c: c[0] * c[1],
         (itemgetter(1), itemgetter(0)),
         lambda c: ((0.0, 1.0), (1.0, 0.0)),
@@ -138,7 +134,8 @@ def product_outer() -> OuterFunction:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """A composite functional together with its fixed boundary values."""
+    """A composite functional together with its fixed boundary values; it
+    keeps its integrands with ``at`` set to the scale's points."""
 
     scale: TimeScale
     delta_integrands: tuple
@@ -151,9 +148,9 @@ class CompositeProblem:
         n = len(self.nabla_integrands)
         if k + n < 1:
             raise ValueError("a composite problem needs at least one integrand")
-        if self.outer.arity != k + n:
+        if len(self.outer.partials) != k + n:
             raise ValueError(
-                f"outer arity {self.outer.arity} != number of integrands {k + n}"
+                f"outer arity {len(self.outer.partials)} != number of integrands {k + n}"
             )
         for f in self.delta_integrands:
             if f.kind != "delta":
@@ -167,6 +164,9 @@ class CompositeProblem:
             finite = False
         if not finite:
             raise ValueError(f"boundary must be two finite numbers, got {self.boundary!r}")
+        for name in ("delta_integrands", "nabla_integrands"):
+            object.__setattr__(self, name, tuple(replace(f, at=self.scale.points)
+                                                 for f in getattr(self, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +183,6 @@ class CompositeProblem:
 # A quotient past an end of the scale takes the policy's value, zero when
 # clamped and NaN when strict; the graininess holds the policy's step there,
 # 1 or NaN, so a clamped quotient across an end is exactly zero.
-
-
-class Pointwise(NamedTuple):
-    """An integrand as the assembly reads it: ``value``, ``partial_y`` and
-    ``partial_v`` take ``(at[i], y, v)`` at point i, and so do the second
-    partials, which only the Jacobian reads.  ``at`` holds the times of the
-    points for an :class:`Integrand`; a model may tabulate something else
-    there, as the firm model does its discount factors."""
-
-    value: Callable
-    partial_y: Callable
-    partial_v: Callable
-    at: Sequence
-    partial_yy: Callable | None = None
-    partial_yv: Callable | None = None
-    partial_vv: Callable | None = None
 
 
 class State(NamedTuple):
@@ -218,7 +202,7 @@ class Assembled(NamedTuple):
     state: Callable       # a state's values -> its State
     integrals: Callable   # State -> the delta then the nabla component integrals
     evaluate: Callable    # State (and its integrals, if known) -> the output on the window
-    jacobian: Callable | None = None   # the same -> its Jacobian, when asked for
+    jacobian: Callable | None   # the same -> its Jacobian; None for a stack
 
 
 class _Assembly(NamedTuple):
@@ -227,56 +211,48 @@ class _Assembly(NamedTuple):
     mu: Sequence        # forward graininess; the policy's step at the top
     nu: Sequence        # backward graininess; the policy's step at the bottom
     edge: float         # a quotient past an end: 0.0 clamped, NaN strict
-    delta: tuple        # Pointwise delta integrands
-    nabla: tuple        # Pointwise nabla integrands
+    delta: tuple        # the delta integrands
+    nabla: tuple        # the nabla integrands
     outer: OuterFunction
     stacked: bool
 
 
-def assemble(gaps: list, delta, nabla, outer: OuterFunction, policy: str,
-             form: str = "cores", points: range = range(0), stacked: bool = False,
-             jacobian: bool = False) -> Assembled:
-    """The Euler-Lagrange assembly of :class:`Pointwise` integrands on the
-    scale with these gaps between consecutive points, read on a window.
+def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
+             form: str = "cores", points: range = range(0), stacked: bool = False) -> Assembled:
+    """The Euler-Lagrange assembly of ``integrands`` on the scale with these
+    gaps between consecutive points, read on a window.
 
-    ``form`` is ``"cores"`` (both kinds' weighted cores, f_y - (f_v)^Delta
-    and g_y - (g_v)^nabla, summed: the directly discretized system),
-    ``"delta"`` or ``"nabla"`` (the theorem's two forms); ``points`` is the
-    window, a range.  One state's values are a list, and its output a list;
-    with ``stacked`` the values are an (n, S) array, one column per state,
-    and the output a (len(points), S) array.
+    Each integrand's kind places it: the component integrals are the delta
+    ones, then the nabla ones, each in the order given; its callables take
+    ``(at[i], y, v)`` at point i.  ``form`` is ``"cores"`` (both kinds'
+    weighted cores, f_y - (f_v)^Delta and g_y - (g_v)^nabla, summed: the
+    directly discretized system), ``"delta"`` or ``"nabla"`` (the theorem's
+    two forms); ``points`` is the window, a range.  One state's values are a
+    list, and its output a list; with ``stacked`` the values are an (n, S)
+    array, one column per state, and the output a (len(points), S) array.
 
-    With ``jacobian``, one state's output also has its Jacobian in the
-    interior values y_1, ..., y_{n-2}, a (len(points), n - 2) array; it
-    needs every integrand's second partials and the outer function's
-    Hessian.
+    One state's output also has its Jacobian in the interior values
+    y_1, ..., y_{n-2}, a (len(points), n - 2) array, built on its first
+    call, which needs every integrand's second partials and the outer
+    function's Hessian.  A stack's ``jacobian`` is None.
     """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
     up, down = [*range(1, n), n - 1], [0, *range(n - 1)]
     mu, nu = gaps + [step], [step] + gaps
-    delta, nabla = tuple(delta), tuple(nabla)
+    integrands = tuple(integrands)
     if stacked:
         def column(values):
             return np.array(values, dtype=float)[:, None]
 
         up, down, mu, nu = _Jump(up, 1), _Jump(down, -1), column(mu), column(nu)
-        delta = tuple(f._replace(at=column(f.at)) for f in delta)
-        nabla = tuple(g._replace(at=column(g.at)) for g in nabla)
+        integrands = tuple(replace(f, at=column(f.at)) for f in integrands)
         points = slice(points.start, points.stop)
     edge = 0.0 if policy == CLAMPED else math.nan
-    a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked)
-    one_jacobian = None
-    if jacobian:
-        if stacked:
-            raise ValueError("the Jacobian is assembled for one state, not a stack")
-        if outer.hessian is None:
-            raise ValueError("the Jacobian needs the outer function's hessian")
-        if any(None in (f.partial_yy, f.partial_yv, f.partial_vv) for f in delta + nabla):
-            raise ValueError("the Jacobian needs every integrand's second partials")
-        one_jacobian = _jacobian(a, form, points)
+    a = _Assembly(up, down, mu, nu, edge, tuple(f for f in integrands if f.kind == "delta"),
+                  tuple(f for f in integrands if f.kind == "nabla"), outer, stacked)
     return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points),
-                     one_jacobian)
+                     None if stacked else _jacobian(a, form, points))
 
 
 class _Jump:
@@ -573,12 +549,20 @@ def _jacobian(a: _Assembly, form: str, points: range):
     adds them to every row, band entry and gradient entry that reads them.
     """
     n = len(a.mu)
-    delta_readers, nabla_readers, targets = _stencils(tuple(a.mu), tuple(a.nu), form, points)
-    kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
     size = len(points)
     derivatives, hessian = a.outer.partials, a.outer.hessian
 
+    stencils = []   # built on the first call, not by assemble: most callers never ask
+
     def jacobian(s: State, comps=None) -> np.ndarray:
+        if not stencils:
+            if hessian is None:
+                raise ValueError("the Jacobian needs the outer function's hessian")
+            if any(None in (f.partial_yy, f.partial_yv, f.partial_vv) for f in a.delta + a.nabla):
+                raise ValueError("the Jacobian needs every integrand's second partials")
+            stencils.append(_stencils(tuple(a.mu), tuple(a.nu), form, points))
+        delta_readers, nabla_readers, targets = stencils[0]
+        kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
         if comps is None:
             comps = _integrals(a, s)
         weights = [derivative(comps) for derivative in derivatives]
@@ -648,16 +632,12 @@ def _problem_assembly(problem: CompositeProblem, y: GridFunction, policy: str,
                       form: str = "cores", points: range = range(0)):
     """The float assembly of ``problem`` read on ``points``, and the tables of ``y``."""
     vals = _admissible_values(problem, y)
-    times = problem.scale.points
-    wrap = _undefined_past_an_end if policy == STRICT else (lambda fn: fn)
-
-    def pointwise(f: Integrand) -> Pointwise:
-        return Pointwise(f.value, wrap(f.partial_y), wrap(f.partial_v), times)
-
-    assembled = assemble(problem.scale.mu_values()[:-1].tolist(),
-                         map(pointwise, problem.delta_integrands),
-                         map(pointwise, problem.nabla_integrands), problem.outer, policy,
-                         form, points)
+    integrands = (*problem.delta_integrands, *problem.nabla_integrands)
+    if policy == STRICT:
+        integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y),
+                              partial_v=_undefined_past_an_end(f.partial_v)) for f in integrands]
+    assembled = assemble(problem.scale.mu_values()[:-1].tolist(), integrands, problem.outer,
+                         policy, form, points)
     return assembled, assembled.state(vals.tolist())
 
 

@@ -344,6 +344,23 @@ def test_non_finite_tolerance_exits_with_two(tol, capsys):
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, line, key", [
+    (["--tol", "inf"], "", "tol"),
+    ([], "step_tol = inf", "step_tol"),
+    ([], "fd_step = 0", "fd_step"),
+    ([], "max_iter = 0", "max_iter"),
+    ([], "max_halvings = -1", "max_halvings"),
+])
+def test_refused_solver_setting_exits_with_two_and_names_its_key(flags, line, key, tmp_path,
+                                                                  capsys):
+    path = tmp_path / "solver.ini"
+    path.write_text(f"[solver]\n{line}\n")
+    code, text = run_cli(["run", "--config", str(path), *flags])
+    assert code == 2
+    assert text == ""
+    assert f"tsvar: error: [solver] {key} must be" in capsys.readouterr().err
+
+
 def test_unwritable_output_exits_with_two(tmp_path, capsys):
     path = tmp_path / "missing" / "x.csv"
     code, text = run_cli(["table1", "--output", str(path)])

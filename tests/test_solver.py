@@ -360,6 +360,18 @@ def test_lockstep_matches_newton_start_by_start_on_lifted_systems(case):
         assert_same_report(got, want)
 
 
+def test_newton_reports_a_functional_that_fails_at_the_root_as_lockstep_does():
+    def functional(x):
+        raise DomainError("no functional at this root")
+
+    system = ResidualSystem(1, lambda x: np.array([x[0] - 1.0]), functional=functional)
+    got, want = newton_solve(system, (3.0,)), lockstep_solve(system, [(3.0,)])[0]
+    assert got.converged and math.isnan(got.functional_value)
+    assert math.isnan(want.functional_value)   # NaN != NaN, so compared apart
+    assert_same_report(dataclasses.replace(got, functional_value=None),
+                       dataclasses.replace(want, functional_value=None))
+
+
 def test_lifted_cases_reach_every_stop_reason():
     reasons = set()
     with np.errstate(invalid="ignore", over="ignore"):

@@ -1,5 +1,6 @@
 """Tests for composite functionals and their stationarity residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from tsvar import (
     sum_outer,
     theorem_main_residual,
 )
-from tsvar.variational import Pointwise, assemble
+from tsvar.variational import assemble
 
 
 def quadratic_rate_integrand(kind):
@@ -71,9 +72,7 @@ def test_integrand_kind_is_validated():
 
 def test_outer_function_arity_is_validated():
     with pytest.raises(ValueError):
-        OuterFunction(0, lambda c: 0.0, ())
-    with pytest.raises(ValueError):
-        OuterFunction(2, lambda c: 0.0, (lambda c: 1.0,))
+        OuterFunction(lambda c: 0.0, ())
 
 
 def test_outer_factories():
@@ -224,7 +223,6 @@ def test_time_only_integrand_contributes_nothing():
         (k_delta, pure_time),
         (tech,),
         OuterFunction(
-            3,
             outer_value,
             (lambda c: float(c[2]), lambda c: 0.0, lambda c: float(c[0])),
         ),
@@ -269,33 +267,37 @@ def test_policy_name_is_validated():
 
 def test_stacked_assembly_matches_one_state_on_a_non_uniform_scale():
     """Every form, on windows that reach both ends of a scale whose
-    graininess is not 1, evaluates a stack as its states bit for bit."""
+    graininess is not 1, evaluates a stack as its states bit for bit; and an
+    integrand's kind, not its position, decides its component."""
     rng = np.random.default_rng(33)
     gaps = rng.uniform(0.3, 1.7, 7).tolist()
     times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
 
-    def pointwise(c):
-        return Pointwise(lambda t, y, v: t * y * y + c * v * v,
-                         lambda t, y, v: 2.0 * t * y,
-                         lambda t, y, v: 2.0 * c * v, times)
+    def integrand(kind, c):
+        return Integrand(kind, lambda t, y, v: t * y * y + c * v * v,
+                         lambda t, y, v: 2.0 * t * y, lambda t, y, v: 2.0 * c * v, at=times)
 
     states = rng.uniform(1.0, 3.0, (6, 8))
-    slots = [((pointwise(0.5),), (pointwise(1.5),)),
-             ((pointwise(0.5), pointwise(2.0)), ()),
-             ((), (pointwise(0.5), pointwise(2.0)))]
-    for delta, nabla in slots:
+
+    def outputs(integrands, form, points):
+        """A stack's rows and integrals, and each state's alone."""
+        one = assemble(gaps, integrands, product_outer(), CLAMPED, form, points)
+        stack = assemble(gaps, integrands, product_outer(), CLAMPED, form, points, stacked=True)
+        tables = stack.state(states.T)
+        alone = [(one.evaluate(s), one.integrals(s)) for s in map(one.state, states.tolist())]
+        return (stack.evaluate(tables).T.tolist(), np.array(stack.integrals(tables)).T.tolist(),
+                alone)
+
+    mixed = (integrand("delta", 0.5), integrand("nabla", 1.5))
+    for integrands in (mixed, (integrand("delta", 0.5), integrand("delta", 2.0)),
+                       (integrand("nabla", 0.5), integrand("nabla", 2.0))):
         for form in ("cores", "delta", "nabla"):
             for points in (range(0, 8), range(1, 7), range(2, 5)):
-                one = assemble(gaps, delta, nabla, product_outer(), CLAMPED, form, points)
-                stack = assemble(gaps, delta, nabla, product_outer(), CLAMPED, form, points,
-                                 stacked=True)
-                tables = stack.state(states.T)
-                rows = stack.evaluate(tables).T
-                comps = np.array(stack.integrals(tables)).T
-                for x, row, comp in zip(states, rows, comps):
-                    s = one.state(x.tolist())
-                    assert row.tolist() == one.evaluate(s)
-                    assert comp.tolist() == one.integrals(s)
+                rows, comps, alone = outputs(integrands, form, points)
+                assert rows == [row for row, _ in alone]
+                assert comps == [comp for _, comp in alone]
+                if integrands is mixed:
+                    assert outputs(mixed[::-1], form, points) == (rows, comps, alone)
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +414,18 @@ def test_partials_checker_flags_wrong_second_partials():
 # the assembly's analytic Jacobian
 
 
-def smooth_pointwise(coefficients, times):
+def smooth_integrand(kind, coefficients, times):
     """a t y^2 + b v^2 + c y v + d y^3 / 3 + e cos v, with its partials."""
     a, b, c, d, e = coefficients
-    return Pointwise(
+    return Integrand(
+        kind,
         lambda t, y, v: a * t * y * y + b * v * v + c * y * v + d * y ** 3 / 3 + e * math.cos(v),
         lambda t, y, v: 2 * a * t * y + c * v + d * y * y,
         lambda t, y, v: 2 * b * v + c * y - e * math.sin(v),
-        times,
         lambda t, y, v: 2 * a * t + 2 * d * y,
         lambda t, y, v: c,
         lambda t, y, v: 2 * b - e * math.cos(v),
+        at=times,
     )
 
 
@@ -438,18 +441,18 @@ def assemblies(draw):
     outer = draw(st.sampled_from([product_outer(), sum_outer(2)])) if k + m == 2 \
         else sum_outer(k + m)
     coefficients = st.tuples(*[st.floats(-2.0, 2.0)] * 5)
-    integrands = [smooth_pointwise(draw(coefficients), times) for _ in range(k + m)]
+    integrands = [smooth_integrand("delta" if j < k else "nabla", draw(coefficients), times)
+                  for j in range(k + m)]
     form = draw(st.sampled_from(["cores", "delta", "nabla"]))
     start = draw(st.integers(0, 2))
     values = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
-    return (gaps, integrands[:k], integrands[k:], outer, form, range(start, start + n - 2),
-            values)
+    return gaps, integrands, outer, form, range(start, start + n - 2), values
 
 
 @given(assemblies())
 def test_analytic_jacobian_matches_central_differences(case):
-    gaps, delta, nabla, outer, form, points, values = case
-    assembled = assemble(gaps, delta, nabla, outer, CLAMPED, form, points, jacobian=True)
+    gaps, integrands, outer, form, points, values = case
+    assembled = assemble(gaps, integrands, outer, CLAMPED, form, points)
 
     def residual(x):
         return np.array(assembled.evaluate(assembled.state([values[0], *x, values[-1]])))
@@ -464,17 +467,19 @@ def test_analytic_jacobian_matches_central_differences(case):
 
 def test_the_jacobian_needs_second_partials_and_an_outer_hessian():
     times = [0.0, 1.0, 2.5, 3.0]
-    f = smooth_pointwise((1.0, 0.5, 0.2, -0.1, 0.3), times)
+    f = smooth_integrand("delta", (1.0, 0.5, 0.2, -0.1, 0.3), times)
     gaps = [1.0, 1.5, 0.5]
 
-    def build(delta=(f,), outer=identity_outer(), **options):
-        return assemble(gaps, delta, (), outer, CLAMPED, "cores", range(1, 3), **options)
+    def build(integrand=f, outer=identity_outer(), stacked=False):
+        return assemble(gaps, (integrand,), outer, CLAMPED, "cores", range(1, 3), stacked)
 
-    assert build().jacobian is None
-    assert build(jacobian=True).jacobian is not None
+    def jacobian(**options):
+        one = build(**options)
+        return one.jacobian(one.state([1.0, 2.0, 1.5, 0.5]))
+
+    assert jacobian().shape == (2, 2)
     with pytest.raises(ValueError, match="second partials"):
-        build(delta=(f._replace(partial_yv=None),), jacobian=True)
+        jacobian(integrand=dataclasses.replace(f, partial_yv=None))
     with pytest.raises(ValueError, match="hessian"):
-        build(outer=OuterFunction(1, lambda c: c[0], (lambda c: 1.0,)), jacobian=True)
-    with pytest.raises(ValueError, match="one state"):
-        build(jacobian=True, stacked=True)
+        jacobian(outer=OuterFunction(lambda c: c[0], (lambda c: 1.0,)))
+    assert build(stacked=True).jacobian is None
