@@ -270,16 +270,17 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     try:
         solver = SolverConfig(**values["solver"])
     except ValueError as exc:
-        raise ConfigError(f"[solver] {_keyed('solver', exc)}") from exc
+        raise ConfigError(_keyed("solver", exc)) from exc
     return ExperimentConfig(params=params, solver=solver, **values["run"])
 
 
 def _keyed(section: str, exc: ValueError) -> str:
     """The message of ``exc``, which starts with a field's name, with that
-    name rewritten to the field's key in ``section``."""
+    name rewritten to the field's key in ``section`` and the section as its
+    prefix."""
     name, space, rest = str(exc).partition(" ")
     keys = {field: key for key, (field, _) in _KEYS[section].items()}
-    return keys.get(name, name) + space + rest
+    return f"[{section}] " + keys.get(name, name) + space + rest
 
 
 # ---------------------------------------------------------------------------

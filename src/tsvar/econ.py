@@ -233,25 +233,43 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
 
     ``which`` is ``capital_delta``, ``capital_nabla``, ``technology_delta``
     or ``technology_nabla``.  The ``(t, y, v)`` arguments are the time
-    point, the jump-shifted sales and the difference-quotient rate.  A
-    capital term whose sales sit at the floor, or a technology term whose
-    root has no positive argument, raises :class:`DomainError`.
+    point, the jump-shifted sales and the difference-quotient rate, on any
+    time scale.  A capital term whose sales sit at the floor, or a
+    technology term whose root has no positive argument, raises
+    :class:`DomainError`: the capital value and its y and yy partials check
+    the margin, the technology value and its v and vv partials check the
+    root, and the yv partial checks nothing.
+
+    Each callable is one closure around its term: it makes its guard's
+    comparison inline (calling the guard helper only to raise) and then
+    takes the discount ``(1 + rho)**(t - T)`` or ``(1 - rho)**(T - t)``,
+    the expressions of :func:`_disc_delta` and :func:`_disc_nabla`, with
+    the base formed once per integrand.  The power is taken per call, since
+    ``t`` may be any point.
     """
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     family, mode = which.rsplit("_", 1)
-    disc = _disc_delta if mode == "delta" else _disc_nabla
     p = params
     value, partial_y, partial_v, partial_yy, partial_yv, partial_vv = _terms(p, family, math.sqrt)
-    capital = family == "capital"
+    floor, b, T = p.y_floor, p.b, p.horizon
+    capital, delta = family == "capital", mode == "delta"
+    base = 1.0 + p.discount_rate if delta else 1.0 - p.discount_rate
 
     def discounted(term, guarded: bool):
-        def at_time(t, y, v):
-            if guarded and capital:
-                _guarded_margin(p, y, t)
-            elif guarded:
-                _guarded_sqrt(p, v, t)
-            return term(disc(p, t), y, v)
+        if guarded and capital:
+            def at_time(t, y, v):
+                if y - floor == 0.0:
+                    _guarded_margin(p, y, t)
+                return term(base ** (t - T) if delta else base ** (T - t), y, v)
+        elif guarded:
+            def at_time(t, y, v):
+                if v + b <= 0.0:
+                    _guarded_sqrt(p, v, t)
+                return term(base ** (t - T) if delta else base ** (T - t), y, v)
+        else:
+            def at_time(t, y, v):
+                return term(base ** (t - T) if delta else base ** (T - t), y, v)
         return at_time
 
     return Integrand(mode, discounted(value, True), discounted(partial_y, capital),

@@ -182,7 +182,8 @@ class GridFunction:
         vals = np.array(values, dtype=float)
         if vals.shape != (len(scale),):
             raise ValueError(
-                f"values must have one entry per point, got {vals.shape[0]} for {len(scale)}"
+                f"values must have one entry per point: got shape {vals.shape} "
+                f"for {len(scale)} points"
             )
         if support is None:
             support = range(0, len(scale))

@@ -83,8 +83,9 @@ def test_case_sensitive_keys_keep_both_constants():
 
 
 def test_invalid_rho_is_named():
-    with pytest.raises(ConfigError, match="rho"):
+    with pytest.raises(ConfigError, match="rho") as refused:
         parse_config("[params]\nrho = -1\n")
+    assert str(refused.value) == "[params] rho must lie in (0, 1), got -1.0"
 
 
 def test_unknown_key_and_section_are_named():
@@ -411,7 +412,9 @@ def test_non_finite_param_exits_with_two(line, key, tmp_path, capsys):
     code, text = run_cli(["run", "--config", str(path)])
     assert code == 2
     assert text == ""
-    assert f"{key} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert f"tsvar: error: [params] {key} must be finite" in err
 
 
 @pytest.mark.parametrize("grid", ["0.5, inf, 0.5", "0.5, 8, inf", "0.5, nan, 0.5"])

@@ -27,6 +27,7 @@ from tsvar import (
     newton_solve,
     residual_system,
 )
+from tsvar.econ import INTEGRAND_NAMES, _discounts, _tabulated
 
 ALL_KINDS = (
     ProblemKind.DELTA_DELTA,
@@ -134,6 +135,45 @@ def test_analytic_partials_match_finite_differences():
                 lo[pos] -= h
                 fd = (integrand.value(*hi) - integrand.value(*lo)) / (2 * h)
                 assert_allclose(analytic(t, y, v), fd, rtol=1e-7, atol=1e-10)
+
+
+PARTIALS = ("value", "partial_y", "partial_v", "partial_yy", "partial_yv", "partial_vv")
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.02])
+@pytest.mark.parametrize("horizon", [3, 10])
+def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
+    # the firm model is declared twice: firm_integrand takes the time and
+    # checks its guard per call, the residual systems read tabulated
+    # discounts after one guard pass; on feasible states they agree bit for bit
+    params = FirmParams(discount_rate=rate, horizon=horizon)
+    discounts = _discounts(params)
+    rng = np.random.default_rng(211)
+    guarded = {"capital": {"value", "partial_y", "partial_yy"},
+               "technology": {"value", "partial_v", "partial_vv"}}
+    for name in INTEGRAND_NAMES:
+        family, mode = name.rsplit("_", 1)
+        anywhere = firm_integrand(params, name)
+        tabulated = _tabulated(params, name, discounts, math.sqrt)
+        for t in range(horizon + 1):
+            d = discounts[mode][t]
+            ys, vs = rng.uniform(1.05, 6.0, 20).tolist(), rng.uniform(-3.9, 4.0, 20).tolist()
+            for y, v in zip(ys, vs):
+                for partial in PARTIALS:
+                    got = getattr(anywhere, partial)(t, y, v)
+                    want = getattr(tabulated, partial)(d, y, v)
+                    assert got.hex() == want.hex(), (name, partial, t, y, v)
+            # at the floor and at a rate of -b only the guarded callables
+            # raise, each naming its guard and the point; a NaN rate passes
+            guard = "price-curve guard" if family == "capital" else "rate-change guard"
+            for partial in PARTIALS:
+                call = getattr(anywhere, partial)
+                call(t, 2.0, math.nan)
+                if partial in guarded[family]:
+                    with pytest.raises(DomainError, match=f"^{guard}: .* at t={t}$"):
+                        call(t, params.y_floor, -params.b)
+                else:
+                    call(t, params.y_floor, -params.b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the finite time scale and its difference calculus."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -107,6 +109,13 @@ def test_grid_function_needs_one_value_per_point():
     ts = TimeScale.integer_range(0, 2)
     with pytest.raises(ValueError):
         GridFunction(ts, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("values, shape", [(3.0, "()"), (np.ones((1, 3)), "(1, 3)")])
+def test_grid_function_names_a_wrong_shape(values, shape):
+    # a scalar once raised IndexError, and a (1, 3) array was refused as "got 1 for 3"
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape} for 3 points")):
+        GridFunction(TimeScale([0, 1, 2]), values)
 
 
 def test_grid_function_access_and_domain_errors():
