@@ -300,13 +300,13 @@ def _default_seed(params: FirmParams, kind: ProblemKind, eq: EquationKind) -> tu
 
 def _cell_guesses(cfg: ExperimentConfig, kind: ProblemKind, eq: EquationKind) -> list:
     dimension = cfg.params.horizon - 1
-    guesses = [g for g in cfg.guesses if len(g) == dimension]
     for g in cfg.guesses:
         if len(g) != dimension:
             raise ConfigError(
                 f"guess {g} has {len(g)} coordinates; the horizon-"
                 f"{cfg.params.horizon} problems need {dimension}"
             )
+    guesses = list(cfg.guesses)
     if cfg.multistart:
         guesses.extend(default_start_grid(dimension, cfg.grid))
     if not guesses:

@@ -11,10 +11,10 @@ Euler-Lagrange formulations beside the directly discretized system.
 Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
 taken as zero.  The model declares its integrands, each of one kind and
-read at its discount factors, checks its guards in one pass per state, and
-picks for each residual system an output of the Euler-Lagrange assembly,
-:func:`tsvar.variational.assemble`, and the window of points it is read on;
-it holds no Euler-Lagrange algebra of its own.
+read at its discount factors, tabulated once per params; it checks its guards
+in one pass per state, and picks for each residual system an output of the
+Euler-Lagrange assembly, :func:`tsvar.variational.assemble`, and the window
+of points it is read on; it holds no Euler-Lagrange algebra of its own.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .variational import (
     CLAMPED,
     CompositeProblem,
     Integrand,
-    State,
     assemble,
     identity_outer,
     product_outer,
@@ -117,6 +116,15 @@ class FirmParams:
             # compared, not converted to float: an int may exceed its range
             if value != value or abs(value) == math.inf:
                 raise ValueError(f"{field.name} must be finite, got {value}")
+            if field.name != "horizon":
+                # kept as a Python float: a numpy scalar compares and hashes
+                # equal to it, but computes with warnings where a float raises
+                try:
+                    value = float(value)
+                except OverflowError:   # the int is not formatted: it may be too long
+                    raise ValueError(f"{field.name} must be finite, got an integer "
+                                     "past the float range") from None
+                object.__setattr__(self, field.name, value)
         if not 0.0 < self.discount_rate < 1.0:
             raise ValueError(f"discount_rate must lie in (0, 1), got {self.discount_rate}")
         if self.c2 <= 0:
@@ -147,7 +155,7 @@ class FirmParams:
 
 
 # ---------------------------------------------------------------------------
-# guards and discounts shared by the integrands and the residual systems
+# guards shared by the integrands and the residual systems
 
 
 def _guarded_sqrt(p: FirmParams, rate: float, t) -> None:
@@ -161,14 +169,6 @@ def _guarded_sqrt(p: FirmParams, rate: float, t) -> None:
 def _guarded_margin(p: FirmParams, sales: float, t) -> None:
     if sales - p.y_floor == 0.0:
         raise DomainError(f"price-curve guard: sales hit the floor {p.y_floor} at t={t}")
-
-
-def _disc_delta(p: FirmParams, t: float) -> float:
-    return (1.0 + p.discount_rate) ** (t - p.horizon)
-
-
-def _disc_nabla(p: FirmParams, t: float) -> float:
-    return (1.0 - p.discount_rate) ** (p.horizon - t)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +243,9 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     Each callable is one closure around its term: it makes its guard's
     comparison inline (calling the guard helper only to raise) and then
     takes the discount ``(1 + rho)**(t - T)`` or ``(1 - rho)**(T - t)``,
-    the expressions of :func:`_disc_delta` and :func:`_disc_nabla`, with
-    the base formed once per integrand.  The power is taken per call, since
-    ``t`` may be any point.
+    the expressions :func:`_tabulated` tabulates, with the base formed once
+    per integrand.  The power is taken per call, since ``t`` may be any
+    point.
     """
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
@@ -295,22 +295,22 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 #
 # The residual systems read the assembly of :mod:`tsvar.variational` on
 # {0, ..., T} with clamped quotients.  Its integrands are the unguarded terms
-# above with the discount factors tabulated once per system as Python
-# floats (numpy's power can differ from Python's in the last bit).  Every
-# guard is checked once per state, in the pass that builds its tables.
+# above with the discount factors tabulated once per params as Python floats
+# (numpy's power can differ from Python's in the last bit).  Every guard is
+# checked once per state: for one state in the pass that builds its tables,
+# for a stack by marking the rows of the states that fail one.
 
 
-def _discounts(p: FirmParams) -> dict:
-    points = range(p.horizon + 1)
-    return {"delta": [_disc_delta(p, t) for t in points],
-            "nabla": [_disc_nabla(p, t) for t in points]}
-
-
-def _tabulated(p: FirmParams, which: str, discounts: dict, sqrt) -> Integrand:
-    """The unguarded integrand ``which``, read at its kind's discount factors."""
+@lru_cache(maxsize=32)
+def _tabulated(p: FirmParams, which: str, sqrt) -> Integrand:
+    """The unguarded integrand ``which``, read at its kind's discount factors
+    on 0..T.  Cached: one ``tsvar table1`` run asks for each one four times."""
     family, mode = which.rsplit("_", 1)
     value, partial_y, partial_v, *second = _terms(p, family, sqrt)
-    return Integrand(mode, value, partial_y, partial_v, *second, at=discounts[mode])
+    rho, T = p.discount_rate, p.horizon
+    at = tuple((1.0 + rho) ** (t - T) if mode == "delta" else (1.0 - rho) ** (T - t)
+               for t in range(T + 1))
+    return Integrand(mode, value, partial_y, partial_v, *second, at=at)
 
 
 def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):
@@ -330,24 +330,6 @@ def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, techno
             if rate + p.b <= 0.0:
                 _guarded_sqrt(p, rate, t if technology_mode == "delta" else t + 1)
     return state
-
-
-def _checked_stack(p: FirmParams, assembled, yt: np.ndarray):
-    """The assembled tables of the feasible columns of ``yt`` (shape (T+1, S)), and their mask.
-
-    A column is infeasible exactly where :func:`_checked_state` would raise
-    for that state; the tables hold the feasible columns only, and the mask
-    is None when every column is feasible.
-    """
-    state = assembled.state(yt)
-    arg = state.d_rate[:-1] + p.b
-    if (yt != p.y_floor).all() and (arg > 0.0).all():
-        return state, None
-    ok = ~((yt == p.y_floor).any(axis=0) | (arg <= 0.0).any(axis=0))
-    # compress keeps the tables in C order, so the integrals still add their
-    # terms in order; a fancy index on the columns gives Fortran order, whose
-    # sum along the points is pairwise
-    return State(*(np.compress(ok, table, axis=1) for table in state)), ok
 
 
 def _state_values(params: FirmParams, y) -> list:
@@ -377,7 +359,7 @@ def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
         raise ValueError(f"t={t} is not a point of the horizon scale")
     mode = which.rsplit("_", 1)[1]
     # the integrand alone under the identity outer: its core, weighted by 1
-    f = _tabulated(params, which, _discounts(params), math.sqrt)
+    f = _tabulated(params, which, math.sqrt)
     assembled = assemble([1.0] * params.horizon, (f,), identity_outer(), CLAMPED, "cores",
                          range(int(t), int(t) + 1))
     state = _checked_state(params, assembled, _state_values(params, y), mode, mode)
@@ -406,12 +388,12 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     """Square system in the interior sales values y_1, ..., y_{T-1}.
 
     The system reads a window of the Euler-Lagrange assembly of
-    :mod:`tsvar.variational` (see :func:`_window`); the pure kinds yield
-    the same system for every :class:`EquationKind`.  The residual and
-    functional evaluate one state as float arithmetic; the stacked residual
-    runs the same assembly on one column per state, so a stacked row equals
-    the one-state residual bit for bit, and marks infeasible states with NaN
-    rows.
+    :mod:`tsvar.variational` (see :func:`_window`) over two integrands of
+    :func:`_tabulated`; the pure kinds yield the same system for every
+    :class:`EquationKind`.  The residual and functional evaluate one state
+    as float arithmetic; the stacked residual runs the same assembly on every
+    state, one column each, so a stacked row equals the one-state residual
+    bit for bit, and then marks the rows of infeasible states with NaN.
     A state whose residual is not finite is infeasible too: the residual
     raises :class:`DomainError` there.  The functional is returned as
     computed, inf included.  The jacobian is the residual's exact Jacobian,
@@ -422,12 +404,11 @@ def residual_system(params: FirmParams, kind: ProblemKind,
     m = p.horizon - 1
     capital_mode, technology_mode = kind.capital_mode, kind.technology_mode
     form, points = _window(kind, eq, p.horizon)
-    discounts = _discounts(p)
     outer = product_outer()
 
     def assembly(sqrt, stacked):
-        integrands = (_tabulated(p, f"capital_{capital_mode}", discounts, sqrt),
-                      _tabulated(p, f"technology_{technology_mode}", discounts, sqrt))
+        integrands = (_tabulated(p, f"capital_{capital_mode}", sqrt),
+                      _tabulated(p, f"technology_{technology_mode}", sqrt))
         return assemble([1.0] * p.horizon, integrands, outer, CLAMPED, form, points, stacked)
 
     one = assembly(math.sqrt, False)
@@ -484,15 +465,14 @@ def residual_system(params: FirmParams, kind: ProblemKind,
         yt[0] = p.y_initial
         yt[1:-1] = xs.T
         yt[-1] = p.y_terminal
-        s, ok = _checked_stack(p, stacked(), yt)
+        s = stacked().state(yt)
         rows = stacked().evaluate(s).T
-        if not np.isfinite(rows).all():
-            rows[~np.isfinite(rows).all(axis=1)] = np.nan
-        if ok is None:
-            return rows
-        out = np.full((len(ok), m), np.nan)   # a NaN row at each infeasible state
-        out[ok] = rows
-        return out
+        # a NaN row at each state that fails a guard or whose residual is not
+        # finite; the other columns' integrals add in order, as one state's do
+        bad = ((yt == p.y_floor).any(axis=0) | (s.d_rate[:-1] + p.b <= 0.0).any(axis=0)
+               | ~np.isfinite(rows).all(axis=1))
+        rows[bad] = np.nan
+        return rows
 
     return ResidualSystem(
         dimension=m,

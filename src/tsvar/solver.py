@@ -233,7 +233,7 @@ def newton_solve(
         return SolveReport(
             root=x.copy(), residual_norm=norm, iterations=iters, converged=converged,
             functional_value=fval, message=msg,
-            residual_norms=tuple(norms), iterates=tuple(np.copy(p) for p in path),
+            residual_norms=tuple(norms), iterates=tuple(path),
         )
 
     try:

@@ -214,7 +214,10 @@ class GridFunction:
         return self._support
 
     def __repr__(self) -> str:
-        return f"GridFunction({list(self._values)}, support={self._support})"
+        try:
+            return f"GridFunction({list(self._values)}, support={self._support})"
+        except AttributeError:   # half built: __init__ refused its values
+            return "GridFunction(<unbuilt>)"
 
     def value(self, t: float) -> float:
         i = self._scale.index(t)

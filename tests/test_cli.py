@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tsvar import cli as tcli
+from tsvar import econ
 from tsvar import (
     ConfigError,
     EquationKind,
@@ -284,6 +285,16 @@ def test_table1_command_exits_zero_with_csv():
     lines = text.strip().split("\n")
     assert lines[0] == "kind,equation,y_values,functional,converged,iterations"
     assert len(lines) == 9
+
+
+def test_table1_builds_each_firm_integrand_once(monkeypatch):
+    # eight systems of two integrands each, from four distinct integrands
+    calls = []
+    terms = econ._terms
+    monkeypatch.setattr(econ, "_terms", lambda *args: calls.append(args) or terms(*args))
+    econ._tabulated.cache_clear()
+    assert run_cli(["table1"])[0] == 0
+    assert len(calls) == 4
 
 
 def test_table2_command_applies_the_low_rate_preset():

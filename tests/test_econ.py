@@ -1,6 +1,7 @@
 """Tests for the firm production/investment model and its residual systems."""
 
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from tsvar import (
     newton_solve,
     residual_system,
 )
-from tsvar.econ import INTEGRAND_NAMES, _discounts, _tabulated
+from tsvar.econ import INTEGRAND_NAMES, _tabulated
 
 ALL_KINDS = (
     ProblemKind.DELTA_DELTA,
@@ -78,6 +79,7 @@ def test_params_validation_names_the_field():
         (dict(y_terminal=0.5), "y_terminal"),
         (dict(horizon=math.inf), "horizon"),
         (dict(horizon=1001), "horizon"),
+        (dict(c0=10**400), "c0"),   # finite, but past the float range
     ]
     # every field must be finite: a NaN passes the range checks above
     cases += [({field.name: bad}, field.name)
@@ -96,6 +98,11 @@ def test_integral_float_horizon_is_stored_as_an_int():
         assert system.residual(np.linspace(2.0, 3.0, 11)[1:-1]).shape == (9,)
     with pytest.raises(ValueError, match="horizon"):
         FirmParams(horizon=10.5)
+    # and every other field as a Python float, which a numpy scalar, an int
+    # or a fraction is not, though each compares and hashes equal to it
+    for value in (np.float64(3.0), 3, fractions.Fraction(3)):
+        params = FirmParams(c2=value)
+        assert type(params.c2) is float and params == FirmParams()
 
 
 def test_kind_properties():
@@ -147,16 +154,15 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
     # checks its guard per call, the residual systems read tabulated
     # discounts after one guard pass; on feasible states they agree bit for bit
     params = FirmParams(discount_rate=rate, horizon=horizon)
-    discounts = _discounts(params)
     rng = np.random.default_rng(211)
     guarded = {"capital": {"value", "partial_y", "partial_yy"},
                "technology": {"value", "partial_v", "partial_vv"}}
     for name in INTEGRAND_NAMES:
-        family, mode = name.rsplit("_", 1)
+        family = name.rsplit("_", 1)[0]
         anywhere = firm_integrand(params, name)
-        tabulated = _tabulated(params, name, discounts, math.sqrt)
+        tabulated = _tabulated(params, name, math.sqrt)
         for t in range(horizon + 1):
-            d = discounts[mode][t]
+            d = tabulated.at[t]
             ys, vs = rng.uniform(1.05, 6.0, 20).tolist(), rng.uniform(-3.9, 4.0, 20).tolist()
             for y, v in zip(ys, vs):
                 for partial in PARTIALS:

@@ -118,6 +118,13 @@ def test_grid_function_names_a_wrong_shape(values, shape):
         GridFunction(TimeScale([0, 1, 2]), values)
 
 
+def test_grid_function_repr_of_a_half_built_instance_is_text():
+    # the instance a refused __init__ leaves, as a traceback or debugger shows it
+    assert repr(GridFunction.__new__(GridFunction)) == "GridFunction(<unbuilt>)"
+    f = GridFunction(TimeScale([0, 1, 2]), [1.0, 2.0, 3.0])
+    assert repr(f).startswith("GridFunction([") and repr(f).endswith("support=range(0, 3))")
+
+
 def test_grid_function_access_and_domain_errors():
     ts = TimeScale.integer_range(0, 3)
     f = GridFunction(ts, [1.0, 2.0, 3.0, 4.0], support=range(1, 3))
