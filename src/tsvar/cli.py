@@ -195,6 +195,7 @@ def _parse_grid(text: str) -> tuple:
     grid = _parse_point(text)
     if len(grid) != 3:
         raise ValueError(f"expected low,high,step, got {text!r}")
+    default_start_grid(0, grid)   # refused as a sweep would refuse it; dimension 0 builds no starts
     return grid
 
 
@@ -209,10 +210,7 @@ _KEYS = {
     },
     "solver": {
         "tol": ("tol_residual", float),
-        "step_tol": ("tol_step", float),
         "max_iter": ("max_iterations", int),
-        "fd_step": ("fd_step", float),
-        "max_halvings": ("max_halvings", int),
     },
     "run": {
         "problems": ("problems", _names(ProblemKind, "problem kind")),
@@ -263,15 +261,15 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
                 reason = (f"expected {_EXPECTED[parse]}, got {text!r}"
                           if parse in _EXPECTED else exc)
                 raise ConfigError(f"[{section}] {key}: {reason}") from None
+    section = "params"   # the section whose values are being checked
     try:
         params = FirmParams(**values["params"])
-    except ValueError as exc:
-        raise ConfigError(_keyed("params", exc)) from exc
-    try:
+        section = "solver"
         solver = SolverConfig(**values["solver"])
+        section = "run"
+        return ExperimentConfig(params=params, solver=solver, **values["run"])
     except ValueError as exc:
-        raise ConfigError(_keyed("solver", exc)) from exc
-    return ExperimentConfig(params=params, solver=solver, **values["run"])
+        raise ConfigError(_keyed(section, exc)) from exc
 
 
 def _keyed(section: str, exc: ValueError) -> str:
@@ -483,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, presets: bool) -> None:
-        p.add_argument("--format", choices=OUTPUT_FORMATS, help="output format")
+        p.add_argument("--format", help=f"output format: {', '.join(OUTPUT_FORMATS)}")
         p.add_argument("--output", metavar="PATH", help="write the table to a file")
         p.add_argument("--tol", help="residual tolerance")
         p.add_argument("--max-iter", help="Newton iteration cap")

@@ -135,12 +135,13 @@ class FirmParams:
             raise ValueError(f"B must be positive, got {self.B}")
         if self.beta < 0:
             raise ValueError(f"beta must be nonnegative, got {self.beta}")
+        got = self.horizon
+        if isinstance(got, int) and abs(got) >= 10 ** 64:   # str() refuses past 4300 digits
+            got = f"{'a negative' if got < 0 else 'an'} integer of more than 64 digits"
         if int(self.horizon) != self.horizon or self.horizon < 2:
-            raise ValueError(f"horizon must be an integer >= 2, got {self.horizon}")
+            raise ValueError(f"horizon must be an integer >= 2, got {got}")
         if self.horizon > MAX_HORIZON:
-            raise ValueError(
-                f"horizon must be at most MAX_HORIZON = {MAX_HORIZON}, got {self.horizon}"
-            )
+            raise ValueError(f"horizon must be at most MAX_HORIZON = {MAX_HORIZON}, got {got}")
         # an integral float (10.0) or numpy integer is kept as a Python int,
         # which the point ranges of the residual systems need
         object.__setattr__(self, "horizon", int(self.horizon))

@@ -4,7 +4,7 @@
 ``jacobian``) and otherwise approximates it by central differences
 (:func:`fd_jacobian`, column by column through the scalar residual);
 :func:`lockstep_solve` always takes central differences.  Damping tries the
-steps 1, 1/2, 1/4, ... of the Newton step, at most ``max_halvings``
+steps 1, 1/2, 1/4, ... of the Newton step, at most :data:`HALVINGS`
 halvings, and takes the first whose residual sup-norm decreases.  Residual
 evaluations may signal infeasibility by raising
 :class:`~tsvar.timescale.DomainError` (a stacked residual by a NaN row),
@@ -13,12 +13,11 @@ which rejects the trial step the same way a norm increase does.
 :func:`newton_solve` iterates from one start.  It tries the first
 :data:`SCALAR_LEVELS` damping levels (the full step and the first halving)
 one by one on the scalar residual.  When both fail and the system has a
-``stacked_residual``, it tries the deeper halvings in blocks of at most
-:data:`HALVING_BLOCK` per stacked call, and takes the same first decreasing
-level; after a step that took such a deeper level, the next iteration
-starts its blocks at the full step.  A system without a stacked form tries
-every level on the scalar residual.  Neither solver tries a level past
-:data:`MAX_HALVINGS`, where the step scale 2**-k has become 0.
+``stacked_residual``, it tries all the deeper halvings in one stacked
+call, and takes the same first decreasing level; after a step that took
+such a deeper level, the next iteration tries every level, the full step
+included, in one stacked call.  A system without a stacked form tries every
+level on the scalar residual.
 
 :func:`lockstep_solve` (behind :func:`multistart_solve`) iterates from many
 starts at once: the states of all active starts form one ``(S, m)`` stack,
@@ -27,12 +26,11 @@ Jacobian, one batched ``np.linalg.solve`` for every step, and, for the
 damping, one residual call in which each start tries a window of levels
 from the full step on, chosen from the level L its last step took: the
 full step alone after a full step (and at the first iteration), levels
-0 .. 2L+1 (at most :data:`HALVING_BLOCK`) after a step at level L >= 1.  A
-start that takes about the level it took last time, as most do, needs no
-further call; the starts that find no decrease in their window go on, all
-in one call per block, in blocks of :data:`HALVING_BLOCK` levels from their
-own next level.  Both solvers share that block search, whose trials are
-laid out row by row, one window per row.  For a system without a
+0 .. 2L+1 after a step at level L >= 1.  A start that takes about the level
+it took last time, as most do, needs no further call; the starts that find
+no decrease in their window try all their remaining levels in one more
+call.  Both solvers share that search, whose trials are laid out row by
+row, one window per row.  For a system without a
 ``jacobian``, every start takes the same steps and stops for the same
 reason as under :func:`newton_solve`; for one with a ``jacobian`` the two
 solvers take Newton steps from different Jacobians, which can lead a start
@@ -92,18 +90,24 @@ MAX_STARTS = 65536
 #: most starts lockstep_solve iterates in one stack; larger sweeps run in turn
 STACK_STARTS = 1024
 
-#: most damping levels (halvings) tried together in one stacked residual call
-HALVING_BLOCK = 32
+#: deepest damping level either solver tries: the steps 2**-k for k = 0 .. HALVINGS
+HALVINGS = 30
+
+#: sup-norm of the Newton step at which a solve stops as stagnant
+TOL_STEP = 1e-14
+
+#: central-difference step, scaled by max(1, |x_j|) per coordinate
+FD_STEP = 1e-7
 
 #: damping levels newton_solve tries one by one on the scalar residual (the
 #: full step and the first halving) before it tries the deeper halvings of a
-#: system with a stacked residual in blocks.  Most iterations of the firm
+#: system with a stacked residual in one call.  Most iterations of the firm
 #: cells accept one of these two levels, where one scalar call is cheaper than
 #: one stacked call.  Measured with ``bench/run.py --workload horizon`` (ten
 #: alternating pairs, x86-64, Python 3.11, numpy 2.4): one scalar level gives
 #: 4% more throughput and an 8% lower tail, but a 3.5% higher median latency.
 #: An iteration that follows one which took a deeper level skips them and
-#: starts its first block at the full step: after a deep step the next one
+#: tries every level in one stacked call: after a deep step the next one
 #: mostly goes deep again (in 213 of the 216 iterations of the stalled T=20
 #: firm cells both scalar levels failed).
 SCALAR_LEVELS = 2
@@ -111,33 +115,22 @@ SCALAR_LEVELS = 2
 #: sup-norm distance within which multistart_solve merges two converged roots
 DISTINCT_TOL = 1e-6
 
-#: deepest damping level either solver tries, whatever ``max_halvings`` says:
-#: 2.0**-1075 is 0.0, so every deeper level would retry the current state,
-#: whose norm never decreases.
-MAX_HALVINGS = 1074
-
 @dataclass(frozen=True)
 class SolverConfig:
     tol_residual: float = 1e-12   # sup-norm of the residual at acceptance
-    tol_step: float = 1e-14       # sup-norm of the Newton step at stagnation
     max_iterations: int = 100
-    fd_step: float = 1e-7         # scaled by max(1, |x_j|) per coordinate
-    max_halvings: int = 30
 
     def __post_init__(self):
-        for name in ("tol_residual", "tol_step", "fd_step"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        for name, least in (("max_iterations", 1), ("max_halvings", 0)):
-            value = getattr(self, name)
-            # compared, not converted to float: an int may exceed its range
-            if value != value or abs(value) == math.inf or int(value) != value:
-                raise ValueError(f"{name} must be an integer, got {value}")
-            # an integral float or numpy integer is kept as a Python int, which range() needs
-            object.__setattr__(self, name, int(value))
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not (math.isfinite(self.tol_residual) and self.tol_residual > 0):
+            raise ValueError(f"tol_residual must be positive and finite, got {self.tol_residual}")
+        limit = self.max_iterations
+        # compared, not converted to float: an int may exceed its range
+        if limit != limit or abs(limit) == math.inf or int(limit) != limit:
+            raise ValueError(f"max_iterations must be an integer, got {limit}")
+        # an integral float or numpy integer is kept as a Python int, which range() needs
+        object.__setattr__(self, "max_iterations", int(limit))
+        if limit < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {limit}")
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,7 @@ def _nan_rows(r: np.ndarray) -> np.ndarray:
     return np.isnan(r).all(axis=-1)
 
 
-def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = 1e-7) -> np.ndarray:
+def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian, column by column through the scalar
     residual; a perturbed state at which it raises :class:`DomainError`
     raises one that names the coordinate being perturbed."""
@@ -246,13 +239,14 @@ def newton_solve(
     norms = [norm]
     path = [x.copy()]
     deep = False   # whether the last step took a level past the scalar ones
+    levels = HALVINGS + 1
 
     for it in range(1, cfg.max_iterations + 1):
         if norm <= cfg.tol_residual:
             return report(True, norm, it - 1, "residual tolerance reached", norms, path)
         try:
             if system.jacobian is None:
-                jac = fd_jacobian(system, x, cfg.fd_step)
+                jac = fd_jacobian(system, x)
             else:
                 jac = system.jacobian(x)
         except DomainError as exc:
@@ -264,11 +258,10 @@ def newton_solve(
         if not np.isfinite(step).all():
             return report(False, norm, it - 1, "non-finite newton step", norms, path)
 
-        levels = min(cfg.max_halvings, MAX_HALVINGS) + 1
         if system.stacked_residual is None:
             scalar_levels = levels
         else:
-            scalar_levels = 0 if deep else min(SCALAR_LEVELS, levels)
+            scalar_levels = 0 if deep else SCALAR_LEVELS
         accepted = False
         for level in range(scalar_levels):
             trial = x + 0.5 ** level * step
@@ -283,7 +276,7 @@ def newton_solve(
         if not accepted and scalar_levels < levels:
             rows = _first_decrease(system.stacked_residual, x[None], step[None],
                                    np.array([norm]), scalar_levels, levels,
-                                   np.array([HALVING_BLOCK]))
+                                   np.array([levels - scalar_levels]))
             trial, trial_res, trial_norm, level, accepted = (row[0] for row in rows)
             trial_norm = float(trial_norm)
         if not accepted:
@@ -294,7 +287,7 @@ def newton_solve(
         x, res, norm = trial, trial_res, trial_norm
         norms.append(norm)
         path.append(x.copy())
-        if step_size <= cfg.tol_step:
+        if step_size <= TOL_STEP:
             return report(norm <= cfg.tol_residual, norm, it,
                           "step below stagnation tolerance", norms, path)
 
@@ -365,14 +358,14 @@ def _domain_message(call, *args) -> str:
     return "residual is not finite"
 
 
-def _stacked_jacobian(residual: Callable, x: np.ndarray, step: float):
+def _stacked_jacobian(residual: Callable, x: np.ndarray):
     """Central-difference Jacobians of a stack of states, and which failed.
 
     One residual call evaluates the 2m perturbed states of every start; the
     steps and differences are the ones :func:`fd_jacobian` takes.
     """
     count, m = x.shape
-    h = step * np.maximum(1.0, np.abs(x))
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
     cols = np.arange(m)
     probes = np.repeat(x[:, None, :], 2 * m, axis=1)
     probes[:, cols, cols] += h
@@ -406,9 +399,8 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     ..., ``levels - 1`` in ascending order and takes the first whose
     residual norm is below ``base[i]``; a NaN row (an infeasible trial)
     never is.  The first residual call tries ``window[i]`` levels of row i;
-    each later call tries, for every row still looking, at most
-    :data:`HALVING_BLOCK` levels from that row's own next level, all rows in
-    one call.  Returns the taken trial states, residuals, norms and levels,
+    a second call tries, for every row still looking, all of that row's
+    remaining levels.  Returns the taken trial states, residuals, norms and levels,
     and which rows took one.
 
     The trials are ragged: the trials of each row are consecutive, laid out
@@ -445,11 +437,11 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
         accepted[hit] = True
         if at.size == found.size:   # every row took a level
             break
-        # the rows still looking with levels left go on from their next level
+        # the rows still looking with levels left try all of them in one more call
         looking = ~found & (width < levels - level)
         level = level[looking] + width[looking]
         pending = pending[looking]
-        width = np.minimum(HALVING_BLOCK, levels - level)
+        width = levels - level
     return trial, trial_res, trial_norm, taken, accepted
 
 
@@ -492,7 +484,7 @@ def lockstep_solve(
     cfg = config or SolverConfig()
     reports = []
     for out in _stacks(system, guesses, cfg):
-        reports.extend(_reports(system, cfg, out, range(len(out.reason))))
+        reports.extend(_reports(system, out, range(len(out.reason))))
     return reports
 
 
@@ -543,7 +535,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         reason[s], converged[s], iterations[s] = why, ok, taken
         root[s], final_norm[s] = x[rows], norm[rows]
 
-    levels = min(cfg.max_halvings, MAX_HALVINGS) + 1
+    levels = HALVINGS + 1
     for it in range(1, cfg.max_iterations + 1):
         done = norm <= cfg.tol_residual
         if done.any():
@@ -553,7 +545,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         if not ids.size:
             break
 
-        jac, failed = _stacked_jacobian(residual, x, cfg.fd_step)
+        jac, failed = _stacked_jacobian(residual, x)
         if failed.any():
             stop(failed, _JACOBIAN_FAILED, it - 1)
             keep = ~failed
@@ -572,7 +564,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         # decreases.  A start mostly takes about the level its last step took,
         # so the first call tries the full step alone after a full step, and
         # levels 0 .. 2L+1 after a step at level L >= 1
-        window = np.where(last > 0, np.minimum(2 * last + 2, HALVING_BLOCK), 1)
+        window = np.where(last > 0, 2 * last + 2, 1)
         trial, trial_res, trial_norm, level, accepted = _first_decrease(
             residual, x, step, norm, 0, levels, window)
         if accepted.all():
@@ -584,7 +576,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
                 trial[accepted], trial_res[accepted], trial_norm[accepted], level[accepted])
         path.append((ids, x, norm))
 
-        stagnant = _row_norms(0.5 ** last[:, None] * step) <= cfg.tol_step
+        stagnant = _row_norms(0.5 ** last[:, None] * step) <= TOL_STEP
         if stagnant.any():
             stop(stagnant, _STAGNANT, it, norm[stagnant] <= cfg.tol_residual)
             keep = ~stagnant
@@ -610,7 +602,7 @@ def _paths(out: _Outcome, rows: np.ndarray):
     return states, norms
 
 
-def _reports(system: ResidualSystem, cfg: SolverConfig, out: _Outcome, rows) -> list:
+def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
     """The full reports of the starts ``rows`` of one stack, in that order:
     failure texts and functional values from the scalar callables (the
     functional NaN where it raises :class:`DomainError` at a root), paths from
@@ -628,7 +620,7 @@ def _reports(system: ResidualSystem, cfg: SolverConfig, out: _Outcome, rows) -> 
             reports.append(SolveReport(x.copy(), np.inf, 0, False, message=message))
             continue
         if why == _JACOBIAN_FAILED:
-            message += f": {_domain_message(fd_jacobian, system, x, cfg.fd_step)}"
+            message += f": {_domain_message(fd_jacobian, system, x)}"
         k, j = int(out.iterations[s]), column[s]
         value = None
         if system.functional is not None and out.converged[s]:
@@ -697,7 +689,7 @@ def multistart_solve(
         by_stack.setdefault(found[i][0], []).append(found[i][1])
     reports = {}
     for stack, rows in by_stack.items():
-        reports.update(zip(((stack, s) for s in rows), _reports(system, cfg, stacks[stack], rows)))
+        reports.update(zip(((stack, s) for s in rows), _reports(system, stacks[stack], rows)))
     distinct = [reports[found[i]] for i in kept]
     if system.functional is not None:
         distinct.sort(key=lambda r: (r.functional_value, tuple(r.root)))

@@ -1,6 +1,7 @@
 """Tests for config parsing, experiment orchestration, and table emission."""
 
 import argparse
+import dataclasses
 import io
 import json
 
@@ -13,8 +14,10 @@ from tsvar import (
     ConfigError,
     EquationKind,
     ExperimentConfig,
+    FirmParams,
     ProblemKind,
     ResultRow,
+    SolverConfig,
     emit_table,
     main,
     parse_config,
@@ -112,6 +115,28 @@ def test_non_numeric_value_is_rejected():
         parse_config("[run]\ngrid = 1.0, 2.0\n")
 
 
+def test_key_table_covers_exactly_the_config_fields():
+    def names(cls, *left_out):
+        return {f.name for f in dataclasses.fields(cls)} - set(left_out)
+
+    def fields_set(section):
+        return {name for name, _ in tcli._KEYS[section].values()}
+
+    assert fields_set("params") == names(FirmParams)
+    assert fields_set("solver") == names(SolverConfig)
+    assert fields_set("run") == names(ExperimentConfig, "params", "solver")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("format = bogus", "[run] format must be one of csv, json, markdown, got 'bogus'"),
+    ("equations = ,", "[run] equations must not be empty"),
+])
+def test_refused_run_setting_names_its_section(line, message):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(f"[run]\n{line}\n")
+    assert str(refused.value) == message
+
+
 def test_config_invariants():
     with pytest.raises(ConfigError, match="problems"):
         ExperimentConfig(problems=())
@@ -169,10 +194,10 @@ def test_equation_subset_never_moves_pure_kind_rows():
 
 
 def test_failed_cells_are_reported_and_the_run_continues():
-    # one Newton step from this start leaves the feasible set, and with
-    # damping disabled the cell cannot recover
+    # one Newton step from this start leaves the feasible set, and three
+    # iterations do not bring the cell back
     cfg = parse_config(
-        "[solver]\nmax_iter = 3\nmax_halvings = 0\n"
+        "[solver]\nmax_iter = 3\n"
         "[run]\nproblems = dd, nn\nguess = 7.0,7.9\n"
     )
     rows = run_table(cfg)
@@ -358,10 +383,7 @@ def test_non_finite_tolerance_exits_with_two(tol, capsys):
 
 @pytest.mark.parametrize("flags, line, key", [
     (["--tol", "inf"], "", "tol"),
-    ([], "step_tol = inf", "step_tol"),
-    ([], "fd_step = 0", "fd_step"),
     ([], "max_iter = 0", "max_iter"),
-    ([], "max_halvings = -1", "max_halvings"),
 ])
 def test_refused_solver_setting_exits_with_two_and_names_its_key(flags, line, key, tmp_path,
                                                                   capsys):
@@ -371,6 +393,18 @@ def test_refused_solver_setting_exits_with_two_and_names_its_key(flags, line, ke
     assert code == 2
     assert text == ""
     assert f"tsvar: error: [solver] {key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["max_halvings = 30", "step_tol = 1e-14", "fd_step = 1e-7"])
+def test_fixed_solver_constants_are_unknown_keys(line, tmp_path, capsys):
+    # the damping budget, stagnation step and difference step are constants
+    path = tmp_path / "solver.ini"
+    path.write_text(f"[solver]\n{line}\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert code == 2
+    assert text == ""
+    key = line.split(" = ")[0]
+    assert f"tsvar: error: unknown key {key!r} in [solver]" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_with_two(tmp_path, capsys):
@@ -426,6 +460,19 @@ def test_non_finite_param_exits_with_two(line, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{key} must be finite" in err
     assert f"tsvar: error: [params] {key} must be finite" in err
+
+
+@pytest.mark.parametrize("grid, reason", [
+    ("0.5, 8, 0", "bad start grid (0.5, 8.0, 0.0)"),
+    ("0.5, nan, 0.5", "start grid (0.5, nan, 0.5) is not finite"),
+])
+def test_bad_grid_is_refused_without_multistart(grid, reason, tmp_path, capsys):
+    path = tmp_path / "grid.ini"
+    path.write_text(f"[run]\ngrid = {grid}\n")
+    code, text = run_cli(["run", "--config", str(path), "--problem", "dd"])
+    assert code == 2
+    assert text == ""
+    assert f"tsvar: error: [run] grid: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0.5, inf, 0.5", "0.5, 8, inf", "0.5, nan, 0.5"])
@@ -496,6 +543,14 @@ def test_malformed_flag_value_exits_with_two_and_names_its_key(flag, value, key,
     assert code == 2
     assert text == ""
     assert f"tsvar: error: {key}: expected" in capsys.readouterr().err
+
+
+def test_bad_format_flag_is_refused_as_its_key(capsys):
+    code, text = run_cli(["table1", "--format", "bogus"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        "tsvar: error: [run] format must be one of csv, json, markdown, got 'bogus'\n")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,13 @@ def test_params_validation_names_the_field():
             FirmParams(**overrides)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_horizon_past_int_formatting_is_refused_by_name(sign):
+    # 10**5000 has more digits than str() formats
+    with pytest.raises(ValueError, match="^horizon must be .* integer of more than 64 digits$"):
+        FirmParams(horizon=sign * 10 ** 5000)
+
+
 def test_integral_float_horizon_is_stored_as_an_int():
     for horizon in (10.0, np.int64(10)):
         params = FirmParams(horizon=horizon)

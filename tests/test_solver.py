@@ -93,29 +93,23 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol_residual=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(fd_step=-1e-7)
-    with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_halvings=-1)
-    for name in ("tol_residual", "tol_step", "fd_step"):
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                SolverConfig(**{name: value})
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol_residual must be positive and finite"):
+            SolverConfig(tol_residual=value)
 
 
-@pytest.mark.parametrize("name", ["max_iterations", "max_halvings"])
-def test_solver_config_limits_must_be_integers(name):
+def test_max_iterations_must_be_an_integer():
     for value in (2.5, math.inf, -math.inf, math.nan, np.float64(0.5)):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            SolverConfig(**{name: value})
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SolverConfig(max_iterations=value)
     for value in (4.0, np.int64(4), np.float64(4.0)):
-        limit = getattr(SolverConfig(**{name: value}), name)
+        limit = SolverConfig(max_iterations=value).max_iterations
         assert limit == 4 and type(limit) is int
     # an integral float limit gives both solvers the int limit's reports
     system = ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0]))   # no root
     starts = [(0.3,), (-2.0,)]
-    config, whole = SolverConfig(**{name: 4.0}), SolverConfig(**{name: 4})
+    config, whole = SolverConfig(max_iterations=4.0), SolverConfig(max_iterations=4)
     for got, expected in zip(lockstep_solve(system, starts, config),
                              lockstep_solve(system, starts, whole)):
         assert_same_report(got, expected)
@@ -311,27 +305,27 @@ def sqrt_system():
 
 
 LIFTED_CASES = [
-    # (system, starts, config)
-    (affine_system()[0], [(0.0, 0.0), (1.0, 1.0), (5.0, -3.0), (1.0, 3.0)], None),
+    # (system, starts, config, the solver module constants set for the case)
+    (affine_system()[0], [(0.0, 0.0), (1.0, 1.0), (5.0, -3.0), (1.0, 3.0)], None, {}),
     # x0 = 0 makes the difference Jacobian exactly singular
     (ResidualSystem(2, lambda x: np.array([x[0] ** 2 - 1.0, x[1] - 2.0]),
                     functional=lambda x: float(x[0])),
-     [(0.5, 0.0), (-0.5, 0.0), (0.0, 1.0), (2.0, 5.0), (0.0, 0.0), (-3.0, 7.0)], None),
+     [(0.5, 0.0), (-0.5, 0.0), (0.0, 1.0), (2.0, 5.0), (0.0, 0.0), (-3.0, 7.0)], None, {}),
     # infeasible starts, a start on the edge whose lower difference fails,
     # and steps that overshoot into the infeasible half-plane
     (sqrt_system(),
-     [(-1.0, 0.0), (0.0, 1.0), (0.01, 0.0), (9.0, 1.0), (30.0, -4.0), (2.0, 2.0)], None),
+     [(-1.0, 0.0), (0.0, 1.0), (0.01, 0.0), (9.0, 1.0), (30.0, -4.0), (2.0, 2.0)], None, {}),
     # no root: damping stops every start but x = 0, where the Jacobian vanishes
     (ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0])),
-     [(0.3,), (-2.0,), (5.0,), (0.0,)], SolverConfig(max_iterations=40)),
+     [(0.3,), (-2.0,), (5.0,), (0.0,)], SolverConfig(max_iterations=40), {}),
     (ResidualSystem(1, lambda x: np.array([math.exp(x[0])])),
-     [(0.0,), (1.0,), (-3.0,)], SolverConfig(max_iterations=5)),
-    # the double root converges linearly, so the steps shrink below tol_step
+     [(0.0,), (1.0,), (-3.0,)], SolverConfig(max_iterations=5), {}),
+    # the double root converges linearly, so the steps shrink below TOL_STEP
     (ResidualSystem(1, lambda x: np.array([x[0] ** 2])),
-     [(1.0,), (-3.0,), (0.5,)], SolverConfig(tol_step=1e-3)),
+     [(1.0,), (-3.0,), (0.5,)], None, {"TOL_STEP": 1e-3}),
     # the residual overflows at the first start, so its step is not finite
     (ResidualSystem(1, lambda x: np.array([1e300 * (x[0] - 2.0)])),
-     [(1e10,), (3.0,)], SolverConfig(max_halvings=3)),
+     [(1e10,), (3.0,)], None, {"HALVINGS": 3}),
 ]
 
 
@@ -349,8 +343,10 @@ def assert_same_report(got, expected):
 
 
 @pytest.mark.parametrize("case", range(len(LIFTED_CASES)))
-def test_lockstep_matches_newton_start_by_start_on_lifted_systems(case):
-    system, starts, config = LIFTED_CASES[case]
+def test_lockstep_matches_newton_start_by_start_on_lifted_systems(case, monkeypatch):
+    system, starts, config, constants = LIFTED_CASES[case]
+    for name, value in constants.items():
+        monkeypatch.setattr(tsolver, name, value)
     assert system.stacked_residual is None
     with np.errstate(invalid="ignore", over="ignore"):
         reports = lockstep_solve(system, starts, config)
@@ -372,11 +368,15 @@ def test_newton_reports_a_functional_that_fails_at_the_root_as_lockstep_does():
                        dataclasses.replace(want, functional_value=None))
 
 
-def test_lifted_cases_reach_every_stop_reason():
+def test_lifted_cases_reach_every_stop_reason(monkeypatch):
     reasons = set()
     with np.errstate(invalid="ignore", over="ignore"):
-        for system, starts, config in LIFTED_CASES:
-            reasons.update(r.message.split(":")[0] for r in lockstep_solve(system, starts, config))
+        for system, starts, config, constants in LIFTED_CASES:
+            with monkeypatch.context() as patch:
+                for name, value in constants.items():
+                    patch.setattr(tsolver, name, value)
+                reports = lockstep_solve(system, starts, config)
+            reasons.update(r.message.split(":")[0] for r in reports)
     assert reasons == {
         "residual tolerance reached", "infeasible start", "jacobian failed",
         "singular jacobian", "non-finite newton step",
@@ -670,36 +670,31 @@ def assert_scalar_levels_skipped_after_deep_steps(iterations):
             assert it["search"] is None or it["search"][0] == tsolver.SCALAR_LEVELS
 
 
-@pytest.mark.parametrize("block", [32, 5])
-@pytest.mark.parametrize("max_halvings", [0, 1, 2, 3, 40])
-def test_stacked_damping_matches_the_scalar_loop(monkeypatch, block, max_halvings):
+@pytest.mark.parametrize("halvings", [0, 1, 2, 3, tsolver.HALVINGS])
+def test_stacked_damping_matches_the_scalar_loop(monkeypatch, halvings):
     # the 2-D system keeps the column-loop Jacobian, so every stacked call
     # is a damping trial; its row loop is bit-identical to the scalar call
-    monkeypatch.setattr(tsolver, "HALVING_BLOCK", block)
+    monkeypatch.setattr(tsolver, "HALVINGS", halvings)
     system, log = logged(steep_system())
-    config = SolverConfig(max_halvings=max_halvings)
     reasons = set()
-    lockstep = lockstep_solve(steep_system(), STEEP_STARTS, config)
+    lockstep = lockstep_solve(steep_system(), STEEP_STARTS)
     for start, together in zip(STEEP_STARTS, lockstep):
-        got = newton_solve(system, start, config)
-        expected = newton_solve(column_loop(system), start, config)
+        got = newton_solve(system, start)
+        expected = newton_solve(column_loop(system), start)
         assert_same_report(got, expected)
         assert_same_report(together, expected)
         reasons.add(got.message.split(":")[0])
     stacked = [failed for kind, _, failed in log if kind == "stacked"]
     assert any(failed for kind, _, failed in log if kind == "scalar")
-    if max_halvings < tsolver.SCALAR_LEVELS:
+    if halvings < tsolver.SCALAR_LEVELS:
         assert not stacked
     else:
-        assert any(stacked)   # infeasible trials inside a stacked block
-    if max_halvings == 40:
+        assert any(stacked)   # infeasible trials inside a stacked call
+    if halvings > 3:
         assert reasons == {"residual tolerance reached", "infeasible start",
                            "iteration limit reached"}
-        if block == 5:
-            # deeper than one block: consecutive stacked calls in one iteration
-            assert any(a[0] == b[0] == "stacked" for a, b in zip(log, log[1:]))
         for start in STEEP_STARTS[-3:]:
-            _, iterations = damping_trace(monkeypatch, steep_system(), start, config)
+            _, iterations = damping_trace(monkeypatch, steep_system(), start, None)
             deep = "".join("d" if d else "s" for d in deep_steps(iterations))
             assert "dsd" in deep   # deep, shallow after a deep one, deep again
             assert_scalar_levels_skipped_after_deep_steps(iterations)
@@ -708,8 +703,8 @@ def test_stacked_damping_matches_the_scalar_loop(monkeypatch, block, max_halving
 def test_stalled_long_horizon_cell_keeps_its_damping_budget(monkeypatch):
     # dn/el2 at T=20 stalls from the linear seed after many deep halvings;
     # each iteration makes one Jacobian call, at most SCALAR_LEVELS scalar
-    # trials and at most one block of the remaining levels, and none of the
-    # scalar trials once the iteration before it went deep
+    # trials and at most one stacked call for the remaining levels, and none
+    # of the scalar trials once the iteration before it went deep
     params = FirmParams(horizon=20)
     system = residual_system(params, ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
     config = SolverConfig()
@@ -719,41 +714,25 @@ def test_stalled_long_horizon_cell_keeps_its_damping_budget(monkeypatch):
     assert got.message == "damping found no residual decrease"
 
     assert len(iterations) == got.iterations + 1   # the last one found no step
-    blocks = -(-(config.max_halvings + 1) // tsolver.HALVING_BLOCK)
     for it in iterations:
         assert it["calls"].count("scalar") <= tsolver.SCALAR_LEVELS
-        assert it["calls"].count("stacked") <= blocks
+        assert it["calls"].count("stacked") <= 1
     assert sum(it["calls"].count("stacked") for it in iterations) >= 10
     assert_scalar_levels_skipped_after_deep_steps(iterations)
     assert sum(deep_steps(iterations)) >= 10
 
 
-def test_damping_levels_stop_where_the_step_scale_reaches_zero():
-    # past level MAX_HALVINGS every trial is the current state, so a larger
-    # max_halvings gives the same reports from the same residual calls
-    assert 2.0 ** -tsolver.MAX_HALVINGS > 0.0 == 2.0 ** -(tsolver.MAX_HALVINGS + 1)
+def test_damping_tries_each_level_at_most_once_per_iteration():
+    # the last iteration finds no decrease, so it tries all HALVINGS + 1 levels
     plain = ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0]))   # no root
     stacked = dataclasses.replace(plain, stacked_residual=tsolver._lift_residual(plain))
-    capped = SolverConfig(max_halvings=tsolver.MAX_HALVINGS)
-    huge = SolverConfig(max_halvings=10 ** 6)
     for system in (plain, stacked):
         tracked, counts = counted(system)
-        expected = newton_solve(tracked, (0.3,), capped)
-        assert expected.message == "damping found no residual decrease"
-        calls = dict(counts)
-        tracked, counts = counted(system)
-        assert_same_report(newton_solve(tracked, (0.3,), huge), expected)
-        assert counts == calls
+        report = newton_solve(tracked, (0.3,))
+        assert report.message == "damping found no residual decrease"
         # per iteration: the Jacobian (2 calls) and at most every level once
-        bound = 1 + (expected.iterations + 1) * (2 + tsolver.MAX_HALVINGS + 1)
-        assert counts["scalar"] + counts["stacked rows"] <= bound
-    tracked, counts = counted(stacked)
-    expected = lockstep_solve(tracked, [(0.3,), (-2.0,)], capped)
-    calls = dict(counts)
-    tracked, counts = counted(stacked)
-    for got, want in zip(lockstep_solve(tracked, [(0.3,), (-2.0,)], huge), expected):
-        assert_same_report(got, want)
-    assert counts == calls
+        bound = 1 + (report.iterations + 1) * (2 + tsolver.HALVINGS + 1)
+        assert tsolver.HALVINGS + 1 < counts["scalar"] + counts["stacked rows"] <= bound
 
 
 def lockstep_searches(monkeypatch, system, starts):
@@ -793,8 +772,7 @@ def test_lockstep_damping_starts_from_the_last_level(monkeypatch):
         assert len(alone) >= 50 and alone[0][0][0] == 1
         for (_, level, accepted, _), (window, *_) in zip(alone, alone[1:]):
             assert accepted[0]
-            expected = 1 if level[0] == 0 else min(2 * level[0] + 2, tsolver.HALVING_BLOCK)
-            assert window[0] == expected
+            assert window[0] == (1 if level[0] == 0 else 2 * level[0] + 2)
     # an iteration whose starts all took a halving last time and all find a
     # decrease inside their windows makes exactly one damping call
     inside = [calls for window, level, accepted, calls in searches
