@@ -41,6 +41,7 @@ import configparser
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, TextIO
@@ -51,6 +52,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     default_start_grid,
+    lockstep_solve,
     multistart_solve,
     newton_solve,
 )
@@ -118,7 +120,7 @@ class ExperimentConfig:
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(
                 f"format must be one of {', '.join(OUTPUT_FORMATS)}, "
-                f"got {self.output_format!r}"
+                f"got {_quoted(self.output_format)}"
             )
 
 
@@ -149,6 +151,17 @@ class ResultRow:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
+#: most characters of a value that a refusal quotes; a longer value is cut
+#: there and its length named
+QUOTED_CHARS = 40
+
+
+def _quoted(text: str) -> str:
+    """``text`` as a refusal quotes it: its repr, cut to :data:`QUOTED_CHARS`
+    characters, and its length when it is longer."""
+    cut = text[:QUOTED_CHARS]
+    return repr(text) if cut == text else f"{cut!r}... ({len(text)} characters)"
+
 
 def _names(enum, what: str):
     """Parser for a list of enum values, in order and without repeats."""
@@ -159,7 +172,7 @@ def _names(enum, what: str):
                 member = enum(token)
             except ValueError:
                 raise ValueError(
-                    f"unknown {what} {token!r}; choose from "
+                    f"unknown {what} {_quoted(token)}; choose from "
                     f"{', '.join(m.value for m in enum)}"
                 ) from None
             if member not in out:
@@ -174,7 +187,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("false", "no", "off", "0"):
         return False
-    raise ValueError(f"expected true or false, got {text!r}")
+    raise ValueError(f"expected true or false, got {_quoted(text)}")
 
 
 def _parse_point(text: str) -> tuple:
@@ -183,18 +196,21 @@ def _parse_point(text: str) -> tuple:
     except ValueError:
         point = ()
     if not point:
-        raise ValueError(f"expected comma separated numbers, got {text!r}")
+        raise ValueError(f"expected comma separated numbers, got {_quoted(text)}")
     return point
 
 
 def _parse_guesses(text: str) -> tuple:
-    return tuple(_parse_point(chunk) for chunk in text.split(";") if chunk.strip())
+    guesses = tuple(_parse_point(chunk) for chunk in text.split(";") if chunk.strip())
+    if not all(math.isfinite(v) for guess in guesses for v in guess):
+        raise ValueError(f"expected finite numbers, got {_quoted(text)}")
+    return guesses
 
 
 def _parse_grid(text: str) -> tuple:
     grid = _parse_point(text)
     if len(grid) != 3:
-        raise ValueError(f"expected low,high,step, got {text!r}")
+        raise ValueError(f"expected low,high,step, got {_quoted(text)}")
     default_start_grid(0, grid)   # refused as a sweep would refuse it; dimension 0 builds no starts
     return grid
 
@@ -253,12 +269,12 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
             raise ConfigError(f"unknown section [{section}]")
         for key, text in parser.items(section):
             if key not in _KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
+                raise ConfigError(f"unknown key {_quoted(key)} in [{section}]")
             name, parse = _KEYS[section][key]
             try:
                 values[section][name] = parse(text)
             except ValueError as exc:
-                reason = (f"expected {_EXPECTED[parse]}, got {text!r}"
+                reason = (f"expected {_EXPECTED[parse]}, got {_quoted(text)}"
                           if parse in _EXPECTED else exc)
                 raise ConfigError(f"[{section}] {key}: {reason}") from None
     section = "params"   # the section whose values are being checked
@@ -329,9 +345,13 @@ def run_table(cfg: ExperimentConfig) -> list:
     """Solve every requested (kind, equation) cell and return the rows.
 
     The pure kinds contribute one shared row each because their system
-    variants coincide.  When a cell has several starts the row carries the
-    converged root with the lowest functional value; failed cells are
-    reported as non-converged rows and the run continues.
+    variants coincide.  A cell with one start is solved by
+    :func:`newton_solve`.  A cell with several starts is swept by
+    :func:`multistart_solve` and its row carries the converged root with the
+    lowest functional value; when no start converges, the row is the first
+    start's report as the lock-step sweep solved it
+    (:func:`lockstep_solve`).  Failed cells are reported as non-converged
+    rows and the run continues.
     """
     rows = []
     for kind in KIND_ORDER:
@@ -347,15 +367,11 @@ def run_table(cfg: ExperimentConfig) -> list:
             label = None if not kind.is_mixed else eq
             if len(guesses) == 1:
                 report = newton_solve(system, guesses[0], cfg.solver)
-                rows.append(_row_from_report(kind, label, report))
-                continue
-            reports = multistart_solve(system, guesses, cfg.solver)
-            if reports:
-                # multistart_solve orders by (functional, root); first is best
-                rows.append(_row_from_report(kind, label, reports[0]))
             else:
-                fallback = newton_solve(system, guesses[0], cfg.solver)
-                rows.append(_row_from_report(kind, label, fallback))
+                # multistart_solve orders by (functional, root); first is best
+                report = (multistart_solve(system, guesses, cfg.solver)
+                          or lockstep_solve(system, guesses[:1], cfg.solver))[0]
+            rows.append(_row_from_report(kind, label, report))
     return rows
 
 

@@ -50,6 +50,12 @@ builds the reports of the survivors only, so it never calls a system that
 has a stacked residual one state at a time, and evaluates the functional
 at the roots it returns only.
 
+Both solvers stop for one of the reasons in one table (``_REASONS``, whose
+texts begin the reports' messages) and build their reports with one
+function, :func:`_report`, which also evaluates the functional at a
+converged root (NaN where it raises
+:class:`~tsvar.timescale.DomainError`).
+
 Multistart sweeps are bounded: :func:`default_start_grid` refuses to
 enumerate more than :data:`MAX_STARTS` points, and a sweep is solved in
 stacks of at most :data:`STACK_STARTS` starts.
@@ -60,7 +66,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -214,49 +220,39 @@ def newton_solve(
     x = np.array(guess, dtype=float)
     if x.shape != (system.dimension,):
         raise ValueError(f"guess has shape {x.shape}, system dimension is {system.dimension}")
-
-    def report(converged: bool, norm: float, iters: int, msg: str,
-               norms: list, path: list) -> SolveReport:
-        fval = None
-        if converged and system.functional is not None:
-            try:
-                fval = float(system.functional(x))
-            except DomainError:   # as _reports has it
-                fval = math.nan
-        return SolveReport(
-            root=x.copy(), residual_norm=norm, iterations=iters, converged=converged,
-            functional_value=fval, message=msg,
-            residual_norms=tuple(norms), iterates=tuple(path),
-        )
-
     try:
         res = np.asarray(system.residual(x), dtype=float)
     except DomainError as exc:
-        return SolveReport(x, np.inf, 0, False, message=f"infeasible start: {exc}")
+        return _report(system, _INFEASIBLE, x, detail=exc)
     if res.shape != (system.dimension,):
         raise ValueError("residual shape does not match the system dimension")
     norm = _norm(res)
     norms = [norm]
-    path = [x.copy()]
+    path = [x.copy()]   # the start, then the state after each step
     deep = False   # whether the last step took a level past the scalar ones
     levels = HALVINGS + 1
+    why, detail = _LIMIT, None
 
-    for it in range(1, cfg.max_iterations + 1):
+    for _ in range(cfg.max_iterations):
         if norm <= cfg.tol_residual:
-            return report(True, norm, it - 1, "residual tolerance reached", norms, path)
+            why = _TOLERANCE
+            break
         try:
             if system.jacobian is None:
                 jac = fd_jacobian(system, x)
             else:
                 jac = system.jacobian(x)
         except DomainError as exc:
-            return report(False, norm, it - 1, f"jacobian failed: {exc}", norms, path)
+            why, detail = _JACOBIAN_FAILED, exc
+            break
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
-            return report(False, norm, it - 1, "singular jacobian", norms, path)
+            why = _SINGULAR
+            break
         if not np.isfinite(step).all():
-            return report(False, norm, it - 1, "non-finite newton step", norms, path)
+            why = _NOT_FINITE
+            break
 
         if system.stacked_residual is None:
             scalar_levels = levels
@@ -280,19 +276,21 @@ def newton_solve(
             trial, trial_res, trial_norm, level, accepted = (row[0] for row in rows)
             trial_norm = float(trial_norm)
         if not accepted:
-            return report(False, norm, it - 1,
-                          "damping found no residual decrease", norms, path)
+            why = _NO_DECREASE
+            break
         deep = level >= SCALAR_LEVELS
         step_size = _norm(0.5 ** level * step)
         x, res, norm = trial, trial_res, trial_norm
         norms.append(norm)
         path.append(x.copy())
         if step_size <= TOL_STEP:
-            return report(norm <= cfg.tol_residual, norm, it,
-                          "step below stagnation tolerance", norms, path)
+            why = _STAGNANT
+            break
 
-    return report(norm <= cfg.tol_residual, norm, cfg.max_iterations,
-                  "iteration limit reached", norms, path)
+    # converged is the last norm's test whatever the reason: the tolerance stop
+    # passes it, and the failures before a step come after it failed
+    return _report(system, why, x, norm, len(path) - 1, norm <= cfg.tol_residual,
+                   norms, path, detail)
 
 
 def default_start_grid(dimension: int, spec: tuple = DEFAULT_GRID) -> list:
@@ -445,8 +443,8 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     return trial, trial_res, trial_norm, taken, accepted
 
 
-# why a start stopped, as _lockstep records it: the codes index these texts,
-# which begin the messages of the reports
+# why a solve stopped, as newton_solve and _lockstep record it: the codes index
+# these texts, which begin the messages of the reports
 (_INFEASIBLE, _JACOBIAN_FAILED, _TOLERANCE, _SINGULAR, _NOT_FINITE, _NO_DECREASE,
  _STAGNANT, _LIMIT) = range(8)
 _REASONS = (
@@ -454,6 +452,27 @@ _REASONS = (
     "singular jacobian", "non-finite newton step", "damping found no residual decrease",
     "step below stagnation tolerance", "iteration limit reached",
 )
+
+
+def _report(system: ResidualSystem, why: int, x: np.ndarray, norm: float = math.inf,
+            iterations: int = 0, converged: bool = False, norms: Iterable = (),
+            iterates: Iterable = (), detail=None) -> SolveReport:
+    """The report of a solve that stopped at ``x`` for the reason ``why``,
+    its message followed by ``detail`` when given; the functional is
+    evaluated here, at a converged root only, and is NaN where it raises
+    :class:`DomainError`."""
+    message = _REASONS[why] if detail is None else f"{_REASONS[why]}: {detail}"
+    value = None
+    if converged and system.functional is not None:
+        try:
+            value = float(system.functional(x))
+        except DomainError:
+            value = math.nan
+    return SolveReport(
+        root=x.copy(), residual_norm=norm, iterations=iterations, converged=converged,
+        functional_value=value, message=message,
+        residual_norms=tuple(norms), iterates=tuple(iterates),
+    )
 
 
 class _Outcome(NamedTuple):
@@ -603,10 +622,9 @@ def _paths(out: _Outcome, rows: np.ndarray):
 
 
 def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
-    """The full reports of the starts ``rows`` of one stack, in that order:
-    failure texts and functional values from the scalar callables (the
-    functional NaN where it raises :class:`DomainError` at a root), paths from
-    ``out.path``."""
+    """The full reports of the starts ``rows`` of one stack, in that order,
+    built by :func:`_report`: failure texts from the scalar callables, paths
+    from ``out.path``."""
     rows = np.asarray(rows, dtype=int)
     moved = rows[out.reason[rows] != _INFEASIBLE]
     states, norms = _paths(out, moved)
@@ -614,26 +632,13 @@ def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
     reports = []
     for s in rows.tolist():
         why, x = int(out.reason[s]), out.root[s]
-        message = _REASONS[why]
         if why == _INFEASIBLE:
-            message += f": {_domain_message(system.residual, x)}"
-            reports.append(SolveReport(x.copy(), np.inf, 0, False, message=message))
+            reports.append(_report(system, why, x, detail=_domain_message(system.residual, x)))
             continue
-        if why == _JACOBIAN_FAILED:
-            message += f": {_domain_message(fd_jacobian, system, x)}"
+        detail = _domain_message(fd_jacobian, system, x) if why == _JACOBIAN_FAILED else None
         k, j = int(out.iterations[s]), column[s]
-        value = None
-        if system.functional is not None and out.converged[s]:
-            try:
-                value = float(system.functional(x))
-            except DomainError:
-                value = math.nan
-        reports.append(SolveReport(
-            root=x.copy(), residual_norm=float(out.norm[s]), iterations=k,
-            converged=bool(out.converged[s]), functional_value=value, message=message,
-            residual_norms=tuple(norms[:k + 1, j].tolist()),
-            iterates=tuple(states[:k + 1, j].copy()),
-        ))
+        reports.append(_report(system, why, x, float(out.norm[s]), k, bool(out.converged[s]),
+                               norms[:k + 1, j].tolist(), states[:k + 1, j].copy(), detail))
     return reports
 
 

@@ -19,7 +19,9 @@ from tsvar import (
     ResultRow,
     SolverConfig,
     emit_table,
+    lockstep_solve,
     main,
+    multistart_solve,
     parse_config,
     run_table,
 )
@@ -115,6 +117,42 @@ def test_non_numeric_value_is_rejected():
         parse_config("[run]\ngrid = 1.0, 2.0\n")
 
 
+LONG = "x" * 5000
+
+
+# one case per refusal that quotes the value: a malformed number (int and
+# float), a name list, a flag, a point, a grid and the output format
+LONG_VALUES = {
+    ("params", "horizon"): "1" * 5001,
+    ("params", "rho"): LONG,
+    ("run", "problems"): LONG,
+    ("run", "multistart"): LONG,
+    ("run", "guess"): LONG,
+    ("run", "grid"): "1," * 2500,
+    ("run", "format"): LONG,
+}
+
+
+@pytest.mark.parametrize("section, key", list(LONG_VALUES),
+                         ids=[key for _, key in LONG_VALUES])
+def test_refusal_quotes_a_long_value_cut_short(section, key):
+    value = LONG_VALUES[section, key]
+    with pytest.raises(ConfigError) as refused:
+        parse_config(f"[{section}]\n{key} = {value}\n")
+    message = str(refused.value)
+    assert message.startswith(f"[{section}] {key}")
+    assert f"... ({len(value)} characters)" in message
+    assert len(message) < 200
+
+
+def test_unknown_long_key_is_quoted_cut_short():
+    with pytest.raises(ConfigError) as refused:
+        parse_config(f"[solver]\n{LONG} = 1\n")
+    message = str(refused.value)
+    assert message.startswith("unknown key 'xxx") and message.endswith(" in [solver]")
+    assert len(message) < 200
+
+
 def test_key_table_covers_exactly_the_config_fields():
     def names(cls, *left_out):
         return {f.name for f in dataclasses.fields(cls)} - set(left_out)
@@ -205,6 +243,27 @@ def test_failed_cells_are_reported_and_the_run_continues():
     assert not all(r.converged for r in rows)
     failed = [r for r in rows if not r.converged]
     assert all(r.functional is None for r in failed)
+
+
+def test_a_sweep_that_converges_nowhere_reports_its_first_start(monkeypatch):
+    # damping stops both starts; the row is the first start's lock-step
+    # report, and no one-start solve runs
+    monkeypatch.setattr(tcli, "newton_solve", None)
+    cfg = parse_config("[run]\nproblems = dn\nequations = el2\nguess = 4,1.5; 4,2\n")
+    [row] = run_table(cfg)
+    system = econ.residual_system(cfg.params, ProblemKind.DELTA_NABLA,
+                                  EquationKind.TIMESCALE_EL2)
+    assert multistart_solve(system, cfg.guesses) == []
+    first, second = lockstep_solve(system, cfg.guesses)
+    assert first.message == second.message == "damping found no residual decrease"
+    assert not row.converged and row.functional is None
+    assert row.root == tuple(first.root) and row.iterations == first.iterations == 20
+    assert_allclose(row.root, (1.928152265, -0.3734648252), rtol=1e-9)
+
+    code, text = run_cli(["run", "--problem", "dn", "--equation", "el2",
+                          "--guess", "4,1.5", "--guess", "4,2"])
+    assert code == 1
+    assert text.splitlines()[1] == "dn,el2,1.928152265;-0.3734648252,,false,20"
 
 
 def test_guess_dimension_mismatch_is_rejected():
@@ -484,6 +543,15 @@ def test_non_finite_multistart_grid_exits_with_two(grid, tmp_path, capsys):
     assert text == ""
     spec = tuple(float(v) for v in grid.split(","))
     assert f"start grid {spec} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guess", ["nan,1", "2.3,inf", "-inf,2.7"])
+def test_non_finite_guess_exits_with_two(guess, capsys):
+    code, text = run_cli(["run", "--problem", "dd", f"--guess={guess}", "--format", "json"])
+    assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == (
+        f"tsvar: error: [run] guess: expected finite numbers, got '{guess}'\n")
 
 
 def test_too_fine_multistart_grid_names_the_count_per_coordinate(tmp_path, capsys):

@@ -5,7 +5,7 @@ import shlex
 from pathlib import Path
 
 from tsvar import ExperimentConfig, parse_config
-from tsvar.cli import _build_parser
+from tsvar.cli import FLAG_KEYS, _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +33,9 @@ def test_readme_commands_parse():
     assert len(commands) >= 6
     for argv in commands:
         assert _build_parser().parse_args(argv[1:]).command == argv[1]
+
+
+def test_readme_flag_table_matches_flag_keys():
+    rows = re.findall(r"^\| `(--[\w-]+)` \| `\[(\w+)\] (\w+)`", README.read_text(), re.MULTILINE)
+    assert len(rows) == len(FLAG_KEYS)
+    assert {flag: (section, key) for flag, section, key in rows} == FLAG_KEYS
