@@ -42,7 +42,6 @@ from .econ import (
     ProblemKind,
     firm_integrand,
     firm_problem,
-    gamma_term,
     residual_system,
 )
 from .cli import (
@@ -89,7 +88,6 @@ __all__ = [
     "fd_jacobian",
     "firm_integrand",
     "firm_problem",
-    "gamma_term",
     "identity_outer",
     "lockstep_solve",
     "main",

@@ -52,7 +52,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     default_start_grid,
-    lockstep_solve,
     multistart_solve,
     newton_solve,
 )
@@ -266,7 +265,7 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     values: dict = {section: {} for section in _KEYS}
     for section in parser.sections():
         if section not in _KEYS:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ConfigError(f"unknown section {_quoted(section)}")
         for key, text in parser.items(section):
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {_quoted(key)} in [{section}]")
@@ -317,7 +316,7 @@ def _cell_guesses(cfg: ExperimentConfig, kind: ProblemKind, eq: EquationKind) ->
     for g in cfg.guesses:
         if len(g) != dimension:
             raise ConfigError(
-                f"guess {g} has {len(g)} coordinates; the horizon-"
+                f"guess {_quoted(','.join(map(str, g)))} has {len(g)} coordinates; the horizon-"
                 f"{cfg.params.horizon} problems need {dimension}"
             )
     guesses = list(cfg.guesses)
@@ -349,9 +348,8 @@ def run_table(cfg: ExperimentConfig) -> list:
     :func:`newton_solve`.  A cell with several starts is swept by
     :func:`multistart_solve` and its row carries the converged root with the
     lowest functional value; when no start converges, the row is the first
-    start's report as the lock-step sweep solved it
-    (:func:`lockstep_solve`).  Failed cells are reported as non-converged
-    rows and the run continues.
+    start's report from that same sweep, which is not solved again.  Failed
+    cells are reported as non-converged rows and the run continues.
     """
     rows = []
     for kind in KIND_ORDER:
@@ -368,9 +366,9 @@ def run_table(cfg: ExperimentConfig) -> list:
             if len(guesses) == 1:
                 report = newton_solve(system, guesses[0], cfg.solver)
             else:
-                # multistart_solve orders by (functional, root); first is best
-                report = (multistart_solve(system, guesses, cfg.solver)
-                          or lockstep_solve(system, guesses[:1], cfg.solver))[0]
+                # the best converged root by (functional, root) first, or the
+                # first start's report where no start converged
+                report = multistart_solve(system, guesses, cfg.solver)[0]
             rows.append(_row_from_report(kind, label, report))
     return rows
 

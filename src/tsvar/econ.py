@@ -27,13 +27,12 @@ from functools import cache, lru_cache, partial
 import numpy as np
 
 from .solver import ResidualSystem
-from .timescale import DomainError, GridFunction, TimeScale
+from .timescale import DomainError, TimeScale
 from .variational import (
     CLAMPED,
     CompositeProblem,
     Integrand,
     assemble,
-    identity_outer,
     product_outer,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "ProblemKind",
     "firm_integrand",
     "firm_problem",
-    "gamma_term",
     "residual_system",
 ]
 
@@ -331,40 +329,6 @@ def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, techno
             if rate + p.b <= 0.0:
                 _guarded_sqrt(p, rate, t if technology_mode == "delta" else t + 1)
     return state
-
-
-def _state_values(params: FirmParams, y) -> list:
-    if isinstance(y, GridFunction):
-        vals = y.values
-    else:
-        vals = np.asarray(y, dtype=float)
-    if vals.shape != (params.horizon + 1,):
-        raise ValueError(
-            f"state needs {params.horizon + 1} values on 0..{params.horizon}, "
-            f"got {vals.shape}"
-        )
-    return vals.tolist()
-
-
-def gamma_term(params: FirmParams, which: str, y, t: int) -> float:
-    """Euler-Lagrange core of one integrand at point ``t``.
-
-    ``y`` holds the sales values on the whole scale {0, ..., T}; shifts
-    that leave the scale are clamped, so the term is defined at every
-    point.  Raises :class:`DomainError` if a guard fails anywhere on the
-    state.
-    """
-    if which not in INTEGRAND_NAMES:
-        raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
-    if not math.isfinite(t) or int(t) != t or not 0 <= t <= params.horizon:
-        raise ValueError(f"t={t} is not a point of the horizon scale")
-    mode = which.rsplit("_", 1)[1]
-    # the integrand alone under the identity outer: its core, weighted by 1
-    f = _tabulated(params, which, math.sqrt)
-    assembled = assemble([1.0] * params.horizon, (f,), identity_outer(), CLAMPED, "cores",
-                         range(int(t), int(t) + 1))
-    state = _checked_state(params, assembled, _state_values(params, y), mode, mode)
-    return assembled.evaluate(state)[0]
 
 
 # ---------------------------------------------------------------------------

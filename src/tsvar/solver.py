@@ -19,7 +19,7 @@ such a deeper level, the next iteration tries every level, the full step
 included, in one stacked call.  A system without a stacked form tries every
 level on the scalar residual.
 
-:func:`lockstep_solve` (behind :func:`multistart_solve`) iterates from many
+:func:`lockstep_solve` and :func:`multistart_solve` iterate from many
 starts at once: the states of all active starts form one ``(S, m)`` stack,
 and each iteration makes one residual call for every central-difference
 Jacobian, one batched ``np.linalg.solve`` for every step, and, for the
@@ -40,15 +40,17 @@ scalar residual.
 
 The lock-step loop keeps the state of the active starts only, and records
 per iteration the states and norms its damping built.  Each start's stop
-reason, iteration count, last state and norm come out of the loop; the rest
-of a report is built only for the reports a caller returns, the functional
-included, from the scalar ``functional`` at that report's root.
-:func:`lockstep_solve` rebuilds every start's ``iterates`` and
-``residual_norms`` from the records and its failure text from the scalar
-callables; :func:`multistart_solve` merges the converged roots first and
-builds the reports of the survivors only, so it never calls a system that
-has a stacked residual one state at a time, and evaluates the functional
-at the roots it returns only.
+reason, iteration count, last state and norm come out of the loop; a sweep
+of several stacks joins their records into one, which holds every start's
+outcome.  Both solvers build their reports from that one record, and only
+the reports a caller returns: a report's ``iterates`` and
+``residual_norms`` come from the records, its failure text from the scalar
+callables and its functional from the scalar ``functional`` at its root.
+:func:`lockstep_solve` reports every start; :func:`multistart_solve` merges
+the converged roots first and reports the survivors only, or the first
+start where none converged, so it calls a system that has a stacked
+residual one state at a time only for the failure text of that first
+start, and evaluates the functional at the roots it returns only.
 
 Both solvers stop for one of the reasons in one table (``_REASONS``, whose
 texts begin the reports' messages) and build their reports with one
@@ -476,7 +478,8 @@ def _report(system: ResidualSystem, why: int, x: np.ndarray, norm: float = math.
 
 
 class _Outcome(NamedTuple):
-    """What :func:`_lockstep` keeps of one stack of starts; each array has a row per start."""
+    """What :func:`_lockstep` keeps of one stack of starts, or :func:`_sweep`
+    of every stack joined; each array has a row per start, in start order."""
 
     reason: np.ndarray       # why it stopped, an index into _REASONS
     converged: np.ndarray
@@ -500,24 +503,36 @@ def lockstep_solve(
     :func:`newton_solve` gives for that guess: the same steps, halvings,
     tolerances and stop reason.
     """
-    cfg = config or SolverConfig()
-    reports = []
-    for out in _stacks(system, guesses, cfg):
-        reports.extend(_reports(system, out, range(len(out.reason))))
-    return reports
+    out = _sweep(system, guesses, config or SolverConfig())
+    return [] if out is None else _reports(system, out, range(len(out.reason)))
 
 
-def _stacks(system: ResidualSystem, guesses: Iterable[Sequence[float]], cfg: SolverConfig):
-    """The :class:`_Outcome` of each stack of starts, in turn."""
+def _sweep(system: ResidualSystem, guesses: Iterable[Sequence[float]],
+           cfg: SolverConfig) -> _Outcome | None:
+    """The :class:`_Outcome` of every guess, or None when there is none.
+
+    The guesses are solved in stacks of at most :data:`STACK_STARTS`, one
+    after another, and the stacks' outcomes are joined into one: their rows
+    in order, and their path entries iteration by iteration, each stack's
+    ids offset by the index of its first start, so the ids stay ascending.
+    """
     m = system.dimension
     starts = np.array(list(guesses), dtype=float)
     if starts.size == 0:
-        return
+        return None
     if starts.ndim != 2 or starts.shape[1] != m:
         raise ValueError(f"guesses have shape {starts.shape}, system dimension is {m}")
     residual = system.stacked_residual or _lift_residual(system)
-    for lo in range(0, len(starts), STACK_STARTS):
-        yield _lockstep(residual, starts[lo:lo + STACK_STARTS], cfg)
+    lows = range(0, len(starts), STACK_STARTS)
+    outs = [_lockstep(residual, starts[lo:lo + STACK_STARTS], cfg) for lo in lows]
+    if len(outs) == 1:
+        return outs[0]
+    entries = [[] for _ in range(max(len(out.path) for out in outs))]
+    for lo, out in zip(lows, outs):
+        for k, (ids, xs, ns) in enumerate(out.path):
+            entries[k].append((ids + lo, xs, ns))
+    path = [tuple(map(np.concatenate, zip(*entry))) for entry in entries]
+    return _Outcome(*map(np.concatenate, zip(*(out[:-1] for out in outs))), path)
 
 
 def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome:
@@ -605,40 +620,23 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
     return _Outcome(reason, converged, iterations, root, final_norm, path)
 
 
-def _paths(out: _Outcome, rows: np.ndarray):
-    """The iterates and residual norms of the feasible starts ``rows`` of a
-    stack, as (k + 1, len(rows), m) and (k + 1, len(rows)) arrays, k their
-    most iterations; start j's own path is the first iterations + 1 entries."""
-    depth = int(out.iterations[rows].max()) + 1 if rows.size else 0
-    where = np.full(len(out.reason), -1)
-    where[rows] = np.arange(rows.size)
-    states = np.empty((depth, rows.size, out.root.shape[1]))
-    norms = np.empty((depth, rows.size))
-    for k, (ids, xs, ns) in enumerate(out.path[:depth]):
-        j = where[ids]
-        mine = j >= 0
-        states[k, j[mine]], norms[k, j[mine]] = xs[mine], ns[mine]
-    return states, norms
-
-
 def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
-    """The full reports of the starts ``rows`` of one stack, in that order,
-    built by :func:`_report`: failure texts from the scalar callables, paths
-    from ``out.path``."""
-    rows = np.asarray(rows, dtype=int)
-    moved = rows[out.reason[rows] != _INFEASIBLE]
-    states, norms = _paths(out, moved)
-    column = dict(zip(moved.tolist(), range(moved.size)))
+    """The full reports of the starts ``rows`` of a sweep, in that order,
+    built by :func:`_report`: failure texts from the scalar callables, each
+    start's iterates and norms from the path entries it moved in."""
     reports = []
-    for s in rows.tolist():
+    for s in rows:
         why, x = int(out.reason[s]), out.root[s]
         if why == _INFEASIBLE:
             reports.append(_report(system, why, x, detail=_domain_message(system.residual, x)))
             continue
         detail = _domain_message(fd_jacobian, system, x) if why == _JACOBIAN_FAILED else None
-        k, j = int(out.iterations[s]), column[s]
+        k = int(out.iterations[s])
+        path = out.path[:k + 1]
+        at = [ids.searchsorted(s) for ids, _, _ in path]   # s's row in each entry
         reports.append(_report(system, why, x, float(out.norm[s]), k, bool(out.converged[s]),
-                               norms[:k + 1, j].tolist(), states[:k + 1, j].copy(), detail))
+                               [float(ns[j]) for (_, _, ns), j in zip(path, at)],
+                               [xs[j].copy() for (_, xs, _), j in zip(path, at)], detail))
     return reports
 
 
@@ -647,34 +645,31 @@ def multistart_solve(
     guesses: Iterable[Sequence[float]],
     config: SolverConfig | None = None,
 ) -> list:
-    """Newton from every guess; distinct converged roots, best first.
+    """Newton from every guess; distinct converged roots, best first, or
+    the first guess's report when no guess converges.
 
-    The guesses are solved as by :func:`lockstep_solve`, and each returned
-    report equals that start's report there.  Roots within
+    The guesses are solved as by :func:`lockstep_solve`, in one sweep, and
+    each returned report equals that start's report there.  Roots within
     :data:`DISTINCT_TOL` of each other in sup-norm are merged: in the
     lexicographic order of the roots, each goes to the first kept root within
     the tolerance, and the copy with the smaller residual survives.  When the system carries a
     functional the survivors are ordered by its value, otherwise
-    lexicographically.  Only the survivors' reports are built, so a system
-    with a stacked residual is never called one state at a time, and the
-    functional is evaluated at the returned roots only.
+    lexicographically.  Only the returned reports are built, so a system
+    with a stacked residual is called one state at a time only for the
+    failure text of a sweep that converges nowhere, and the functional is
+    evaluated at the returned roots only.  No guesses give no reports.
     """
-    cfg = config or SolverConfig()
-    stacks, found = [], []   # found: (stack, start) of each converged start
-    total = 0
-    for out in _stacks(system, guesses, cfg):
-        rows = np.flatnonzero(out.converged)
-        found.extend(zip(itertools.repeat(len(stacks)), rows.tolist()))
-        stacks.append(out)
-        total += len(out.reason)
-    if len(found) < total:
-        log.debug("%s: %d of %d starts failed to converge",
-                  system.label or "system", total - len(found), total)
-    if not found:
+    out = _sweep(system, guesses, config or SolverConfig())
+    if out is None:
         return []
+    found = np.flatnonzero(out.converged)
+    if found.size < len(out.reason):
+        log.debug("%s: %d of %d starts failed to converge",
+                  system.label or "system", len(out.reason) - found.size, len(out.reason))
+    if not found.size:
+        return _reports(system, out, [0])
 
-    roots = np.concatenate([out.root[out.converged] for out in stacks])
-    norms = np.concatenate([out.norm[out.converged] for out in stacks])
+    roots, norms = out.root[found], out.norm[found]
     # stable, as the sort by tuple(root) is: equal roots keep the start order
     order = np.lexsort(roots.T[::-1])
     kept_roots = np.empty_like(roots)
@@ -689,13 +684,7 @@ def multistart_solve(
             kept_roots[near[0]] = roots[i]
             kept[near[0]] = i
 
-    by_stack = {}
-    for i in kept:
-        by_stack.setdefault(found[i][0], []).append(found[i][1])
-    reports = {}
-    for stack, rows in by_stack.items():
-        reports.update(zip(((stack, s) for s in rows), _reports(system, stacks[stack], rows)))
-    distinct = [reports[found[i]] for i in kept]
+    distinct = _reports(system, out, found[kept].tolist())
     if system.functional is not None:
         distinct.sort(key=lambda r: (r.functional_value, tuple(r.root)))
     else:

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tsvar import cli as tcli
+from tsvar import solver as tsolver
 from tsvar import econ
 from tsvar import (
     ConfigError,
@@ -153,6 +154,24 @@ def test_unknown_long_key_is_quoted_cut_short():
     assert len(message) < 200
 
 
+def test_unknown_long_section_is_quoted_cut_short():
+    with pytest.raises(ConfigError) as refused:
+        parse_config(f"[{LONG}]\nx = 1\n")
+    message = str(refused.value)
+    assert message.startswith("unknown section 'xxx")
+    assert f"... ({len(LONG)} characters)" in message
+    assert len(message) < 200
+
+
+def test_long_mismatched_guess_is_quoted_cut_short():
+    cfg = parse_config("[run]\nguess = " + ",".join(["1"] * 2500) + "\n")
+    with pytest.raises(ConfigError, match="coordinates") as refused:
+        run_table(cfg)
+    message = str(refused.value)
+    assert message.startswith("guess '1.0,1.0,") and "has 2500 coordinates" in message
+    assert len(message) < 200
+
+
 def test_key_table_covers_exactly_the_config_fields():
     def names(cls, *left_out):
         return {f.name for f in dataclasses.fields(cls)} - set(left_out)
@@ -253,8 +272,10 @@ def test_a_sweep_that_converges_nowhere_reports_its_first_start(monkeypatch):
     [row] = run_table(cfg)
     system = econ.residual_system(cfg.params, ProblemKind.DELTA_NABLA,
                                   EquationKind.TIMESCALE_EL2)
-    assert multistart_solve(system, cfg.guesses) == []
+    [report] = multistart_solve(system, cfg.guesses)
     first, second = lockstep_solve(system, cfg.guesses)
+    assert report.message == first.message and report.iterations == first.iterations
+    assert tuple(report.root) == tuple(first.root)
     assert first.message == second.message == "damping found no residual decrease"
     assert not row.converged and row.functional is None
     assert row.root == tuple(first.root) and row.iterations == first.iterations == 20
@@ -264,6 +285,20 @@ def test_a_sweep_that_converges_nowhere_reports_its_first_start(monkeypatch):
                           "--guess", "4,1.5", "--guess", "4,2"])
     assert code == 1
     assert text.splitlines()[1] == "dn,el2,1.928152265;-0.3734648252,,false,20"
+
+
+def test_a_sweep_that_converges_nowhere_is_solved_once(monkeypatch):
+    calls = []
+
+    def counted(*args, inner=tsolver._lockstep):
+        calls.append(len(args[1]))
+        return inner(*args)
+
+    monkeypatch.setattr(tsolver, "_lockstep", counted)
+    cfg = parse_config("[run]\nproblems = dn\nequations = el2\nguess = 4,1.5; 4,2\n")
+    [row] = run_table(cfg)
+    assert not row.converged and row.iterations == 20
+    assert calls == [2]   # one stack of both starts, and no second pass
 
 
 def test_guess_dimension_mismatch_is_rejected():

@@ -24,11 +24,12 @@ from tsvar import (
     fd_jacobian,
     firm_integrand,
     firm_problem,
-    gamma_term,
+    identity_outer,
     newton_solve,
     residual_system,
 )
 from tsvar.econ import INTEGRAND_NAMES, _tabulated
+from tsvar.variational import assemble
 
 ALL_KINDS = (
     ProblemKind.DELTA_DELTA,
@@ -190,15 +191,25 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
 
 
 # ---------------------------------------------------------------------------
-# gamma terms
+# one integrand's Euler-Lagrange core
 
 
-def test_forward_capital_gamma_closed_form_on_a_line():
+def core(params, which, values, t):
+    """The core of the integrand ``which`` at point ``t`` of the state
+    ``values`` on {0, ..., T}: the integrand alone under the identity outer,
+    read at the times, with clamped shifts."""
+    T = params.horizon
+    f = dataclasses.replace(firm_integrand(params, which), at=tuple(range(T + 1)))
+    assembled = assemble([1.0] * T, (f,), identity_outer(), CLAMPED, "cores", range(0, T + 1))
+    return assembled.evaluate(assembled.state(list(values)))[t]
+
+
+def test_forward_capital_core_closed_form_on_a_line():
     # constant slope kills the curvature term, leaving
     # disc * (c1 - p0 + B*floor/margin^2 - 2*c2*rho*slope)
     params = FirmParams()
     y = linear_state(params)
-    got = gamma_term(params, "capital_delta", y, 1)
+    got = core(params, "capital_delta", y.values, 1)
     assert_allclose(got, 0.10884353741496615, rtol=1e-12)
     slope = 1.0 / 3.0
     margin = (2.0 + 2.0 / 3.0) - params.y_floor
@@ -209,19 +220,19 @@ def test_forward_capital_gamma_closed_form_on_a_line():
     assert_allclose(got, expect, rtol=1e-12)
 
 
-def test_backward_technology_gamma_closed_form_on_a_line():
+def test_backward_technology_core_closed_form_on_a_line():
     # constant backward rate d gives disc * (lam - beta*rho / (2 sqrt(d+b)))
     params = FirmParams()
     y = linear_state(params)
-    got = gamma_term(params, "technology_nabla", y, 2)
+    got = core(params, "technology_nabla", y.values, 2)
     assert_allclose(got, 0.4721477172603468, rtol=1e-12)
     expect = 0.95 * (0.5 - 0.25 * 0.05 / (2.0 * math.sqrt(1.0 / 3.0 + 4.0)))
     assert_allclose(got, expect, rtol=1e-12)
 
 
-def test_gamma_terms_are_component_integral_gradients():
-    # forward components: d(integral)/dy_j equals the gamma at t = j - 1;
-    # backward components: the gamma at t = j + 1
+def test_cores_are_component_integral_gradients():
+    # forward components: d(integral)/dy_j equals the core at t = j - 1;
+    # backward components: the core at t = j + 1
     params = FirmParams()
     problem = firm_problem(params, ProblemKind.DELTA_NABLA)
     scale = problem.scale
@@ -242,26 +253,13 @@ def test_gamma_terms_are_component_integral_gradients():
             fd_capital = (comp(0, hi) - comp(0, lo)) / (2 * h)
             fd_technology = (comp(1, hi) - comp(1, lo)) / (2 * h)
             assert_allclose(
-                gamma_term(params, "capital_delta", vals, j - 1),
+                core(params, "capital_delta", vals, j - 1),
                 fd_capital, rtol=1e-6, atol=1e-9,
             )
             assert_allclose(
-                gamma_term(params, "technology_nabla", vals, j + 1),
+                core(params, "technology_nabla", vals, j + 1),
                 fd_technology, rtol=1e-6, atol=1e-9,
             )
-
-
-def test_gamma_term_accepts_grid_functions_and_sequences():
-    params = FirmParams()
-    y = linear_state(params)
-    from_grid = gamma_term(params, "technology_delta", y, 1)
-    from_list = gamma_term(params, "technology_delta", list(y.values), 1)
-    assert_allclose(from_grid, from_list, rtol=0)
-    with pytest.raises(ValueError):
-        gamma_term(params, "sideways", y, 1)
-    for t in (math.inf, math.nan, 1.5, params.horizon + 1):
-        with pytest.raises(ValueError, match="not a point of the horizon scale"):
-            gamma_term(params, "technology_delta", y, t)
 
 
 # ---------------------------------------------------------------------------

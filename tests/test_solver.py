@@ -856,6 +856,20 @@ def test_sweep_functionals_are_the_scalar_functional_at_each_root(rate):
             assert report.functional_value == system.functional(report.root), system.label
 
 
+@pytest.mark.parametrize("stack", [1, tsolver.STACK_STARTS])
+def test_a_sweep_that_converges_nowhere_returns_its_first_start(stack, monkeypatch):
+    # damping stops both starts; with stacks of one start the report comes
+    # from the joined outcome of two stacks
+    system = residual_system(FirmParams(), ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
+    guesses = [(4.0, 1.5), (4.0, 2.0)]
+    want = lockstep_solve(system, guesses)[0]
+    monkeypatch.setattr(tsolver, "STACK_STARTS", stack)
+    [got] = multistart_solve(system, guesses)
+    assert not got.converged and got.iterations == 20
+    assert_same_report(got, want)
+    assert multistart_solve(system, []) == []
+
+
 def test_multistart_logs_the_exact_failure_count(monkeypatch, caplog):
     system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL1)
     grid = default_start_grid(2)
