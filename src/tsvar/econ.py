@@ -227,6 +227,18 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     return value, partial_y, partial_v, _zero, _zero, partial_vv
 
 
+def _discounts(p: FirmParams, mode: str, points) -> tuple:
+    """The discount factors of the ``mode`` integrands at ``points``, as
+    Python floats: ``(1 + rho)**(t - T)`` for the delta kind and
+    ``(1 - rho)**(T - t)`` for the nabla kind."""
+    T = p.horizon
+    if mode == "delta":
+        base = 1.0 + p.discount_rate
+        return tuple(base ** (t - T) for t in points)
+    base = 1.0 - p.discount_rate
+    return tuple(base ** (T - t) for t in points)
+
+
 def firm_integrand(params: FirmParams, which: str) -> Integrand:
     """One of the four discounted integrands, with analytic partials.
 
@@ -242,18 +254,26 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     Each callable is one closure around its term: it makes its guard's
     comparison inline (calling the guard helper only to raise) and then
     takes the discount ``(1 + rho)**(t - T)`` or ``(1 - rho)**(T - t)``,
-    the expressions :func:`_tabulated` tabulates, with the base formed once
+    the expressions :func:`_discounts` tabulates, with the base formed once
     per integrand.  The power is taken per call, since ``t`` may be any
     point.
+
+    A :class:`CompositeProblem` reads the integrand through its
+    ``on_points``: at the scale's discounts, tabulated once, by the terms
+    themselves behind the same guards, which name the point whose discount
+    they were given.  An integrand whose callables were replaced is read at
+    its times.
     """
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     family, mode = which.rsplit("_", 1)
     p = params
-    value, partial_y, partial_v, partial_yy, partial_yv, partial_vv = _terms(p, family, math.sqrt)
+    terms = _terms(p, family, math.sqrt)
     floor, b, T = p.y_floor, p.b, p.horizon
     capital, delta = family == "capital", mode == "delta"
     base = 1.0 + p.discount_rate if delta else 1.0 - p.discount_rate
+    # which of value, partial_y, partial_v, partial_yy, partial_yv, partial_vv check a guard
+    checks = (True, capital, not capital, capital, False, not capital)
 
     def discounted(term, guarded: bool):
         if guarded and capital:
@@ -271,9 +291,41 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
                 return term(base ** (t - T) if delta else base ** (T - t), y, v)
         return at_time
 
-    return Integrand(mode, discounted(value, True), discounted(partial_y, capital),
-                     discounted(partial_v, not capital), discounted(partial_yy, capital),
-                     discounted(partial_yv, False), discounted(partial_vv, not capital))
+    times = tuple(map(discounted, terms, checks))
+
+    def on_points(f: Integrand, points) -> Integrand | None:
+        if (f.value, f.partial_y, f.partial_v, f.partial_yy, f.partial_yv, f.partial_vv) != times:
+            return None   # replaced callables: the problem reads them at the times
+        table = _discounts(p, mode, points)
+
+        def time_of(d) -> float:
+            # the entry itself before an equal one: points closer than the
+            # rounding of t - T share a discount value
+            for t, entry in zip(points, table):
+                if entry is d:
+                    return t
+            if d in table:
+                return points[table.index(d)]
+            raise DomainError(f"discount {d} is not one of the scale's discounts")
+
+        def at_discount(term, guarded: bool):
+            if guarded and capital:
+                def read(d, y, v):
+                    if y - floor == 0.0:
+                        _guarded_margin(p, y, time_of(d))
+                    return term(d, y, v)
+            elif guarded:
+                def read(d, y, v):
+                    if v + b <= 0.0:
+                        _guarded_sqrt(p, v, time_of(d))
+                    return term(d, y, v)
+            else:
+                return term
+            return read
+
+        return Integrand(f.kind, *map(at_discount, terms, checks), at=table)
+
+    return Integrand(mode, *times, on_points=on_points)
 
 
 def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
@@ -303,13 +355,10 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 @lru_cache(maxsize=32)
 def _tabulated(p: FirmParams, which: str, sqrt) -> Integrand:
     """The unguarded integrand ``which``, read at its kind's discount factors
-    on 0..T.  Cached: one ``tsvar table1`` run asks for each one four times."""
+    on 0..T, from :func:`_discounts` as a problem's read form is.  Cached:
+    one ``tsvar table1`` run asks for each one four times."""
     family, mode = which.rsplit("_", 1)
-    value, partial_y, partial_v, *second = _terms(p, family, sqrt)
-    rho, T = p.discount_rate, p.horizon
-    at = tuple((1.0 + rho) ** (t - T) if mode == "delta" else (1.0 - rho) ** (T - t)
-               for t in range(T + 1))
-    return Integrand(mode, value, partial_y, partial_v, *second, at=at)
+    return Integrand(mode, *_terms(p, family, sqrt), at=_discounts(p, mode, range(p.horizon + 1)))
 
 
 def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):

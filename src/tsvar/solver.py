@@ -41,11 +41,12 @@ scalar residual.
 The lock-step loop keeps the state of the active starts only, and records
 per iteration the states and norms its damping built.  Each start's stop
 reason, iteration count, last state and norm come out of the loop; a sweep
-of several stacks joins their records into one, which holds every start's
-outcome.  Both solvers build their reports from that one record, and only
-the reports a caller returns: a report's ``iterates`` and
-``residual_norms`` come from the records, its failure text from the scalar
-callables and its functional from the scalar ``functional`` at its root.
+of several stacks concatenates them and keeps each stack's record apart, so
+its one outcome holds every start's.  Both solvers build their reports from
+that one outcome, and only the reports a caller returns: a report's
+``iterates`` and ``residual_norms`` come from the records, its failure
+text from the scalar callables and its functional from the scalar
+``functional`` at its root.
 :func:`lockstep_solve` reports every start; :func:`multistart_solve` merges
 the converged roots first and reports the survivors only, or the first
 start where none converged, so it calls a system that has a stacked
@@ -479,16 +480,21 @@ def _report(system: ResidualSystem, why: int, x: np.ndarray, norm: float = math.
 
 class _Outcome(NamedTuple):
     """What :func:`_lockstep` keeps of one stack of starts, or :func:`_sweep`
-    of every stack joined; each array has a row per start, in start order."""
+    of every stack; each array has a row per start, in start order.
+
+    ``path`` holds a path per stack, in order, each as :func:`_lockstep`
+    built it: per iteration, from the starts themselves on, the ids, states
+    and norms of the starts that moved then, ids ascending and local to the
+    stack.  Start s of a sweep is start ``s % STACK_STARTS`` of stack
+    ``s // STACK_STARTS``.
+    """
 
     reason: np.ndarray       # why it stopped, an index into _REASONS
     converged: np.ndarray
     iterations: np.ndarray
     root: np.ndarray         # its last state: the start itself where infeasible
     norm: np.ndarray         # that state's residual sup-norm; inf where infeasible
-    # per iteration, from the starts themselves on: (ids, states, norms) of
-    # the starts that moved then, ids ascending
-    path: list
+    path: list               # per stack, per iteration: (ids, states, norms)
 
 
 def lockstep_solve(
@@ -512,9 +518,8 @@ def _sweep(system: ResidualSystem, guesses: Iterable[Sequence[float]],
     """The :class:`_Outcome` of every guess, or None when there is none.
 
     The guesses are solved in stacks of at most :data:`STACK_STARTS`, one
-    after another, and the stacks' outcomes are joined into one: their rows
-    in order, and their path entries iteration by iteration, each stack's
-    ids offset by the index of its first start, so the ids stay ascending.
+    after another; the stacks' rows are concatenated in order, and their
+    paths kept as they are, one per stack.
     """
     m = system.dimension
     starts = np.array(list(guesses), dtype=float)
@@ -525,14 +530,8 @@ def _sweep(system: ResidualSystem, guesses: Iterable[Sequence[float]],
     residual = system.stacked_residual or _lift_residual(system)
     lows = range(0, len(starts), STACK_STARTS)
     outs = [_lockstep(residual, starts[lo:lo + STACK_STARTS], cfg) for lo in lows]
-    if len(outs) == 1:
-        return outs[0]
-    entries = [[] for _ in range(max(len(out.path) for out in outs))]
-    for lo, out in zip(lows, outs):
-        for k, (ids, xs, ns) in enumerate(out.path):
-            entries[k].append((ids + lo, xs, ns))
-    path = [tuple(map(np.concatenate, zip(*entry))) for entry in entries]
-    return _Outcome(*map(np.concatenate, zip(*(out[:-1] for out in outs))), path)
+    return _Outcome(*map(np.concatenate, zip(*(out[:-1] for out in outs))),
+                    [path for out in outs for path in out.path])
 
 
 def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome:
@@ -544,7 +543,8 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
     count, state and norm.  Each iteration appends to the path the ids,
     states and norms the damping has just built, without copying them.
     Failure texts, functional values and the per-start paths are left to
-    :func:`_reports`, for the reports a caller returns.
+    :func:`_reports`, for the reports a caller returns.  The outcome's
+    ``path`` is this stack's path alone.
     """
     count = len(x0)
     res = residual(x0)
@@ -617,13 +617,13 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
             ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
     if ids.size:
         stop(slice(None), _LIMIT, cfg.max_iterations, norm <= cfg.tol_residual)
-    return _Outcome(reason, converged, iterations, root, final_norm, path)
+    return _Outcome(reason, converged, iterations, root, final_norm, [path])
 
 
 def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
     """The full reports of the starts ``rows`` of a sweep, in that order,
     built by :func:`_report`: failure texts from the scalar callables, each
-    start's iterates and norms from the path entries it moved in."""
+    start's iterates and norms from its stack's path entries it moved in."""
     reports = []
     for s in rows:
         why, x = int(out.reason[s]), out.root[s]
@@ -632,8 +632,9 @@ def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
             continue
         detail = _domain_message(fd_jacobian, system, x) if why == _JACOBIAN_FAILED else None
         k = int(out.iterations[s])
-        path = out.path[:k + 1]
-        at = [ids.searchsorted(s) for ids, _, _ in path]   # s's row in each entry
+        stack, local = divmod(s, STACK_STARTS)
+        path = out.path[stack][:k + 1]
+        at = [ids.searchsorted(local) for ids, _, _ in path]   # s's row in each entry
         reports.append(_report(system, why, x, float(out.norm[s]), k, bool(out.converged[s]),
                                [float(ns[j]) for (_, _, ns), j in zip(path, at)],
                                [xs[j].copy() for (_, xs, _), j in zip(path, at)], detail))

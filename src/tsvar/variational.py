@@ -29,7 +29,7 @@ mirroring the convention used by the firm model in :mod:`tsvar.econ`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
@@ -78,6 +78,14 @@ class Integrand:
     given, take the same arguments; the assembly reads them for its Jacobian.
     ``at`` is the table :func:`assemble` reads in place of the times, which
     a :class:`CompositeProblem` sets to its scale's points.
+
+    ``on_points``, when given, says how a :class:`CompositeProblem` reads the
+    integrand on its scale: ``on_points(integrand, points)``, with ``at``
+    already the points, returns an integrand of the same kind whose ``at``
+    is a table with an entry per point and whose callables take that
+    table's entries in place of the times, or None where it has no such
+    form for these callables; the problem then reads the integrand at its
+    times.
     """
 
     kind: str  # "delta" or "nabla"
@@ -88,6 +96,7 @@ class Integrand:
     partial_yv: Callable[[float, float, float], float] | None = None
     partial_vv: Callable[[float, float, float], float] | None = None
     at: Sequence | None = None
+    on_points: Callable[[Integrand, Sequence], Integrand | None] | None = None
 
     def __post_init__(self):
         if self.kind not in ("delta", "nabla"):
@@ -134,14 +143,20 @@ def product_outer() -> OuterFunction:
 
 @dataclass(frozen=True)
 class CompositeProblem:
-    """A composite functional together with its fixed boundary values; it
-    keeps its integrands with ``at`` set to the scale's points."""
+    """A composite functional together with its fixed boundary values.
+
+    It keeps its integrands with ``at`` set to the scale's points, so their
+    callables take times, and builds once the forms it evaluates them in:
+    each integrand's ``on_points`` form where it has one, the integrand
+    itself otherwise.
+    """
 
     scale: TimeScale
     delta_integrands: tuple
     nabla_integrands: tuple
     outer: OuterFunction
     boundary: tuple
+    _reads: tuple = field(init=False, repr=False, compare=False)   # delta, then nabla
 
     def __post_init__(self):
         k = len(self.delta_integrands)
@@ -164,9 +179,15 @@ class CompositeProblem:
             finite = False
         if not finite:
             raise ValueError(f"boundary must be two finite numbers, got {self.boundary!r}")
+        points = self.scale.points
         for name in ("delta_integrands", "nabla_integrands"):
-            object.__setattr__(self, name, tuple(replace(f, at=self.scale.points)
+            object.__setattr__(self, name, tuple(replace(f, at=points)
                                                  for f in getattr(self, name)))
+        reads = []
+        for f in (*self.delta_integrands, *self.nabla_integrands):
+            read = None if f.on_points is None else f.on_points(f, points)
+            reads.append(f if read is None else read)
+        object.__setattr__(self, "_reads", tuple(reads))
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +651,9 @@ def _undefined_past_an_end(fn):
 
 def _problem_assembly(problem: CompositeProblem, y: GridFunction, policy: str,
                       form: str = "cores", points: range = range(0)):
-    """The float assembly of ``problem`` read on ``points``, and the tables of ``y``."""
+    """The float assembly of ``problem``'s read forms on ``points``, and the tables of ``y``."""
     vals = _admissible_values(problem, y)
-    integrands = (*problem.delta_integrands, *problem.nabla_integrands)
+    integrands = problem._reads
     if policy == STRICT:
         integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y),
                               partial_v=_undefined_past_an_end(f.partial_v)) for f in integrands]

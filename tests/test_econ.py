@@ -3,6 +3,7 @@
 import dataclasses
 import fractions
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from numpy.testing import assert_allclose
 
 from tsvar import (
     CLAMPED,
+    STRICT,
+    CompositeProblem,
     DomainError,
     EquationKind,
     FirmParams,
@@ -26,7 +29,9 @@ from tsvar import (
     firm_problem,
     identity_outer,
     newton_solve,
+    product_outer,
     residual_system,
+    theorem_main_residual,
 )
 from tsvar.econ import INTEGRAND_NAMES, _tabulated
 from tsvar.variational import assemble
@@ -155,12 +160,22 @@ def test_analytic_partials_match_finite_differences():
 PARTIALS = ("value", "partial_y", "partial_v", "partial_yy", "partial_yv", "partial_vv")
 
 
+def read_scales(horizon, rng):
+    """The integer scale 0..T, a random non-uniform one on [0, T], and one
+    whose first two points share a discount, as 1e-17 - T rounds to -T."""
+    inner = np.sort(rng.uniform(0.0, horizon, horizon - 1)).tolist()
+    return (TimeScale.integer_range(0, horizon), TimeScale([0.0, *inner, float(horizon)]),
+            TimeScale([0.0, 1e-17, *range(1, horizon + 1)]))
+
+
 @pytest.mark.parametrize("rate", [0.05, 0.02])
 @pytest.mark.parametrize("horizon", [3, 10])
 def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
-    # the firm model is declared twice: firm_integrand takes the time and
-    # checks its guard per call, the residual systems read tabulated
-    # discounts after one guard pass; on feasible states they agree bit for bit
+    # the firm model is declared three times: firm_integrand takes the time
+    # and checks its guard per call, a problem reads it on its scale at
+    # tabulated discounts behind the same guards, and the residual systems
+    # read tabulated discounts after one guard pass; on feasible states they
+    # agree bit for bit
     params = FirmParams(discount_rate=rate, horizon=horizon)
     rng = np.random.default_rng(211)
     guarded = {"capital": {"value", "partial_y", "partial_yy"},
@@ -169,25 +184,165 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
         family = name.rsplit("_", 1)[0]
         anywhere = firm_integrand(params, name)
         tabulated = _tabulated(params, name, math.sqrt)
-        for t in range(horizon + 1):
-            d = tabulated.at[t]
-            ys, vs = rng.uniform(1.05, 6.0, 20).tolist(), rng.uniform(-3.9, 4.0, 20).tolist()
-            for y, v in zip(ys, vs):
+        forms = [(range(horizon + 1), tabulated)]
+        forms += [(scale.points, anywhere.on_points(anywhere, scale.points))
+                  for scale in read_scales(horizon, rng)]
+        for points, form in forms:
+            assert form.kind == anywhere.kind and len(form.at) == len(points)
+            for t, d in zip(points, form.at):
+                ys, vs = rng.uniform(1.05, 6.0, 20).tolist(), rng.uniform(-3.9, 4.0, 20).tolist()
+                for y, v in zip(ys, vs):
+                    for partial in PARTIALS:
+                        got = getattr(anywhere, partial)(t, y, v)
+                        want = getattr(form, partial)(d, y, v)
+                        assert got.hex() == want.hex(), (name, partial, t, y, v)
+                # at the floor and at a rate of -b only the guarded callables
+                # raise, each naming its guard and the point, and a problem's
+                # form raises the same text; a NaN rate passes
+                guard = "price-curve guard" if family == "capital" else "rate-change guard"
                 for partial in PARTIALS:
-                    got = getattr(anywhere, partial)(t, y, v)
-                    want = getattr(tabulated, partial)(d, y, v)
-                    assert got.hex() == want.hex(), (name, partial, t, y, v)
-            # at the floor and at a rate of -b only the guarded callables
-            # raise, each naming its guard and the point; a NaN rate passes
-            guard = "price-curve guard" if family == "capital" else "rate-change guard"
-            for partial in PARTIALS:
-                call = getattr(anywhere, partial)
-                call(t, 2.0, math.nan)
-                if partial in guarded[family]:
-                    with pytest.raises(DomainError, match=f"^{guard}: .* at t={t}$"):
+                    call, read = getattr(anywhere, partial), getattr(form, partial)
+                    call(t, 2.0, math.nan)
+                    read(d, 2.0, math.nan)
+                    if partial not in guarded[family]:
                         call(t, params.y_floor, -params.b)
-                else:
-                    call(t, params.y_floor, -params.b)
+                        read(d, params.y_floor, -params.b)
+                        continue
+                    with pytest.raises(DomainError, match=f"^{guard}: .* at t={t}$") as raised:
+                        call(t, params.y_floor, -params.b)
+                    if form is not tabulated:   # whose terms are unguarded
+                        with pytest.raises(DomainError) as again:
+                            read(d, params.y_floor, -params.b)
+                        assert str(again.value) == str(raised.value)
+
+
+def firm_composite(params, kind, scale, read=True):
+    """The firm problem of ``kind`` on any scale spanning 0..T; without
+    ``read`` its integrands have no ``on_points``, so it reads them at the
+    times."""
+    integrands = (firm_integrand(params, f"capital_{kind.capital_mode}"),
+                  firm_integrand(params, f"technology_{kind.technology_mode}"))
+    if not read:
+        integrands = tuple(dataclasses.replace(f, on_points=None) for f in integrands)
+    return CompositeProblem(scale, tuple(f for f in integrands if f.kind == "delta"),
+                            tuple(f for f in integrands if f.kind == "nabla"), product_outer(),
+                            (params.y_initial, params.y_terminal))
+
+
+def evaluations(problem, y) -> list:
+    """The problem's functional, component integrals and both theorem forms
+    under both policies at ``y``, as bytes, or the text of the DomainError
+    each raises."""
+    calls = [lambda: eval_functional(problem, y), lambda: eval_component_integrals(problem, y)]
+    calls += [lambda form=form, policy=policy: theorem_main_residual(problem, y, form, policy).values
+              for form in ("delta", "nabla") for policy in (STRICT, CLAMPED)]
+    out = []
+    for call in calls:
+        try:
+            out.append(np.asarray(call()).tobytes())
+        except DomainError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_a_problem_evaluates_no_firm_callable_at_its_times():
+    # a problem reads its firm integrands at tabulated discounts: an
+    # evaluation calls none of the time callables, so takes no power
+    params = FirmParams(horizon=3)
+    rng = np.random.default_rng(5)
+    for kind in (ProblemKind.DELTA_NABLA, ProblemKind.NABLA_DELTA):
+        for scale in read_scales(3, rng)[:2]:
+            problem = firm_composite(params, kind, scale)
+            integrands = (*problem.delta_integrands, *problem.nabla_integrands)
+            codes = {getattr(f, name).__code__ for f in integrands for name in PARTIALS}
+            calls = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code in codes:
+                    calls.append(frame.f_code)
+
+            y = GridFunction(scale, [2.0, 2.5, 2.7, 3.0])
+            sys.setprofile(profile)
+            try:
+                evaluations(problem, y)
+                called = len(calls)
+                integrands[0].value(scale.points[1], 2.5, 0.2)   # the counter sees a time call
+            finally:
+                sys.setprofile(None)
+            assert called == 0 and len(calls) == 1
+
+
+def test_a_replaced_firm_callable_is_the_one_a_problem_evaluates():
+    params = FirmParams()
+    problem = firm_problem(params, ProblemKind.DELTA_NABLA)
+    capital = problem.delta_integrands[0]
+    seen = []
+
+    def value(t, y, v):
+        seen.append(t)
+        return capital.value(t, y, v)
+
+    replaced = CompositeProblem(problem.scale, (dataclasses.replace(capital, value=value),),
+                                problem.nabla_integrands, problem.outer, problem.boundary)
+    y = linear_state(params)
+    assert eval_functional(replaced, y) == eval_functional(problem, y)
+    assert seen == [0.0, 1.0, 2.0]   # the delta integral's points, as times
+
+
+def test_a_read_form_names_the_point_of_an_equal_discount():
+    # a guarded read callable given a discount equal to a table entry but not
+    # that entry itself raises the time callable's text; one off the table
+    # raises a DomainError naming the discount
+    params = FirmParams()
+    points = TimeScale.integer_range(0, params.horizon).points
+    for name, guarded in (("capital_delta", "value"), ("technology_nabla", "partial_v")):
+        anywhere = firm_integrand(params, name)
+        form = anywhere.on_points(anywhere, points)
+        read = getattr(form, guarded)
+        for t, d in zip(points, form.at):
+            equal = float(str(d))
+            assert equal == d and equal is not d
+            with pytest.raises(DomainError) as raised:
+                getattr(anywhere, guarded)(t, params.y_floor, -params.b)
+            with pytest.raises(DomainError) as again:
+                read(equal, params.y_floor, -params.b)
+            assert str(again.value) == str(raised.value)
+        with pytest.raises(DomainError, match="^discount 0.5 is not one of the scale's"):
+            read(0.5, params.y_floor, -params.b)
+
+
+@st.composite
+def read_cases(draw):
+    """A firm problem of any kind on an integer or non-uniform scale, and a
+    state, one of whose interior values may sit at the floor or step down
+    from its predecessor at the rate -b."""
+    horizon = draw(st.integers(2, 6))
+    params = FirmParams(discount_rate=draw(st.sampled_from([0.05, 0.02])), horizon=horizon)
+    kind = draw(st.sampled_from(ALL_KINDS))
+    points = list(range(horizon + 1))
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.floats(0.01, horizon - 0.01), min_size=horizon - 1,
+                              max_size=horizon - 1, unique=True))
+        points = [0.0, *sorted(inner), float(horizon)]
+    scale = TimeScale(points)
+    values = [params.y_initial, *draw(st.lists(st.floats(0.5, 8.0), min_size=horizon - 1,
+                                               max_size=horizon - 1)), params.y_terminal]
+    guard = draw(st.sampled_from([None, "floor", "rate"]))
+    i = draw(st.integers(1, horizon - 1))
+    if guard == "floor":
+        values[i] = params.y_floor
+    elif guard == "rate":
+        values[i] = values[i - 1] - params.b * (scale.points[i] - scale.points[i - 1])
+    return params, kind, scale, GridFunction(scale, values)
+
+
+@given(read_cases())
+def test_a_problem_reads_its_integrands_as_at_their_times(case):
+    # the time callables are the reference: a problem evaluates bit for bit,
+    # or raises the same text, as the problem without the read forms
+    params, kind, scale, y = case
+    assert (evaluations(firm_composite(params, kind, scale), y)
+            == evaluations(firm_composite(params, kind, scale, read=False), y))
 
 
 # ---------------------------------------------------------------------------

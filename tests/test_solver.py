@@ -394,6 +394,27 @@ def test_lockstep_results_do_not_depend_on_the_stack_size(monkeypatch):
         assert_same_report(got, expected)
 
 
+def test_a_sweep_keeps_each_stacks_path_as_the_lockstep_built_it(monkeypatch):
+    # nothing is copied: the sweep's path entries are the arrays each stack's
+    # lock-step returned
+    system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL2)
+    lockstep, built = tsolver._lockstep, []
+
+    def recorded(*args):
+        built.append(lockstep(*args))
+        return built[-1]
+
+    monkeypatch.setattr(tsolver, "STACK_STARTS", 2)
+    monkeypatch.setattr(tsolver, "_lockstep", recorded)
+    out = tsolver._sweep(system, default_start_grid(2)[:4], SolverConfig())
+    assert len(built) == len(out.path) == 2
+    for stack, path in zip(built, out.path):
+        [own] = stack.path
+        assert len(path) == len(own) > 1
+        for entry, own_entry in zip(path, own):
+            assert all(got is want for got, want in zip(entry, own_entry))
+
+
 def test_lockstep_rejects_guesses_of_the_wrong_dimension():
     system, _ = affine_system()
     with pytest.raises(ValueError, match="dimension"):
@@ -859,7 +880,7 @@ def test_sweep_functionals_are_the_scalar_functional_at_each_root(rate):
 @pytest.mark.parametrize("stack", [1, tsolver.STACK_STARTS])
 def test_a_sweep_that_converges_nowhere_returns_its_first_start(stack, monkeypatch):
     # damping stops both starts; with stacks of one start the report comes
-    # from the joined outcome of two stacks
+    # from a sweep of two stacks
     system = residual_system(FirmParams(), ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL2)
     guesses = [(4.0, 1.5), (4.0, 2.0)]
     want = lockstep_solve(system, guesses)[0]
