@@ -7,22 +7,12 @@ published scenarios (discount rates 0.05 and 0.02); ``tsvar run`` accepts a
 config file plus overriding flags for parameter sweeps.
 
 Every command resolves its settings in one pass: the preset's or the
-file's INI text, with each given flag written over the key it stands for
-(``FLAG_KEYS``), goes through one :func:`parse_config` call.  The flags
-and the keys they write:
-
-    --rho         [params] rho
-    --tol         [solver] tol
-    --max-iter    [solver] max_iter
-    --problem     [run] problems     (repeated values joined by spaces)
-    --equation    [run] equations    (repeated values joined by spaces)
-    --guess       [run] guess        (repeated values joined by ';')
-    --multistart  [run] multistart   (writes true)
-    --format      [run] format
-    --output      [run] output
-
-A malformed flag value is reported as its key's value would be, with exit
-code 2.
+file's INI text, with each given flag written over the key it stands for,
+goes through one :func:`parse_config` call.  ``FLAGS`` declares each flag
+once: the key it writes, how its repeated values join, the commands that
+take it and its argparse keywords; the parser and the overrides both read
+it.  A malformed flag value is reported as its key's value would be, with
+exit code 2.
 
 Root selection: each preset cell seeds Newton's method at the published
 operating region for that system (the iteration then refines it to machine
@@ -459,26 +449,48 @@ def emit_table(rows: Sequence[ResultRow], output_format: str) -> str:
 # argument handling
 
 
-# each flag writes the INI key it names here, over the file's or the
-# preset's value; a repeated flag's values are joined by spaces, or for
-# --guess by semicolons, the separators the key reads
-FLAG_KEYS = {
-    "--rho": ("params", "rho"),
-    "--tol": ("solver", "tol"),
-    "--max-iter": ("solver", "max_iter"),
-    "--problem": ("run", "problems"),
-    "--equation": ("run", "equations"),
-    "--guess": ("run", "guess"),
-    "--multistart": ("run", "multistart"),
-    "--format": ("run", "format"),
-    "--output": ("run", "output"),
-}
 PRESETS = {"table1": "", "table2": "[params]\nrho = 0.02\n"}
+# each command and its help line
+COMMANDS = {
+    "run": "run with a config file and/or flags",
+    "table1": "preset: discount rate 0.05, all systems",
+    "table2": "preset: discount rate 0.02, all systems",
+}
+_EVERY = tuple(COMMANDS)
+
+# flag -> (the INI key it writes over the file's or the preset's value, the
+# separator its repeated values join with as that key reads them, the
+# commands that take it, its argparse keywords); --config names the file
+# and writes no key
+FLAGS = {
+    "--format": (("run", "format"), None, _EVERY,
+                 {"help": f"output format: {', '.join(OUTPUT_FORMATS)}"}),
+    "--output": (("run", "output"), None, _EVERY,
+                 {"metavar": "PATH", "help": "write the table to a file"}),
+    "--tol": (("solver", "tol"), None, _EVERY, {"help": "residual tolerance"}),
+    "--max-iter": (("solver", "max_iter"), None, _EVERY, {"help": "Newton iteration cap"}),
+    "--multistart": (("run", "multistart"), None, _EVERY, {
+        "action": "store_const", "const": "true",
+        "help": "sweep the start grid and keep the lowest-functional root"}),
+    "--config": (None, None, ("run",), {"metavar": "PATH", "help": "INI config file"}),
+    "--rho": (("params", "rho"), None, ("run",), {"help": "discount rate override"}),
+    "--problem": (("run", "problems"), " ", ("run",), {
+        "action": "append", "metavar": "KIND",
+        "help": "restrict to a problem kind (dd, nn, dn, nd); repeatable"}),
+    "--equation": (("run", "equations"), " ", ("run",), {
+        "action": "append", "metavar": "EQ",
+        "help": "restrict to an equation source (direct, el1, el2); repeatable"}),
+    "--guess": (("run", "guess"), ";", ("run",), {
+        "action": "append", "metavar": "A,B",
+        "help": 'explicit start point such as "2.3,2.7"; repeatable'}),
+}
+#: each flag that writes an INI key, and that key
+FLAG_KEYS = {flag: key for flag, (key, *_) in FLAGS.items() if key}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
+    """The argument parser, built once per process from :data:`FLAGS`.
 
     ``parse_args`` leaves a parser as it found it (each call fills a fresh
     namespace, and the repeatable flags start from a None default), so every
@@ -493,47 +505,11 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, presets: bool) -> None:
-        p.add_argument("--format", help=f"output format: {', '.join(OUTPUT_FORMATS)}")
-        p.add_argument("--output", metavar="PATH", help="write the table to a file")
-        p.add_argument("--tol", help="residual tolerance")
-        p.add_argument("--max-iter", help="Newton iteration cap")
-        p.add_argument(
-            "--multistart",
-            action="store_const",
-            const="true",
-            help="sweep the start grid and keep the lowest-functional root",
-        )
-        if presets:
-            return
-        p.add_argument("--config", metavar="PATH", help="INI config file")
-        p.add_argument("--rho", help="discount rate override")
-        p.add_argument(
-            "--problem",
-            action="append",
-            metavar="KIND",
-            help="restrict to a problem kind (dd, nn, dn, nd); repeatable",
-        )
-        p.add_argument(
-            "--equation",
-            action="append",
-            metavar="EQ",
-            help="restrict to an equation source (direct, el1, el2); repeatable",
-        )
-        p.add_argument(
-            "--guess",
-            action="append",
-            metavar="A,B",
-            help='explicit start point such as "2.3,2.7"; repeatable',
-        )
-
-    run_p = sub.add_parser("run", help="run with a config file and/or flags")
-    add_common(run_p, presets=False)
-    t1 = sub.add_parser("table1", help="preset: discount rate 0.05, all systems")
-    add_common(t1, presets=True)
-    t2 = sub.add_parser("table2", help="preset: discount rate 0.02, all systems")
-    add_common(t2, presets=True)
+    for command, help_line in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for flag, (_, _, commands, keywords) in FLAGS.items():
+            if command in commands:
+                command_parser.add_argument(flag, **keywords)
     return parser
 
 
@@ -551,12 +527,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     overrides = {}
-    for flag, (section, key) in FLAG_KEYS.items():
+    for flag, (key, separator, _, _) in FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None:
-            overrides[section, key] = (
-                value if isinstance(value, str) else (";" if key == "guess" else " ").join(value)
-            )
+        if key and value is not None:
+            overrides[key] = value if separator is None else separator.join(value)
     return parse_config(source, overrides)
 
 

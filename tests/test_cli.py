@@ -301,6 +301,22 @@ def test_a_sweep_that_converges_nowhere_is_solved_once(monkeypatch):
     assert calls == [2]   # one stack of both starts, and no second pass
 
 
+def test_a_cell_without_guesses_starts_from_the_linear_seed_off_horizon_three(monkeypatch):
+    started = []
+
+    def recording(system, guess, cfg, solve=tcli.newton_solve):
+        started.append(guess)
+        return solve(system, guess, cfg)
+
+    monkeypatch.setattr(tcli, "newton_solve", recording)
+    # between y(0) = 2 and y(4) = 3, every cell starts on the straight line
+    run_table(parse_config("[params]\nhorizon = 4\n"))
+    assert started == [(2.25, 2.5, 2.75)] * 8
+    started.clear()
+    run_table(parse_config(""))   # CELL_SEEDS lists the cells in run order
+    assert started == list(tcli.CELL_SEEDS.values())
+
+
 def test_guess_dimension_mismatch_is_rejected():
     cfg = parse_config("[run]\nguess = 2.0,2.5,3.0\n")
     with pytest.raises(ConfigError, match="coordinates"):
@@ -634,6 +650,21 @@ def test_a_flag_acts_as_its_ini_key_over_the_file(flag, tmp_path, monkeypatch):
     by_flag_run = outcome(["run", "--config", "file.ini", *given])
     assert by_flag_run == outcome(["run", "--config", "flag.ini"])
     assert by_flag_run != outcome(["run", "--config", "file.ini"])
+
+
+def test_each_command_takes_the_flags_the_table_gives_it():
+    [commands] = [action.choices for action in tcli._build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands) == list(tcli.COMMANDS)
+    for command, command_parser in commands.items():
+        options = {option for action in command_parser._actions
+                   for option in action.option_strings}
+        taken = {flag for flag, (_, _, takers, _) in tcli.FLAGS.items() if command in takers}
+        assert options == taken | {"-h", "--help"}
+        assert ("--config" in options) == (command == "run")
+    # every other flag writes a key the config file can hold
+    assert set(tcli.FLAGS) - set(tcli.FLAG_KEYS) == {"--config"}
+    assert all(key in tcli._KEYS[section] for section, key in tcli.FLAG_KEYS.values())
 
 
 @pytest.mark.parametrize("flag, value, key", [

@@ -217,6 +217,8 @@ def test_default_start_grid_enumeration():
     assert grid[1] == (0.5, 1.0)   # last coordinate varies fastest
     assert grid[-1] == (8.0, 8.0)
     assert default_start_grid(1, (1.0, 3.0, 1.0)) == [(1.0,), (2.0,), (3.0,)]
+    # 1.0 / 0.6 rounds up to 2 steps, and the point 1.2 past hi is dropped
+    assert default_start_grid(1, (0.0, 1.0, 0.6)) == [(0.0,), (0.6,)]
 
 
 def test_multistart_deduplicates_repeated_roots():
