@@ -148,7 +148,9 @@ class CompositeProblem:
     It keeps its integrands with ``at`` set to the scale's points, so their
     callables take times, and builds once the forms it evaluates them in:
     each integrand's ``on_points`` form where it has one, the integrand
-    itself otherwise.
+    itself otherwise.  It builds its Euler-Lagrange assembly once per
+    policy and form, on first use, and keeps it: an evaluation then only
+    reads the state's tables.
     """
 
     scale: TimeScale
@@ -157,6 +159,8 @@ class CompositeProblem:
     outer: OuterFunction
     boundary: tuple
     _reads: tuple = field(init=False, repr=False, compare=False)   # delta, then nabla
+    # (policy, form, points) -> the assembly of the read forms, built on first use
+    _assemblies: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.delta_integrands)
@@ -188,6 +192,7 @@ class CompositeProblem:
             read = None if f.on_points is None else f.on_points(f, points)
             reads.append(f if read is None else read)
         object.__setattr__(self, "_reads", tuple(reads))
+        object.__setattr__(self, "_assemblies", {})
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +637,8 @@ def _admissible_values(problem: CompositeProblem, y: GridFunction) -> np.ndarray
         raise DomainError("state must be defined on the whole scale")
     ya, yb = problem.boundary
     vals = y.values
-    if abs(vals[0] - ya) > 1e-12 or abs(vals[-1] - yb) > 1e-12:
+    # written as "not within" so that a NaN endpoint, which is within nothing, is refused
+    if not abs(vals[0] - ya) <= 1e-12 or not abs(vals[-1] - yb) <= 1e-12:
         raise BoundaryMismatchError(
             f"state endpoints ({vals[0]}, {vals[-1]}) do not match boundary ({ya}, {yb})"
         )
@@ -651,14 +657,22 @@ def _undefined_past_an_end(fn):
 
 def _problem_assembly(problem: CompositeProblem, y: GridFunction, policy: str,
                       form: str = "cores", points: range = range(0)):
-    """The float assembly of ``problem``'s read forms on ``points``, and the tables of ``y``."""
+    """The float assembly of ``problem``'s read forms on ``points``, and the tables of ``y``.
+
+    The assembly depends on the problem, the policy, the form and the window
+    alone, so the problem keeps it from the first call with them on."""
     vals = _admissible_values(problem, y)
-    integrands = problem._reads
-    if policy == STRICT:
-        integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y),
-                              partial_v=_undefined_past_an_end(f.partial_v)) for f in integrands]
-    assembled = assemble(problem.scale.mu_values()[:-1].tolist(), integrands, problem.outer,
-                         policy, form, points)
+    key = policy, form, points
+    assembled = problem._assemblies.get(key)
+    if assembled is None:
+        integrands = problem._reads
+        if policy == STRICT:
+            integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y),
+                                  partial_v=_undefined_past_an_end(f.partial_v))
+                          for f in integrands]
+        assembled = problem._assemblies[key] = assemble(
+            problem.scale.mu_values()[:-1].tolist(), integrands, problem.outer,
+            policy, form, points)
     return assembled, assembled.state(vals.tolist())
 
 

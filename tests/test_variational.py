@@ -164,6 +164,17 @@ def test_state_validation_errors():
         eval_functional(problem, GridFunction(problem.scale, [2.0, 2.2, 2.4, 3.5]))
 
 
+@pytest.mark.parametrize("evaluate", [eval_functional, eval_component_integrals,
+                                      theorem_main_residual, corollary_z_residual])
+@pytest.mark.parametrize("values", [[math.nan, 2.3, 2.6, 3.0], [2.0, 2.3, 2.6, math.nan]])
+def test_a_nan_state_endpoint_is_not_the_boundary(evaluate, values):
+    # |nan - y_a| > tol is False, so a test written that way admits it and
+    # the evaluation returns NaN
+    problem = firm_problem(FirmParams(), ProblemKind.DELTA_NABLA)
+    with pytest.raises(BoundaryMismatchError):
+        evaluate(problem, GridFunction(problem.scale, values))
+
+
 # ---------------------------------------------------------------------------
 # theorem residual
 
@@ -483,3 +494,132 @@ def test_the_jacobian_needs_second_partials_and_an_outer_hessian():
     with pytest.raises(ValueError, match="hessian"):
         jacobian(outer=OuterFunction(lambda c: c[0], (lambda c: 1.0,)))
     assert build(stacked=True).jacobian is None
+
+
+# ---------------------------------------------------------------------------
+# the assemblies a problem keeps
+
+KEPT_SCALES = {"integer": TimeScale.integer_range(0, 5),
+               "non-uniform": TimeScale([0.0, 0.6, 1.9, 2.5, 3.8, 5.0])}
+
+
+def kept_problem(scale, integrands):
+    """A product problem on ``scale``, built afresh: the firm's dn pair,
+    which the problem reads through ``on_points``, or smooth test
+    integrands, which have no ``on_points``."""
+    if integrands == "firm":
+        params = FirmParams(horizon=5)
+        delta = (firm_integrand(params, "capital_delta"),)
+        nabla = (firm_integrand(params, "technology_nabla"),)
+        boundary = (params.y_initial, params.y_terminal)
+    else:
+        delta = (smooth_integrand("delta", (1.0, 0.5, 0.2, -0.1, 0.3), scale.points),)
+        nabla = (smooth_integrand("nabla", (-0.5, 1.5, 0.1, 0.2, -0.4), scale.points),)
+        boundary = (1.0, 2.0)
+    return CompositeProblem(scale, delta, nabla, product_outer(), boundary)
+
+
+def kept_states(problem):
+    """Two states through the problem's boundary: the line and a bent one."""
+    (ya, yb), pts = problem.boundary, problem.scale.points
+    line = [ya + (yb - ya) * t / pts[-1] for t in pts]
+    bent = [y + bump for y, bump in zip(line, (0.0, 0.1, -0.05, 0.08, 0.03, 0.0))]
+    return GridFunction(problem.scale, line), GridFunction(problem.scale, bent)
+
+
+def fresh(evaluate, scale, integrands, y):
+    """``evaluate`` on a problem built for this call alone; its table is
+    emptied first, so that it builds its assembly even were problems to
+    share one table."""
+    problem = kept_problem(scale, integrands)
+    problem._assemblies.clear()
+    return evaluate(problem, y)
+
+
+def residual_values(form, policy):
+    return lambda problem, y: theorem_main_residual(problem, y, form, policy).values
+
+
+# each policy and form of the residual, the strict one first, between the
+# functional and the component integrals
+KEPT_EVALUATIONS = (residual_values("delta", STRICT), eval_functional,
+                    residual_values("nabla", CLAMPED), eval_component_integrals,
+                    residual_values("delta", CLAMPED), residual_values("nabla", STRICT))
+
+
+def test_a_problem_builds_one_assembly_per_policy_form_and_window(monkeypatch):
+    from tsvar import variational
+
+    built = []
+
+    def counted(gaps, integrands, outer, policy, form="cores", points=range(0), stacked=False):
+        built.append((policy, form, points))
+        return assemble(gaps, integrands, outer, policy, form, points, stacked)
+
+    monkeypatch.setattr(variational, "assemble", counted)
+    problem = kept_problem(KEPT_SCALES["integer"], "firm")
+    for _ in range(3):
+        for y in kept_states(problem):
+            for evaluate in KEPT_EVALUATIONS:
+                evaluate(problem, y)
+            for which in ("first", "second"):
+                for policy in (STRICT, CLAMPED):
+                    corollary_z_residual(problem, y, which, policy)
+    interior = problem.scale.interior_domain
+    assert sorted(built) == sorted([(CLAMPED, "cores", range(0))] + [
+        (policy, form, interior) for policy in (STRICT, CLAMPED) for form in ("delta", "nabla")])
+
+
+@pytest.mark.parametrize("integrands", ["firm", "smooth"])
+@pytest.mark.parametrize("scale", KEPT_SCALES.values(), ids=KEPT_SCALES)
+def test_a_kept_assembly_gives_a_fresh_problem_s_results(scale, integrands):
+    """Interleaved policies, forms and states on one problem give, bit for
+    bit, what a problem built for the one call gives: a key without the
+    policy, say, would read the strict delta form's NaN in the clamped one."""
+    problem = kept_problem(scale, integrands)
+    states = kept_states(problem)
+    for evaluations in (KEPT_EVALUATIONS, KEPT_EVALUATIONS[::-1], KEPT_EVALUATIONS):
+        for y in states:
+            for evaluate in evaluations:
+                assert np.array_equal(evaluate(problem, y), fresh(evaluate, scale, integrands, y),
+                                      equal_nan=True)
+
+
+@pytest.mark.parametrize("scale", KEPT_SCALES.values(), ids=KEPT_SCALES)
+def test_a_kept_assembly_outlives_a_failed_guard(scale):
+    problem = kept_problem(scale, "firm")
+    y, _ = kept_states(problem)
+    at_the_floor = GridFunction(scale, [2.0, 1.0, *y.values[2:]])
+    for evaluate in KEPT_EVALUATIONS:
+        with pytest.raises(DomainError) as kept:
+            evaluate(problem, at_the_floor)
+        with pytest.raises(DomainError) as built:
+            fresh(evaluate, scale, "firm", at_the_floor)
+        assert str(kept.value) == str(built.value)
+        assert np.array_equal(evaluate(problem, y), fresh(evaluate, scale, "firm", y),
+                              equal_nan=True)
+
+
+def test_a_replaced_problem_keeps_its_own_assemblies():
+    # both scales have the same window, so a shared table would hand the
+    # moved problem the integer scale's graininess
+    problem = kept_problem(KEPT_SCALES["integer"], "firm")
+    for evaluate in KEPT_EVALUATIONS:
+        evaluate(problem, kept_states(problem)[1])
+    other = KEPT_SCALES["non-uniform"]
+    moved = dataclasses.replace(problem, scale=other)
+    y = kept_states(moved)[1]
+    for evaluate in KEPT_EVALUATIONS:
+        assert np.array_equal(evaluate(moved, y), fresh(evaluate, other, "firm", y),
+                              equal_nan=True)
+    assert len(problem._assemblies) == len(moved._assemblies) == 5
+
+
+def test_an_evaluated_problem_compares_hashes_and_prints_as_before():
+    problem = kept_problem(KEPT_SCALES["non-uniform"], "smooth")
+    unevaluated = dataclasses.replace(problem)
+    for evaluate in KEPT_EVALUATIONS:
+        evaluate(problem, kept_states(problem)[0])
+    assert problem == unevaluated
+    assert hash(problem) == hash(unevaluated)
+    assert repr(problem) == repr(unevaluated)
