@@ -184,7 +184,7 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     discount factor at the point, the jump-shifted sales and the quotient.
 
     They hold no guards and run on floats or on arrays alike; ``sqrt`` is
-    :func:`math.sqrt` or :func:`numpy.sqrt`, which round alike.  The square
+    :func:`math.sqrt`, :func:`numpy.sqrt` or :func:`_sqrt`, which round alike.  The square
     of the margin is a product, not ``margin**2``: a float power raises
     OverflowError where the product gives inf, as numpy's square does, so a
     single state and a stack of states overflow alike.
@@ -227,6 +227,12 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     return value, partial_y, partial_v, _zero, _zero, partial_vv
 
 
+def _sqrt(x):
+    """The root of a float by :func:`math.sqrt`, of an array by numpy's:
+    they round alike, and a float stays a Python float."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
 def _discounts(p: FirmParams, mode: str, points) -> tuple:
     """The discount factors of the ``mode`` integrands at ``points``, as
     Python floats: ``(1 + rho)**(t - T)`` for the delta kind and
@@ -261,7 +267,10 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     A :class:`CompositeProblem` reads the integrand through its
     ``on_points``: at the scale's discounts, tabulated once, by the terms
     themselves behind the same guards, which name the point whose discount
-    they were given.  An integrand whose callables were replaced is read at
+    they were given.  The read callables run on floats and on arrays (the
+    root by :func:`_sqrt`); on arrays a guard raises where any entry fails
+    it, naming no point, and the problem then reads the state as floats,
+    which name it.  An integrand whose callables were replaced is read at
     its times.
     """
     if which not in INTEGRAND_NAMES:
@@ -269,6 +278,7 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     family, mode = which.rsplit("_", 1)
     p = params
     terms = _terms(p, family, math.sqrt)
+    read_terms = _terms(p, family, _sqrt)
     floor, b, T = p.y_floor, p.b, p.horizon
     capital, delta = family == "capital", mode == "delta"
     base = 1.0 + p.discount_rate if delta else 1.0 - p.discount_rate
@@ -309,21 +319,29 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
             raise DomainError(f"discount {d} is not one of the scale's discounts")
 
         def at_discount(term, guarded: bool):
+            # a guard's test is a bool on floats, which names the point, and an
+            # array on arrays, where any failing entry raises naming none
             if guarded and capital:
                 def read(d, y, v):
-                    if y - floor == 0.0:
+                    hit = y - floor == 0.0
+                    if hit is True:
                         _guarded_margin(p, y, time_of(d))
+                    elif hit is not False and hit.any():
+                        raise DomainError(f"price-curve guard: sales hit the floor {floor}")
                     return term(d, y, v)
             elif guarded:
                 def read(d, y, v):
-                    if v + b <= 0.0:
+                    hit = v + b <= 0.0
+                    if hit is True:
                         _guarded_sqrt(p, v, time_of(d))
+                    elif hit is not False and hit.any():
+                        raise DomainError("rate-change guard: a quotient + b is not positive")
                     return term(d, y, v)
             else:
                 return term
             return read
 
-        return Integrand(f.kind, *map(at_discount, terms, checks), at=table)
+        return Integrand(f.kind, *map(at_discount, read_terms, checks), at=table)
 
     return Integrand(mode, *times, on_points=on_points)
 

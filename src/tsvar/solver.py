@@ -70,7 +70,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -507,29 +507,41 @@ def lockstep_solve(
     The Jacobians are central differences, whatever the system supplies.
     For a system without a ``jacobian``, each report has the fields
     :func:`newton_solve` gives for that guess: the same steps, halvings,
-    tolerances and stop reason.
+    tolerances and stop reason.  Each stack's reports are built before the
+    next stack runs, so a sweep holds one stack's path at a time.
     """
-    out = _sweep(system, guesses, config or SolverConfig())
-    return [] if out is None else _reports(system, out, range(len(out.reason)))
+    reports = []
+    for out in _stacks(system, guesses, config or SolverConfig()):
+        reports += _reports(system, out, range(len(out.reason)))
+        del out   # its path, before the next stack builds its own
+    return reports
+
+
+def _stacks(system: ResidualSystem, guesses: Iterable[Sequence[float]],
+            cfg: SolverConfig) -> Iterator[_Outcome]:
+    """The :class:`_Outcome` of each stack of at most :data:`STACK_STARTS`
+    guesses, in order, each solved when it is asked for."""
+    m = system.dimension
+    starts = np.array(list(guesses), dtype=float)
+    if starts.size == 0:
+        return
+    if starts.ndim != 2 or starts.shape[1] != m:
+        raise ValueError(f"guesses have shape {starts.shape}, system dimension is {m}")
+    residual = system.stacked_residual or _lift_residual(system)
+    for lo in range(0, len(starts), STACK_STARTS):
+        yield _lockstep(residual, starts[lo:lo + STACK_STARTS], cfg)
 
 
 def _sweep(system: ResidualSystem, guesses: Iterable[Sequence[float]],
            cfg: SolverConfig) -> _Outcome | None:
     """The :class:`_Outcome` of every guess, or None when there is none.
 
-    The guesses are solved in stacks of at most :data:`STACK_STARTS`, one
-    after another; the stacks' rows are concatenated in order, and their
-    paths kept as they are, one per stack.
+    The stacks' rows are concatenated in order, and their paths kept as they
+    are, one per stack.
     """
-    m = system.dimension
-    starts = np.array(list(guesses), dtype=float)
-    if starts.size == 0:
+    outs = list(_stacks(system, guesses, cfg))
+    if not outs:
         return None
-    if starts.ndim != 2 or starts.shape[1] != m:
-        raise ValueError(f"guesses have shape {starts.shape}, system dimension is {m}")
-    residual = system.stacked_residual or _lift_residual(system)
-    lows = range(0, len(starts), STACK_STARTS)
-    outs = [_lockstep(residual, starts[lo:lo + STACK_STARTS], cfg) for lo in lows]
     return _Outcome(*map(np.concatenate, zip(*(out[:-1] for out in outs))),
                     [path for out in outs for path in out.path])
 

@@ -85,7 +85,11 @@ class Integrand:
     is a table with an entry per point and whose callables take that
     table's entries in place of the times, or None where it has no such
     form for these callables; the problem then reads the integrand at its
-    times.
+    times.  This read form's callables take floats and also (m, 1) arrays,
+    a column of table entries with the states' columns: on arrays they
+    compute each entry as on floats, bit for bit, and raise
+    :class:`DomainError` where any entry fails a check they make on floats,
+    with a text that may name no point.
     """
 
     kind: str  # "delta" or "nabla"
@@ -148,9 +152,15 @@ class CompositeProblem:
     It keeps its integrands with ``at`` set to the scale's points, so their
     callables take times, and builds once the forms it evaluates them in:
     each integrand's ``on_points`` form where it has one, the integrand
-    itself otherwise.  It builds its Euler-Lagrange assembly once per
-    policy and form, on first use, and keeps it: an evaluation then only
-    reads the state's tables.
+    itself otherwise.  Where every integrand has one, it evaluates a state
+    as one column of the stacked assembly, on whole arrays; where that
+    raises :class:`DomainError` or a floating-point error (a division by
+    zero or an invalid operation), it evaluates the state again as floats,
+    point by point, and returns that value or raises that error, so the
+    two give the same bytes and texts.  A problem with an integrand that has
+    no read form evaluates as floats alone.  It builds each assembly once
+    per policy, form, window and kind of evaluation, on first use, and keeps
+    it: an evaluation then only reads the state's tables.
     """
 
     scale: TimeScale
@@ -159,7 +169,8 @@ class CompositeProblem:
     outer: OuterFunction
     boundary: tuple
     _reads: tuple = field(init=False, repr=False, compare=False)   # delta, then nabla
-    # (policy, form, points) -> the assembly of the read forms, built on first use
+    _on_arrays: bool = field(init=False, repr=False, compare=False)   # every integrand has a read form
+    # (policy, form, points, stacked) -> the assembly of the read forms, built on first use
     _assemblies: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,11 +198,11 @@ class CompositeProblem:
         for name in ("delta_integrands", "nabla_integrands"):
             object.__setattr__(self, name, tuple(replace(f, at=points)
                                                  for f in getattr(self, name)))
-        reads = []
-        for f in (*self.delta_integrands, *self.nabla_integrands):
-            read = None if f.on_points is None else f.on_points(f, points)
-            reads.append(f if read is None else read)
-        object.__setattr__(self, "_reads", tuple(reads))
+        integrands = (*self.delta_integrands, *self.nabla_integrands)
+        reads = [None if f.on_points is None else f.on_points(f, points) for f in integrands]
+        object.__setattr__(self, "_reads", tuple(f if read is None else read
+                                                 for f, read in zip(integrands, reads)))
+        object.__setattr__(self, "_on_arrays", all(read is not None for read in reads))
         object.__setattr__(self, "_assemblies", {})
 
 
@@ -319,7 +330,11 @@ def _integrals(a: _Assembly, s: State) -> list:
     (n-1, S) term array in order, but a single column pairwise, which
     differs from the one-state sum from about eight terms on, so one column
     is summed by ``cumsum``, which is in order but several times slower
-    across a wide array (at S = 256 and 2048).
+    across a wide array (at S = 256 and 2048).  One state's sum and
+    ``sum(axis=0)`` start from 0.0 and ``cumsum`` from the first term, which
+    differ only where every term is -0.0; 0.0 plus the cumsum gives 0.0
+    there too.  One column's integrals are floats, as one state's are, so
+    the outer partials read them alike.
     """
     top = len(a.mu) - 1
     comps = []
@@ -331,7 +346,7 @@ def _integrals(a: _Assembly, s: State) -> list:
                 i = slice(first, stop)
                 terms = step[i] * value(at[i], y[i], v[i])
                 comps.append(terms.sum(axis=0) if terms.shape[1] > 1
-                             else np.cumsum(terms, axis=0)[-1])
+                             else 0.0 + np.cumsum(terms[:, 0])[-1].item())
                 continue
             total = 0.0
             for i in range(first, stop):
@@ -650,42 +665,82 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
 
 
-def _undefined_past_an_end(fn):
+def _undefined_past_an_end(fn, stacked: bool = False):
     """``fn``, but NaN where the strict quotient is undefined."""
+    if stacked:
+        return lambda t, y, v: np.where(np.isnan(v), np.nan, fn(t, y, v))
     return lambda t, y, v: math.nan if math.isnan(v) else fn(t, y, v)
 
 
-def _problem_assembly(problem: CompositeProblem, y: GridFunction, policy: str,
-                      form: str = "cores", points: range = range(0)):
-    """The float assembly of ``problem``'s read forms on ``points``, and the tables of ``y``.
+def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores",
+                      points: range = range(0), stacked: bool = False) -> Assembled:
+    """The assembly of ``problem``'s read forms on ``points``, on floats or,
+    with ``stacked``, on arrays.
 
-    The assembly depends on the problem, the policy, the form and the window
-    alone, so the problem keeps it from the first call with them on."""
-    vals = _admissible_values(problem, y)
-    key = policy, form, points
+    It depends on the problem, the policy, the form, the window and
+    ``stacked`` alone, so the problem keeps it from the first call with them on."""
+    key = policy, form, points, stacked
     assembled = problem._assemblies.get(key)
     if assembled is None:
         integrands = problem._reads
         if policy == STRICT:
-            integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y),
-                                  partial_v=_undefined_past_an_end(f.partial_v))
+            integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
+                                  partial_v=_undefined_past_an_end(f.partial_v, stacked))
                           for f in integrands]
         assembled = problem._assemblies[key] = assemble(
             problem.scale.mu_values()[:-1].tolist(), integrands, problem.outer,
-            policy, form, points)
-    return assembled, assembled.state(vals.tolist())
+            policy, form, points, stacked)
+    return assembled
+
+
+def _read(problem: CompositeProblem, y: GridFunction, read, policy: str = CLAMPED,
+          form: str = "cores", points: range = range(0)):
+    """``read(assembled, tables)`` of the state ``y``: where the problem's
+    read forms all run on arrays, on ``y`` as one column of the stacked
+    assembly, unless that raises :class:`DomainError` or a floating-point
+    error; then, or without them, on its floats.  The two agree bit for bit
+    wherever the column raises nothing, so the floats give every value, NaN
+    and error text."""
+    vals = _admissible_values(problem, y)
+    if problem._on_arrays:
+        try:
+            return _on_column(read, _problem_assembly(problem, policy, form, points, True), vals)
+        except (DomainError, FloatingPointError):
+            pass
+    one = _problem_assembly(problem, policy, form, points)
+    return read(one, one.state(vals.tolist()))
+
+
+# On a column a division by zero or an invalid operation raises, and the
+# state is read again as floats, where the one raises ZeroDivisionError and
+# the other gives NaN, as they always did; an overflow gives inf on both.
+# The errstate is built once, here, and entered per call.
+@np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore")
+def _on_column(read, column: Assembled, vals: np.ndarray):
+    return read(column, column.state(vals[:, None]))
+
+
+def _components(assembled: Assembled, s: State) -> np.ndarray:
+    """The component integrals, one state's or one column's (floats both), as a vector."""
+    return np.asarray(assembled.integrals(s))
 
 
 def eval_component_integrals(problem: CompositeProblem, y: GridFunction) -> np.ndarray:
     """Vector of the k delta and n nabla component integrals at state y."""
-    assembled, s = _problem_assembly(problem, y, CLAMPED)
-    return np.asarray(assembled.integrals(s))
+    return _read(problem, y, _components)
 
 
 def eval_functional(problem: CompositeProblem, y: GridFunction) -> float:
     """Outer function applied to the component integrals."""
-    assembled, s = _problem_assembly(problem, y, CLAMPED)
-    return float(problem.outer.value(np.asarray(assembled.integrals(s))))
+    return float(problem.outer.value(_read(problem, y, _components)))
+
+
+def _residual(assembled: Assembled, s: State) -> np.ndarray:
+    """The form on its window, one state's or one column's, as a vector."""
+    try:
+        return np.ravel(assembled.evaluate(s))
+    except ZeroDivisionError as exc:   # on floats: a column gives inf, then falls back
+        raise DomainError("residual is not finite at this state") from exc
 
 
 def theorem_main_residual(
@@ -699,15 +754,17 @@ def theorem_main_residual(
     ``form`` selects which of the two equivalent formulations is
     assembled: ``"delta"`` places the delta-kind terms unshifted and
     differences the nabla-kind aggregate forward, ``"nabla"`` does the
-    mirror image.  The residual lives on the interior of the scale.
+    mirror image.  The residual lives on the interior of the scale.  A
+    division by zero in it, such as the firm capital partial's where the
+    square of a tiny margin underflows to 0, raises :class:`DomainError`
+    ("residual is not finite at this state"), as the firm systems do.
     """
     _check_policy(policy)
     if form not in ("delta", "nabla"):
         raise ValueError(f"form must be 'delta' or 'nabla', got {form!r}")
     interior = problem.scale.interior_domain
-    assembled, s = _problem_assembly(problem, y, policy, form, interior)
     out = np.full(len(problem.scale), np.nan)
-    out[interior.start : interior.stop] = assembled.evaluate(s)
+    out[interior.start : interior.stop] = _read(problem, y, _residual, policy, form, interior)
     return GridFunction(problem.scale, out, interior)
 
 

@@ -345,6 +345,138 @@ def test_a_problem_reads_its_integrands_as_at_their_times(case):
             == evaluations(firm_composite(params, kind, scale, read=False), y))
 
 
+def test_a_read_form_runs_on_arrays_as_on_floats():
+    # on a column of its table and (n, 1) states a read callable computes each
+    # entry as on floats, bit for bit; a guarded one raises DomainError where
+    # any entry fails its guard, naming no point, and an unguarded one does not
+    params = FirmParams(horizon=6)
+    rng = np.random.default_rng(41)
+    guarded = {"capital": {"value", "partial_y", "partial_yy"},
+               "technology": {"value", "partial_v", "partial_vv"}}
+    named_nowhere = {"capital": r"^price-curve guard: sales hit the floor 1\.0$",
+                     "technology": r"^rate-change guard: a quotient \+ b is not positive$"}
+    for name in INTEGRAND_NAMES:
+        family = name.rsplit("_", 1)[0]
+        anywhere = firm_integrand(params, name)
+        for scale in read_scales(6, rng):
+            form = anywhere.on_points(anywhere, scale.points)
+            d = np.array(form.at)[:, None]
+            y, v = rng.uniform(1.05, 6.0, (len(d), 1)), rng.uniform(-3.9, 4.0, (len(d), 1))
+            v[0] = math.nan
+            for partial in PARTIALS:
+                read = getattr(form, partial)
+                got = np.broadcast_to(read(d, y, v), y.shape)
+                want = [read(*map(float, entry)) for entry in zip(d[:, 0], y[:, 0], v[:, 0])]
+                assert got[:, 0].tobytes() == np.array(want).tobytes(), (name, partial)
+                y_hit, v_hit = y.copy(), v.copy()
+                y_hit[-2], v_hit[-2] = params.y_floor, -params.b
+                if partial in guarded[family]:
+                    with pytest.raises(DomainError, match=named_nowhere[family]):
+                        read(d, y_hit, v_hit)
+                else:
+                    read(d, y_hit, v_hit)
+
+
+def fast_path_count(monkeypatch):
+    """The ``stacked`` flag of every assembly a problem evaluation asks for."""
+    from tsvar import variational
+
+    asked, real = [], variational._problem_assembly
+
+    def counted(problem, policy, form="cores", points=range(0), stacked=False):
+        asked.append(stacked)
+        return real(problem, policy, form, points, stacked)
+
+    monkeypatch.setattr(variational, "_problem_assembly", counted)
+    return asked
+
+
+@pytest.mark.parametrize("size", [64, 256])
+def test_a_problem_reads_a_feasible_state_on_arrays(size, monkeypatch):
+    # on feasible states a problem with read forms evaluates one column of the
+    # stacked assembly and never falls back to floats, under either policy,
+    # and gives the bytes of the problem read at its times
+    horizon = size - 1
+    params = FirmParams(horizon=horizon)
+    rng = np.random.default_rng(size)
+    gaps = rng.uniform(0.5, 1.5, horizon)
+    uneven = np.concatenate(([0.0], np.cumsum(gaps) * horizon / gaps.sum()))
+    uneven[-1] = horizon
+    for scale in (TimeScale.integer_range(0, horizon), TimeScale(uneven.tolist())):
+        pts = np.array(scale.points)
+        line = params.y_initial + (params.y_terminal - params.y_initial) * pts / horizon
+        line[1:-1] += rng.normal(0.0, 0.02, size - 2)
+        y = GridFunction(scale, line)
+        for kind in ALL_KINDS:
+            want = evaluations(firm_composite(params, kind, scale, read=False), y)
+            problem = firm_composite(params, kind, scale)
+            with monkeypatch.context() as patch:
+                asked = fast_path_count(patch)
+                got = evaluations(problem, y)
+            assert asked == [True] * 6
+            assert got == want
+            assert not any(isinstance(out, str) for out in got)
+
+
+def test_a_negative_zero_first_term_sums_as_on_floats(monkeypatch):
+    # with lam = 0 and beta = -0.0 every technology term is -0.0; one state's
+    # integral adds them to 0.0, and so must the column
+    params = FirmParams(lam=0.0, beta=-0.0, y_floor=-10.0, y_initial=-5.0, y_terminal=-4.0,
+                        horizon=4)
+    scale = TimeScale.integer_range(0, 4)
+    y = GridFunction(scale, [-5.0, -4.7, -4.5, -4.2, -4.0])
+    asked = fast_path_count(monkeypatch)
+    for kind in ALL_KINDS:
+        problem = firm_composite(params, kind, scale)
+        asked.clear()
+        got = evaluations(problem, y)
+        assert asked == [True] * 6
+        assert got == evaluations(firm_composite(params, kind, scale, read=False), y)
+        assert not np.signbit(eval_component_integrals(problem, y)).any()
+
+
+@pytest.mark.parametrize("guard", ["floor", "rate"])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_a_problem_names_the_point_on_a_scale_of_equal_discounts(kind, guard):
+    # on (0, 1e-17, 1, ...) the first two points share a discount, which the
+    # column cannot tell apart; a guard hit falls back to floats, which name
+    # the point as the problem read at its times does
+    params = FirmParams(horizon=5)
+    scale = read_scales(5, np.random.default_rng(3))[2]
+    pts = scale.points
+    line = [params.y_initial + (params.y_terminal - params.y_initial) * t / pts[-1] for t in pts]
+    named = set()
+    for i in range(1, len(pts) - 1):
+        values = list(line)
+        if guard == "floor":
+            values[i] = params.y_floor
+        else:
+            values[i] = values[i - 1] - params.b * (pts[i] - pts[i - 1])
+        y = GridFunction(scale, values)
+        got = evaluations(firm_composite(params, kind, scale), y)
+        assert got == evaluations(firm_composite(params, kind, scale, read=False), y)
+        named.update(out for out in got if isinstance(out, str))
+    assert named and all(" at t=" in text for text in named)
+
+
+@pytest.mark.parametrize("policy", [STRICT, CLAMPED])
+@pytest.mark.parametrize("form", ["delta", "nabla"])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+def test_a_margin_whose_square_underflows_is_a_domain_error(kind, form, policy):
+    # at y_1 = 1e-170 above a floor of 0 the margin's square is 0: the float
+    # division raises ZeroDivisionError, which the residual reports as the
+    # residual systems do; the column falls back to the floats
+    params = FirmParams(y_floor=0.0)
+    for read in (True, False):
+        problem = firm_composite(params, kind, TimeScale.integer_range(0, 3), read)
+        y = GridFunction(problem.scale, [2.0, 1e-170, 2.5, 3.0])
+        if (kind.value, form) in (("dd", "delta"), ("dn", "delta")):   # y_1 unread by partial_y
+            assert np.isfinite(theorem_main_residual(problem, y, form, policy)(1.0))
+            continue
+        with pytest.raises(DomainError, match="^residual is not finite at this state$"):
+            theorem_main_residual(problem, y, form, policy)
+
+
 # ---------------------------------------------------------------------------
 # one integrand's Euler-Lagrange core
 

@@ -417,6 +417,36 @@ def test_a_sweep_keeps_each_stacks_path_as_the_lockstep_built_it(monkeypatch):
             assert all(got is want for got, want in zip(entry, own_entry))
 
 
+def test_a_sweep_reports_each_stack_before_the_next_runs(monkeypatch):
+    # lockstep_solve builds a stack's reports before the next stack is solved,
+    # so it holds one stack's path at a time; its reports equal, field by
+    # field, those built from the joined outcome multistart_solve reads
+    system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL2)
+    guesses = [(0.5, 0.5), (1.0, 1.0), (2.2, 2.4), (9.0, 0.5)]   # two converge, two are infeasible
+    monkeypatch.setattr(tsolver, "STACK_STARTS", 2)
+    joined = tsolver._sweep(system, guesses, SolverConfig())
+    want = tsolver._reports(system, joined, range(len(guesses)))
+    order = []
+    lockstep, reports = tsolver._lockstep, tsolver._reports
+
+    def solved(*args):
+        order.append("solve")
+        return lockstep(*args)
+
+    def reported(*args):
+        order.append("report")
+        return reports(*args)
+
+    monkeypatch.setattr(tsolver, "_lockstep", solved)
+    monkeypatch.setattr(tsolver, "_reports", reported)
+    got = lockstep_solve(system, guesses)
+    assert order == ["solve", "report", "solve", "report"]
+    assert len(got) == len(want) == 4
+    assert len({r.message.split(":")[0] for r in got}) > 1
+    for g, w in zip(got, want):
+        assert_same_report(g, w)
+
+
 def test_lockstep_rejects_guesses_of_the_wrong_dimension():
     system, _ = affine_system()
     with pytest.raises(ValueError, match="dimension"):
