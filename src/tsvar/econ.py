@@ -10,11 +10,13 @@ Euler-Lagrange formulations beside the directly discretized system.
 
 Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
-taken as zero.  The model declares its integrands, each of one kind and
-read at its discount factors, tabulated once per params; it checks its guards
-in one pass per state, and picks for each residual system an output of the
-Euler-Lagrange assembly, :func:`tsvar.variational.assemble`, and the window
-of points it is read on; it holds no Euler-Lagrange algebra of its own.
+taken as zero.  The model is declared once: its integrands, each of one
+kind, with its terms, its guard and its discount factors; the composite
+problem of each kind; and, for each residual system, the output of the
+Euler-Lagrange assembly and the window of points it reads, so a system
+is a view of its kind's problem (:func:`tsvar.variational.problem_system`).
+The assembly checks the guards once per state; the model holds no
+Euler-Lagrange algebra of its own.
 """
 
 from __future__ import annotations
@@ -22,19 +24,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from functools import cache, lru_cache, partial
+from functools import lru_cache
+from operator import eq, le
 
 import numpy as np
 
 from .solver import ResidualSystem
 from .timescale import DomainError, TimeScale
-from .variational import (
-    CLAMPED,
-    CompositeProblem,
-    Integrand,
-    assemble,
-    product_outer,
-)
+from .variational import CompositeProblem, Guard, Integrand, problem_system, product_outer
 
 __all__ = [
     "EquationKind",
@@ -154,24 +151,23 @@ class FirmParams:
 
 
 # ---------------------------------------------------------------------------
-# guards shared by the integrands and the residual systems
-
-
-def _guarded_sqrt(p: FirmParams, rate: float, t) -> None:
-    arg = rate + p.b
-    if arg <= 0.0:
-        raise DomainError(
-            f"rate-change guard: quotient {rate} + b = {arg} is not positive at t={t}"
-        )
-
-
-def _guarded_margin(p: FirmParams, sales: float, t) -> None:
-    if sales - p.y_floor == 0.0:
-        raise DomainError(f"price-curve guard: sales hit the floor {p.y_floor} at t={t}")
-
-
-# ---------------------------------------------------------------------------
 # integrands
+
+
+def _guard(p: FirmParams, family: str) -> Guard:
+    """The domain of a family's terms: the capital terms divide by the
+    margin of the sales over the floor, the technology terms take the root
+    of the quotient plus b."""
+    if family == "capital":
+        floor = p.y_floor
+        return Guard("y", eq, floor,
+                     lambda y, t: f"price-curve guard: sales hit the floor {floor} at t={t}")
+    b = p.b
+
+    def text(v, t):
+        return f"rate-change guard: quotient {v} + b = {v + b} is not positive at t={t}"
+
+    return Guard("v", le, -b, text)   # v <= -b holds exactly where v + b <= 0
 
 
 def _zero(d, y, v) -> float:
@@ -183,8 +179,8 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     and vv of a family's integrand as functions of ``(d, y, v)``: the
     discount factor at the point, the jump-shifted sales and the quotient.
 
-    They hold no guards and run on floats or on arrays alike; ``sqrt`` is
-    :func:`math.sqrt`, :func:`numpy.sqrt` or :func:`_sqrt`, which round alike.  The square
+    They hold no guards and run on floats with ``sqrt`` :func:`math.sqrt`
+    or on arrays with :func:`numpy.sqrt`, which round alike.  The square
     of the margin is a product, not ``margin**2``: a float power raises
     OverflowError where the product gives inf, as numpy's square does, so a
     single state and a stack of states overflow alike.
@@ -227,12 +223,6 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     return value, partial_y, partial_v, _zero, _zero, partial_vv
 
 
-def _sqrt(x):
-    """The root of a float by :func:`math.sqrt`, of an array by numpy's:
-    they round alike, and a float stays a Python float."""
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
 def _discounts(p: FirmParams, mode: str, points) -> tuple:
     """The discount factors of the ``mode`` integrands at ``points``, as
     Python floats: ``(1 + rho)**(t - T)`` for the delta kind and
@@ -245,109 +235,71 @@ def _discounts(p: FirmParams, mode: str, points) -> tuple:
     return tuple(base ** (T - t) for t in points)
 
 
+@lru_cache(maxsize=32)
 def firm_integrand(params: FirmParams, which: str) -> Integrand:
     """One of the four discounted integrands, with analytic partials.
 
     ``which`` is ``capital_delta``, ``capital_nabla``, ``technology_delta``
     or ``technology_nabla``.  The ``(t, y, v)`` arguments are the time
     point, the jump-shifted sales and the difference-quotient rate, on any
-    time scale.  A capital term whose sales sit at the floor, or a
-    technology term whose root has no positive argument, raises
-    :class:`DomainError`: the capital value and its y and yy partials check
-    the margin, the technology value and its v and vv partials check the
-    root, and the yv partial checks nothing.
-
-    Each callable is one closure around its term: it makes its guard's
-    comparison inline (calling the guard helper only to raise) and then
-    takes the discount ``(1 + rho)**(t - T)`` or ``(1 - rho)**(T - t)``,
-    the expressions :func:`_discounts` tabulates, with the base formed once
-    per integrand.  The power is taken per call, since ``t`` may be any
-    point.
+    time scale.  The integrand declares its :class:`Guard` once: a capital
+    term is undefined where the sales sit at the floor, a technology term
+    where its root has no positive argument.  Its callables check it: the
+    capital value and its y and yy partials, the technology value and its
+    v and vv partials, each raising :class:`DomainError` at ``t``; the
+    others check nothing.  Each takes the discount ``(1 + rho)**(t - T)``
+    or ``(1 - rho)**(T - t)`` per call, since ``t`` may be any point.
 
     A :class:`CompositeProblem` reads the integrand through its
-    ``on_points``: at the scale's discounts, tabulated once, by the terms
-    themselves behind the same guards, which name the point whose discount
-    they were given.  The read callables run on floats and on arrays (the
-    root by :func:`_sqrt`); on arrays a guard raises where any entry fails
-    it, naming no point, and the problem then reads the state as floats,
-    which name it.  An integrand whose callables were replaced is read at
-    its times.
+    ``on_points``: the bare terms at the scale's discounts from
+    :func:`_discounts`, on floats or on arrays, under the same guard, which
+    the assembly checks once per state.  An integrand whose callables were
+    replaced is read at its times.  Cached by params as they compare, a
+    zero and a negative zero alike: the four problem kinds share the four
+    integrands of one params.
     """
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     family, mode = which.rsplit("_", 1)
     p = params
     terms = _terms(p, family, math.sqrt)
-    read_terms = _terms(p, family, _sqrt)
-    floor, b, T = p.y_floor, p.b, p.horizon
-    capital, delta = family == "capital", mode == "delta"
+    guard = _guard(p, family)
+    on_y, fails, bound, text = guard.reads == "y", *guard[1:]
+    T = p.horizon
+    delta = mode == "delta"
     base = 1.0 + p.discount_rate if delta else 1.0 - p.discount_rate
-    # which of value, partial_y, partial_v, partial_yy, partial_yv, partial_vv check a guard
-    checks = (True, capital, not capital, capital, False, not capital)
+    # which of value, partial_y, partial_v, partial_yy, partial_yv, partial_vv check the guard
+    checks = (True, on_y, not on_y, on_y, False, not on_y)
 
     def discounted(term, guarded: bool):
-        if guarded and capital:
-            def at_time(t, y, v):
-                if y - floor == 0.0:
-                    _guarded_margin(p, y, t)
-                return term(base ** (t - T) if delta else base ** (T - t), y, v)
-        elif guarded:
-            def at_time(t, y, v):
-                if v + b <= 0.0:
-                    _guarded_sqrt(p, v, t)
-                return term(base ** (t - T) if delta else base ** (T - t), y, v)
-        else:
+        if not guarded:
             def at_time(t, y, v):
                 return term(base ** (t - T) if delta else base ** (T - t), y, v)
+            return at_time
+
+        def at_time(t, y, v):
+            tested = y if on_y else v
+            if fails(tested, bound):
+                raise DomainError(text(tested, t))
+            return term(base ** (t - T) if delta else base ** (T - t), y, v)
         return at_time
 
     times = tuple(map(discounted, terms, checks))
 
-    def on_points(f: Integrand, points) -> Integrand | None:
+    def on_points(f: Integrand, points, stacked: bool) -> Integrand | None:
         if (f.value, f.partial_y, f.partial_v, f.partial_yy, f.partial_yv, f.partial_vv) != times:
             return None   # replaced callables: the problem reads them at the times
-        table = _discounts(p, mode, points)
+        read = _terms(p, family, np.sqrt) if stacked else terms
+        return Integrand(f.kind, *read, at=_discounts(p, mode, points), guard=f.guard)
 
-        def time_of(d) -> float:
-            # the entry itself before an equal one: points closer than the
-            # rounding of t - T share a discount value
-            for t, entry in zip(points, table):
-                if entry is d:
-                    return t
-            if d in table:
-                return points[table.index(d)]
-            raise DomainError(f"discount {d} is not one of the scale's discounts")
-
-        def at_discount(term, guarded: bool):
-            # a guard's test is a bool on floats, which names the point, and an
-            # array on arrays, where any failing entry raises naming none
-            if guarded and capital:
-                def read(d, y, v):
-                    hit = y - floor == 0.0
-                    if hit is True:
-                        _guarded_margin(p, y, time_of(d))
-                    elif hit is not False and hit.any():
-                        raise DomainError(f"price-curve guard: sales hit the floor {floor}")
-                    return term(d, y, v)
-            elif guarded:
-                def read(d, y, v):
-                    hit = v + b <= 0.0
-                    if hit is True:
-                        _guarded_sqrt(p, v, time_of(d))
-                    elif hit is not False and hit.any():
-                        raise DomainError("rate-change guard: a quotient + b is not positive")
-                    return term(d, y, v)
-            else:
-                return term
-            return read
-
-        return Integrand(f.kind, *map(at_discount, read_terms, checks), at=table)
-
-    return Integrand(mode, *times, on_points=on_points)
+    return Integrand(mode, *times, on_points=on_points, guard=guard)
 
 
+@lru_cache(maxsize=32)
 def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
-    """Composite product problem for the requested discretization kind."""
+    """Composite product problem for the requested discretization kind.
+    Cached, with the assemblies it keeps: the three systems of a mixed kind
+    read one problem."""
     integrands = (firm_integrand(params, f"capital_{kind.capital_mode}"),
                   firm_integrand(params, f"technology_{kind.technology_mode}"))
     return CompositeProblem(
@@ -357,45 +309,6 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
         outer=product_outer(),
         boundary=(params.y_initial, params.y_terminal),
     )
-
-
-# ---------------------------------------------------------------------------
-# the assembly and the guard pass
-#
-# The residual systems read the assembly of :mod:`tsvar.variational` on
-# {0, ..., T} with clamped quotients.  Its integrands are the unguarded terms
-# above with the discount factors tabulated once per params as Python floats
-# (numpy's power can differ from Python's in the last bit).  Every guard is
-# checked once per state: for one state in the pass that builds its tables,
-# for a stack by marking the rows of the states that fail one.
-
-
-@lru_cache(maxsize=32)
-def _tabulated(p: FirmParams, which: str, sqrt) -> Integrand:
-    """The unguarded integrand ``which``, read at its kind's discount factors
-    on 0..T, from :func:`_discounts` as a problem's read form is.  Cached:
-    one ``tsvar table1`` run asks for each one four times."""
-    family, mode = which.rsplit("_", 1)
-    return Integrand(mode, *_terms(p, family, sqrt), at=_discounts(p, mode, range(p.horizon + 1)))
-
-
-def _checked_state(p: FirmParams, assembled, yv: list, capital_mode: str, technology_mode: str):
-    """The assembled tables of one state; raises :class:`DomainError` at a failed guard.
-
-    The margins are checked before the roots, each in ascending order, and
-    a failure is labelled with the summation index at which the component
-    integral of the given mode meets the value.
-    """
-    if p.y_floor in yv:
-        i = yv.index(p.y_floor)
-        _guarded_margin(p, yv[i], i - 1 if capital_mode == "delta" else i + 1)
-    state = assembled.state(yv)
-    rates = state.d_rate[:-1]
-    if not min(rates) + p.b > 0.0:   # false too where a NaN leads
-        for t, rate in enumerate(rates):
-            if rate + p.b <= 0.0:
-                _guarded_sqrt(p, rate, t if technology_mode == "delta" else t + 1)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -417,108 +330,12 @@ def _window(kind: ProblemKind, eq: EquationKind, horizon: int) -> tuple:
 
 def residual_system(params: FirmParams, kind: ProblemKind,
                     eq: EquationKind = EquationKind.DIRECT) -> ResidualSystem:
-    """Square system in the interior sales values y_1, ..., y_{T-1}.
-
-    The system reads a window of the Euler-Lagrange assembly of
-    :mod:`tsvar.variational` (see :func:`_window`) over two integrands of
-    :func:`_tabulated`; the pure kinds yield the same system for every
-    :class:`EquationKind`.  The residual and functional evaluate one state
-    as float arithmetic; the stacked residual runs the same assembly on every
-    state, one column each, so a stacked row equals the one-state residual
-    bit for bit, and then marks the rows of infeasible states with NaN.
-    A state whose residual is not finite is infeasible too: the residual
-    raises :class:`DomainError` there.  The functional is returned as
-    computed, inf included.  The jacobian is the residual's exact Jacobian,
-    from the integrands' second partials; it raises :class:`DomainError`
-    where it is not finite.
+    """Square system in the interior sales values y_1, ..., y_{T-1}: the
+    window of :func:`firm_problem`'s Euler-Lagrange assembly that
+    :func:`_window` picks, read by :func:`tsvar.variational.problem_system`.
+    The pure kinds yield the same system for every :class:`EquationKind`.
+    A state fails the guards in the order the assembly checks them: the
+    margins before the roots, each at ascending points.
     """
-    p = params
-    m = p.horizon - 1
-    capital_mode, technology_mode = kind.capital_mode, kind.technology_mode
-    form, points = _window(kind, eq, p.horizon)
-    outer = product_outer()
-
-    def assembly(sqrt, stacked):
-        integrands = (_tabulated(p, f"capital_{capital_mode}", sqrt),
-                      _tabulated(p, f"technology_{technology_mode}", sqrt))
-        return assemble([1.0] * p.horizon, integrands, outer, CLAMPED, form, points, stacked)
-
-    one = assembly(math.sqrt, False)
-
-    @cache   # built on first use: most short one-start solves never stack
-    def stacked():
-        return assembly(np.sqrt, True)
-
-    # newton_solve takes the Jacobian at the state whose residual it has just
-    # evaluated, so the tables and integrals of the last state are kept, by
-    # the bytes of its values
-    last = (None, None, None)
-
-    def tables(x):
-        """The checked tables of one state and its component integrals."""
-        nonlocal last
-        if len(x) != m:
-            raise ValueError(f"expected {m} interior values, got {len(x)}")
-        values = np.asarray(x, dtype=float)
-        key, kept = values.tobytes(), last
-        if key != kept[0]:
-            yv = [p.y_initial, *values.tolist(), p.y_terminal]
-            s = _checked_state(p, one, yv, capital_mode, technology_mode)
-            kept = last = key, s, one.integrals(s)
-        return kept[1], kept[2]
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        s, comps = tables(x)
-        try:
-            values = one.evaluate(s, comps)
-        except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
-            values = [math.inf]
-        if not all(map(math.isfinite, values)):
-            raise DomainError("residual is not finite at this state")
-        return np.array(values)
-
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        try:
-            jac = one.jacobian(*tables(x))
-        except ZeroDivisionError:   # a power of the margin that underflows to 0
-            jac = None
-        if jac is None or not np.isfinite(jac).all():
-            raise DomainError("jacobian is not finite at this state")
-        return jac
-
-    def functional(x: np.ndarray) -> float:
-        return outer.value(tables(x)[1])
-
-    def stacked_residual(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != m:
-            raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
-        yt = np.empty((p.horizon + 1, len(xs)))
-        yt[0] = p.y_initial
-        yt[1:-1] = xs.T
-        yt[-1] = p.y_terminal
-        s = stacked().state(yt)
-        rows = stacked().evaluate(s).T
-        # a NaN row at each state that fails a guard or whose residual is not
-        # finite; the other columns' integrals add in order, as one state's do
-        bad = ((yt == p.y_floor).any(axis=0) | (s.d_rate[:-1] + p.b <= 0.0).any(axis=0)
-               | ~np.isfinite(rows).all(axis=1))
-        rows[bad] = np.nan
-        return rows
-
-    return ResidualSystem(
-        dimension=m,
-        residual=residual,
-        label=f"{kind.value}/{eq.value}",
-        functional=functional,
-        jacobian=jacobian,
-        stacked_residual=partial(_quietly, stacked_residual),
-    )
-
-
-# overflow is expected in the stacked residual and marked by its NaN rows, so
-# numpy's warnings about it are off there; decorated once here rather than
-# per system, where the decoration cost a quarter of building one
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _quietly(evaluate, xs: np.ndarray) -> np.ndarray:
-    return evaluate(xs)
+    return problem_system(firm_problem(params, kind), *_window(kind, eq, params.horizon),
+                          label=f"{kind.value}/{eq.value}")

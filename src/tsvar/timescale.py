@@ -96,19 +96,13 @@ class TimeScale:
 
     # -- jump operators and graininess ------------------------------------
 
-    def sigma_index(self, i: int) -> int:
-        return i + 1 if i < len(self._points) - 1 else i
-
-    def rho_index(self, i: int) -> int:
-        return i - 1 if i > 0 else 0
-
     def sigma(self, t: float) -> float:
         """Forward jump: the next point, or ``t`` itself at the maximum."""
-        return self._points[self.sigma_index(self.index(t))]
+        return self._points[min(self.index(t) + 1, len(self._points) - 1)]
 
     def rho(self, t: float) -> float:
         """Backward jump: the previous point, or ``t`` itself at the minimum."""
-        return self._points[self.rho_index(self.index(t))]
+        return self._points[max(self.index(t) - 1, 0)]
 
     def mu(self, t: float) -> float:
         """Forward graininess sigma(t) - t; zero exactly at the maximum."""

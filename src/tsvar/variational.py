@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
-from operator import add, itemgetter
+from functools import cache, lru_cache, partial
+from operator import add, eq, itemgetter, le
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .solver import ResidualSystem
 from .timescale import DomainError, GridFunction, TimeScale
 
 __all__ = [
     "Assembled",
     "BoundaryMismatchError",
     "CompositeProblem",
+    "Guard",
     "Integrand",
     "OuterFunction",
     "STRICT",
@@ -53,6 +55,7 @@ __all__ = [
     "eval_component_integrals",
     "eval_functional",
     "identity_outer",
+    "problem_system",
     "product_outer",
     "sum_outer",
     "theorem_main_residual",
@@ -68,6 +71,21 @@ class BoundaryMismatchError(ValueError):
     """The candidate state does not take the problem's boundary values."""
 
 
+class Guard(NamedTuple):
+    """Where an integrand is defined, declared once: it fails at a point
+    where ``fails(value, bound)`` holds for the argument it ``reads``,
+    ``"y"`` (the jump-shifted state) or ``"v"`` (the quotient).  ``fails``
+    is :func:`operator.eq` (the value sits at the bound) or
+    :func:`operator.le` (it is at most the bound), which take floats and
+    arrays alike; ``text(value, t)`` is the :class:`DomainError` text that
+    names the value and the point."""
+
+    reads: str
+    fails: Callable[[float, float], bool]
+    bound: float
+    text: Callable[[float, float], str]
+
+
 @dataclass(frozen=True)
 class Integrand:
     """One inner integrand with analytic partial derivatives.
@@ -77,19 +95,19 @@ class Integrand:
     rate fed to this integrand by its kind.  The second partials, when
     given, take the same arguments; the assembly reads them for its Jacobian.
     ``at`` is the table :func:`assemble` reads in place of the times, which
-    a :class:`CompositeProblem` sets to its scale's points.
+    a :class:`CompositeProblem` sets to its scale's points.  ``guard``, when
+    given, is the integrand's :class:`Guard`, which the assembly checks once
+    per state, before it calls any callable.
 
     ``on_points``, when given, says how a :class:`CompositeProblem` reads the
-    integrand on its scale: ``on_points(integrand, points)``, with ``at``
-    already the points, returns an integrand of the same kind whose ``at``
-    is a table with an entry per point and whose callables take that
-    table's entries in place of the times, or None where it has no such
-    form for these callables; the problem then reads the integrand at its
-    times.  This read form's callables take floats and also (m, 1) arrays,
-    a column of table entries with the states' columns: on arrays they
-    compute each entry as on floats, bit for bit, and raise
-    :class:`DomainError` where any entry fails a check they make on floats,
-    with a text that may name no point.
+    integrand on its scale: ``on_points(integrand, points, stacked)``, with
+    ``at`` already the points, returns an integrand of the same kind whose
+    ``at`` is a table with an entry per point and whose callables take that
+    table's entries in place of the times, on floats or, with ``stacked``,
+    on arrays, a column of table entries with (m, S) states, bit for bit as
+    on floats.  It returns None where it has no such form for these
+    callables, whichever the number type; the problem then reads the
+    integrand at its times.
     """
 
     kind: str  # "delta" or "nabla"
@@ -100,11 +118,16 @@ class Integrand:
     partial_yv: Callable[[float, float, float], float] | None = None
     partial_vv: Callable[[float, float, float], float] | None = None
     at: Sequence | None = None
-    on_points: Callable[[Integrand, Sequence], Integrand | None] | None = None
+    on_points: Callable[[Integrand, Sequence, bool], Integrand | None] | None = None
+    guard: Guard | None = None
 
     def __post_init__(self):
         if self.kind not in ("delta", "nabla"):
             raise ValueError(f"kind must be 'delta' or 'nabla', got {self.kind!r}")
+        if self.guard is not None and self.guard.reads not in ("y", "v"):
+            raise ValueError(f"a guard reads 'y' or 'v', got {self.guard.reads!r}")
+        if self.guard is not None and self.guard.fails not in (eq, le):
+            raise ValueError("a guard fails by operator.eq or operator.le")
 
 
 @dataclass(frozen=True)
@@ -150,16 +173,17 @@ class CompositeProblem:
     """A composite functional together with its fixed boundary values.
 
     It keeps its integrands with ``at`` set to the scale's points, so their
-    callables take times, and builds once the forms it evaluates them in:
-    each integrand's ``on_points`` form where it has one, the integrand
-    itself otherwise.  Where every integrand has one, it evaluates a state
-    as one column of the stacked assembly, on whole arrays; where that
-    raises :class:`DomainError` or a floating-point error (a division by
-    zero or an invalid operation), it evaluates the state again as floats,
-    point by point, and returns that value or raises that error, so the
-    two give the same bytes and texts.  A problem with an integrand that has
-    no read form evaluates as floats alone.  It builds each assembly once
-    per policy, form, window and kind of evaluation, on first use, and keeps
+    callables take times, and evaluates them in the forms it builds on
+    first use: each integrand's ``on_points`` form where it has one, the
+    integrand itself otherwise.  Where every integrand has one, it evaluates
+    a state as one column of the stacked assembly, on whole arrays; where a
+    declared guard fails on that column, or the arrays raise a
+    floating-point error (a division by zero or an invalid operation), it
+    evaluates the state again as floats, point by point, and returns that
+    value or raises that error, which names the guard's point, so the two
+    give the same bytes and texts.  A problem with an integrand that has no
+    read form evaluates as floats alone.  It builds each assembly once per
+    policy, form, window and kind of evaluation, on first use, and keeps
     it: an evaluation then only reads the state's tables.
     """
 
@@ -168,9 +192,8 @@ class CompositeProblem:
     nabla_integrands: tuple
     outer: OuterFunction
     boundary: tuple
-    _reads: tuple = field(init=False, repr=False, compare=False)   # delta, then nabla
-    _on_arrays: bool = field(init=False, repr=False, compare=False)   # every integrand has a read form
-    # (policy, form, points, stacked) -> the assembly of the read forms, built on first use
+    # (policy, form, points, stacked) -> the assembly of the read forms, built on
+    # first use; None for a stack where an integrand has no read form
     _assemblies: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,11 +221,6 @@ class CompositeProblem:
         for name in ("delta_integrands", "nabla_integrands"):
             object.__setattr__(self, name, tuple(replace(f, at=points)
                                                  for f in getattr(self, name)))
-        integrands = (*self.delta_integrands, *self.nabla_integrands)
-        reads = [None if f.on_points is None else f.on_points(f, points) for f in integrands]
-        object.__setattr__(self, "_reads", tuple(f if read is None else read
-                                                 for f, read in zip(integrands, reads)))
-        object.__setattr__(self, "_on_arrays", all(read is not None for read in reads))
         object.__setattr__(self, "_assemblies", {})
 
 
@@ -225,12 +243,14 @@ class CompositeProblem:
 class State(NamedTuple):
     """A state's tables, lists for one state and (n, S) arrays for a stack.
     The quotients take the policy's edge value past the top (delta) and the
-    bottom (nabla)."""
+    bottom (nabla).  A stack's ``infeasible`` marks the columns at which a
+    declared guard fails; one state has None, since its guard pass raises."""
 
     sig: Sequence      # y at sigma(t_i)
     rho: Sequence      # y at rho(t_i)
     d_rate: Sequence   # delta quotient at t_i
     n_rate: Sequence   # nabla quotient at t_i
+    infeasible: Sequence | None = None
 
 
 class Assembled(NamedTuple):
@@ -252,10 +272,13 @@ class _Assembly(NamedTuple):
     nabla: tuple        # the nabla integrands
     outer: OuterFunction
     stacked: bool
+    guards: tuple       # (State field index, summation points, fails, bound, text), in order
+    times: Sequence     # the points a failed guard names
 
 
 def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
-             form: str = "cores", points: range = range(0), stacked: bool = False) -> Assembled:
+             form: str = "cores", points: range = range(0), stacked: bool = False,
+             times: Sequence | None = None) -> Assembled:
     """The Euler-Lagrange assembly of ``integrands`` on the scale with these
     gaps between consecutive points, read on a window.
 
@@ -272,6 +295,15 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     y_1, ..., y_{n-2}, a (len(points), n - 2) array, built on its first
     call, which needs every integrand's second partials and the outer
     function's Hessian.  A stack's ``jacobian`` is None.
+
+    ``state`` checks each integrand's :class:`Guard` once per state, at the
+    points its component integral sums, which hold every value a callable
+    reads but the policy's edge quotient: the guards on y before those on
+    v, each kind's in component order, the delta integrands first, and
+    each over ascending points.  For one state the first failure raises
+    :class:`DomainError`, naming the point as ``times[i]`` (the indices
+    where ``times`` is None); a stack's ``infeasible`` marks the columns at
+    which any guard fails.
     """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
@@ -286,8 +318,17 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
         integrands = tuple(replace(f, at=column(f.at)) for f in integrands)
         points = slice(points.start, points.stop)
     edge = 0.0 if policy == CLAMPED else math.nan
-    a = _Assembly(up, down, mu, nu, edge, tuple(f for f in integrands if f.kind == "delta"),
-                  tuple(f for f in integrands if f.kind == "nabla"), outer, stacked)
+    delta = tuple(f for f in integrands if f.kind == "delta")
+    nabla = tuple(f for f in integrands if f.kind == "nabla")
+    # a delta integral sums over 0..n-2 reading sig and d_rate (fields 0 and 2
+    # of a State), a nabla one over 1..n-1 reading rho and n_rate (1 and 3)
+    guards = tuple((fields[f.guard.reads], window, *f.guard[1:])
+                   for reads in ("y", "v")
+                   for kind, fields, window in ((delta, {"y": 0, "v": 2}, slice(0, n - 1)),
+                                                (nabla, {"y": 1, "v": 3}, slice(1, n)))
+                   for f in kind if f.guard is not None and f.guard.reads == reads)
+    a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked, guards,
+                  range(n) if times is None else times)
     return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points),
                      None if stacked else _jacobian(a, form, points))
 
@@ -311,14 +352,28 @@ class _Jump:
 
 
 def _state(a: _Assembly, y) -> State:
+    """The state's tables, once its guards are checked; see :func:`assemble`."""
     if a.stacked:
         rates = np.full((len(y) + 1, y.shape[1]), a.edge)
         rates[1:-1] = (y[1:] - y[:-1]) / a.mu[:-1]
         padded = np.concatenate((y[:1], y, y[-1:]))
-        return State(padded[2:], padded[:-2], rates[1:], rates[:-1])
+        tables = padded[2:], padded[:-2], rates[1:], rates[:-1]
+        infeasible = np.zeros(y.shape[1], dtype=bool)
+        for field, window, fails, bound, _ in a.guards:
+            infeasible |= fails(tables[field][window], bound).any(axis=0)
+        return State(*tables, infeasible)
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
     quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
-    return State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
+    s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
+    for field, window, fails, bound, text in a.guards:
+        values = s[field]
+        # a screen at C speed over the whole table, which an entry past the
+        # window or a leading NaN may pass too; the scan of the window decides
+        if bound in values if fails is eq else not min(values) > bound:
+            for i in range(window.start, window.stop):
+                if fails(values[i], bound):
+                    raise DomainError(text(values[i], a.times[i]))
+    return s
 
 
 def _integrals(a: _Assembly, s: State) -> list:
@@ -673,42 +728,52 @@ def _undefined_past_an_end(fn, stacked: bool = False):
 
 
 def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores",
-                      points: range = range(0), stacked: bool = False) -> Assembled:
+                      points: range = range(0), stacked: bool = False) -> Assembled | None:
     """The assembly of ``problem``'s read forms on ``points``, on floats or,
-    with ``stacked``, on arrays.
+    with ``stacked``, on arrays; None on arrays where an integrand has no
+    read form, and on floats that integrand read at its times.
 
     It depends on the problem, the policy, the form, the window and
-    ``stacked`` alone, so the problem keeps it from the first call with them on."""
+    ``stacked`` alone, so the problem keeps it from the first call with them
+    on; each read form is built then, for its number type."""
     key = policy, form, points, stacked
-    assembled = problem._assemblies.get(key)
-    if assembled is None:
-        integrands = problem._reads
-        if policy == STRICT:
-            integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
-                                  partial_v=_undefined_past_an_end(f.partial_v, stacked))
-                          for f in integrands]
-        assembled = problem._assemblies[key] = assemble(
-            problem.scale.mu_values()[:-1].tolist(), integrands, problem.outer,
-            policy, form, points, stacked)
+    try:
+        return problem._assemblies[key]
+    except KeyError:
+        pass
+    scale = problem.scale
+    integrands = []
+    for f in (*problem.delta_integrands, *problem.nabla_integrands):
+        read = None if f.on_points is None else f.on_points(f, scale.points, stacked)
+        if read is None and stacked:
+            problem._assemblies[key] = None
+            return None
+        integrands.append(f if read is None else read)
+    if policy == STRICT:
+        integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
+                              partial_v=_undefined_past_an_end(f.partial_v, stacked))
+                      for f in integrands]
+    assembled = problem._assemblies[key] = assemble(
+        scale.mu_values()[:-1].tolist(), integrands, problem.outer, policy, form, points,
+        stacked, times=scale.points)
     return assembled
 
 
 def _read(problem: CompositeProblem, y: GridFunction, read, policy: str = CLAMPED,
           form: str = "cores", points: range = range(0)):
     """``read(assembled, tables)`` of the state ``y``: where the problem's
-    read forms all run on arrays, on ``y`` as one column of the stacked
-    assembly, unless that raises :class:`DomainError` or a floating-point
+    integrands all have read forms, on ``y`` as one column of the stacked
+    assembly, unless a guard fails on it or it raises a floating-point
     error; then, or without them, on its floats.  The two agree bit for bit
     wherever the column raises nothing, so the floats give every value, NaN
     and error text."""
     vals = _admissible_values(problem, y)
-    if problem._on_arrays:
-        try:
-            return _on_column(read, _problem_assembly(problem, policy, form, points, True), vals)
-        except (DomainError, FloatingPointError):
-            pass
-    one = _problem_assembly(problem, policy, form, points)
-    return read(one, one.state(vals.tolist()))
+    column = _problem_assembly(problem, policy, form, points, True)
+    got = None if column is None else _on_column(read, column, vals)
+    if got is None:
+        one = _problem_assembly(problem, policy, form, points)
+        got = read(one, one.state(vals.tolist()))
+    return got
 
 
 # On a column a division by zero or an invalid operation raises, and the
@@ -717,7 +782,13 @@ def _read(problem: CompositeProblem, y: GridFunction, read, policy: str = CLAMPE
 # The errstate is built once, here, and entered per call.
 @np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore")
 def _on_column(read, column: Assembled, vals: np.ndarray):
-    return read(column, column.state(vals[:, None]))
+    """``read`` of the state as one column, or None where a guard fails on
+    it or it raises a floating-point error."""
+    try:
+        s = column.state(vals[:, None])
+        return None if s.infeasible[0] else read(column, s)
+    except FloatingPointError:
+        return None
 
 
 def _components(assembled: Assembled, s: State) -> np.ndarray:
@@ -766,6 +837,113 @@ def theorem_main_residual(
     out = np.full(len(problem.scale), np.nan)
     out[interior.start : interior.stop] = _read(problem, y, _residual, policy, form, interior)
     return GridFunction(problem.scale, out, interior)
+
+
+def problem_system(problem: CompositeProblem, form: str, points: range,
+                   label: str = "") -> ResidualSystem:
+    """The square system of ``form`` on the window ``points``, in the
+    problem's interior values y_1, ..., y_{n-2}, under the clamped policy.
+
+    ``form`` is an output of :func:`assemble` and ``points`` a range of
+    n - 2 consecutive points.  The residual and the functional evaluate one
+    state as float arithmetic on the problem's kept assembly: a state at
+    which a declared guard fails raises its :class:`DomainError`, and so
+    does the residual where it is not finite; the functional is returned as
+    computed, inf included.  The jacobian is the residual's exact Jacobian,
+    from the integrands' second partials; it raises :class:`DomainError`
+    where it is not finite.  The tables and integrals of the last state are
+    kept, since a Newton solve takes the Jacobian at the state whose
+    residual it has just evaluated.
+
+    The stacked residual lays the states out as C-ordered columns of one
+    stacked assembly, so each column's integrals add in one state's order
+    and each row equals the one-state residual bit for bit; it marks with
+    NaN the rows of the states at which a guard fails or the residual is
+    not finite.  Where an integrand has no read form it evaluates the
+    states one at a time.
+    """
+    n = len(problem.scale)
+    m = n - 2
+    if not (isinstance(points, range) and points.step == 1 and len(points) == m
+            and 0 <= points.start and points.stop <= n):
+        raise ValueError(f"points must be a range of {m} consecutive points, got {points!r}")
+    ya, yb = problem.boundary
+    outer = problem.outer
+    one = _problem_assembly(problem, CLAMPED, form, points)
+    last = (None, None, None)
+
+    def tables(x):
+        """The tables of one state, its guards checked, and its component integrals."""
+        nonlocal last
+        if len(x) != m:
+            raise ValueError(f"expected {m} interior values, got {len(x)}")
+        values = np.asarray(x, dtype=float)
+        key, kept = values.tobytes(), last
+        if key != kept[0]:
+            s = one.state([ya, *values.tolist(), yb])
+            kept = last = key, s, one.integrals(s)
+        return kept[1], kept[2]
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        s, comps = tables(x)
+        try:
+            values = one.evaluate(s, comps)
+        except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
+            values = [math.inf]
+        if not all(map(math.isfinite, values)):
+            raise DomainError("residual is not finite at this state")
+        return np.array(values)
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        try:
+            jac = one.jacobian(*tables(x))
+        except ZeroDivisionError:   # a power of the margin that underflows to 0
+            jac = None
+        if jac is None or not np.isfinite(jac).all():
+            raise DomainError("jacobian is not finite at this state")
+        return jac
+
+    def functional(x: np.ndarray) -> float:
+        return outer.value(tables(x)[1])
+
+    @cache   # built on first use: most short one-start solves never stack
+    def stacked():
+        return _problem_assembly(problem, CLAMPED, form, points, True)
+
+    def stacked_residual(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        if xs.ndim != 2 or xs.shape[1] != m:
+            raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
+        column = stacked()
+        if column is None:
+            rows = np.full(xs.shape, np.nan)
+            for row, x in zip(rows, xs):
+                try:
+                    row[:] = residual(x)
+                except DomainError:
+                    pass
+            return rows
+        y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
+        y[0] = ya
+        y[1:-1] = xs.T
+        y[-1] = yb
+        return _stacked_rows(column, y)
+
+    return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
+                          jacobian=jacobian, stacked_residual=stacked_residual)
+
+
+# overflow is expected in a stacked residual and marked by its NaN rows, so
+# numpy's warnings about it are off there; decorated once here rather than
+# per system, where the decoration cost a quarter of building one
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _stacked_rows(column: Assembled, y: np.ndarray) -> np.ndarray:
+    """The output at the (n, S) states ``y``, a row per state, NaN where a
+    guard fails on the state or the row is not finite."""
+    s = column.state(y)
+    rows = column.evaluate(s).T
+    rows[s.infeasible | ~np.isfinite(rows).all(axis=1)] = np.nan
+    return rows
 
 
 def corollary_z_residual(

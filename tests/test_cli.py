@@ -427,7 +427,8 @@ def test_table1_builds_each_firm_integrand_once(monkeypatch):
     calls = []
     terms = econ._terms
     monkeypatch.setattr(econ, "_terms", lambda *args: calls.append(args) or terms(*args))
-    econ._tabulated.cache_clear()
+    econ.firm_problem.cache_clear()
+    econ.firm_integrand.cache_clear()
     assert run_cli(["table1"])[0] == 0
     assert len(calls) == 4
 

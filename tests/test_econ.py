@@ -33,7 +33,7 @@ from tsvar import (
     residual_system,
     theorem_main_residual,
 )
-from tsvar.econ import INTEGRAND_NAMES, _tabulated
+from tsvar.econ import INTEGRAND_NAMES
 from tsvar.variational import assemble
 
 ALL_KINDS = (
@@ -171,11 +171,11 @@ def read_scales(horizon, rng):
 @pytest.mark.parametrize("rate", [0.05, 0.02])
 @pytest.mark.parametrize("horizon", [3, 10])
 def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
-    # the firm model is declared three times: firm_integrand takes the time
-    # and checks its guard per call, a problem reads it on its scale at
-    # tabulated discounts behind the same guards, and the residual systems
-    # read tabulated discounts after one guard pass; on feasible states they
-    # agree bit for bit
+    # the firm model is declared once: firm_integrand takes the time and
+    # checks its declared guard per call, and a problem, whose windows are
+    # the residual systems, reads the bare terms at tabulated discounts
+    # after the assembly's one guard pass; on feasible states they agree bit
+    # for bit
     params = FirmParams(discount_rate=rate, horizon=horizon)
     rng = np.random.default_rng(211)
     guarded = {"capital": {"value", "partial_y", "partial_yy"},
@@ -183,11 +183,12 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
     for name in INTEGRAND_NAMES:
         family = name.rsplit("_", 1)[0]
         anywhere = firm_integrand(params, name)
-        tabulated = _tabulated(params, name, math.sqrt)
-        forms = [(range(horizon + 1), tabulated)]
-        forms += [(scale.points, anywhere.on_points(anywhere, scale.points))
-                  for scale in read_scales(horizon, rng)]
+        forms = [(scale.points, anywhere.on_points(anywhere, scale.points, False))
+                 for scale in read_scales(horizon, rng)]
         for points, form in forms:
+            # the read form declares the integrand's guard, which the
+            # assembly checks; its callables check none
+            assert form.guard is anywhere.guard
             assert form.kind == anywhere.kind and len(form.at) == len(points)
             for t, d in zip(points, form.at):
                 ys, vs = rng.uniform(1.05, 6.0, 20).tolist(), rng.uniform(-3.9, 4.0, 20).tolist()
@@ -196,9 +197,9 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
                         got = getattr(anywhere, partial)(t, y, v)
                         want = getattr(form, partial)(d, y, v)
                         assert got.hex() == want.hex(), (name, partial, t, y, v)
-                # at the floor and at a rate of -b only the guarded callables
-                # raise, each naming its guard and the point, and a problem's
-                # form raises the same text; a NaN rate passes
+                # at the floor and at a rate of -b only the guarded time
+                # callables raise, each naming its guard and the point; a NaN
+                # rate passes
                 guard = "price-curve guard" if family == "capital" else "rate-change guard"
                 for partial in PARTIALS:
                     call, read = getattr(anywhere, partial), getattr(form, partial)
@@ -206,14 +207,9 @@ def test_integrands_on_any_scale_match_the_tabulated_ones(rate, horizon):
                     read(d, 2.0, math.nan)
                     if partial not in guarded[family]:
                         call(t, params.y_floor, -params.b)
-                        read(d, params.y_floor, -params.b)
                         continue
-                    with pytest.raises(DomainError, match=f"^{guard}: .* at t={t}$") as raised:
+                    with pytest.raises(DomainError, match=f"^{guard}: .* at t={t}$"):
                         call(t, params.y_floor, -params.b)
-                    if form is not tabulated:   # whose terms are unguarded
-                        with pytest.raises(DomainError) as again:
-                            read(d, params.y_floor, -params.b)
-                        assert str(again.value) == str(raised.value)
 
 
 def firm_composite(params, kind, scale, read=True):
@@ -289,28 +285,6 @@ def test_a_replaced_firm_callable_is_the_one_a_problem_evaluates():
     assert seen == [0.0, 1.0, 2.0]   # the delta integral's points, as times
 
 
-def test_a_read_form_names_the_point_of_an_equal_discount():
-    # a guarded read callable given a discount equal to a table entry but not
-    # that entry itself raises the time callable's text; one off the table
-    # raises a DomainError naming the discount
-    params = FirmParams()
-    points = TimeScale.integer_range(0, params.horizon).points
-    for name, guarded in (("capital_delta", "value"), ("technology_nabla", "partial_v")):
-        anywhere = firm_integrand(params, name)
-        form = anywhere.on_points(anywhere, points)
-        read = getattr(form, guarded)
-        for t, d in zip(points, form.at):
-            equal = float(str(d))
-            assert equal == d and equal is not d
-            with pytest.raises(DomainError) as raised:
-                getattr(anywhere, guarded)(t, params.y_floor, -params.b)
-            with pytest.raises(DomainError) as again:
-                read(equal, params.y_floor, -params.b)
-            assert str(again.value) == str(raised.value)
-        with pytest.raises(DomainError, match="^discount 0.5 is not one of the scale's"):
-            read(0.5, params.y_floor, -params.b)
-
-
 @st.composite
 def read_cases(draw):
     """A firm problem of any kind on an integer or non-uniform scale, and a
@@ -347,33 +321,32 @@ def test_a_problem_reads_its_integrands_as_at_their_times(case):
 
 def test_a_read_form_runs_on_arrays_as_on_floats():
     # on a column of its table and (n, 1) states a read callable computes each
-    # entry as on floats, bit for bit; a guarded one raises DomainError where
-    # any entry fails its guard, naming no point, and an unguarded one does not
+    # entry as the float form does, bit for bit; the declared guard marks the
+    # failing entries of an array, which the callables, checking nothing,
+    # compute past
     params = FirmParams(horizon=6)
     rng = np.random.default_rng(41)
-    guarded = {"capital": {"value", "partial_y", "partial_yy"},
-               "technology": {"value", "partial_v", "partial_vv"}}
-    named_nowhere = {"capital": r"^price-curve guard: sales hit the floor 1\.0$",
-                     "technology": r"^rate-change guard: a quotient \+ b is not positive$"}
     for name in INTEGRAND_NAMES:
-        family = name.rsplit("_", 1)[0]
         anywhere = firm_integrand(params, name)
+        guard = anywhere.guard
         for scale in read_scales(6, rng):
-            form = anywhere.on_points(anywhere, scale.points)
+            form = anywhere.on_points(anywhere, scale.points, True)
+            floats = anywhere.on_points(anywhere, scale.points, False)
+            assert form.at == floats.at and form.guard is guard
             d = np.array(form.at)[:, None]
             y, v = rng.uniform(1.05, 6.0, (len(d), 1)), rng.uniform(-3.9, 4.0, (len(d), 1))
             v[0] = math.nan
+            y_hit, v_hit = y.copy(), v.copy()
+            y_hit[-2], v_hit[-2] = params.y_floor, -params.b
+            hit = guard.fails(y_hit if guard.reads == "y" else v_hit, guard.bound)
+            assert np.flatnonzero(hit).tolist() == [len(d) - 2]
             for partial in PARTIALS:
                 read = getattr(form, partial)
                 got = np.broadcast_to(read(d, y, v), y.shape)
-                want = [read(*map(float, entry)) for entry in zip(d[:, 0], y[:, 0], v[:, 0])]
+                want = [getattr(floats, partial)(*map(float, entry))
+                        for entry in zip(d[:, 0], y[:, 0], v[:, 0])]
                 assert got[:, 0].tobytes() == np.array(want).tobytes(), (name, partial)
-                y_hit, v_hit = y.copy(), v.copy()
-                y_hit[-2], v_hit[-2] = params.y_floor, -params.b
-                if partial in guarded[family]:
-                    with pytest.raises(DomainError, match=named_nowhere[family]):
-                        read(d, y_hit, v_hit)
-                else:
+                with np.errstate(all="ignore"):
                     read(d, y_hit, v_hit)
 
 
@@ -723,6 +696,50 @@ def test_overflowing_states_are_infeasible_in_both_forms():
                 assert row.tolist() == expected.tolist()
                 finite += 1
     assert raised >= 8 * 3 and finite >= 8 * 2
+
+
+@pytest.mark.parametrize("horizon", [129, 257])
+@pytest.mark.parametrize("kind, equation", [EIGHT_SYSTEMS[2], EIGHT_SYSTEMS[4]],
+                         ids=["dd/direct", "dn/el1"])
+def test_a_stack_in_any_layout_gives_the_one_state_rows(horizon, kind, equation):
+    # an F-ordered stack would add each column's integral pairwise, off the
+    # one-state sum from about eight terms on; the system lays every stack
+    # out in C order, so no layout of the input changes a bit of a row
+    params = FirmParams(horizon=horizon)
+    rng = np.random.default_rng(horizon)
+    line = np.linspace(params.y_initial, params.y_terminal, horizon + 1)[1:-1]
+    xs = line + rng.normal(0.0, 0.02, (8, horizon - 1))
+    system = residual_system(params, kind, equation)
+    want = [system.residual(x).tobytes() for x in xs]
+    for stack in (xs, np.asfortranarray(xs), xs.T.copy().T):
+        assert [row.tobytes() for row in system.stacked_residual(stack)] == want
+
+
+def test_a_state_that_fails_both_guards_names_the_margin_first():
+    # y_1 sits at the floor and the quotient from y_2 to y_3 is -b - 1; the
+    # assembly checks the margins before the roots, so every system and the
+    # problem read on each system's window name the floor, at the point
+    # whose capital term reads y_1
+    from tsvar import econ, variational
+
+    params = FirmParams(horizon=4)
+    x = np.array([1.0, 2.5, -2.5])
+    for kind, equation in EIGHT_SYSTEMS:
+        t = 0.0 if kind.capital_mode == "delta" else 2.0
+        want = f"price-curve guard: sales hit the floor 1.0 at t={t}"
+        system = residual_system(params, kind, equation)
+        for call in (system.residual, system.jacobian, system.functional):
+            with pytest.raises(DomainError) as raised:
+                call(x)
+            assert str(raised.value) == want, system.label
+        assert np.isnan(system.stacked_residual(x[None])).all()
+        problem = firm_problem(params, kind)
+        y = GridFunction(problem.scale, [params.y_initial, *x, params.y_terminal])
+        form, points = econ._window(kind, equation, params.horizon)
+        with pytest.raises(DomainError) as raised:
+            variational._read(problem, y, variational._residual, CLAMPED, form, points)
+        assert str(raised.value) == want, system.label
+        assert evaluations(problem, y) == [want] * 6
 
 
 # ---------------------------------------------------------------------------

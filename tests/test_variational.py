@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from tsvar import (
     sum_outer,
     theorem_main_residual,
 )
-from tsvar.variational import assemble
+from tsvar.variational import Guard, assemble, problem_system
 
 
 def quadratic_rate_integrand(kind):
@@ -552,9 +553,10 @@ def test_a_problem_builds_one_assembly_per_policy_form_and_window(monkeypatch):
 
     built = []
 
-    def counted(gaps, integrands, outer, policy, form="cores", points=range(0), stacked=False):
+    def counted(gaps, integrands, outer, policy, form="cores", points=range(0), stacked=False,
+                **names):
         built.append((policy, form, points))
-        return assemble(gaps, integrands, outer, policy, form, points, stacked)
+        return assemble(gaps, integrands, outer, policy, form, points, stacked, **names)
 
     monkeypatch.setattr(variational, "assemble", counted)
     problem = kept_problem(KEPT_SCALES["integer"], "firm")
@@ -623,3 +625,48 @@ def test_an_evaluated_problem_compares_hashes_and_prints_as_before():
     assert problem == unevaluated
     assert hash(problem) == hash(unevaluated)
     assert repr(problem) == repr(unevaluated)
+
+
+# ---------------------------------------------------------------------------
+# a residual system for any problem
+
+
+@pytest.mark.parametrize("scale", KEPT_SCALES.values(), ids=KEPT_SCALES)
+@pytest.mark.parametrize("integrands", ["firm", "smooth"])
+def test_a_problem_system_reads_the_problem_s_window(integrands, scale):
+    # its rows are the clamped theorem form on the interior, bit for bit,
+    # one state at a time or in a stack: on one column of arrays where the
+    # integrands have read forms, state by state where they have none
+    problem = kept_problem(scale, integrands)
+    interior = scale.interior_domain
+    system = problem_system(problem, "delta", interior, label="delta")
+    assert system.dimension == len(scale) - 2 and system.label == "delta"
+    states = kept_states(problem)
+    xs = np.array([y.values[1:-1] for y in states])
+    for x, y, row in zip(xs, states, system.stacked_residual(xs)):
+        want = theorem_main_residual(problem, y, "delta", CLAMPED).values[1:-1]
+        assert system.residual(x).tobytes() == row.tobytes() == want.tobytes()
+        assert system.functional(x) == eval_functional(problem, y)
+    with pytest.raises(ValueError, match="consecutive points"):
+        problem_system(problem, "delta", range(0, len(scale)))
+
+
+def test_a_problem_system_names_the_guard_at_the_scale_s_point():
+    # a guard on a smooth integrand: the one-state residual names the
+    # failing point of the scale, the stacked residual marks its row NaN
+    scale = KEPT_SCALES["non-uniform"]
+    f = smooth_integrand("delta", (1.0, 0.5, 0.2, -0.1, 0.3), scale.points)
+    guarded = dataclasses.replace(f, guard=Guard("v", operator.le, 0.0,
+                                                 lambda v, t: f"rate {v} not positive at t={t}"))
+    g = smooth_integrand("nabla", (-0.5, 1.5, 0.1, 0.2, -0.4), scale.points)
+    problem = CompositeProblem(scale, (guarded,), (g,), product_outer(), (1.0, 2.0))
+    system = problem_system(problem, "cores", scale.interior_domain)
+    fine, steep = [1.2, 1.3, 1.5, 1.8], [1.2, 1.1, 1.5, 1.8]
+    with pytest.raises(DomainError, match=r"^rate -0\.07\d* not positive at t=0\.6$"):
+        system.residual(steep)
+    rows = system.stacked_residual(np.array([fine, steep]))
+    assert rows[0].tobytes() == system.residual(fine).tobytes() and np.isnan(rows[1]).all()
+    with pytest.raises(ValueError, match="a guard reads"):
+        dataclasses.replace(f, guard=Guard("t", operator.le, 0.0, str))
+    with pytest.raises(ValueError, match="a guard fails by"):
+        dataclasses.replace(f, guard=Guard("v", operator.gt, 1.0, str))
