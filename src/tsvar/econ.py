@@ -11,10 +11,11 @@ Euler-Lagrange formulations beside the directly discretized system.
 Everything here works on the scale {0, 1, ..., T} with clamped jump
 operators: a forward difference at T and a backward difference at 0 are
 taken as zero.  The model is declared once: its integrands, each of one
-kind, with its terms, its guard and its discount factors; the composite
-problem of each kind; and, for each residual system, the output of the
-Euler-Lagrange assembly and the window of points it reads, so a system
-is a view of its kind's problem (:func:`tsvar.variational.problem_system`).
+kind, with its terms, its guard and its discount; the composite problem
+of each kind; and one table that gives each residual system the output
+of the Euler-Lagrange assembly it reads and the :class:`TimeScale` domain
+of its points, so a system is a view of its kind's problem
+(:func:`tsvar.variational.problem_system`).
 The assembly checks the guards once per state; the model holds no
 Euler-Lagrange algebra of its own.
 """
@@ -30,7 +31,7 @@ from operator import eq, le
 import numpy as np
 
 from .solver import ResidualSystem
-from .timescale import DomainError, TimeScale
+from .timescale import TimeScale
 from .variational import CompositeProblem, Guard, Integrand, problem_system, product_outer
 
 __all__ = [
@@ -87,9 +88,14 @@ class EquationKind(enum.Enum):
     TIMESCALE_EL2 = "el2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FirmParams:
-    """Model constants; defaults reproduce the worked horizon-3 example."""
+    """Model constants; defaults reproduce the worked horizon-3 example.
+
+    Two params are equal where every field is equal and has the same sign:
+    a zero and a negative zero give outputs whose zeros differ in sign, so
+    the caches keyed on params tell them apart.
+    """
 
     discount_rate: float = 0.05
     c0: float = 3.0          # fixed production cost
@@ -148,6 +154,15 @@ class FirmParams:
             raise ValueError(
                 f"y_terminal {self.y_terminal} must exceed y_floor {self.y_floor}"
             )
+        values = tuple(getattr(self, field.name) for field in fields(self))
+        object.__setattr__(self, "_signed", (values, tuple(math.copysign(1.0, v) for v in values)))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._signed == other._signed if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._signed)
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +238,16 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
     return value, partial_y, partial_v, _zero, _zero, partial_vv
 
 
-def _discounts(p: FirmParams, mode: str, points) -> tuple:
-    """The discount factors of the ``mode`` integrands at ``points``, as
-    Python floats: ``(1 + rho)**(t - T)`` for the delta kind and
+def _discount(p: FirmParams, mode: str):
+    """The discount factor of the ``mode`` integrands at the time t, a
+    Python float: ``(1 + rho)**(t - T)`` for the delta kind and
     ``(1 - rho)**(T - t)`` for the nabla kind."""
     T = p.horizon
     if mode == "delta":
         base = 1.0 + p.discount_rate
-        return tuple(base ** (t - T) for t in points)
+        return lambda t: base ** (t - T)
     base = 1.0 - p.discount_rate
-    return tuple(base ** (T - t) for t in points)
+    return lambda t: base ** (T - t)
 
 
 @lru_cache(maxsize=32)
@@ -244,44 +259,38 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     point, the jump-shifted sales and the difference-quotient rate, on any
     time scale.  The integrand declares its :class:`Guard` once: a capital
     term is undefined where the sales sit at the floor, a technology term
-    where its root has no positive argument.  Its callables check it: the
-    capital value and its y and yy partials, the technology value and its
-    v and vv partials, each raising :class:`DomainError` at ``t``; the
-    others check nothing.  Each takes the discount ``(1 + rho)**(t - T)``
-    or ``(1 - rho)**(T - t)`` per call, since ``t`` may be any point.
+    where its root has no positive argument.  Its callables check it by
+    :meth:`Guard.check`: the capital value and its y and yy partials, the
+    technology value and its v and vv partials, each raising
+    :class:`DomainError` at ``t``; the others check nothing.  Each takes
+    the discount :func:`_discount` gives at ``t`` per call, since ``t`` may
+    be any point.
 
     A :class:`CompositeProblem` reads the integrand through its
-    ``on_points``: the bare terms at the scale's discounts from
-    :func:`_discounts`, on floats or on arrays, under the same guard, which
-    the assembly checks once per state.  An integrand whose callables were
-    replaced is read at its times.  Cached by params as they compare, a
-    zero and a negative zero alike: the four problem kinds share the four
-    integrands of one params.
+    ``on_points``: the bare terms at a table of the same discounts at the
+    scale's points, on floats or on arrays, under the same guard, which the
+    assembly checks once per state.  An integrand whose callables were
+    replaced is read at its times.  Cached by params as they compare, which
+    tells a zero from a negative zero: the four problem kinds share the
+    four integrands of one params.
     """
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     family, mode = which.rsplit("_", 1)
-    p = params
-    terms = _terms(p, family, math.sqrt)
-    guard = _guard(p, family)
-    on_y, fails, bound, text = guard.reads == "y", *guard[1:]
-    T = p.horizon
-    delta = mode == "delta"
-    base = 1.0 + p.discount_rate if delta else 1.0 - p.discount_rate
+    terms = _terms(params, family, math.sqrt)
+    guard = _guard(params, family)
+    discount = _discount(params, mode)
+    on_y = guard.reads == "y"
     # which of value, partial_y, partial_v, partial_yy, partial_yv, partial_vv check the guard
     checks = (True, on_y, not on_y, on_y, False, not on_y)
 
     def discounted(term, guarded: bool):
         if not guarded:
-            def at_time(t, y, v):
-                return term(base ** (t - T) if delta else base ** (T - t), y, v)
-            return at_time
+            return lambda t, y, v: term(discount(t), y, v)
 
         def at_time(t, y, v):
-            tested = y if on_y else v
-            if fails(tested, bound):
-                raise DomainError(text(tested, t))
-            return term(base ** (t - T) if delta else base ** (T - t), y, v)
+            guard.check(y if on_y else v, t)
+            return term(discount(t), y, v)
         return at_time
 
     times = tuple(map(discounted, terms, checks))
@@ -289,8 +298,8 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     def on_points(f: Integrand, points, stacked: bool) -> Integrand | None:
         if (f.value, f.partial_y, f.partial_v, f.partial_yy, f.partial_yv, f.partial_vv) != times:
             return None   # replaced callables: the problem reads them at the times
-        read = _terms(p, family, np.sqrt) if stacked else terms
-        return Integrand(f.kind, *read, at=_discounts(p, mode, points), guard=f.guard)
+        read = _terms(params, family, np.sqrt) if stacked else terms
+        return Integrand(f.kind, *read, at=tuple(map(discount, points)), guard=f.guard)
 
     return Integrand(mode, *times, on_points=on_points, guard=guard)
 
@@ -315,27 +324,28 @@ def firm_problem(params: FirmParams, kind: ProblemKind) -> CompositeProblem:
 # residual systems
 
 
-def _window(kind: ProblemKind, eq: EquationKind, horizon: int) -> tuple:
-    """The assembly's output a system reads, and its points: the cores on
-    0..T-2 (dd) or 2..T (nn); for the mixed kinds the cores (direct), the
-    delta form (el1) or the nabla form (el2) on 1..T-1."""
-    if kind is ProblemKind.DELTA_DELTA:
-        return "cores", range(0, horizon - 1)
-    if kind is ProblemKind.NABLA_NABLA:
-        return "cores", range(2, horizon + 1)
-    if eq is EquationKind.DIRECT:
-        return "cores", range(1, horizon)
-    return ("delta" if eq is EquationKind.TIMESCALE_EL1 else "nabla"), range(1, horizon)
+# The window of each system: the output of the Euler-Lagrange assembly it
+# reads, and the TimeScale domain of its points.  The pure kinds read the
+# cores on T^kappa^2 (dd, 0..T-2) or T_kappa^2 (nn, 2..T) for every equation;
+# the mixed kinds read the cores (direct), the delta form (el1) or the nabla
+# form (el2) on the interior, 1..T-1.
+_DOMAINS = {ProblemKind.DELTA_DELTA: "delta2_domain", ProblemKind.NABLA_NABLA: "nabla2_domain",
+            ProblemKind.DELTA_NABLA: "interior_domain", ProblemKind.NABLA_DELTA: "interior_domain"}
+_WINDOWS = {(kind, equation): (form if kind.is_mixed else "cores", domain)
+            for kind, domain in _DOMAINS.items()
+            for equation, form in zip(EquationKind, ("cores", "delta", "nabla"))}
 
 
 def residual_system(params: FirmParams, kind: ProblemKind,
                     eq: EquationKind = EquationKind.DIRECT) -> ResidualSystem:
     """Square system in the interior sales values y_1, ..., y_{T-1}: the
     window of :func:`firm_problem`'s Euler-Lagrange assembly that
-    :func:`_window` picks, read by :func:`tsvar.variational.problem_system`.
+    ``_WINDOWS`` gives, read by :func:`tsvar.variational.problem_system`.
     The pure kinds yield the same system for every :class:`EquationKind`.
     A state fails the guards in the order the assembly checks them: the
     margins before the roots, each at ascending points.
     """
-    return problem_system(firm_problem(params, kind), *_window(kind, eq, params.horizon),
+    problem = firm_problem(params, kind)
+    form, domain = _WINDOWS[kind, eq]
+    return problem_system(problem, form, getattr(problem.scale, domain),
                           label=f"{kind.value}/{eq.value}")

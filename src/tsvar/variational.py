@@ -15,7 +15,9 @@ one state the assembly also gives the system's Jacobian, in the same float
 arithmetic, from the integrands' second partials and the outer Hessian.
 :func:`assemble` is its one entry point: the public functions validate
 their arguments and read it, and the firm model in :mod:`tsvar.econ` reads
-windows of it.  :func:`corollary_z_residual`, the integer-scale
+windows of it.  A :class:`CompositeProblem` keeps each assembly it builds,
+with the Jacobian's stencils and the stacked form, and nothing else caches
+what is built from a problem.  :func:`corollary_z_residual`, the integer-scale
 specialization written with index shifts, sums its own component integrals
 and shares none of it, so it serves as the independent check.
 
@@ -30,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache, partial
+from functools import partial
 from operator import add, eq, itemgetter, le
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .solver import ResidualSystem
+from .solver import ResidualSystem, _lift_residual
 from .timescale import DomainError, GridFunction, TimeScale
 
 __all__ = [
@@ -85,6 +87,12 @@ class Guard(NamedTuple):
     bound: float
     text: Callable[[float, float], str]
 
+    def check(self, value: float, t: float) -> None:
+        """Raises the :class:`DomainError` that names ``value`` and the point
+        ``t`` where the guard fails at ``value``."""
+        if self.fails(value, self.bound):
+            raise DomainError(self.text(value, t))
+
 
 @dataclass(frozen=True)
 class Integrand:
@@ -94,20 +102,20 @@ class Integrand:
     the time point, the jump-shifted state and the difference-quotient
     rate fed to this integrand by its kind.  The second partials, when
     given, take the same arguments; the assembly reads them for its Jacobian.
-    ``at`` is the table :func:`assemble` reads in place of the times, which
-    a :class:`CompositeProblem` sets to its scale's points.  ``guard``, when
-    given, is the integrand's :class:`Guard`, which the assembly checks once
-    per state, before it calls any callable.
+    ``at`` is the table :func:`assemble` reads in place of the times; a
+    :class:`CompositeProblem` reads an integrand without a read form at its
+    scale's points, whatever its ``at``.  ``guard``, when given, is the
+    integrand's :class:`Guard`, which the assembly checks once per state,
+    before it calls any callable.
 
     ``on_points``, when given, says how a :class:`CompositeProblem` reads the
-    integrand on its scale: ``on_points(integrand, points, stacked)``, with
-    ``at`` already the points, returns an integrand of the same kind whose
-    ``at`` is a table with an entry per point and whose callables take that
-    table's entries in place of the times, on floats or, with ``stacked``,
-    on arrays, a column of table entries with (m, S) states, bit for bit as
-    on floats.  It returns None where it has no such form for these
-    callables, whichever the number type; the problem then reads the
-    integrand at its times.
+    integrand on its scale: ``on_points(integrand, points, stacked)``
+    returns an integrand of the same kind whose ``at`` is a table with an
+    entry per point and whose callables take that table's entries in place
+    of the times, on floats or, with ``stacked``, on arrays, a column of
+    table entries with (m, S) states, bit for bit as on floats.  It returns
+    None where it has no such form for these callables, whichever the
+    number type; the problem then reads the integrand at its times.
     """
 
     kind: str  # "delta" or "nabla"
@@ -172,10 +180,10 @@ def product_outer() -> OuterFunction:
 class CompositeProblem:
     """A composite functional together with its fixed boundary values.
 
-    It keeps its integrands with ``at`` set to the scale's points, so their
-    callables take times, and evaluates them in the forms it builds on
-    first use: each integrand's ``on_points`` form where it has one, the
-    integrand itself otherwise.  Where every integrand has one, it evaluates
+    It keeps its integrands as given and evaluates them in the forms it
+    builds on first use: each integrand's ``on_points`` form where it has
+    one, otherwise the integrand with ``at`` the scale's points, so its
+    callables take times.  Where every integrand has one, it evaluates
     a state as one column of the stacked assembly, on whole arrays; where a
     declared guard fails on that column, or the arrays raise a
     floating-point error (a division by zero or an invalid operation), it
@@ -184,7 +192,9 @@ class CompositeProblem:
     give the same bytes and texts.  A problem with an integrand that has no
     read form evaluates as floats alone.  It builds each assembly once per
     policy, form, window and kind of evaluation, on first use, and keeps
-    it: an evaluation then only reads the state's tables.
+    it, with the stencils its Jacobian builds on its first call: an
+    evaluation then only reads the state's tables.  This is the one cache
+    of what is built from the problem.
     """
 
     scale: TimeScale
@@ -217,10 +227,6 @@ class CompositeProblem:
             finite = False
         if not finite:
             raise ValueError(f"boundary must be two finite numbers, got {self.boundary!r}")
-        points = self.scale.points
-        for name in ("delta_integrands", "nabla_integrands"):
-            object.__setattr__(self, name, tuple(replace(f, at=points)
-                                                 for f in getattr(self, name)))
         object.__setattr__(self, "_assemblies", {})
 
 
@@ -272,7 +278,7 @@ class _Assembly(NamedTuple):
     nabla: tuple        # the nabla integrands
     outer: OuterFunction
     stacked: bool
-    guards: tuple       # (State field index, summation points, fails, bound, text), in order
+    guards: tuple       # (State field index, summation points, Guard), in checking order
     times: Sequence     # the points a failed guard names
 
 
@@ -322,7 +328,7 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     nabla = tuple(f for f in integrands if f.kind == "nabla")
     # a delta integral sums over 0..n-2 reading sig and d_rate (fields 0 and 2
     # of a State), a nabla one over 1..n-1 reading rho and n_rate (1 and 3)
-    guards = tuple((fields[f.guard.reads], window, *f.guard[1:])
+    guards = tuple((fields[f.guard.reads], window, f.guard)
                    for reads in ("y", "v")
                    for kind, fields, window in ((delta, {"y": 0, "v": 2}, slice(0, n - 1)),
                                                 (nabla, {"y": 1, "v": 3}, slice(1, n)))
@@ -359,20 +365,19 @@ def _state(a: _Assembly, y) -> State:
         padded = np.concatenate((y[:1], y, y[-1:]))
         tables = padded[2:], padded[:-2], rates[1:], rates[:-1]
         infeasible = np.zeros(y.shape[1], dtype=bool)
-        for field, window, fails, bound, _ in a.guards:
-            infeasible |= fails(tables[field][window], bound).any(axis=0)
+        for field, window, guard in a.guards:
+            infeasible |= guard.fails(tables[field][window], guard.bound).any(axis=0)
         return State(*tables, infeasible)
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
     quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
     s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
-    for field, window, fails, bound, text in a.guards:
-        values = s[field]
+    for field, window, guard in a.guards:
+        values, bound = s[field], guard.bound
         # a screen at C speed over the whole table, which an entry past the
         # window or a leading NaN may pass too; the scan of the window decides
-        if bound in values if fails is eq else not min(values) > bound:
+        if bound in values if guard.fails is eq else not min(values) > bound:
             for i in range(window.start, window.stop):
-                if fails(values[i], bound):
-                    raise DomainError(text(values[i], a.times[i]))
+                guard.check(values[i], a.times[i])
     return s
 
 
@@ -536,14 +541,13 @@ def _at(columns: tuple, j) -> tuple:
     return tuple(column if isinstance(column, float) else column[j] for column in columns)
 
 
-@lru_cache(maxsize=32)
-def _stencils(mu: tuple, nu: tuple, form: str, points: range) -> tuple:
+def _stencils(mu: list, nu: list, form: str, points: range) -> tuple:
     """The fixed part of :func:`_jacobian` on a scale with these graininess
     tables: for each kind, what reads the partials of its integrands at each
-    point, and where the band lands in a padded array.  Cached: it depends
-    on the scale and the window alone, and building it costs about as much
-    as building the rest of a horizon-3 firm system (23 and 26 us, x86-64,
-    Python 3.11).
+    point, and where the band lands in a padded array.  The Jacobian builds
+    it on its first call and keeps it, so it is built once per assembly,
+    which a :class:`CompositeProblem` keeps: 23-45 us at T = 3 and
+    146-290 us at T = 20 on the firm systems (x86-64, Python 3.11).
 
     A kind's readers at point p are its rows as (r, cy, cv, k, hi, lo), and
     its integral gradient as (j, cy, cv).  Row r reads cy f_y(p) + cv f_v(p),
@@ -656,7 +660,7 @@ def _jacobian(a: _Assembly, form: str, points: range):
                 raise ValueError("the Jacobian needs the outer function's hessian")
             if any(None in (f.partial_yy, f.partial_yv, f.partial_vv) for f in a.delta + a.nabla):
                 raise ValueError("the Jacobian needs every integrand's second partials")
-            stencils.append(_stencils(tuple(a.mu), tuple(a.nu), form, points))
+            stencils.append(_stencils(a.mu, a.nu, form, points))
         delta_readers, nabla_readers, targets = stencils[0]
         kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
         if comps is None:
@@ -748,7 +752,7 @@ def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores
         if read is None and stacked:
             problem._assemblies[key] = None
             return None
-        integrands.append(f if read is None else read)
+        integrands.append(replace(f, at=scale.points) if read is None else read)
     if policy == STRICT:
         integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
                               partial_v=_undefined_past_an_end(f.partial_v, stacked))
@@ -906,31 +910,22 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     def functional(x: np.ndarray) -> float:
         return outer.value(tables(x)[1])
 
-    @cache   # built on first use: most short one-start solves never stack
-    def stacked():
-        return _problem_assembly(problem, CLAMPED, form, points, True)
-
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != m:
             raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
-        column = stacked()
-        if column is None:
-            rows = np.full(xs.shape, np.nan)
-            for row, x in zip(rows, xs):
-                try:
-                    row[:] = residual(x)
-                except DomainError:
-                    pass
-            return rows
+        column = _problem_assembly(problem, CLAMPED, form, points, True)
+        if column is None:   # an integrand without a read form: one state at a time
+            return _lift_residual(system)(xs)
         y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
         y[0] = ya
         y[1:-1] = xs.T
         y[-1] = yb
         return _stacked_rows(column, y)
 
-    return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
-                          jacobian=jacobian, stacked_residual=stacked_residual)
+    system = ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
+                            jacobian=jacobian, stacked_residual=stacked_residual)
+    return system
 
 
 # overflow is expected in a stacked residual and marked by its NaN rows, so

@@ -268,6 +268,41 @@ def test_a_problem_evaluates_no_firm_callable_at_its_times():
             assert called == 0 and len(calls) == 1
 
 
+def test_a_negative_zero_param_is_not_the_cached_zero():
+    # params that differ only in the sign of a zero give outputs whose zeros
+    # differ in sign, so the caches keyed on them keep them apart
+    zero, negative = FirmParams(beta=0.0, lam=0.0), FirmParams(beta=-0.0, lam=0.0)
+    assert zero != negative
+    assert FirmParams(beta=-0.0, lam=0.0) == negative
+    assert hash(FirmParams(beta=-0.0, lam=0.0)) == hash(negative)
+    firm_integrand(zero, "technology_nabla")
+    fresh = firm_integrand.__wrapped__(negative, "technology_nabla")
+    assert fresh.partial_v(3.0, 2.0, 0.0).hex() == "-0x0.0p+0"
+    got = firm_integrand(negative, "technology_nabla").partial_v(3.0, 2.0, 0.0)
+    assert got.hex() == "-0x0.0p+0"
+    firm_problem(zero, ProblemKind.DELTA_NABLA)
+    technology = firm_problem(negative, ProblemKind.DELTA_NABLA).nabla_integrands[0]
+    assert technology.partial_v(3.0, 2.0, 0.0).hex() == "-0x0.0p+0"
+
+
+def test_a_kept_assembly_builds_its_jacobian_stencils_once(monkeypatch):
+    # the Jacobian builds its stencils on its first call and keeps them, and
+    # the cached problem keeps the assembly: a second system of the same
+    # params, kind and equation reads the same one
+    from tsvar import econ, variational
+
+    calls, real = [], variational._stencils
+    monkeypatch.setattr(variational, "_stencils", lambda *args: calls.append(args) or real(*args))
+    econ.firm_problem.cache_clear()
+    params = FirmParams(horizon=6)
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        system = residual_system(params, ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL1)
+        for x in rng.uniform(2.2, 2.8, (3, params.horizon - 1)):
+            assert np.isfinite(system.jacobian(x)).all()
+    assert len(calls) == 1
+
+
 def test_a_replaced_firm_callable_is_the_one_a_problem_evaluates():
     params = FirmParams()
     problem = firm_problem(params, ProblemKind.DELTA_NABLA)
@@ -735,7 +770,8 @@ def test_a_state_that_fails_both_guards_names_the_margin_first():
         assert np.isnan(system.stacked_residual(x[None])).all()
         problem = firm_problem(params, kind)
         y = GridFunction(problem.scale, [params.y_initial, *x, params.y_terminal])
-        form, points = econ._window(kind, equation, params.horizon)
+        form, domain = econ._WINDOWS[kind, equation]
+        points = getattr(problem.scale, domain)
         with pytest.raises(DomainError) as raised:
             variational._read(problem, y, variational._residual, CLAMPED, form, points)
         assert str(raised.value) == want, system.label

@@ -454,6 +454,35 @@ def test_lockstep_rejects_guesses_of_the_wrong_dimension():
     assert lockstep_solve(system, []) == []
 
 
+def test_newton_refuses_a_guess_or_a_residual_of_the_wrong_shape():
+    system, _ = affine_system()
+    with pytest.raises(ValueError, match=r"^guess has shape \(3,\), system dimension is 2$"):
+        newton_solve(system, (1.0, 2.0, 3.0))
+    short = ResidualSystem(2, lambda x: np.array([x[0]]))
+    with pytest.raises(ValueError, match="^residual shape does not match the system dimension$"):
+        newton_solve(short, (1.0, 2.0))
+
+
+def test_lockstep_refuses_a_residual_of_the_wrong_shape():
+    # a stacked residual is checked on the whole stack, a lifted scalar one
+    # row by row
+    system, _ = affine_system()
+    stacked = dataclasses.replace(system, stacked_residual=lambda xs: xs[:, :1])
+    short = ResidualSystem(2, lambda x: np.array([x[0]]))
+    for bad in (stacked, short):
+        with pytest.raises(ValueError, match="^residual shape does not match the system"):
+            lockstep_solve(bad, [(1.0, 2.0)])
+
+
+def test_a_start_whose_residual_is_nan_without_raising_is_infeasible():
+    # the lifted residual marks the start infeasible by its NaN row, and the
+    # scalar call, which raises nothing, gives no DomainError text to name
+    system = ResidualSystem(2, lambda x: np.full(2, np.nan))
+    report, = lockstep_solve(system, [(1.0, 2.0)])
+    assert report.message == "infeasible start: residual is not finite"
+    assert not report.converged and report.iterations == 0
+
+
 def distinct_roots(reports, tol=1e-6):
     roots = []
     for rep in sorted((r for r in reports if r.converged), key=lambda r: tuple(r.root)):

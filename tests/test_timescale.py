@@ -118,6 +118,13 @@ def test_grid_function_names_a_wrong_shape(values, shape):
         GridFunction(TimeScale([0, 1, 2]), values)
 
 
+@pytest.mark.parametrize("support", [range(0, 4), range(-1, 2), range(0, 3, 2)])
+def test_grid_function_refuses_a_support_that_does_not_fit(support):
+    with pytest.raises(ValueError, match=re.escape(f"support {support} does not fit a scale "
+                                                   "of 3 points")):
+        GridFunction(TimeScale([0, 1, 2]), [1.0, 2.0, 3.0], support)
+
+
 def test_grid_function_repr_of_a_half_built_instance_is_text():
     # the instance a refused __init__ leaves, as a traceback or debugger shows it
     assert repr(GridFunction.__new__(GridFunction)) == "GridFunction(<unbuilt>)"
@@ -152,6 +159,12 @@ def test_product_intersects_supports():
     assert h(1.0) == 12.0 and h(2.0) == 21.0
     with pytest.raises(DomainError):
         h(0.0)
+
+
+def test_product_takes_grid_functions_only():
+    f = GridFunction(TimeScale.integer_range(0, 2), [1.0, 2.0, 3.0])
+    with pytest.raises(TypeError):
+        f * 2.0
 
 
 def test_product_requires_same_scale():
@@ -235,6 +248,8 @@ def test_integral_edge_cases():
     assert g.nabla_integral(2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         g.delta_integral(2.0, 0.0)
+    with pytest.raises(ValueError, match=r"^integration bounds out of order: a=2\.0 > b=0\.5$"):
+        g.nabla_integral(2.0, 0.5)
     with pytest.raises(PointNotInScaleError):
         g.delta_integral(0.0, 1.0)
 
@@ -246,6 +261,16 @@ def test_integral_requires_defined_window():
         f.delta_integral(0.0, 3.0)
     # the nabla window (1, 3] never reads the missing first point
     assert_allclose(f.nabla_integral(1.0, 3.0), 2.0)
+
+
+def test_integral_across_a_nan_inside_the_support_is_a_domain_error():
+    f = GridFunction(TimeScale.integer_range(0, 3), [1.0, np.nan, 3.0, 4.0])
+    text = "grid function is not defined on all of [0.0, 3.0]"
+    for integral in (f.delta_integral, f.nabla_integral):
+        with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+            integral(0.0, 3.0)
+    # windows that miss the NaN: [2, 3) and (2, 3]
+    assert f.delta_integral(2.0, 3.0) == 3.0 and f.nabla_integral(2.0, 3.0) == 4.0
 
 
 def test_norm_combines_shifted_and_differenced_views():

@@ -651,6 +651,23 @@ def test_a_problem_system_reads_the_problem_s_window(integrands, scale):
         problem_system(problem, "delta", range(0, len(scale)))
 
 
+def test_a_problem_system_refuses_a_state_of_the_wrong_length_and_an_unknown_form():
+    problem = kept_problem(KEPT_SCALES["integer"], "firm")
+    interior = problem.scale.interior_domain
+    system = problem_system(problem, "cores", interior)
+    for call in (system.residual, system.jacobian, system.functional):
+        with pytest.raises(ValueError, match="^expected 4 interior values, got 3$"):
+            call([2.2, 2.4, 2.6])
+    with pytest.raises(ValueError, match="^unknown form 'bogus'$"):
+        problem_system(problem, "bogus", interior)
+
+
+def test_the_corollary_refuses_an_unknown_equation():
+    problem = kept_problem(KEPT_SCALES["integer"], "firm")
+    with pytest.raises(ValueError, match="^which must be 'first' or 'second', got 'third'$"):
+        corollary_z_residual(problem, kept_states(problem)[0], "third")
+
+
 def test_a_problem_system_names_the_guard_at_the_scale_s_point():
     # a guard on a smooth integrand: the one-state residual names the
     # failing point of the scale, the stacked residual marks its row NaN
