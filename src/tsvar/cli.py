@@ -33,7 +33,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence, TextIO
 
 from .econ import EquationKind, FirmParams, ProblemKind, residual_system
@@ -205,14 +205,11 @@ def _parse_grid(text: str) -> tuple:
 
 
 # section -> key -> (the field it sets, the parser of its text); a refused
-# field is named by its key (rho for discount_rate, tol for tol_residual)
+# field is named by its key (rho for discount_rate, tol for tol_residual).
+# [params] has a key per FirmParams field, parsed as the type of its default
 _KEYS = {
-    "params": {
-        "rho": ("discount_rate", float),
-        **{key: (key, float) for key in ("c0", "c1", "c2", "lam", "beta", "b", "B", "p0",
-                                         "y_floor", "y_initial", "y_terminal")},
-        "horizon": ("horizon", int),
-    },
+    "params": {"rho" if f.name == "discount_rate" else f.name: (f.name, type(f.default))
+               for f in fields(FirmParams)},
     "solver": {
         "tol": ("tol_residual", float),
         "max_iter": ("max_iterations", int),

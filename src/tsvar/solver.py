@@ -85,6 +85,7 @@ __all__ = [
     "lockstep_solve",
     "newton_solve",
     "default_start_grid",
+    "DEFAULT_GRID",
     "MAX_STARTS",
 ]
 

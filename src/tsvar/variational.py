@@ -12,7 +12,8 @@ the components.  The main theorem's stationarity system is assembled once,
 from the integrands and the outer partials; one state evaluates the
 assembly as float arithmetic and a stack of states on whole arrays.  For
 one state the assembly also gives the system's Jacobian, in the same float
-arithmetic, from the integrands' second partials and the outer Hessian.
+arithmetic, where the integrands have their second partials and the outer
+function its Hessian.
 :func:`assemble` is its one entry point: the public functions validate
 their arguments and read it, and the firm model in :mod:`tsvar.econ` reads
 windows of it.  A :class:`CompositeProblem` keeps each assembly it builds,
@@ -67,6 +68,11 @@ STRICT = "strict"
 CLAMPED = "clamped"
 
 _POLICIES = (STRICT, CLAMPED)
+
+# the DomainError texts of a division by zero in each float output
+_INTEGRALS_FAILS = "component integrals are not finite at this state"
+_RESIDUAL_FAILS = "residual is not finite at this state"
+_JACOBIAN_FAILS = "jacobian is not finite at this state"
 
 
 class BoundaryMismatchError(ValueError):
@@ -265,7 +271,8 @@ class Assembled(NamedTuple):
     state: Callable       # a state's values -> its State
     integrals: Callable   # State -> the delta then the nabla component integrals
     evaluate: Callable    # State (and its integrals, if known) -> the output on the window
-    jacobian: Callable | None   # the same -> its Jacobian; None for a stack
+    jacobian: Callable | None   # the same -> its Jacobian; None for a stack, or without
+                                # the second partials or the outer Hessian
 
 
 class _Assembly(NamedTuple):
@@ -298,9 +305,14 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     array, one column per state, and the output a (len(points), S) array.
 
     One state's output also has its Jacobian in the interior values
-    y_1, ..., y_{n-2}, a (len(points), n - 2) array, built on its first
-    call, which needs every integrand's second partials and the outer
-    function's Hessian.  A stack's ``jacobian`` is None.
+    y_1, ..., y_{n-2}, a (len(points), n - 2) array, whose stencils are
+    built on its first call, where every integrand has its three second
+    partials and the outer function its Hessian; otherwise, and for a
+    stack, ``jacobian`` is None.  On floats a division by zero raises
+    :class:`DomainError`, once per output: "component integrals are not
+    finite at this state" in ``integrals``, "residual is not finite at this
+    state" in ``evaluate`` and "jacobian is not finite at this state" in
+    ``jacobian``, each also where it sums the integrals itself.
 
     ``state`` checks each integrand's :class:`Guard` once per state, at the
     points its component integral sums, which hold every value a callable
@@ -335,8 +347,10 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
                    for f in kind if f.guard is not None and f.guard.reads == reads)
     a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked, guards,
                   range(n) if times is None else times)
+    exact = outer.hessian is not None and all(
+        None not in (f.partial_yy, f.partial_yv, f.partial_vv) for f in integrands)
     return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points),
-                     None if stacked else _jacobian(a, form, points))
+                     _jacobian(a, form, points) if exact and not stacked else None)
 
 
 class _Jump:
@@ -381,7 +395,7 @@ def _state(a: _Assembly, y) -> State:
     return s
 
 
-def _integrals(a: _Assembly, s: State) -> list:
+def _integrals(a: _Assembly, s: State, fails: str = _INTEGRALS_FAILS) -> list:
     """The delta then the nabla component integrals of the state(s).
 
     A delta integral sums mu f over the points 0..n-2, a nabla one nu g over
@@ -395,23 +409,29 @@ def _integrals(a: _Assembly, s: State) -> list:
     differ only where every term is -0.0; 0.0 plus the cumsum gives 0.0
     there too.  One column's integrals are floats, as one state's are, so
     the outer partials read them alike.
+
+    A division by zero, which only floats raise, raises :class:`DomainError`
+    with the text ``fails``.
     """
     top = len(a.mu) - 1
     comps = []
-    for integrands, step, y, v, first, stop in ((a.delta, a.mu, s.sig, s.d_rate, 0, top),
-                                                (a.nabla, a.nu, s.rho, s.n_rate, 1, top + 1)):
-        for f in integrands:
-            value, at = f.value, f.at
-            if a.stacked:
-                i = slice(first, stop)
-                terms = step[i] * value(at[i], y[i], v[i])
-                comps.append(terms.sum(axis=0) if terms.shape[1] > 1
-                             else 0.0 + np.cumsum(terms[:, 0])[-1].item())
-                continue
-            total = 0.0
-            for i in range(first, stop):
-                total += step[i] * value(at[i], y[i], v[i])
-            comps.append(total)
+    try:
+        for integrands, step, y, v, first, stop in ((a.delta, a.mu, s.sig, s.d_rate, 0, top),
+                                                    (a.nabla, a.nu, s.rho, s.n_rate, 1, top + 1)):
+            for f in integrands:
+                value, at = f.value, f.at
+                if a.stacked:
+                    i = slice(first, stop)
+                    terms = step[i] * value(at[i], y[i], v[i])
+                    comps.append(terms.sum(axis=0) if terms.shape[1] > 1
+                                 else 0.0 + np.cumsum(terms[:, 0])[-1].item())
+                    continue
+                total = 0.0
+                for i in range(first, stop):
+                    total += step[i] * value(at[i], y[i], v[i])
+                comps.append(total)
+    except ZeroDivisionError as exc:
+        raise DomainError(fails) from exc
     return comps
 
 
@@ -517,21 +537,24 @@ def _evaluator(a: _Assembly, form: str, points):
         if form != "cores" and not a.stacked else ()
 
     def evaluate(s: State, comps=None):
-        if comps is None:
-            comps = _integrals(a, s)
-        weights = [derivative(comps) for derivative in derivatives]
-        d = as_kind(delta_integrands, s.sig, s.d_rate, weights, up, mu, True)
-        n = as_kind(nabla_integrands, s.rho, s.n_rate, weights, down, nu, False)
-        other = None
-        if form != "cores":
-            tail = n if form == "delta" else d
+        try:
+            if comps is None:
+                comps = _integrals(a, s, _RESIDUAL_FAILS)
+            weights = [derivative(comps) for derivative in derivatives]
+            d = as_kind(delta_integrands, s.sig, s.d_rate, weights, up, mu, True)
+            n = as_kind(nabla_integrands, s.rho, s.n_rate, weights, down, nu, False)
+            other = None
+            if form != "cores":
+                tail = n if form == "delta" else d
+                if stacked:
+                    other = partial(_at, terms(tail, slice(None)))
+                else:
+                    other = {j: terms(tail, j) for j in reads}.__getitem__
             if stacked:
-                other = partial(_at, terms(tail, slice(None)))
-            else:
-                other = {j: terms(tail, j) for j in reads}.__getitem__
-        if stacked:
-            return equation(d, n, points, other)
-        return [equation(d, n, i, other) for i in points]
+                return equation(d, n, points, other)
+            return [equation(d, n, i, other) for i in points]
+        except ZeroDivisionError as exc:   # floats only: a square that underflows to 0
+            raise DomainError(_RESIDUAL_FAILS) from exc
 
     return evaluate
 
@@ -634,7 +657,9 @@ def _stencils(mu: list, nu: list, form: str, points: range) -> tuple:
 def _jacobian(a: _Assembly, form: str, points: range):
     """The Jacobian of ``form`` at ``points`` in the interior values
     y_1, ..., y_{n-2}, as a function of one state's tables (and, when known,
-    its component integrals).
+    its component integrals).  :func:`assemble` builds it only where every
+    integrand has its second partials and the outer function its Hessian;
+    a division by zero raises :class:`DomainError`.
 
     Every form is linear in the outer weights: its row at a point is
     sum_c w_c R_c, where R_c adds integrand c's state and rate partials at a
@@ -656,42 +681,41 @@ def _jacobian(a: _Assembly, form: str, points: range):
 
     def jacobian(s: State, comps=None) -> np.ndarray:
         if not stencils:
-            if hessian is None:
-                raise ValueError("the Jacobian needs the outer function's hessian")
-            if any(None in (f.partial_yy, f.partial_yv, f.partial_vv) for f in a.delta + a.nabla):
-                raise ValueError("the Jacobian needs every integrand's second partials")
             stencils.append(_stencils(a.mu, a.nu, form, points))
         delta_readers, nabla_readers, targets = stencils[0]
         kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
-        if comps is None:
-            comps = _integrals(a, s)
-        weights = [derivative(comps) for derivative in derivatives]
-        band = [0.0] * (5 * size)
-        rows, grads = [], []
-        for (integrands, readers), ys, vs in zip(kinds, (s.sig, s.rho), (s.d_rate, s.n_rate)):
-            for f in integrands:
-                w = weights[len(rows)]
-                f_y, f_v, f_yy, f_yv, f_vv = (f.partial_y, f.partial_v, f.partial_yy,
-                                              f.partial_yv, f.partial_vv)
-                row, grad = [0.0] * size, [0.0] * (n - 2)
-                for t, y, v, (reading_rows, reading_grad) in zip(f.at, ys, vs, readers):
-                    if not (reading_rows or reading_grad):
-                        continue
-                    py, pv = f_y(t, y, v), f_v(t, y, v)
-                    if reading_rows:
-                        yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
-                        for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
-                            row[r] += cy * py + cv * pv
-                            band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
-                            band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
-                    for j, cy, cv in reading_grad:
-                        grad[j] += cy * py + cv * pv
-                rows.append(row)
-                grads.append(grad)
+        try:
+            if comps is None:
+                comps = _integrals(a, s, _JACOBIAN_FAILS)
+            weights = [derivative(comps) for derivative in derivatives]
+            band = [0.0] * (5 * size)
+            rows, grads = [], []
+            for (integrands, readers), ys, vs in zip(kinds, (s.sig, s.rho), (s.d_rate, s.n_rate)):
+                for f in integrands:
+                    w = weights[len(rows)]
+                    f_y, f_v, f_yy, f_yv, f_vv = (f.partial_y, f.partial_v, f.partial_yy,
+                                                  f.partial_yv, f.partial_vv)
+                    row, grad = [0.0] * size, [0.0] * (n - 2)
+                    for t, y, v, (reading_rows, reading_grad) in zip(f.at, ys, vs, readers):
+                        if not (reading_rows or reading_grad):
+                            continue
+                        py, pv = f_y(t, y, v), f_v(t, y, v)
+                        if reading_rows:
+                            yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
+                            for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
+                                row[r] += cy * py + cv * pv
+                                band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
+                                band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
+                        for j, cy, cv in reading_grad:
+                            grad[j] += cy * py + cv * pv
+                    rows.append(row)
+                    grads.append(grad)
+            outer_hessian = hessian(comps)
+        except ZeroDivisionError as exc:   # a power of the margin that underflows to 0
+            raise DomainError(_JACOBIAN_FAILS) from exc
         jac = np.zeros(size * (n + 4))
         jac[targets] = band
         jac = jac.reshape(size, n + 4)[:, 3:n + 1]
-        outer_hessian = hessian(comps)
         if any(map(any, outer_hessian)):
             # ndarray.dot: a third cheaper than @ on these small arrays
             jac += np.array(rows).T.dot(np.array(outer_hessian, dtype=float).dot(np.array(grads)))
@@ -810,14 +834,6 @@ def eval_functional(problem: CompositeProblem, y: GridFunction) -> float:
     return float(problem.outer.value(_read(problem, y, _components)))
 
 
-def _residual(assembled: Assembled, s: State) -> np.ndarray:
-    """The form on its window, one state's or one column's, as a vector."""
-    try:
-        return np.ravel(assembled.evaluate(s))
-    except ZeroDivisionError as exc:   # on floats: a column gives inf, then falls back
-        raise DomainError("residual is not finite at this state") from exc
-
-
 def theorem_main_residual(
     problem: CompositeProblem,
     y: GridFunction,
@@ -839,7 +855,8 @@ def theorem_main_residual(
         raise ValueError(f"form must be 'delta' or 'nabla', got {form!r}")
     interior = problem.scale.interior_domain
     out = np.full(len(problem.scale), np.nan)
-    out[interior.start : interior.stop] = _read(problem, y, _residual, policy, form, interior)
+    residual = _read(problem, y, lambda one, s: one.evaluate(s), policy, form, interior)
+    out[interior.start : interior.stop] = np.ravel(residual)
     return GridFunction(problem.scale, out, interior)
 
 
@@ -851,13 +868,15 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     ``form`` is an output of :func:`assemble` and ``points`` a range of
     n - 2 consecutive points.  The residual and the functional evaluate one
     state as float arithmetic on the problem's kept assembly: a state at
-    which a declared guard fails raises its :class:`DomainError`, and so
-    does the residual where it is not finite; the functional is returned as
-    computed, inf included.  The jacobian is the residual's exact Jacobian,
-    from the integrands' second partials; it raises :class:`DomainError`
-    where it is not finite.  The tables and integrals of the last state are
-    kept, since a Newton solve takes the Jacobian at the state whose
-    residual it has just evaluated.
+    which a declared guard fails raises its :class:`DomainError`, and so do
+    the component integrals and the residual where they are not finite; the
+    functional is returned as computed, inf included.  The jacobian is the
+    residual's exact Jacobian, from the integrands' second partials and the
+    outer Hessian, where the assembly has one (see :func:`assemble`), and
+    None otherwise, so a Newton solve takes central differences; it raises
+    :class:`DomainError` where it is not finite.  The tables and integrals
+    of the last state are kept, since a Newton solve takes the Jacobian at
+    the state whose residual it has just evaluated.
 
     The stacked residual lays the states out as C-ordered columns of one
     stacked assembly, so each column's integrals add in one state's order
@@ -889,22 +908,15 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         return kept[1], kept[2]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        s, comps = tables(x)
-        try:
-            values = one.evaluate(s, comps)
-        except ZeroDivisionError:   # a square that underflows to 0; numpy gives inf
-            values = [math.inf]
+        values = one.evaluate(*tables(x))
         if not all(map(math.isfinite, values)):
-            raise DomainError("residual is not finite at this state")
+            raise DomainError(_RESIDUAL_FAILS)
         return np.array(values)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        try:
-            jac = one.jacobian(*tables(x))
-        except ZeroDivisionError:   # a power of the margin that underflows to 0
-            jac = None
-        if jac is None or not np.isfinite(jac).all():
-            raise DomainError("jacobian is not finite at this state")
+        jac = one.jacobian(*tables(x))
+        if not np.isfinite(jac).all():
+            raise DomainError(_JACOBIAN_FAILS)
         return jac
 
     def functional(x: np.ndarray) -> float:
@@ -924,7 +936,8 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         return _stacked_rows(column, y)
 
     system = ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
-                            jacobian=jacobian, stacked_residual=stacked_residual)
+                            jacobian=None if one.jacobian is None else jacobian,
+                            stacked_residual=stacked_residual)
     return system
 
 
@@ -1010,20 +1023,15 @@ def corollary_z_residual(
     wf = problem.outer.partials[0](comps)
     wg = problem.outer.partials[1](comps)
 
+    # the delta core of f at i <= n - 2 and the nabla core of g at i >= 1,
+    # the only points the equations read them at; the rate partials are
+    # called first, so a failing call names the same point as it always did
     def gamma_f(i):
-        # delta core of f at i: f_y(i) - (f_v(i+1) - f_v(i)); forward
-        # difference collapses to zero at the clamped top
-        if i == n - 1:
-            step = 0.0 if clamped else math.nan
-        else:
-            step = f_v(i + 1) - f_v(i)
+        step = f_v(i + 1) - f_v(i)
         return f_y(i) - step
 
     def gamma_g(i):
-        if i == 0:
-            step = 0.0 if clamped else math.nan
-        else:
-            step = g_v(i) - g_v(i - 1)
+        step = g_v(i) - g_v(i - 1)
         return g_y(i) - step
 
     out = np.full(n, np.nan)

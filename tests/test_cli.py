@@ -104,6 +104,19 @@ def test_unknown_key_and_section_are_named():
         parse_config("[solver]\ntolerance = 1e-9\n")
 
 
+def test_every_firm_param_is_a_params_key():
+    # a key per FirmParams field, named as the field but rho for
+    # discount_rate: each default's own text gives the defaults back
+    fields = dataclasses.fields(FirmParams)
+    assert sorted(name for name, _ in tcli._KEYS["params"].values()) == \
+        sorted(f.name for f in fields)
+    text = "".join(f"{'rho' if f.name == 'discount_rate' else f.name} = {f.default}\n"
+                   for f in fields)
+    assert parse_config("[params]\n" + text).params == FirmParams()
+    with pytest.raises(ConfigError, match=r"^unknown key 'discount_rate' in \[params\]$"):
+        parse_config("[params]\ndiscount_rate = 0.05\n")
+
+
 def test_malformed_line_reports_line_number():
     with pytest.raises(ConfigError, match="line *2"):
         parse_config("[params]\nrho 0.05\n")

@@ -773,7 +773,7 @@ def test_a_state_that_fails_both_guards_names_the_margin_first():
         form, domain = econ._WINDOWS[kind, equation]
         points = getattr(problem.scale, domain)
         with pytest.raises(DomainError) as raised:
-            variational._read(problem, y, variational._residual, CLAMPED, form, points)
+            variational._read(problem, y, lambda one, s: one.evaluate(s), CLAMPED, form, points)
         assert str(raised.value) == want, system.label
         assert evaluations(problem, y) == [want] * 6
 

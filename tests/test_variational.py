@@ -31,6 +31,9 @@ from tsvar import (
     firm_integrand,
     firm_problem,
     identity_outer,
+    lockstep_solve,
+    multistart_solve,
+    newton_solve,
     product_outer,
     sum_outer,
     theorem_main_residual,
@@ -352,7 +355,7 @@ def test_corollary_does_not_read_the_engine(monkeypatch):
     theorem = residuals(theorem_main_residual, ("delta", "nabla"))
     integrals = variational._integrals
     monkeypatch.setattr(variational, "_integrals",
-                        lambda a, s: [2.0 * c for c in integrals(a, s)])
+                        lambda a, s, *fails: [2.0 * c for c in integrals(a, s, *fails)])
     assert not np.allclose(residuals(theorem_main_residual, ("delta", "nabla")), theorem)
     assert np.array_equal(residuals(corollary_z_residual, ("first", "second")), corollary)
 
@@ -485,15 +488,11 @@ def test_the_jacobian_needs_second_partials_and_an_outer_hessian():
     def build(integrand=f, outer=identity_outer(), stacked=False):
         return assemble(gaps, (integrand,), outer, CLAMPED, "cores", range(1, 3), stacked)
 
-    def jacobian(**options):
-        one = build(**options)
-        return one.jacobian(one.state([1.0, 2.0, 1.5, 0.5]))
-
-    assert jacobian().shape == (2, 2)
-    with pytest.raises(ValueError, match="second partials"):
-        jacobian(integrand=dataclasses.replace(f, partial_yv=None))
-    with pytest.raises(ValueError, match="hessian"):
-        jacobian(outer=OuterFunction(lambda c: c[0], (lambda c: 1.0,)))
+    one = build()
+    assert one.jacobian(one.state([1.0, 2.0, 1.5, 0.5])).shape == (2, 2)
+    for second in ("partial_yy", "partial_yv", "partial_vv"):
+        assert build(integrand=dataclasses.replace(f, **{second: None})).jacobian is None
+    assert build(outer=OuterFunction(lambda c: c[0], (lambda c: 1.0,))).jacobian is None
     assert build(stacked=True).jacobian is None
 
 
@@ -687,3 +686,44 @@ def test_a_problem_system_names_the_guard_at_the_scale_s_point():
         dataclasses.replace(f, guard=Guard("t", operator.le, 0.0, str))
     with pytest.raises(ValueError, match="a guard fails by"):
         dataclasses.replace(f, guard=Guard("v", operator.gt, 1.0, str))
+
+
+def test_newton_takes_central_differences_where_the_integrands_have_no_second_partials():
+    # without second partials the system has no exact Jacobian, so Newton
+    # differences the residual and reaches the root the exact one reaches
+    scale = KEPT_SCALES["non-uniform"]
+    f = smooth_integrand("delta", (0.1, 1.0, 0.1, 0.02, 0.2), scale.points)
+    g = smooth_integrand("nabla", (0.1, 0.8, -0.1, 0.02, 0.1), scale.points)
+    roots = []
+    for second in (True, False):
+        bare = {} if second else dict(partial_yy=None, partial_yv=None, partial_vv=None)
+        problem = CompositeProblem(scale, (dataclasses.replace(f, **bare),),
+                                   (dataclasses.replace(g, **bare),), sum_outer(2), (1.0, 2.0))
+        system = problem_system(problem, "nabla", scale.interior_domain)
+        report = newton_solve(system, [1.2, 1.4, 1.6, 1.8])
+        assert report.converged, report.message
+        assert (system.jacobian is None) is not second
+        roots.append(report.root)
+    assert np.abs(roots[0] - roots[1]).max() <= 1e-10
+
+
+def test_a_division_by_zero_in_the_integrals_is_a_domain_error():
+    # 1 / (y - 2) at y_1 = 2: the integrals name themselves, the theorem's
+    # residual keeps its text, and the solvers report an infeasible start
+    f = Integrand("delta", lambda t, y, v: 1.0 / (y - 2.0),
+                  lambda t, y, v: -1.0 / ((y - 2.0) * (y - 2.0)), lambda t, y, v: 0.0)
+    scale = TimeScale.integer_range(0, 4)
+    problem = CompositeProblem(scale, (f,), (), identity_outer(), (1.0, 3.0))
+    start = [2.0, 2.5, 2.7]
+    y = GridFunction(scale, [1.0, *start, 3.0])
+    for evaluate in (eval_functional, eval_component_integrals):
+        with pytest.raises(DomainError, match="^component integrals are not finite at this state$"):
+            evaluate(problem, y)
+    for form in ("delta", "nabla"):
+        with pytest.raises(DomainError, match="^residual is not finite at this state$"):
+            theorem_main_residual(problem, y, form)
+    system = problem_system(problem, "cores", scale.interior_domain)
+    want = "infeasible start: component integrals are not finite at this state"
+    reports = [newton_solve(system, start), *lockstep_solve(system, [start]),
+               *multistart_solve(system, [start])]
+    assert [report.message for report in reports] == [want] * 3
