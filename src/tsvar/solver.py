@@ -39,14 +39,14 @@ to a different root.  A system evaluates the stack through its
 scalar residual.
 
 The lock-step loop keeps the state of the active starts only, and records
-per iteration the states and norms its damping built.  Each start's stop
-reason, iteration count, last state and norm come out of the loop; a sweep
-of several stacks concatenates them and keeps each stack's record apart, so
-its one outcome holds every start's.  Both solvers build their reports from
-that one outcome, and only the reports a caller returns: a report's
-``iterates`` and ``residual_norms`` come from the records, its failure
-text from the scalar callables and its functional from the scalar
-``functional`` at its root.
+per iteration the states and norms its damping built; a start that stops
+leaves it in one place, which records its stop reason, iteration count,
+last state and norm.  Each stack of a sweep has its own outcome, and start
+s of the sweep is start ``s % STACK_STARTS`` of stack ``s // STACK_STARTS``.
+Both solvers build their reports from the stacks' outcomes, and only the
+reports a caller returns: a report's ``iterates`` and ``residual_norms``
+come from the records, its failure text from the scalar callables and its
+functional from the scalar ``functional`` at its root.
 :func:`lockstep_solve` reports every start; :func:`multistart_solve` merges
 the converged roots first and reports the survivors only, or the first
 start where none converged, so it calls a system that has a stacked
@@ -193,15 +193,16 @@ def _nan_rows(r: np.ndarray) -> np.ndarray:
     return np.isnan(r).all(axis=-1)
 
 
-def fd_jacobian(system: ResidualSystem, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def fd_jacobian(system: ResidualSystem, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian, column by column through the scalar
-    residual; a perturbed state at which it raises :class:`DomainError`
-    raises one that names the coordinate being perturbed."""
+    residual, with the step :data:`FD_STEP` scaled by ``max(1, |x_j|)``; a
+    perturbed state at which it raises :class:`DomainError` raises one that
+    names the coordinate being perturbed."""
     x = np.asarray(x, dtype=float)
     m = system.dimension
     jac = np.empty((m, m))
     for j in range(m):
-        h = step * max(1.0, abs(x[j]))
+        h = FD_STEP * max(1.0, abs(x[j]))
         hi = x.copy()
         lo = x.copy()
         hi[j] += h
@@ -480,14 +481,12 @@ def _report(system: ResidualSystem, why: int, x: np.ndarray, norm: float = math.
 
 
 class _Outcome(NamedTuple):
-    """What :func:`_lockstep` keeps of one stack of starts, or :func:`_sweep`
-    of every stack; each array has a row per start, in start order.
+    """What :func:`_lockstep` keeps of one stack of starts; each array has a
+    row per start, in start order.
 
-    ``path`` holds a path per stack, in order, each as :func:`_lockstep`
-    built it: per iteration, from the starts themselves on, the ids, states
-    and norms of the starts that moved then, ids ascending and local to the
-    stack.  Start s of a sweep is start ``s % STACK_STARTS`` of stack
-    ``s // STACK_STARTS``.
+    ``path`` is the stack's path as :func:`_lockstep` built it: per
+    iteration, from the starts themselves on, the ids, states and norms of
+    the starts that moved then, ids ascending and local to the stack.
     """
 
     reason: np.ndarray       # why it stopped, an index into _REASONS
@@ -495,7 +494,7 @@ class _Outcome(NamedTuple):
     iterations: np.ndarray
     root: np.ndarray         # its last state: the start itself where infeasible
     norm: np.ndarray         # that state's residual sup-norm; inf where infeasible
-    path: list               # per stack, per iteration: (ids, states, norms)
+    path: list               # per iteration: (ids, states, norms)
 
 
 def lockstep_solve(
@@ -513,7 +512,7 @@ def lockstep_solve(
     """
     reports = []
     for out in _stacks(system, guesses, config or SolverConfig()):
-        reports += _reports(system, out, range(len(out.reason)))
+        reports += _reports(system, [out], range(len(out.reason)))
         del out   # its path, before the next stack builds its own
     return reports
 
@@ -533,31 +532,17 @@ def _stacks(system: ResidualSystem, guesses: Iterable[Sequence[float]],
         yield _lockstep(residual, starts[lo:lo + STACK_STARTS], cfg)
 
 
-def _sweep(system: ResidualSystem, guesses: Iterable[Sequence[float]],
-           cfg: SolverConfig) -> _Outcome | None:
-    """The :class:`_Outcome` of every guess, or None when there is none.
-
-    The stacks' rows are concatenated in order, and their paths kept as they
-    are, one per stack.
-    """
-    outs = list(_stacks(system, guesses, cfg))
-    if not outs:
-        return None
-    return _Outcome(*map(np.concatenate, zip(*(out[:-1] for out in outs))),
-                    [path for out in outs for path in out.path])
-
-
 def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome:
     """Damped Newton from every row of ``x0`` at once.
 
     The loop's state (``ids``, ``x``, ``res``, ``norm`` and the damping level
-    ``last`` of each start's last step) holds the active starts only; it
-    shrinks when a start stops, which records the start's reason, iteration
-    count, state and norm.  Each iteration appends to the path the ids,
-    states and norms the damping has just built, without copying them.
-    Failure texts, functional values and the per-start paths are left to
-    :func:`_reports`, for the reports a caller returns.  The outcome's
-    ``path`` is this stack's path alone.
+    ``last`` of each start's last step) holds the active starts only.  One
+    function, ``stop``, records the stopping starts' reasons, iteration
+    counts, states and norms, and drops them from that state and from any
+    other per-start array the caller passes.  Each iteration appends to the
+    path the ids, states and norms the damping has just built, without
+    copying them.  Failure texts, functional values and the per-start paths
+    are left to :func:`_reports`, for the reports a caller returns.
     """
     count = len(x0)
     res = residual(x0)
@@ -576,36 +561,33 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
     last = np.zeros(ids.size, dtype=int)
     path = [(ids, x, norm)]
 
-    def stop(rows, why, taken, ok=False):
-        """Records that the active starts marked in ``rows`` stop."""
+    def stop(rows, why, taken, *more, ok=False):
+        """Records that the active starts marked in ``rows`` stop, for the
+        reason ``why`` (one, or one per stopping start), and drops them from
+        the active state; returns the rows of ``more`` that stay."""
+        nonlocal ids, x, res, norm, last
         s = ids[rows]
         reason[s], converged[s], iterations[s] = why, ok, taken
         root[s], final_norm[s] = x[rows], norm[rows]
+        keep = ~rows
+        ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
+        return [a[keep] for a in more]
 
     levels = HALVINGS + 1
     for it in range(1, cfg.max_iterations + 1):
         done = norm <= cfg.tol_residual
         if done.any():
-            stop(done, _TOLERANCE, it - 1, True)
-            keep = ~done
-            ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
+            stop(done, _TOLERANCE, it - 1, ok=True)
         if not ids.size:
             break
 
         jac, failed = _stacked_jacobian(residual, x)
         if failed.any():
-            stop(failed, _JACOBIAN_FAILED, it - 1)
-            keep = ~failed
-            ids, x, res, norm, last, jac = (
-                ids[keep], x[keep], res[keep], norm[keep], last[keep], jac[keep])
+            jac, = stop(failed, _JACOBIAN_FAILED, it - 1, jac)
         step, singular = _newton_steps(jac, -res)
         bad = singular | ~np.isfinite(step).all(axis=1)
         if bad.any():
-            stop(singular, _SINGULAR, it - 1)
-            stop(bad & ~singular, _NOT_FINITE, it - 1)
-            keep = ~bad
-            ids, x, res, norm, last, step = (
-                ids[keep], x[keep], res[keep], norm[keep], last[keep], step[keep])
+            step, = stop(bad, np.where(singular, _SINGULAR, _NOT_FINITE)[bad], it - 1, step)
 
         # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm
         # decreases.  A start mostly takes about the level its last step took,
@@ -614,41 +596,41 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         window = np.where(last > 0, 2 * last + 2, 1)
         trial, trial_res, trial_norm, level, accepted = _first_decrease(
             residual, x, step, norm, 0, levels, window)
-        if accepted.all():
-            x, res, norm, last = trial, trial_res, trial_norm, level
-        else:
-            stop(~accepted, _NO_DECREASE, it - 1)
-            ids, step = ids[accepted], step[accepted]
-            x, res, norm, last = (
-                trial[accepted], trial_res[accepted], trial_norm[accepted], level[accepted])
+        if not accepted.all():
+            step, trial, trial_res, trial_norm, level = stop(
+                ~accepted, _NO_DECREASE, it - 1, step, trial, trial_res, trial_norm, level)
+        x, res, norm, last = trial, trial_res, trial_norm, level
         path.append((ids, x, norm))
 
         stagnant = _row_norms(0.5 ** last[:, None] * step) <= TOL_STEP
         if stagnant.any():
-            stop(stagnant, _STAGNANT, it, norm[stagnant] <= cfg.tol_residual)
-            keep = ~stagnant
-            ids, x, res, norm, last = ids[keep], x[keep], res[keep], norm[keep], last[keep]
+            stop(stagnant, _STAGNANT, it, ok=norm[stagnant] <= cfg.tol_residual)
     if ids.size:
-        stop(slice(None), _LIMIT, cfg.max_iterations, norm <= cfg.tol_residual)
-    return _Outcome(reason, converged, iterations, root, final_norm, [path])
+        stop(np.ones(ids.size, dtype=bool), _LIMIT, cfg.max_iterations,
+             ok=norm <= cfg.tol_residual)
+    return _Outcome(reason, converged, iterations, root, final_norm, path)
 
 
-def _reports(system: ResidualSystem, out: _Outcome, rows) -> list:
-    """The full reports of the starts ``rows`` of a sweep, in that order,
-    built by :func:`_report`: failure texts from the scalar callables, each
-    start's iterates and norms from its stack's path entries it moved in."""
+def _reports(system: ResidualSystem, outs: list, rows) -> list:
+    """The full reports of the starts ``rows`` of a sweep whose stacks'
+    outcomes are ``outs``, in that order, built by :func:`_report`: failure
+    texts from the scalar callables, each start's iterates and norms from
+    its stack's path entries it moved in.  Start s of a sweep is start
+    ``s % STACK_STARTS`` of stack ``s // STACK_STARTS``."""
     reports = []
     for s in rows:
-        why, x = int(out.reason[s]), out.root[s]
+        stack, local = divmod(s, STACK_STARTS)
+        out = outs[stack]
+        why, x = int(out.reason[local]), out.root[local]
         if why == _INFEASIBLE:
             reports.append(_report(system, why, x, detail=_domain_message(system.residual, x)))
             continue
         detail = _domain_message(fd_jacobian, system, x) if why == _JACOBIAN_FAILED else None
-        k = int(out.iterations[s])
-        stack, local = divmod(s, STACK_STARTS)
-        path = out.path[stack][:k + 1]
-        at = [ids.searchsorted(local) for ids, _, _ in path]   # s's row in each entry
-        reports.append(_report(system, why, x, float(out.norm[s]), k, bool(out.converged[s]),
+        k = int(out.iterations[local])
+        path = out.path[:k + 1]
+        at = [ids.searchsorted(local) for ids, _, _ in path]   # the start's row in each entry
+        reports.append(_report(system, why, x, float(out.norm[local]), k,
+                               bool(out.converged[local]),
                                [float(ns[j]) for (_, _, ns), j in zip(path, at)],
                                [xs[j].copy() for (_, xs, _), j in zip(path, at)], detail))
     return reports
@@ -673,17 +655,19 @@ def multistart_solve(
     failure text of a sweep that converges nowhere, and the functional is
     evaluated at the returned roots only.  No guesses give no reports.
     """
-    out = _sweep(system, guesses, config or SolverConfig())
-    if out is None:
+    outs = list(_stacks(system, guesses, config or SolverConfig()))
+    if not outs:
         return []
-    found = np.flatnonzero(out.converged)
-    if found.size < len(out.reason):
+    converged, roots, norms = (np.concatenate(column) for column in
+                               zip(*((out.converged, out.root, out.norm) for out in outs)))
+    found = np.flatnonzero(converged)
+    if found.size < len(converged):
         log.debug("%s: %d of %d starts failed to converge",
-                  system.label or "system", len(out.reason) - found.size, len(out.reason))
+                  system.label or "system", len(converged) - found.size, len(converged))
     if not found.size:
-        return _reports(system, out, [0])
+        return _reports(system, outs, [0])
 
-    roots, norms = out.root[found], out.norm[found]
+    roots, norms = roots[found], norms[found]
     # stable, as the sort by tuple(root) is: equal roots keep the start order
     order = np.lexsort(roots.T[::-1])
     kept_roots = np.empty_like(roots)
@@ -698,7 +682,7 @@ def multistart_solve(
             kept_roots[near[0]] = roots[i]
             kept[near[0]] = i
 
-    distinct = _reports(system, out, found[kept].tolist())
+    distinct = _reports(system, outs, found[kept].tolist())
     if system.functional is not None:
         distinct.sort(key=lambda r: (r.functional_value, tuple(r.root)))
     else:

@@ -564,10 +564,11 @@ def _at(columns: tuple, j) -> tuple:
     return tuple(column if isinstance(column, float) else column[j] for column in columns)
 
 
-def _stencils(mu: list, nu: list, form: str, points: range) -> tuple:
-    """The fixed part of :func:`_jacobian` on a scale with these graininess
-    tables: for each kind, what reads the partials of its integrands at each
-    point, and where the band lands in a padded array.  The Jacobian builds
+def _stencils(a: _Assembly, form: str, points: range) -> tuple:
+    """The fixed part of :func:`_jacobian` on the one-state assembly's
+    scale, read from its jump and graininess lists: for each kind, what
+    reads the partials of its integrands at each point, and where the band
+    lands in a padded array.  The Jacobian builds
     it on its first call and keeps it, so it is built once per assembly,
     which a :class:`CompositeProblem` keeps: 23-45 us at T = 3 and
     146-290 us at T = 20 on the firm systems (x86-64, Python 3.11).
@@ -583,36 +584,31 @@ def _stencils(mu: list, nu: list, form: str, points: range) -> tuple:
     (r, offset) sits at column points[r] + offset of a zero-padded
     (len(points), n + 4) array, whose columns 3..n are y_1..y_{n-2}.
     """
+    up, down, mu, nu = a.up, a.down, a.mu, a.nu
     n = len(mu)
-
-    def up(i):
-        return min(i + 1, n - 1)
-
-    def down(i):
-        return max(i - 1, 0)
 
     # a kind's share of the row at i, as (point p, coefficient of the state
     # partial at p, of the rate partial at p)
     def delta_core(i, scale=1.0):
-        return (i, scale, scale / mu[i]), (up(i), 0.0, -scale / mu[i])
+        return (i, scale, scale / mu[i]), (up[i], 0.0, -scale / mu[i])
 
     def nabla_core(i, scale=1.0):
-        return (i, scale, -scale / nu[i]), (down(i), 0.0, scale / nu[i])
+        return (i, scale, -scale / nu[i]), (down[i], 0.0, scale / nu[i])
 
     def delta_row(i):
         if form != "nabla":
             return delta_core(i)
-        j = down(i)
-        k = down(j)
-        return ((j, 1.0, 1.0 / nu[i]), (up(j), 0.0, -1.0 / nu[i]),
+        j = down[i]
+        k = down[j]
+        return ((j, 1.0, 1.0 / nu[i]), (up[j], 0.0, -1.0 / nu[i]),
                 *delta_core(j, -mu[j] / nu[i]), *delta_core(k, mu[k] / nu[i]))
 
     def nabla_row(i):
         if form != "delta":
             return nabla_core(i)
-        j = up(i)
-        k = up(j)
-        return ((j, 1.0, -1.0 / mu[i]), (down(j), 0.0, 1.0 / mu[i]),
+        j = up[i]
+        k = up[j]
+        return ((j, 1.0, -1.0 / mu[i]), (down[j], 0.0, 1.0 / mu[i]),
                 *nabla_core(k, nu[k] / mu[i]), *nabla_core(j, -nu[j] / mu[i]))
 
     def readers(row, forward):
@@ -681,7 +677,7 @@ def _jacobian(a: _Assembly, form: str, points: range):
 
     def jacobian(s: State, comps=None) -> np.ndarray:
         if not stencils:
-            stencils.append(_stencils(a.mu, a.nu, form, points))
+            stencils.append(_stencils(a, form, points))
         delta_readers, nabla_readers, targets = stencils[0]
         kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
         try:
@@ -914,10 +910,7 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         return np.array(values)
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        jac = one.jacobian(*tables(x))
-        if not np.isfinite(jac).all():
-            raise DomainError(_JACOBIAN_FAILS)
-        return jac
+        return _finite_jacobian(one, *tables(x))
 
     def functional(x: np.ndarray) -> float:
         return outer.value(tables(x)[1])
@@ -939,6 +932,18 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
                             jacobian=None if one.jacobian is None else jacobian,
                             stacked_residual=stacked_residual)
     return system
+
+
+# an overflow, or an inf less an inf, in the rank part of a Jacobian is
+# refused by its finiteness check, so numpy's warnings about them are off
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_jacobian(one: Assembled, s: State, comps) -> np.ndarray:
+    """The assembly's Jacobian at one state; :class:`DomainError` where it
+    is not finite."""
+    jac = one.jacobian(s, comps)
+    if not np.isfinite(jac).all():
+        raise DomainError(_JACOBIAN_FAILS)
+    return jac
 
 
 # overflow is expected in a stacked residual and marked by its NaN rows, so
@@ -964,7 +969,10 @@ def corollary_z_residual(
 
     Written directly with unit index shifts, its component integrals
     included; serves as an independent cross-check of
-    :func:`theorem_main_residual` on contiguous integer scales.
+    :func:`theorem_main_residual` on contiguous integer scales.  It reads
+    the state as floats, as the engine does, and a division by zero in it
+    raises the same :class:`DomainError` ("residual is not finite at this
+    state").
     """
     _check_policy(policy)
     if which not in ("first", "second"):
@@ -973,7 +981,7 @@ def corollary_z_residual(
         raise ValueError("specialized residual needs exactly one integrand of each kind")
     if not problem.scale.is_integer_grid:
         raise ValueError("specialized residual needs a contiguous integer scale")
-    vals = _admissible_values(problem, y)
+    vals = _admissible_values(problem, y).tolist()
     scale = problem.scale
     pts = scale.points
     n = len(scale)
@@ -1013,16 +1021,6 @@ def corollary_z_residual(
         v = ny(i)
         return math.nan if math.isnan(v) else g.partial_v(pts[i], vals[bwd(i)], v)
 
-    # unit steps: the delta integral sums f over 0..n-2, the nabla one g
-    # over 1..n-1, each in order from 0.0
-    comps = [0.0, 0.0]
-    for i in range(n - 1):
-        comps[0] += f.value(pts[i], vals[i + 1], dy(i))
-        comps[1] += g.value(pts[i + 1], vals[i], ny(i + 1))
-    comps = np.array(comps)
-    wf = problem.outer.partials[0](comps)
-    wg = problem.outer.partials[1](comps)
-
     # the delta core of f at i <= n - 2 and the nabla core of g at i >= 1,
     # the only points the equations read them at; the rate partials are
     # called first, so a failing call names the same point as it always did
@@ -1035,17 +1033,29 @@ def corollary_z_residual(
         return g_y(i) - step
 
     out = np.full(n, np.nan)
-    for i in scale.interior_domain:
-        if which == "first":
-            term_delta = wf * gamma_f(i)
-            term_mid = wg * (g_y(i + 1) - (g_v(i + 1) - g_v(i)))
-            term_tail = wg * (gamma_g(fwd(fwd(i))) - gamma_g(fwd(i)))
-            out[i] = term_delta + term_mid + term_tail
-        else:
-            term_mid = wf * (f_y(i - 1) - (f_v(i) - f_v(i - 1)))
-            term_tail = wf * (gamma_f(bwd(i)) - gamma_f(bwd(bwd(i))))
-            term_nabla = wg * gamma_g(i)
-            out[i] = term_mid + term_nabla - term_tail
+    try:
+        # unit steps: the delta integral sums f over 0..n-2, the nabla one g
+        # over 1..n-1, each in order from 0.0
+        comps = [0.0, 0.0]
+        for i in range(n - 1):
+            comps[0] += f.value(pts[i], vals[i + 1], dy(i))
+            comps[1] += g.value(pts[i + 1], vals[i], ny(i + 1))
+        comps = np.array(comps)
+        wf = problem.outer.partials[0](comps)
+        wg = problem.outer.partials[1](comps)
+        for i in scale.interior_domain:
+            if which == "first":
+                term_delta = wf * gamma_f(i)
+                term_mid = wg * (g_y(i + 1) - (g_v(i + 1) - g_v(i)))
+                term_tail = wg * (gamma_g(fwd(fwd(i))) - gamma_g(fwd(i)))
+                out[i] = term_delta + term_mid + term_tail
+            else:
+                term_mid = wf * (f_y(i - 1) - (f_v(i) - f_v(i - 1)))
+                term_tail = wf * (gamma_f(bwd(i)) - gamma_f(bwd(bwd(i))))
+                term_nabla = wg * gamma_g(i)
+                out[i] = term_mid + term_nabla - term_tail
+    except ZeroDivisionError as exc:   # floats only: a square that underflows to 0
+        raise DomainError(_RESIDUAL_FAILS) from exc
     return GridFunction(scale, out, scale.interior_domain)
 
 

@@ -485,6 +485,20 @@ def test_a_margin_whose_square_underflows_is_a_domain_error(kind, form, policy):
             theorem_main_residual(problem, y, form, policy)
 
 
+def test_the_corollary_reports_a_margin_whose_square_underflows_as_the_theorem_does():
+    # the corollary reads the state as floats, as the engine does, so the
+    # second form's division by the margin's square, 0 at y_1 = 1e-170 above
+    # a floor of 0, raises the theorem's DomainError in place of NaN rows;
+    # the first form never reads the state partial at y_1
+    problem = firm_problem(FirmParams(y_floor=0.0), ProblemKind.DELTA_NABLA)
+    y = GridFunction(problem.scale, [2.0, 1e-170, 3.5, 3.0])
+    first = corollary_z_residual(problem, y, "first", CLAMPED)
+    assert first.values[1:3].tolist() == [108.75508265326856, 7.393344729997576]
+    for residual, form in ((corollary_z_residual, "second"), (theorem_main_residual, "nabla")):
+        with pytest.raises(DomainError, match="^residual is not finite at this state$"):
+            residual(problem, y, form, CLAMPED)
+
+
 # ---------------------------------------------------------------------------
 # one integrand's Euler-Lagrange core
 
@@ -872,3 +886,16 @@ def test_jacobian_where_a_second_partial_fails_is_not_finite():
         expected = fd_jacobian(dataclasses.replace(system, jacobian=None), x)
         assert float(np.abs(got - expected).max()) <= 1e-6 * float(np.abs(expected).max())
     assert failed == {"dd/direct", "nn/direct", "dn/el2", "nd/direct", "nd/el1", "nd/el2"}
+
+
+def test_a_jacobian_that_overflows_is_a_domain_error_without_a_warning():
+    # sales just above the floor: at B = 1e300 an inf and a -inf meet in the
+    # Jacobian's rank part, and at B = 1e280, where the residual is finite,
+    # a band entry is -inf; both fail the finiteness check, and numpy warns
+    # of neither
+    x = np.array([1 + 2**-40, 2.5])
+    for B in (1e300, 1e280):
+        system = residual_system(FirmParams(B=B), ProblemKind.DELTA_DELTA)
+        with pytest.raises(DomainError, match="^jacobian is not finite at this state$"):
+            system.jacobian(x)
+    assert np.isfinite(system.residual(x)).all()

@@ -157,15 +157,16 @@ def test_infeasible_start_is_reported_not_raised():
     assert report.iterations == 0
 
 
-def test_domain_error_during_jacobian_names_the_coordinate():
+def test_domain_error_during_jacobian_names_the_coordinate(monkeypatch):
     def residual(x):
         if x[1] < 1.0:
             raise DomainError("out of range")
         return np.array([x[0], x[1] - 2.0])
 
     system = ResidualSystem(2, residual)
+    monkeypatch.setattr(tsolver, "FD_STEP", 1e-3)
     with pytest.raises(DomainError, match="coordinate 1"):
-        fd_jacobian(system, np.array([0.0, 1.0]), step=1e-3)
+        fd_jacobian(system, np.array([0.0, 1.0]))
 
 
 def test_fd_jacobian_matches_hand_derived_hessian():
@@ -408,10 +409,10 @@ def test_a_sweep_keeps_each_stacks_path_as_the_lockstep_built_it(monkeypatch):
 
     monkeypatch.setattr(tsolver, "STACK_STARTS", 2)
     monkeypatch.setattr(tsolver, "_lockstep", recorded)
-    out = tsolver._sweep(system, default_start_grid(2)[:4], SolverConfig())
-    assert len(built) == len(out.path) == 2
-    for stack, path in zip(built, out.path):
-        [own] = stack.path
+    outs = list(tsolver._stacks(system, default_start_grid(2)[:4], SolverConfig()))
+    assert len(built) == len(outs) == 2
+    for stack, path in zip(built, (out.path for out in outs)):
+        own = stack.path
         assert len(path) == len(own) > 1
         for entry, own_entry in zip(path, own):
             assert all(got is want for got, want in zip(entry, own_entry))
@@ -420,12 +421,12 @@ def test_a_sweep_keeps_each_stacks_path_as_the_lockstep_built_it(monkeypatch):
 def test_a_sweep_reports_each_stack_before_the_next_runs(monkeypatch):
     # lockstep_solve builds a stack's reports before the next stack is solved,
     # so it holds one stack's path at a time; its reports equal, field by
-    # field, those built from the joined outcome multistart_solve reads
+    # field, those built from the stacks' outcomes multistart_solve reads
     system = residual_system(FirmParams(), ProblemKind.NABLA_DELTA, EquationKind.TIMESCALE_EL2)
     guesses = [(0.5, 0.5), (1.0, 1.0), (2.2, 2.4), (9.0, 0.5)]   # two converge, two are infeasible
     monkeypatch.setattr(tsolver, "STACK_STARTS", 2)
-    joined = tsolver._sweep(system, guesses, SolverConfig())
-    want = tsolver._reports(system, joined, range(len(guesses)))
+    outs = list(tsolver._stacks(system, guesses, SolverConfig()))
+    want = tsolver._reports(system, outs, range(len(guesses)))
     order = []
     lockstep, reports = tsolver._lockstep, tsolver._reports
 
