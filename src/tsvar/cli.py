@@ -6,13 +6,13 @@ discretization kinds and emits one table row per residual system solved.
 published scenarios (discount rates 0.05 and 0.02); ``tsvar run`` accepts a
 config file plus overriding flags for parameter sweeps.
 
-Every command resolves its settings in one pass: the preset's or the
-file's INI text, with each given flag written over the key it stands for,
-goes through one :func:`parse_config` call.  ``FLAGS`` declares each flag
-once: the key it writes, how its repeated values join, the commands that
-take it and its argparse keywords; the parser and the overrides both read
-it.  A malformed flag value is reported as its key's value would be, with
-exit code 2.
+Every command resolves its settings in one pass: the file's INI text, or
+none, with the preset's keys and then each given flag written over the key
+it stands for, goes through one :func:`parse_config` call.  ``FLAGS``
+declares each flag once: the key it writes, how its repeated values join,
+the commands that take it and its argparse keywords; the parser and the
+overrides both read it.  A malformed flag value is reported as its key's
+value would be, with exit code 2.
 
 Root selection: each preset cell seeds Newton's method at the published
 operating region for that system (the iteration then refines it to machine
@@ -235,25 +235,40 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     sections or keys are rejected by name; malformed lines are reported with
     their line number.  ``overrides`` maps ``(section, key)`` to text that
     replaces the file's value of that key, as a command line flag does.
+
+    Only text with something besides whitespace is parsed.  From blank text
+    the keys are the overrides, grouped by section in order of first
+    appearance, which is what the INI parser gives back: it reads no section
+    from such text, and it returns each override's text as given.
     """
-    parser = configparser.ConfigParser(
-        comment_prefixes=("#",), inline_comment_prefixes=("#",)
-    )
-    parser.optionxform = str  # keep key case: b and B are different constants
-    try:
-        parser.read_string(source)
-    except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
-    for (section, key), text in (overrides or {}).items():
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser.set(section, key, text.replace("%", "%%"))  # a literal value
+    overrides = overrides or {}
+    if source.strip():
+        parser = configparser.ConfigParser(
+            comment_prefixes=("#",), inline_comment_prefixes=("#",)
+        )
+        parser.optionxform = str  # keep key case: b and B are different constants
+        try:
+            parser.read_string(source)
+        except configparser.Error as exc:
+            raise ConfigError(f"config parse error: {exc}") from exc
+        for (section, key), text in overrides.items():
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser.set(section, key, text.replace("%", "%%"))  # a literal value
+        # a section's items are read only once its name has been checked
+        sections = {section: functools.partial(parser.items, section)
+                    for section in parser.sections()}
+    else:
+        grouped: dict = {}
+        for (section, key), text in overrides.items():
+            grouped.setdefault(section, {})[key] = text
+        sections = {section: keys.items for section, keys in grouped.items()}
 
     values: dict = {section: {} for section in _KEYS}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _KEYS:
             raise ConfigError(f"unknown section {_quoted(section)}")
-        for key, text in parser.items(section):
+        for key, text in items():
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {_quoted(key)} in [{section}]")
             name, parse = _KEYS[section][key]
@@ -446,7 +461,8 @@ def emit_table(rows: Sequence[ResultRow], output_format: str) -> str:
 # argument handling
 
 
-PRESETS = {"table1": "", "table2": "[params]\nrho = 0.02\n"}
+# each preset and the INI keys it writes, as a flag writes its key
+PRESETS = {"table1": {}, "table2": {("params", "rho"): "0.02"}}
 # each command and its help line
 COMMANDS = {
     "run": "run with a config file and/or flags",
@@ -511,11 +527,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The preset's or the config file's text, each given flag written over
-    its key, resolved by one :func:`parse_config` call."""
-    if args.command in PRESETS:
-        source = PRESETS[args.command]
-    elif args.config is None:
+    """The preset's keys or the config file's text, each given flag written
+    over its key, resolved by one :func:`parse_config` call."""
+    overrides = dict(PRESETS.get(args.command, {}))
+    if args.command in PRESETS or args.config is None:
         source = ""
     else:
         try:
@@ -523,7 +538,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 source = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    overrides = {}
     for flag, (key, separator, _, _) in FLAGS.items():
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if key and value is not None:
@@ -557,3 +571,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

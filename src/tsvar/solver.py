@@ -255,7 +255,9 @@ def newton_solve(
         except np.linalg.LinAlgError:
             why = _SINGULAR
             break
-        if not np.isfinite(step).all():
+        # the max of |step| is NaN or inf exactly where a component is
+        step_norm = _norm(step)
+        if not math.isfinite(step_norm):
             why = _NOT_FINITE
             break
 
@@ -284,7 +286,10 @@ def newton_solve(
             why = _NO_DECREASE
             break
         deep = level >= SCALAR_LEVELS
-        step_size = _norm(0.5 ** level * step)
+        # the norm of the scaled step, bit for bit: scaling by a power of two
+        # is exact for normal numbers, and rounding is monotone, so the max
+        # commutes with it even where a product underflows
+        step_size = 0.5 ** level * step_norm
         x, res, norm = trial, trial_res, trial_norm
         norms.append(norm)
         path.append(x.copy())

@@ -921,17 +921,19 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
             raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
         column = _problem_assembly(problem, CLAMPED, form, points, True)
         if column is None:   # an integrand without a read form: one state at a time
-            return _lift_residual(system)(xs)
+            # lifted through the scalar residual, not the system, so that no
+            # closure holds the system that holds it: a system is freed by
+            # reference counting, its last state's tables with it
+            return _lift_residual(ResidualSystem(m, residual))(xs)
         y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
         y[0] = ya
         y[1:-1] = xs.T
         y[-1] = yb
         return _stacked_rows(column, y)
 
-    system = ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
-                            jacobian=None if one.jacobian is None else jacobian,
-                            stacked_residual=stacked_residual)
-    return system
+    return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
+                          jacobian=None if one.jacobian is None else jacobian,
+                          stacked_residual=stacked_residual)
 
 
 # an overflow, or an inf less an inf, in the rank part of a Jacobian is

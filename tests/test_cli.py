@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import gc
 import io
 import json
 
@@ -699,6 +700,80 @@ def test_bad_format_flag_is_refused_as_its_key(capsys):
     assert text == ""
     assert capsys.readouterr().err == (
         "tsvar: error: [run] format must be one of csv, json, markdown, got 'bogus'\n")
+
+
+# the INI text each preset was written as before presets wrote their keys;
+# table1's comment line makes the INI parser read it, as it read the blank text
+PRESET_TEXTS = {"table1": "# no keys\n", "table2": "[params]\nrho = 0.02\n"}
+
+
+@pytest.mark.parametrize("command", list(PRESET_TEXTS))
+@pytest.mark.parametrize("flags", [
+    [], ["--tol", "1e-10", "--max-iter", "7", "--format", "json"]])
+def test_a_preset_resolves_as_its_ini_text(command, flags):
+    args = tcli._build_parser().parse_args([command, *flags])
+    overrides = {tcli.FLAG_KEYS[flag]: value for flag, value in zip(flags[::2], flags[1::2])}
+    assert tcli._load_config(args) == parse_config(PRESET_TEXTS[command], overrides)
+
+
+# each key a flag writes: (a valid text, a refused one)
+KEY_TEXTS = {
+    ("params", "rho"): ("0.03", "abc"),
+    ("solver", "tol"): ("1e-10", "x"),
+    ("solver", "max_iter"): ("7", "2.5"),
+    ("run", "problems"): ("dd nn", "xx"),
+    ("run", "equations"): ("el1", "el9"),
+    ("run", "guess"): ("2.3,2.7", "2.3,inf"),
+    ("run", "multistart"): ("true", "perhaps"),
+    ("run", "format"): ("markdown", "5%"),
+    ("run", "output"): ("%(x)s.csv", "50%.csv"),   # no text is refused here
+}
+
+
+def resolved(source, overrides):
+    try:
+        return parse_config(source, overrides)
+    except ConfigError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("key", list(tcli.FLAG_KEYS.values()))
+def test_blank_text_resolves_a_key_as_the_ini_parser_does(key):
+    for text in KEY_TEXTS[key]:
+        assert resolved("", {key: text}) == resolved("# no keys\n", {key: text})
+
+
+def test_blank_text_refuses_the_key_the_ini_parser_refuses_first():
+    # every key given in flag order, two of them refused: the parser reads
+    # them section by section, so the first refused key it names can be the
+    # later of the two in flag order
+    keys = list(tcli.FLAG_KEYS.values())
+    for first in keys:
+        for second in keys:
+            overrides = {key: KEY_TEXTS[key][key in (first, second)] for key in keys}
+            assert resolved("", overrides) == resolved("# no keys\n", overrides)
+
+
+def test_a_default_key_reaches_the_section_a_flag_adds(tmp_path, capsys):
+    path = tmp_path / "default.ini"
+    path.write_text("[DEFAULT]\nrho = 0.03\n")
+    code, text = run_cli(["run", "--config", str(path), "--tol", "1e-10"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "tsvar: error: unknown key 'rho' in [solver]\n"
+
+
+def test_a_table_run_leaves_no_cyclic_garbage():
+    run_cli(["table1"])   # the caches a first call fills are not garbage
+    gc.collect()
+    debug = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cli(["table1"])
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import dataclasses
 import fractions
+import gc
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -899,3 +901,19 @@ def test_a_jacobian_that_overflows_is_a_domain_error_without_a_warning():
         with pytest.raises(DomainError, match="^jacobian is not finite at this state$"):
             system.jacobian(x)
     assert np.isfinite(system.residual(x)).all()
+
+
+def test_a_dropped_system_is_freed_without_the_cycle_collector():
+    # no closure of a system holds the system, so dropping it frees it, and
+    # the tables of its last state, by reference counting alone
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        system = residual_system(FirmParams(), ProblemKind.DELTA_NABLA, EquationKind.TIMESCALE_EL1)
+        system.residual(np.array([2.9, 3.0]))
+        ref = weakref.ref(system)
+        del system
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -371,6 +371,16 @@ def test_newton_reports_a_functional_that_fails_at_the_root_as_lockstep_does():
                        dataclasses.replace(want, functional_value=None))
 
 
+def test_a_step_with_an_inf_but_no_nan_is_not_finite():
+    # 1 / 1e-320 overflows: the step is -inf, with no NaN component
+    system = ResidualSystem(1, lambda x: np.array([1.0]),
+                            jacobian=lambda x: np.array([[1e-320]]))
+    report = newton_solve(system, (0.0,))
+    assert not report.converged
+    assert report.message == "non-finite newton step"
+    assert report.iterations == 0
+
+
 def test_lifted_cases_reach_every_stop_reason(monkeypatch):
     reasons = set()
     with np.errstate(invalid="ignore", over="ignore"):
