@@ -232,9 +232,11 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
 
     Sections [params], [solver], and [run] are recognised; every key is
     optional and missing keys fall back to the horizon-3 defaults.  Unknown
-    sections or keys are rejected by name; malformed lines are reported with
-    their line number.  ``overrides`` maps ``(section, key)`` to text that
-    replaces the file's value of that key, as a command line flag does.
+    sections, a ``[DEFAULT]`` section that holds keys among them, or keys
+    are rejected by name; malformed lines are reported with their line
+    number.  A value is read as written: ``%`` is a literal character.
+    ``overrides`` maps ``(section, key)`` to text that replaces the file's
+    value of that key, as a command line flag does.
 
     Only text with something besides whitespace is parsed.  From blank text
     the keys are the overrides, grouped by section in order of first
@@ -243,18 +245,22 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     """
     overrides = overrides or {}
     if source.strip():
+        # no interpolation: a value is read as written, % included, as a flag's is
         parser = configparser.ConfigParser(
-            comment_prefixes=("#",), inline_comment_prefixes=("#",)
+            comment_prefixes=("#",), inline_comment_prefixes=("#",), interpolation=None
         )
         parser.optionxform = str  # keep key case: b and B are different constants
         try:
             parser.read_string(source)
         except configparser.Error as exc:
             raise ConfigError(f"config parse error: {exc}") from exc
+        # the parser lists no [DEFAULT] section, and would add its keys to every other
+        if parser.defaults():
+            raise ConfigError(f"unknown section {_quoted(parser.default_section)}")
         for (section, key), text in overrides.items():
             if not parser.has_section(section):
                 parser.add_section(section)
-            parser.set(section, key, text.replace("%", "%%"))  # a literal value
+            parser.set(section, key, text)
         # a section's items are read only once its name has been checked
         sections = {section: functools.partial(parser.items, section)
                     for section in parser.sections()}

@@ -38,6 +38,18 @@ to a different root.  A system evaluates the stack through its
 ``stacked_residual`` when it has one, and otherwise through a loop over its
 scalar residual.
 
+Most lock-step iterations of a sweep carry a few starts: on the 16 firm
+cells at T = 3 swept from the default grid, half of them carry 8 or fewer.
+Such an iteration costs about the same whatever their number, about 300 us
+at one start and 390 us at 9-16 (x86-64, Python 3.11, numpy 2.4, firm
+systems), and its two or three stacked residual calls take about 60% of
+it.  The rest is a fixed count of whole-array numpy calls, a microsecond or
+so each, with no Python loop over the starts: the difference probes
+perturb both blocks of each start's probes through one strided view of
+their diagonals, the damping lays its trials out by repeating the rows,
+and a first damping call in which every start takes its one trial returns
+that call's own arrays.
+
 The lock-step loop keeps the state of the active starts only, and records
 per iteration the states and norms its damping built; a start that stops
 leaves it in one place, which records its stop reason, iteration count,
@@ -51,7 +63,11 @@ functional from the scalar ``functional`` at its root.
 the converged roots first and reports the survivors only, or the first
 start where none converged, so it calls a system that has a stacked
 residual one state at a time only for the failure text of that first
-start, and evaluates the functional at the roots it returns only.
+start, and evaluates the functional at the roots it returns only.  The
+merge (:func:`_merged`) compares the converged roots as Python floats,
+each against the roots kept so far, the first coordinate alone first:
+most kept roots differ from a root there by more than
+:data:`DISTINCT_TOL`, and one float subtraction rules them out.
 
 Both solvers stop for one of the reasons in one table (``_REASONS``, whose
 texts begin the reports' messages) and build their reports with one
@@ -370,14 +386,16 @@ def _stacked_jacobian(residual: Callable, x: np.ndarray):
     """Central-difference Jacobians of a stack of states, and which failed.
 
     One residual call evaluates the 2m perturbed states of every start; the
-    steps and differences are the ones :func:`fd_jacobian` takes.
+    steps and differences are the ones :func:`fd_jacobian` takes.  The two
+    blocks of a start's probes are m x m blocks of copies of its state, and
+    their diagonals, the perturbed entries, are one strided view.
     """
     count, m = x.shape
     h = FD_STEP * np.maximum(1.0, np.abs(x))
-    cols = np.arange(m)
-    probes = np.repeat(x[:, None, :], 2 * m, axis=1)
-    probes[:, cols, cols] += h
-    probes[:, m + cols, cols] -= h
+    probes = x[:, None, :].repeat(2 * m, axis=1)
+    diagonals = probes.reshape(count, 2, m * m)[:, :, ::m + 1]
+    diagonals[:, 0] += h
+    diagonals[:, 1] -= h
     r = residual(probes.reshape(-1, m)).reshape(count, 2 * m, m)
     jac = ((r[:, :m] - r[:, m:]) / (2.0 * h[:, :, None])).transpose(0, 2, 1)
     return jac, _nan_rows(r).any(axis=1)
@@ -399,6 +417,32 @@ def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
     return steps, singular
 
 
+def _trials(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarray,
+            level, width: np.ndarray):
+    """One residual call in which row i tries the levels ``level[i]`` ..
+    ``level[i] + width[i] - 1`` of its step (``level`` may be one int for
+    every row).  Returns the trial states, residuals, norms and levels, a
+    row per trial, and per row the index of its first trial whose norm is
+    below ``base[i]`` and whether it has one.
+
+    The trials are ragged: the trials of each row are consecutive, laid out
+    by repeating the row's state, step and norm by its width, and one
+    ``np.minimum.reduceat`` over the indices of the trials that decrease
+    finds each row's first.  The ndarray methods skip the wrappers of their
+    numpy functions, which cost up to a microsecond a call.
+    """
+    # every width is at least 1, so the segments start strictly later
+    first = np.add.accumulate(width) - width
+    total = int(first[-1] + width[-1])
+    index = np.arange(total)
+    tried = (level - first).repeat(width) + index
+    cand = x.repeat(width, axis=0) + (0.5 ** tried)[:, None] * step.repeat(width, axis=0)
+    cand_res = residual(cand)
+    cand_norm = _row_norms(cand_res)
+    at = np.minimum.reduceat(np.where(cand_norm < base.repeat(width), index, total), first)
+    return cand, cand_res, cand_norm, tried, at, at < total
+
+
 def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarray,
                     level: int, levels: int, window: np.ndarray):
     """Damping of a stack of Newton steps, from halving ``level`` on.
@@ -406,50 +450,31 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
     Row i tries the trial states ``x[i] + 2**-k * step[i]`` for k = ``level``,
     ..., ``levels - 1`` in ascending order and takes the first whose
     residual norm is below ``base[i]``; a NaN row (an infeasible trial)
-    never is.  The first residual call tries ``window[i]`` levels of row i;
-    a second call tries, for every row still looking, all of that row's
-    remaining levels.  Returns the taken trial states, residuals, norms and levels,
-    and which rows took one.
-
-    The trials are ragged: the trials of each row are consecutive, laid out
-    by ``np.repeat`` of the widths, and one ``np.minimum.reduceat`` over the
-    indices of the trials that decrease finds each row's first.
+    never is.  The first residual call (:func:`_trials`) tries ``window[i]``
+    levels of row i; a second call tries, for every row still looking, all
+    of that row's remaining levels.  Returns the taken trial states,
+    residuals, norms and levels, and which rows took one; the other rows'
+    entries are arbitrary.  A row that tried one level in the first call
+    keeps that call's row, as every row does where each tried one.
     """
-    count, m = x.shape
-    taken = np.zeros(count, dtype=int)
-    accepted = np.zeros(count, dtype=bool)
-    trial = np.empty((count, m))
-    trial_res = np.empty((count, m))
-    trial_norm = np.empty(count)
-    pending = np.arange(count)
-    level = np.full(count, level)   # each pending row's next level
     width = np.minimum(window, levels - level)
-    while pending.size:
-        # trial r belongs to row owner[r] and tries its level tried[r]; every
-        # width is at least 1, so the segments start strictly later
-        first = np.cumsum(width) - width
-        total = int(first[-1] + width[-1])
-        index = np.arange(total)
-        owner = np.repeat(pending, width)
-        tried = np.repeat(level - first, width) + index
-        # take gathers rows several times faster than an index array does
-        cand = x.take(owner, axis=0) + (0.5 ** tried)[:, None] * step.take(owner, axis=0)
-        cand_res = residual(cand)
-        cand_norm = _row_norms(cand_res)
-        at = np.minimum.reduceat(np.where(cand_norm < base.take(owner), index, total), first)
-        found = at < total
-        at = at[found]
-        hit = pending[found]
+    trial, trial_res, trial_norm, taken, at, accepted = _trials(
+        residual, x, step, base, level, width)
+    if len(trial) > len(x):   # each row's first decrease, or its last trial
+        at = np.minimum(at, len(trial) - 1)
+        trial, trial_res, trial_norm, taken = trial[at], trial_res[at], trial_norm[at], taken[at]
+    # the rows still looking with levels left try all of them in one more call
+    rows = (~accepted & (width < levels - level)).nonzero()[0]
+    if rows.size:
+        # written below: not the arrays the residual was given or returned
+        trial, trial_res = trial.copy(), trial_res.copy()
+        after = level + width[rows]
+        cand, cand_res, cand_norm, tried, at, found = _trials(
+            residual, x[rows], step[rows], base[rows], after, levels - after)
+        hit, at = rows[found], at[found]
         trial[hit], trial_res[hit], trial_norm[hit] = cand[at], cand_res[at], cand_norm[at]
         taken[hit] = tried[at]
         accepted[hit] = True
-        if at.size == found.size:   # every row took a level
-            break
-        # the rows still looking with levels left try all of them in one more call
-        looking = ~found & (width < levels - level)
-        level = level[looking] + width[looking]
-        pending = pending[looking]
-        width = levels - level
     return trial, trial_res, trial_norm, taken, accepted
 
 
@@ -593,6 +618,8 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         bad = singular | ~np.isfinite(step).all(axis=1)
         if bad.any():
             step, = stop(bad, np.where(singular, _SINGULAR, _NOT_FINITE)[bad], it - 1, step)
+        if not ids.size:   # the damping lays out no trials for an empty stack
+            break
 
         # damping: the first of the steps 1, 1/2, 1/4, ... whose residual norm
         # decreases.  A start mostly takes about the level its last step took,
@@ -641,6 +668,36 @@ def _reports(system: ResidualSystem, outs: list, rows) -> list:
     return reports
 
 
+def _merged(roots: np.ndarray, norms: np.ndarray) -> list:
+    """The indices of the roots that survive the merge of
+    :func:`multistart_solve`, in the order they were first kept.
+
+    In the lexicographic order of the roots (stable: equal roots keep their
+    order), each root goes to the first kept root within
+    :data:`DISTINCT_TOL` in sup-norm, and replaces it where its norm is
+    smaller.  The test runs over Python floats: a gap is within the
+    tolerance exactly where every coordinate's is, NaN failing as it fails
+    the sup-norm, and the first coordinate, tested alone first, rules most
+    kept roots out.
+    """
+    order = np.lexsort(roots.T[::-1])
+    points, norms = roots.tolist(), norms.tolist()
+    kept = []   # the index of each kept root, in the order kept
+    for i in order.tolist():
+        root = points[i]
+        lead, rest = root[0], root[1:]
+        for slot, k in enumerate(kept):
+            other = points[k]
+            if abs(other[0] - lead) <= DISTINCT_TOL and all(
+                    abs(a - b) <= DISTINCT_TOL for a, b in zip(other[1:], rest)):
+                if norms[i] < norms[k]:
+                    kept[slot] = i
+                break
+        else:
+            kept.append(i)
+    return kept
+
+
 def multistart_solve(
     system: ResidualSystem,
     guesses: Iterable[Sequence[float]],
@@ -672,21 +729,7 @@ def multistart_solve(
     if not found.size:
         return _reports(system, outs, [0])
 
-    roots, norms = roots[found], norms[found]
-    # stable, as the sort by tuple(root) is: equal roots keep the start order
-    order = np.lexsort(roots.T[::-1])
-    kept_roots = np.empty_like(roots)
-    kept = []   # the index into found of each kept root, in the order kept
-    for i in order.tolist():
-        gaps = _row_norms(kept_roots[:len(kept)] - roots[i])
-        near = np.flatnonzero(gaps <= DISTINCT_TOL)
-        if not near.size:
-            kept_roots[len(kept)] = roots[i]
-            kept.append(i)
-        elif norms[i] < norms[kept[near[0]]]:
-            kept_roots[near[0]] = roots[i]
-            kept[near[0]] = i
-
+    kept = _merged(roots[found], norms[found])
     distinct = _reports(system, outs, found[kept].tolist())
     if system.functional is not None:
         distinct.sort(key=lambda r: (r.functional_value, tuple(r.root)))

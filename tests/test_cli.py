@@ -754,12 +754,41 @@ def test_blank_text_refuses_the_key_the_ini_parser_refuses_first():
             assert resolved("", overrides) == resolved("# no keys\n", overrides)
 
 
-def test_a_default_key_reaches_the_section_a_flag_adds(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [[], ["--problem", "dd"], ["--tol", "1e-10"]],
+                         ids=["no-flag", "problem-flag", "tol-flag"])
+def test_a_default_key_refuses_the_file(tmp_path, capsys, flags):
+    # the INI parser lists no [DEFAULT] section and adds its keys to every
+    # other: the file is refused as a flag's ("DEFAULT", key) is
     path = tmp_path / "default.ini"
     path.write_text("[DEFAULT]\nrho = 0.03\n")
-    code, text = run_cli(["run", "--config", str(path), "--tol", "1e-10"])
+    code, text = run_cli(["run", "--config", str(path), *flags])
     assert (code, text) == (2, "")
-    assert capsys.readouterr().err == "tsvar: error: unknown key 'rho' in [solver]\n"
+    assert capsys.readouterr().err == "tsvar: error: unknown section 'DEFAULT'\n"
+    assert resolved("", {("DEFAULT", "rho"): "0.03"}) == "unknown section 'DEFAULT'"
+
+
+def test_a_default_header_without_keys_changes_nothing():
+    text = "[params]\nrho = 0.03\n"
+    assert parse_config("[DEFAULT]\n" + text) == parse_config(text)
+
+
+def test_a_percent_in_a_refused_file_value_is_named(tmp_path, capsys):
+    path = tmp_path / "percent.ini"
+    path.write_text("[run]\nformat = 5%\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "tsvar: error: [run] format must be one of csv, json, markdown, got '5%'\n")
+
+
+def test_a_percent_in_a_file_value_is_literal(tmp_path):
+    target = tmp_path / "50%%(x)s%.csv"
+    path = tmp_path / "percent.ini"
+    path.write_text(f"[run]\noutput = {target}\n")
+    code, text = run_cli(["run", "--config", str(path)])
+    assert (code, text) == (0, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["50%%(x)s%.csv", "percent.ini"]
+    assert target.read_text() == run_cli(["table1"])[1]
 
 
 def test_a_table_run_leaves_no_cyclic_garbage():

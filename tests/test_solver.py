@@ -237,6 +237,55 @@ def test_multistart_separates_distinct_roots():
     assert roots == [(-1.0, 2.0), (1.0, 2.0)]
 
 
+def merged_by_arrays(roots, norms):
+    """The merge as multistart_solve wrote it on arrays: each root, in
+    lexicographic order, goes to the first kept root within DISTINCT_TOL in
+    sup-norm, and replaces it where its norm is smaller."""
+    order = np.lexsort(roots.T[::-1])
+    kept_roots = np.empty_like(roots)
+    kept = []
+    for i in order.tolist():
+        gaps = np.abs(kept_roots[:len(kept)] - roots[i]).max(axis=-1)
+        near = np.flatnonzero(gaps <= tsolver.DISTINCT_TOL)
+        if not near.size:
+            kept_roots[len(kept)] = roots[i]
+            kept.append(i)
+        elif norms[i] < norms[kept[near[0]]]:
+            kept_roots[near[0]] = roots[i]
+            kept[near[0]] = i
+    return kept
+
+
+@st.composite
+def clustered_roots(draw):
+    """Roots in a few clusters, each a chain of points half DISTINCT_TOL
+    apart per coordinate, so that a gap can be the tolerance itself, a root
+    can be near two kept roots, and a replacement can move a kept root; with
+    norms from a few values, so that equal norms occur, and now and then a
+    NaN or an infinite coordinate."""
+    m = draw(st.integers(1, 3))
+    centres = draw(st.lists(st.lists(st.sampled_from([0.0, -1.0, 2.5]), min_size=m, max_size=m),
+                            min_size=1, max_size=3))
+    count = draw(st.integers(1, 24))
+    offset = st.integers(-3, 3).map(lambda k: k * 0.5 * tsolver.DISTINCT_TOL)
+    roots = np.array([[c + draw(offset) for c in draw(st.sampled_from(centres))]
+                      for _ in range(count)])
+    if draw(st.integers(0, 4)) == 0:
+        roots[draw(st.integers(0, count - 1)), draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from([math.nan, math.inf]))
+    norms = draw(st.lists(st.sampled_from([0.0, 1e-14, 1e-13, 5e-13]),
+                          min_size=count, max_size=count))
+    return roots, np.array(norms)
+
+
+@given(clustered_roots())
+def test_multistart_merge_keeps_the_roots_the_array_merge_keeps(case):
+    roots, norms = case
+    with np.errstate(invalid="ignore"):   # inf - inf in a gap
+        expected = merged_by_arrays(roots, norms)
+    assert tsolver._merged(roots, norms) == expected
+
+
 def test_multistart_is_idempotent_under_guess_repetition():
     system = ResidualSystem(2, lambda x: np.array([x[0] ** 2 - 1.0, x[1] - 2.0]))
     once = multistart_solve(system, [(0.5, 0.0), (-0.5, 0.0)])
@@ -329,6 +378,9 @@ LIFTED_CASES = [
     # the residual overflows at the first start, so its step is not finite
     (ResidualSystem(1, lambda x: np.array([1e300 * (x[0] - 2.0)])),
      [(1e10,), (3.0,)], None, {"HALVINGS": 3}),
+    # a lone start stops before the damping: the stack is empty there
+    (ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0])), [(0.0,)], None, {}),
+    (sqrt_system(), [(0.0, 1.0)], None, {}),
 ]
 
 
@@ -494,34 +546,22 @@ def test_a_start_whose_residual_is_nan_without_raising_is_infeasible():
     assert not report.converged and report.iterations == 0
 
 
-def distinct_roots(reports, tol=1e-6):
-    roots = []
-    for rep in sorted((r for r in reports if r.converged), key=lambda r: tuple(r.root)):
-        if not any(float(np.max(np.abs(rep.root - kept))) <= tol for kept in roots):
-            roots.append(rep.root)
-    return roots
-
-
 @pytest.mark.parametrize("rate", [0.05, 0.02])
 def test_lockstep_multistart_finds_the_per_start_root_set(rate):
-    # per-start equality is not asserted for the firm systems: the stacked
-    # residual may differ from the scalar one in the last bit, which can
-    # flip a start that sits on a basin boundary.  Both solvers take
-    # difference Jacobians here: with the analytic one, newton_solve reaches
-    # a different root set from this grid (see the analytic-Jacobian tests)
+    # start by start, the lock-step sweep reports what newton_solve reports:
+    # both take difference Jacobians here, and the stacked residual equals
+    # the scalar one bit for bit.  With the analytic Jacobian, newton_solve
+    # reaches a different root set from this grid (see the analytic-Jacobian
+    # tests)
     params = FirmParams(discount_rate=rate)
     grid = default_start_grid(2)
     for kind in ProblemKind:
         equations = EquationKind if kind.is_mixed else (EquationKind.DIRECT,)
         for equation in equations:
             system = dataclasses.replace(residual_system(params, kind, equation), jacobian=None)
-            lockstep = [r.root for r in multistart_solve(system, grid)]
-            per_start = distinct_roots([newton_solve(system, g) for g in grid])
-            assert len(lockstep) == len(per_start), system.label
-            for ours, theirs in ((lockstep, per_start), (per_start, lockstep)):
-                for root in ours:
-                    gap = min(float(np.max(np.abs(root - other))) for other in theirs)
-                    assert gap <= 1e-9, f"{system.label}: root {root} unmatched ({gap:.1e})"
+            for got, want in zip(lockstep_solve(system, grid),
+                                 [newton_solve(system, g) for g in grid], strict=True):
+                assert_same_report(got, want)
 
 
 # ---------------------------------------------------------------------------
