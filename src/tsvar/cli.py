@@ -236,14 +236,14 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
     are rejected by name; malformed lines are reported with their line
     number.  A value is read as written: ``%`` is a literal character.
     ``overrides`` maps ``(section, key)`` to text that replaces the file's
-    value of that key, as a command line flag does.
+    value of that key, as a command line flag does: a key the file holds
+    keeps its place, and other keys, and sections the file lacks, follow in
+    order of first appearance, as the INI parser orders them.
 
-    Only text with something besides whitespace is parsed.  From blank text
-    the keys are the overrides, grouped by section in order of first
-    appearance, which is what the INI parser gives back: it reads no section
-    from such text, and it returns each override's text as given.
+    Only text with something besides whitespace is parsed; blank text holds
+    no section, and its keys are the overrides alone.
     """
-    overrides = overrides or {}
+    sections: dict = {}
     if source.strip():
         # no interpolation: a value is read as written, % included, as a flag's is
         parser = configparser.ConfigParser(
@@ -257,24 +257,15 @@ def parse_config(source: str, overrides: Mapping[tuple, str] | None = None) -> E
         # the parser lists no [DEFAULT] section, and would add its keys to every other
         if parser.defaults():
             raise ConfigError(f"unknown section {_quoted(parser.default_section)}")
-        for (section, key), text in overrides.items():
-            if not parser.has_section(section):
-                parser.add_section(section)
-            parser.set(section, key, text)
-        # a section's items are read only once its name has been checked
-        sections = {section: functools.partial(parser.items, section)
-                    for section in parser.sections()}
-    else:
-        grouped: dict = {}
-        for (section, key), text in overrides.items():
-            grouped.setdefault(section, {})[key] = text
-        sections = {section: keys.items for section, keys in grouped.items()}
+        sections = {section: dict(parser.items(section)) for section in parser.sections()}
+    for (section, key), text in (overrides or {}).items():
+        sections.setdefault(section, {})[key] = text
 
     values: dict = {section: {} for section in _KEYS}
-    for section, items in sections.items():
+    for section, keys in sections.items():
         if section not in _KEYS:
             raise ConfigError(f"unknown section {_quoted(section)}")
-        for key, text in items():
+        for key, text in keys.items():
             if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {_quoted(key)} in [{section}]")
             name, parse = _KEYS[section][key]

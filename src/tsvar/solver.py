@@ -167,9 +167,12 @@ class ResidualSystem:
     array; it may raise :class:`DomainError` where it is not finite.
     ``stacked_residual``, when given, evaluates a stack of states at once,
     ``(S, m) -> (S, m)``: row ``i`` equals the residual at state ``i``, and
-    is all-NaN where that call would raise :class:`DomainError`.  The
-    functional has no stacked form: the solvers evaluate it at the roots
-    they report only.
+    is all-NaN where that call would raise :class:`DomainError`.  A system
+    gives one only where it evaluates a stack faster than state by state:
+    without it the lock-step solvers loop over the scalar residual
+    themselves, and :func:`newton_solve` tries its levels one by one,
+    stopping at the first decrease.  The functional has no stacked form:
+    the solvers evaluate it at the roots they report only.
     """
 
     dimension: int

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .solver import ResidualSystem, _lift_residual
+from .solver import ResidualSystem
 from .timescale import DomainError, GridFunction, TimeScale
 
 __all__ = [
@@ -759,7 +759,9 @@ def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores
 
     It depends on the problem, the policy, the form, the window and
     ``stacked`` alone, so the problem keeps it from the first call with them
-    on; each read form is built then, for its number type."""
+    on; each read form is built then, for its number type.  A read form is
+    missing on both number types or on neither, so a float build that finds
+    one missing keeps None for the stack too."""
     key = policy, form, points, stacked
     try:
         return problem._assemblies[key]
@@ -769,9 +771,10 @@ def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores
     integrands = []
     for f in (*problem.delta_integrands, *problem.nabla_integrands):
         read = None if f.on_points is None else f.on_points(f, scale.points, stacked)
-        if read is None and stacked:
-            problem._assemblies[key] = None
-            return None
+        if read is None:
+            problem._assemblies[policy, form, points, True] = None
+            if stacked:
+                return None
         integrands.append(replace(f, at=scale.points) if read is None else read)
     if policy == STRICT:
         integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
@@ -878,8 +881,8 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     stacked assembly, so each column's integrals add in one state's order
     and each row equals the one-state residual bit for bit; it marks with
     NaN the rows of the states at which a guard fails or the residual is
-    not finite.  Where an integrand has no read form it evaluates the
-    states one at a time.
+    not finite.  Where an integrand has no read form the system has no
+    stacked residual: a solver that needs a stack lifts the residual itself.
     """
     n = len(problem.scale)
     m = n - 2
@@ -889,6 +892,8 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     ya, yb = problem.boundary
     outer = problem.outer
     one = _problem_assembly(problem, CLAMPED, form, points)
+    # building `one` keeps None for the stack where an integrand has no read form
+    on_arrays = problem._assemblies.get((CLAMPED, form, points, True), one) is not None
     last = (None, None, None)
 
     def tables(x):
@@ -919,21 +924,15 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != m:
             raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
-        column = _problem_assembly(problem, CLAMPED, form, points, True)
-        if column is None:   # an integrand without a read form: one state at a time
-            # lifted through the scalar residual, not the system, so that no
-            # closure holds the system that holds it: a system is freed by
-            # reference counting, its last state's tables with it
-            return _lift_residual(ResidualSystem(m, residual))(xs)
         y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
         y[0] = ya
         y[1:-1] = xs.T
         y[-1] = yb
-        return _stacked_rows(column, y)
+        return _stacked_rows(_problem_assembly(problem, CLAMPED, form, points, True), y)
 
     return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
                           jacobian=None if one.jacobian is None else jacobian,
-                          stacked_residual=stacked_residual)
+                          stacked_residual=stacked_residual if on_arrays else None)
 
 
 # an overflow, or an inf less an inf, in the rank part of a Jacobian is

@@ -31,6 +31,7 @@ from tsvar import (
     residual_system,
     theorem_main_residual,
 )
+from tsvar.cli import PRESETS, parse_config, run_table
 
 MIXED = (ProblemKind.DELTA_NABLA, ProblemKind.NABLA_DELTA)
 
@@ -263,6 +264,35 @@ def test_criterion_3_second_scenario_values():
     )
     assert not failures, "\n".join(failures)
 
+
+def test_criterion_3_rows_continue_from_the_first_scenario():
+    """Each table-1 row, carried from the 5% to the 2% rate in 30 equal
+    steps, each a Newton solve seeded from the last root, converges at every
+    step and ends on the table-2 row's root to 1e-8: the two presets read
+    one branch per cell."""
+    first = run_table(parse_config("", PRESETS["table1"]))
+    second = run_table(parse_config("", PRESETS["table2"]))
+    failures = []
+    worst = 0.0
+    for row, target in zip(first, second, strict=True):
+        equation = row.equation or EquationKind.DIRECT
+        label = f"{row.kind.value}/{equation.value}"
+        root = row.root
+        for rate in np.linspace(0.05, 0.02, 31)[1:]:
+            system = residual_system(FirmParams(discount_rate=float(rate)), row.kind, equation)
+            report = newton_solve(system, root)
+            if not report.converged:
+                failures.append(f"{label}: no root at rate {rate:.3f}: {report.message}")
+                break
+            root = report.root
+        else:
+            gap = float(np.max(np.abs(root - np.array(target.root))))
+            worst = max(worst, gap)
+            if gap > 1e-8:
+                failures.append(f"{label}: continued root {gap:.3e} from the table-2 row")
+    criterion_line("3 (continuation)", failures,
+                   f"8 rows over 30 rate steps, worst root gap {worst:.1e}")
+    assert not failures, "\n".join(failures)
 
 def test_criterion_4_operator_identities_on_random_scales():
     """Derivative duality, integral duality, additivity, and integration by

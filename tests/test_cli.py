@@ -764,7 +764,8 @@ def test_a_default_key_refuses_the_file(tmp_path, capsys, flags):
     code, text = run_cli(["run", "--config", str(path), *flags])
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == "tsvar: error: unknown section 'DEFAULT'\n"
-    assert resolved("", {("DEFAULT", "rho"): "0.03"}) == "unknown section 'DEFAULT'"
+    for source in ("", "[params]\nrho = 0.03\n"):
+        assert resolved(source, {("DEFAULT", "rho"): "0.03"}) == "unknown section 'DEFAULT'"
 
 
 def test_a_default_header_without_keys_changes_nothing():

@@ -14,18 +14,23 @@ from numpy.testing import assert_allclose
 from tsvar import solver as tsolver
 from tsvar import (
     MAX_STARTS,
+    CompositeProblem,
     DomainError,
     EquationKind,
     FirmParams,
+    Integrand,
     ProblemKind,
     ResidualSystem,
     SolverConfig,
+    TimeScale,
     default_start_grid,
     fd_jacobian,
     lockstep_solve,
     multistart_solve,
     newton_solve,
+    problem_system,
     residual_system,
+    sum_outer,
 )
 from tsvar.cli import CELL_SEEDS
 
@@ -867,6 +872,34 @@ def test_damping_tries_each_level_at_most_once_per_iteration():
         bound = 1 + (report.iterations + 1) * (2 + tsolver.HALVINGS + 1)
         assert tsolver.HALVINGS + 1 < counts["scalar"] + counts["stacked rows"] <= bound
 
+
+
+def test_a_system_without_read_forms_damps_on_its_scalar_residual():
+    # on Z from 0 to 6, delta y^4/4 + v^2 and nabla y^2 + v^4/4 have no array
+    # read form, so the problem's system offers no stacked residual and
+    # newton_solve stops at the first decreasing level; a lift of its residual
+    # gives the same reports from every deeper halving, one state at a time
+    scale = TimeScale.integer_range(0, 6)
+    f = Integrand("delta", lambda t, y, v: y ** 4 / 4 + v * v, lambda t, y, v: y ** 3,
+                  lambda t, y, v: 2 * v, lambda t, y, v: 3 * y * y, lambda t, y, v: 0.0,
+                  lambda t, y, v: 2.0)
+    g = Integrand("nabla", lambda t, y, v: y * y + v ** 4 / 4, lambda t, y, v: 2 * y,
+                  lambda t, y, v: v ** 3, lambda t, y, v: 2.0, lambda t, y, v: 0.0,
+                  lambda t, y, v: 3 * v * v)
+    problem = CompositeProblem(scale, (f,), (g,), sum_outer(2), (1.0, 2.0))
+    system = problem_system(problem, "cores", scale.interior_domain)
+    assert system.stacked_residual is None and system.jacobian is not None
+    lifted = dataclasses.replace(system, stacked_residual=tsolver._lift_residual(system))
+    # start: (scalar residual calls, those of the lift: scalar calls and stacked rows)
+    calls = {(5.0, 5.0, 5.0, 5.0, 5.0): (442, 683),
+             (-4.0, 6.0, -3.0, 7.0, 2.0): (40, 203),
+             (10.0, -10.0, 10.0, -10.0, 10.0): (52, 295)}
+    for start, (scalar, lift) in calls.items():
+        tracked, counts = counted(system)
+        tracked_lift, lift_counts = counted(lifted)
+        assert_same_report(newton_solve(tracked, start), newton_solve(tracked_lift, start))
+        assert counts["scalar"] == scalar
+        assert lift_counts["scalar"] + lift_counts["stacked rows"] == lift
 
 def lockstep_searches(monkeypatch, system, starts):
     """The reports of lockstep_solve, and per iteration its damping search as

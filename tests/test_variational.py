@@ -38,6 +38,7 @@ from tsvar import (
     sum_outer,
     theorem_main_residual,
 )
+from tsvar.solver import _lift_residual
 from tsvar.variational import Guard, assemble, problem_system
 
 
@@ -635,14 +636,17 @@ def test_an_evaluated_problem_compares_hashes_and_prints_as_before():
 def test_a_problem_system_reads_the_problem_s_window(integrands, scale):
     # its rows are the clamped theorem form on the interior, bit for bit,
     # one state at a time or in a stack: on one column of arrays where the
-    # integrands have read forms, state by state where they have none
+    # integrands have read forms; where they have none the system offers no
+    # stack, and the solvers' lift evaluates it state by state
     problem = kept_problem(scale, integrands)
     interior = scale.interior_domain
     system = problem_system(problem, "delta", interior, label="delta")
     assert system.dimension == len(scale) - 2 and system.label == "delta"
+    assert (system.stacked_residual is None) == (integrands == "smooth")
+    stacked = system.stacked_residual or _lift_residual(system)
     states = kept_states(problem)
     xs = np.array([y.values[1:-1] for y in states])
-    for x, y, row in zip(xs, states, system.stacked_residual(xs)):
+    for x, y, row in zip(xs, states, stacked(xs)):
         want = theorem_main_residual(problem, y, "delta", CLAMPED).values[1:-1]
         assert system.residual(x).tobytes() == row.tobytes() == want.tobytes()
         assert system.functional(x) == eval_functional(problem, y)
@@ -669,7 +673,8 @@ def test_the_corollary_refuses_an_unknown_equation():
 
 def test_a_problem_system_names_the_guard_at_the_scale_s_point():
     # a guard on a smooth integrand: the one-state residual names the
-    # failing point of the scale, the stacked residual marks its row NaN
+    # failing point of the scale; the system offers no stack, and the
+    # solvers' lift of it marks the failing row NaN
     scale = KEPT_SCALES["non-uniform"]
     f = smooth_integrand("delta", (1.0, 0.5, 0.2, -0.1, 0.3), scale.points)
     guarded = dataclasses.replace(f, guard=Guard("v", operator.le, 0.0,
@@ -680,7 +685,8 @@ def test_a_problem_system_names_the_guard_at_the_scale_s_point():
     fine, steep = [1.2, 1.3, 1.5, 1.8], [1.2, 1.1, 1.5, 1.8]
     with pytest.raises(DomainError, match=r"^rate -0\.07\d* not positive at t=0\.6$"):
         system.residual(steep)
-    rows = system.stacked_residual(np.array([fine, steep]))
+    assert system.stacked_residual is None
+    rows = _lift_residual(system)(np.array([fine, steep]))
     assert rows[0].tobytes() == system.residual(fine).tobytes() and np.isnan(rows[1]).all()
     with pytest.raises(ValueError, match="a guard reads"):
         dataclasses.replace(f, guard=Guard("t", operator.le, 0.0, str))
