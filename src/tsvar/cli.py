@@ -551,7 +551,7 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
         cfg = _load_config(args)
         rows = run_table(cfg)
         text = emit_table(rows, cfg.output_format)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:   # a ConfigError is one
         print(f"tsvar: error: {exc}", file=sys.stderr)
         return 2
     if cfg.output_path:

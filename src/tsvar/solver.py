@@ -2,13 +2,14 @@
 
 :func:`newton_solve` takes the Jacobian a system supplies (its
 ``jacobian``) and otherwise approximates it by central differences
-(:func:`fd_jacobian`, column by column through the scalar residual);
-:func:`lockstep_solve` always takes central differences.  Damping tries the
-steps 1, 1/2, 1/4, ... of the Newton step, at most :data:`HALVINGS`
-halvings, and takes the first whose residual sup-norm decreases.  Residual
-evaluations may signal infeasibility by raising
-:class:`~tsvar.timescale.DomainError` (a stacked residual by a NaN row),
-which rejects the trial step the same way a norm increase does.
+(:func:`fd_jacobian`, the lock-step's difference probes for one start, over
+the scalar residual); :func:`lockstep_solve` always takes central
+differences.  Damping tries the steps 1, 1/2, 1/4, ... of the Newton step,
+at most :data:`HALVINGS` halvings, and takes the first whose residual
+sup-norm decreases.  Residual evaluations may signal infeasibility by raising
+:class:`~tsvar.timescale.DomainError` or by an all-NaN residual (a stacked
+residual by a NaN row), which rejects the trial step the same way a norm
+increase does.
 
 :func:`newton_solve` iterates from one start.  It tries the first
 :data:`SCALAR_LEVELS` damping levels (the full step and the first halving)
@@ -30,9 +31,11 @@ full step alone after a full step (and at the first iteration), levels
 it took last time, as most do, needs no further call; the starts that find
 no decrease in their window try all their remaining levels in one more
 call.  Both solvers share that search, whose trials are laid out row by
-row, one window per row.  For a system without a
-``jacobian``, every start takes the same steps and stops for the same
-reason as under :func:`newton_solve`; for one with a ``jacobian`` the two
+row, one window per row, and the difference probes.  Both read an all-NaN
+residual as a raised :class:`~tsvar.timescale.DomainError`: at a start it
+makes the start infeasible, at a probe it fails the Jacobian.  For a system
+without a ``jacobian``, every start takes the same steps and stops for the
+same reason as under :func:`newton_solve`; for one with a ``jacobian`` the two
 solvers take Newton steps from different Jacobians, which can lead a start
 to a different root.  A system evaluates the stack through its
 ``stacked_residual`` when it has one, and otherwise through a loop over its
@@ -213,26 +216,19 @@ def _nan_rows(r: np.ndarray) -> np.ndarray:
 
 
 def fd_jacobian(system: ResidualSystem, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, column by column through the scalar
-    residual, with the step :data:`FD_STEP` scaled by ``max(1, |x_j|)``; a
-    perturbed state at which it raises :class:`DomainError` raises one that
-    names the coordinate being perturbed."""
-    x = np.asarray(x, dtype=float)
-    m = system.dimension
-    jac = np.empty((m, m))
-    for j in range(m):
-        h = FD_STEP * max(1.0, abs(x[j]))
-        hi = x.copy()
-        lo = x.copy()
-        hi[j] += h
-        lo[j] -= h
-        try:
-            jac[:, j] = (system.residual(hi) - system.residual(lo)) / (2.0 * h)
-        except DomainError as exc:
-            raise DomainError(
-                f"residual evaluation failed while perturbing coordinate {j}: {exc}"
-            ) from exc
-    return jac
+    """Central-difference Jacobian at one state: the one-start case of the
+    lock-step's probes (:func:`_stacked_jacobian`) over the scalar residual,
+    with the step :data:`FD_STEP` scaled by ``max(1, |x_j|)``.  A probe at
+    which the residual raises :class:`DomainError` or is all NaN fails; the
+    first that fails, coordinate by coordinate and the upper probe first,
+    raises a :class:`DomainError` that names the coordinate it perturbs."""
+    jac, probes, failed = _stacked_jacobian(_lift_residual(system),
+                                            np.asarray(x, dtype=float)[None])
+    if failed.any():
+        j, lower = divmod(int(failed[0].reshape(2, -1).T.argmax()), 2)
+        detail = _domain_message(system.residual, probes[0, lower * system.dimension + j])
+        raise DomainError(f"residual evaluation failed while perturbing coordinate {j}: {detail}")
+    return jac[0]
 
 
 def newton_solve(
@@ -250,6 +246,8 @@ def newton_solve(
         return _report(system, _INFEASIBLE, x, detail=exc)
     if res.shape != (system.dimension,):
         raise ValueError("residual shape does not match the system dimension")
+    if _nan_rows(res):
+        return _report(system, _INFEASIBLE, x, detail=_domain_message(system.residual, x))
     norm = _norm(res)
     norms = [norm]
     path = [x.copy()]   # the start, then the state after each step
@@ -386,12 +384,15 @@ def _domain_message(call, *args) -> str:
 
 
 def _stacked_jacobian(residual: Callable, x: np.ndarray):
-    """Central-difference Jacobians of a stack of states, and which failed.
+    """Central-difference Jacobians of a stack of states, their probes, and
+    which probes failed.
 
-    One residual call evaluates the 2m perturbed states of every start; the
-    steps and differences are the ones :func:`fd_jacobian` takes.  The two
-    blocks of a start's probes are m x m blocks of copies of its state, and
-    their diagonals, the perturbed entries, are one strided view.
+    One residual call evaluates the 2m probes of every start, an ``(S, 2m,
+    m)`` stack: probe j perturbs coordinate j up, probe m + j down, by
+    :data:`FD_STEP` scaled by ``max(1, |x_j|)``.  A probe fails where its
+    residual row is all NaN.  The two blocks of a start's probes are m x m
+    blocks of copies of its state, and their diagonals, the perturbed
+    entries, are one strided view.
     """
     count, m = x.shape
     h = FD_STEP * np.maximum(1.0, np.abs(x))
@@ -401,7 +402,7 @@ def _stacked_jacobian(residual: Callable, x: np.ndarray):
     diagonals[:, 1] -= h
     r = residual(probes.reshape(-1, m)).reshape(count, 2 * m, m)
     jac = ((r[:, :m] - r[:, m:]) / (2.0 * h[:, :, None])).transpose(0, 2, 1)
-    return jac, _nan_rows(r).any(axis=1)
+    return jac, probes, _nan_rows(r)
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
@@ -540,7 +541,9 @@ def lockstep_solve(
     The Jacobians are central differences, whatever the system supplies.
     For a system without a ``jacobian``, each report has the fields
     :func:`newton_solve` gives for that guess: the same steps, halvings,
-    tolerances and stop reason.  Each stack's reports are built before the
+    tolerances and stop reason.  Both solvers read an all-NaN residual as a
+    raised :class:`DomainError`: an infeasible start, or a failed Jacobian
+    where a probe gives one.  Each stack's reports are built before the
     next stack runs, so a sweep holds one stack's path at a time.
     """
     reports = []
@@ -614,7 +617,8 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         if not ids.size:
             break
 
-        jac, failed = _stacked_jacobian(residual, x)
+        jac, _, failed = _stacked_jacobian(residual, x)
+        failed = failed.any(axis=1)
         if failed.any():
             jac, = stop(failed, _JACOBIAN_FAILED, it - 1, jac)
         step, singular = _newton_steps(jac, -res)
@@ -637,7 +641,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         x, res, norm, last = trial, trial_res, trial_norm, level
         path.append((ids, x, norm))
 
-        stagnant = _row_norms(0.5 ** last[:, None] * step) <= TOL_STEP
+        stagnant = 0.5 ** last * _row_norms(step) <= TOL_STEP
         if stagnant.any():
             stop(stagnant, _STAGNANT, it, ok=norm[stagnant] <= cfg.tol_residual)
     if ids.size:

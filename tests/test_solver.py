@@ -168,10 +168,14 @@ def test_domain_error_during_jacobian_names_the_coordinate(monkeypatch):
             raise DomainError("out of range")
         return np.array([x[0], x[1] - 2.0])
 
-    system = ResidualSystem(2, residual)
+    def nan_residual(x):   # fails the lower probe of x1 without raising
+        return np.full(2, np.nan) if x[1] < 1.0 else np.array([x[0], x[1] - 2.0])
+
     monkeypatch.setattr(tsolver, "FD_STEP", 1e-3)
-    with pytest.raises(DomainError, match="coordinate 1"):
-        fd_jacobian(system, np.array([0.0, 1.0]))
+    for function in (residual, nan_residual):
+        system = ResidualSystem(2, function)
+        with pytest.raises(DomainError, match="coordinate 1"):
+            fd_jacobian(system, np.array([0.0, 1.0]))
 
 
 def test_fd_jacobian_matches_hand_derived_hessian():
@@ -386,6 +390,12 @@ LIFTED_CASES = [
     # a lone start stops before the damping: the stack is empty there
     (ResidualSystem(1, lambda x: np.array([x[0] ** 2 + 1.0])), [(0.0,)], None, {}),
     (sqrt_system(), [(0.0, 1.0)], None, {}),
+    # an all-NaN residual is infeasible as a raised DomainError is: at the
+    # start, and at the difference probes that cross into x0 > 1
+    (ResidualSystem(2, lambda x: np.full(2, np.nan)), [(1.0, 2.0)], None, {}),
+    (ResidualSystem(2, lambda x: np.full(2, np.nan) if x[0] > 1.0
+                    else np.array([x[0] ** 2 - 2.0, x[1] - 1.0])),
+     [(0.9, 0.0), (1 - 1e-8, 0.0), (1.5, 0.0)], None, {}),
 ]
 
 
@@ -810,7 +820,7 @@ def assert_scalar_levels_skipped_after_deep_steps(iterations):
 
 @pytest.mark.parametrize("halvings", [0, 1, 2, 3, tsolver.HALVINGS])
 def test_stacked_damping_matches_the_scalar_loop(monkeypatch, halvings):
-    # the 2-D system keeps the column-loop Jacobian, so every stacked call
+    # the 2-D system keeps the scalar residual's probes, so every stacked call
     # is a damping trial; its row loop is bit-identical to the scalar call
     monkeypatch.setattr(tsolver, "HALVINGS", halvings)
     system, log = logged(steep_system())
