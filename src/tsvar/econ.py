@@ -189,36 +189,44 @@ def _zero(d, y, v) -> float:
     return 0.0
 
 
-def _terms(p: FirmParams, family: str, sqrt) -> tuple:
+def _terms(p: FirmParams, family: str, stacked: bool = False) -> tuple:
     """The value, the partials in y and v and the second partials in yy, yv
     and vv of a family's integrand as functions of ``(d, y, v)``: the
     discount factor at the point, the jump-shifted sales and the quotient.
 
-    They hold no guards and run on floats with ``sqrt`` :func:`math.sqrt`
-    or on arrays with :func:`numpy.sqrt`, which round alike.  The square
-    of the margin is a product, not ``margin**2``: a float power raises
-    OverflowError where the product gives inf, as numpy's square does, so a
-    single state and a stack of states overflow alike.
+    They hold no guards and run on floats, with :func:`math.sqrt` and
+    their constants Python floats, or, with ``stacked``, on arrays, with
+    :func:`numpy.sqrt` and their constants 0-d arrays, with which numpy
+    computes faster than with Python floats; the two round alike.  The
+    square of the margin is a product, not ``margin**2``: a float power
+    raises OverflowError where the product gives inf, as numpy's square
+    does, so a single state and a stack of states overflow alike.  The
+    constant parts of the capital y partial, ``c1 - p0`` and ``B * floor``,
+    are computed once, as the partial computed them first.
     """
-    c0, c1, c2, p0, B, floor = p.c0, p.c1, p.c2, p.p0, p.B, p.y_floor
-    lam, beta, b = p.lam, p.beta, p.b
+    sqrt, number = (np.sqrt, np.asarray) if stacked else (math.sqrt, float)
+    c0, c1, c2, p0, B, floor = map(number, (p.c0, p.c1, p.c2, p.p0, p.B, p.y_floor))
+    lam, beta, b = map(number, (p.lam, p.beta, p.b))
+    two, four, minus_two = number(2.0), number(4.0), number(-2.0)
     if family == "capital":
+        slope, pull = number(p.c1 - p.p0), number(p.B * p.y_floor)
+
         def value(d, y, v):
             return d * (c0 + c1 * y + c2 * v * v - y * p0 - B * y / (y - floor))
 
         def partial_y(d, y, v):
             margin = y - floor
-            return d * (c1 - p0 + B * floor / (margin * margin))
+            return d * (slope + pull / (margin * margin))
 
         def partial_v(d, y, v):
-            return d * 2.0 * c2 * v
+            return d * two * c2 * v
 
         def partial_yy(d, y, v):
             margin = y - floor
-            return -2.0 * d * B * floor / (margin * margin * margin)
+            return minus_two * d * B * floor / (margin * margin * margin)
 
         def partial_vv(d, y, v):
-            return 2.0 * d * c2
+            return two * d * c2
 
         return value, partial_y, partial_v, partial_yy, _zero, partial_vv
 
@@ -229,11 +237,11 @@ def _terms(p: FirmParams, family: str, sqrt) -> tuple:
         return d * lam
 
     def partial_v(d, y, v):
-        return d * beta / (2.0 * sqrt(v + b))
+        return d * beta / (two * sqrt(v + b))
 
     def partial_vv(d, y, v):
         root = sqrt(v + b)
-        return -d * beta / (4.0 * (v + b) * root)
+        return -d * beta / (four * (v + b) * root)
 
     return value, partial_y, partial_v, _zero, _zero, partial_vv
 
@@ -277,7 +285,7 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     if which not in INTEGRAND_NAMES:
         raise ValueError(f"which must be one of {INTEGRAND_NAMES}, got {which!r}")
     family, mode = which.rsplit("_", 1)
-    terms = _terms(params, family, math.sqrt)
+    terms = _terms(params, family)
     guard = _guard(params, family)
     discount = _discount(params, mode)
     on_y = guard.reads == "y"
@@ -298,7 +306,7 @@ def firm_integrand(params: FirmParams, which: str) -> Integrand:
     def on_points(f: Integrand, points, stacked: bool) -> Integrand | None:
         if (f.value, f.partial_y, f.partial_v, f.partial_yy, f.partial_yv, f.partial_vv) != times:
             return None   # replaced callables: the problem reads them at the times
-        read = _terms(params, family, np.sqrt) if stacked else terms
+        read = _terms(params, family, True) if stacked else terms
         return Integrand(f.kind, *read, at=tuple(map(discount, points)), guard=f.guard)
 
     return Integrand(mode, *times, on_points=on_points, guard=guard)

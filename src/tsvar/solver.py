@@ -43,10 +43,11 @@ scalar residual.
 
 Most lock-step iterations of a sweep carry a few starts: on the 16 firm
 cells at T = 3 swept from the default grid, half of them carry 8 or fewer.
-Such an iteration costs about the same whatever their number, about 300 us
-at one start and 390 us at 9-16 (x86-64, Python 3.11, numpy 2.4, firm
-systems), and its two or three stacked residual calls take about 60% of
-it.  The rest is a fixed count of whole-array numpy calls, a microsecond or
+Such an iteration costs about the same whatever their number: a median of
+about 205 us at one start and 265 us at 9-16 (x86-64, Python 3.11, numpy
+2.4, firm systems, over the 16 cells' sweeps), and its two or three stacked
+residual calls, about 50 us each at a few starts, take about 60% of it.
+The rest is a fixed count of whole-array numpy calls, a microsecond or
 so each, with no Python loop over the starts: the difference probes
 perturb both blocks of each start's probes through one strided view of
 their diagonals, the damping lays its trials out by repeating the rows,

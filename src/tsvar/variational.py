@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
-from operator import add, eq, itemgetter, le
+from functools import partial, reduce
+from operator import add, eq, itemgetter, le, or_
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -191,16 +191,18 @@ class CompositeProblem:
     one, otherwise the integrand with ``at`` the scale's points, so its
     callables take times.  Where every integrand has one, it evaluates
     a state as one column of the stacked assembly, on whole arrays; where a
-    declared guard fails on that column, or the arrays raise a
-    floating-point error (a division by zero or an invalid operation), it
-    evaluates the state again as floats, point by point, and returns that
-    value or raises that error, which names the guard's point, so the two
-    give the same bytes and texts.  A problem with an integrand that has no
-    read form evaluates as floats alone.  It builds each assembly once per
-    policy, form, window and kind of evaluation, on first use, and keeps
-    it, with the stencils its Jacobian builds on its first call: an
-    evaluation then only reads the state's tables.  This is the one cache
-    of what is built from the problem.
+    declared guard fails on that column, the arrays raise a floating-point
+    error (a division by zero or an invalid operation) or, under the
+    clamped policy, the column's output is not finite, it evaluates the
+    state again as floats, point by point, and returns that value or raises
+    that error, which names the guard's point, so the two give the same
+    bytes and texts.  A problem with an integrand that has no read form
+    evaluates as floats alone.  It builds each assembly once per policy,
+    form, window and kind of evaluation, on first use, and keeps it, with
+    the stencils its Jacobian builds on its first call: an evaluation then
+    does only the state's arithmetic, since the window's rows, graininess
+    and tables are built with the assembly.  This is the one cache of what
+    is built from the problem.
     """
 
     scale: TimeScale
@@ -276,8 +278,8 @@ class Assembled(NamedTuple):
 
 
 class _Assembly(NamedTuple):
-    up: Sequence        # index of sigma(t_i)
-    down: Sequence      # index of rho(t_i)
+    up: list            # index of sigma(t_i)
+    down: list          # index of rho(t_i)
     mu: Sequence        # forward graininess; the policy's step at the top
     nu: Sequence        # backward graininess; the policy's step at the bottom
     edge: float         # a quotient past an end: 0.0 clamped, NaN strict
@@ -285,8 +287,12 @@ class _Assembly(NamedTuple):
     nabla: tuple        # the nabla integrands
     outer: OuterFunction
     stacked: bool
-    guards: tuple       # (State field index, summation points, Guard), in checking order
+    guards: tuple       # (State field index, summation points, Guard, its bound), in
+                        # checking order; a stack's bound is a 0-d array
     times: Sequence     # the points a failed guard names
+    sums: tuple         # per component integral, in order: (value, at, graininess,
+                        # summation points, State field indices of y and v); a stack
+                        # reads at and the graininess on those points
 
 
 def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
@@ -312,7 +318,9 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     :class:`DomainError`, once per output: "component integrals are not
     finite at this state" in ``integrals``, "residual is not finite at this
     state" in ``evaluate`` and "jacobian is not finite at this state" in
-    ``jacobian``, each also where it sums the integrals itself.
+    ``jacobian``, each also where it sums the integrals itself; under the
+    clamped policy ``evaluate`` also raises its text where an entry of its
+    output is not finite.
 
     ``state`` checks each integrand's :class:`Guard` once per state, at the
     points its component integral sums, which hold every value a callable
@@ -322,71 +330,80 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     :class:`DomainError`, naming the point as ``times[i]`` (the indices
     where ``times`` is None); a stack's ``infeasible`` marks the columns at
     which any guard fails.
+
+    What depends on the window and the scale alone is built here, once:
+    the rows each piece of the output reads, its graininess and each
+    integrand's table (columns for a stack), and a stack's guard bounds as
+    0-d arrays, with which numpy computes faster than with Python floats
+    and to the same bits.  A call then does the state's arithmetic only.
     """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
-    up, down = [*range(1, n), n - 1], [0, *range(n - 1)]
     mu, nu = gaps + [step], [step] + gaps
     integrands = tuple(integrands)
     if stacked:
         def column(values):
             return np.array(values, dtype=float)[:, None]
 
-        up, down, mu, nu = _Jump(up, 1), _Jump(down, -1), column(mu), column(nu)
+        mu, nu = column(mu), column(nu)
         integrands = tuple(replace(f, at=column(f.at)) for f in integrands)
-        points = slice(points.start, points.stop)
     edge = 0.0 if policy == CLAMPED else math.nan
     delta = tuple(f for f in integrands if f.kind == "delta")
     nabla = tuple(f for f in integrands if f.kind == "nabla")
-    # a delta integral sums over 0..n-2 reading sig and d_rate (fields 0 and 2
-    # of a State), a nabla one over 1..n-1 reading rho and n_rate (1 and 3)
-    guards = tuple((fields[f.guard.reads], window, f.guard)
+    # a delta integral sums mu f over 0..n-2 reading sig and d_rate (fields 0
+    # and 2 of a State), a nabla one nu g over 1..n-1 reading rho and n_rate
+    # (1 and 3)
+    guards = tuple((fields[f.guard.reads], window, f.guard,
+                    np.asarray(f.guard.bound) if stacked else f.guard.bound)
                    for reads in ("y", "v")
                    for kind, fields, window in ((delta, {"y": 0, "v": 2}, slice(0, n - 1)),
                                                 (nabla, {"y": 1, "v": 3}, slice(1, n)))
                    for f in kind if f.guard is not None and f.guard.reads == reads)
-    a = _Assembly(up, down, mu, nu, edge, delta, nabla, outer, stacked, guards,
-                  range(n) if times is None else times)
+    sums = tuple((f.value, f.at, step, window, y, v)
+                 for kind, step, window, y, v in ((delta, mu, range(0, n - 1), 0, 2),
+                                                  (nabla, nu, range(1, n), 1, 3))
+                 for f in kind)
+    if stacked:
+        sums = tuple((value, at[rows], step[rows], rows, y, v)
+                     for value, at, step, window, y, v in sums for rows in (_rows(window),))
+    a = _Assembly([*range(1, n), n - 1], [0, *range(n - 1)], mu, nu, edge, delta, nabla,
+                  outer, stacked, guards, range(n) if times is None else times, sums)
     exact = outer.hessian is not None and all(
         None not in (f.partial_yy, f.partial_yv, f.partial_vv) for f in integrands)
     return Assembled(partial(_state, a), partial(_integrals, a), _evaluator(a, form, points),
                      _jacobian(a, form, points) if exact and not stacked else None)
 
 
-class _Jump:
-    """A jump map for arrays: it takes a slice of points to the slice it is
-    shifted to where the jumps stay inside the scale, so a stack reads a
-    view, and any other points to an int array.  Int arrays alone, which
-    copy, cost 3.4% of the benchmark's ``horizon`` and 1.9% of its
-    ``multistart`` throughput (ten pairs each, x86-64)."""
-
-    def __init__(self, jumps: list, shift: int):
-        self.jumps, self.shift, self.n = np.array(jumps), shift, len(jumps)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice) and i.step is None:
-            start, stop = i.start or 0, self.n if i.stop is None else i.stop
-            if 0 <= start + self.shift and stop + self.shift <= self.n and start < stop:
-                return slice(start + self.shift, stop + self.shift)
-        return self.jumps[i]
+def _rows(indices: Sequence):
+    """The rows ``indices`` of a stack's tables: a slice where they are
+    consecutive and ascending, so the stack reads a view, and otherwise an
+    int array, which copies."""
+    start = indices[0] if len(indices) else 0
+    if list(indices) == list(range(start, start + len(indices))):
+        return slice(start, start + len(indices))
+    return np.array(indices)
 
 
 def _state(a: _Assembly, y) -> State:
     """The state's tables, once its guards are checked; see :func:`assemble`."""
     if a.stacked:
-        rates = np.full((len(y) + 1, y.shape[1]), a.edge)
-        rates[1:-1] = (y[1:] - y[:-1]) / a.mu[:-1]
+        rates = np.empty((len(y) + 1, y.shape[1]))
+        inner = rates[1:-1]
+        np.subtract(y[1:], y[:-1], out=inner)
+        inner /= a.mu[:-1]
+        rates[0] = rates[-1] = a.edge
         padded = np.concatenate((y[:1], y, y[-1:]))
         tables = padded[2:], padded[:-2], rates[1:], rates[:-1]
-        infeasible = np.zeros(y.shape[1], dtype=bool)
-        for field, window, guard in a.guards:
-            infeasible |= guard.fails(tables[field][window], guard.bound).any(axis=0)
+        # every guard's window has n - 1 rows, so one reduction marks the columns
+        fails = [guard.fails(tables[field][window], bound)
+                 for field, window, guard, bound in a.guards]
+        infeasible = reduce(or_, fails).any(axis=0) if fails else np.zeros(y.shape[1], bool)
         return State(*tables, infeasible)
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
     quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
     s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
-    for field, window, guard in a.guards:
-        values, bound = s[field], guard.bound
+    for field, window, guard, bound in a.guards:
+        values = s[field]
         # a screen at C speed over the whole table, which an entry past the
         # window or a leading NaN may pass too; the scan of the window decides
         if bound in values if guard.fails is eq else not min(values) > bound:
@@ -413,155 +430,171 @@ def _integrals(a: _Assembly, s: State, fails: str = _INTEGRALS_FAILS) -> list:
     A division by zero, which only floats raise, raises :class:`DomainError`
     with the text ``fails``.
     """
-    top = len(a.mu) - 1
     comps = []
     try:
-        for integrands, step, y, v, first, stop in ((a.delta, a.mu, s.sig, s.d_rate, 0, top),
-                                                    (a.nabla, a.nu, s.rho, s.n_rate, 1, top + 1)):
-            for f in integrands:
-                value, at = f.value, f.at
-                if a.stacked:
-                    i = slice(first, stop)
-                    terms = step[i] * value(at[i], y[i], v[i])
-                    comps.append(terms.sum(axis=0) if terms.shape[1] > 1
-                                 else 0.0 + np.cumsum(terms[:, 0])[-1].item())
-                    continue
-                total = 0.0
-                for i in range(first, stop):
-                    total += step[i] * value(at[i], y[i], v[i])
-                comps.append(total)
+        for value, at, step, window, y_field, v_field in a.sums:
+            y, v = s[y_field], s[v_field]
+            if a.stacked:
+                terms = step * value(at, y[window], v[window])
+                comps.append(terms.sum(axis=0) if terms.shape[1] > 1
+                             else 0.0 + np.cumsum(terms[:, 0])[-1].item())
+                continue
+            total = 0.0
+            for i in window:
+                total += step[i] * value(at[i], y[i], v[i])
+            comps.append(total)
     except ZeroDivisionError as exc:
         raise DomainError(fails) from exc
     return comps
 
 
-def _evaluator(a: _Assembly, form: str, points):
+def _evaluator(a: _Assembly, form: str, points: range):
     """``form`` at ``points``, as a function of a state's tables: for lists
-    ``points`` is a range and the values come as a list, for arrays it is a
-    slice and they come as a (len, S) array."""
-    up, down, mu, nu = a.up, a.down, a.mu, a.nu
+    the output is a list, a value per point, for arrays a (len, S) array."""
+    up, down, mu, nu, stacked = a.up, a.down, a.mu, a.nu, a.stacked
     derivatives = a.outer.partials
     # each integrand with the index of its component, whose outer partial weights it
-    delta_integrands = tuple((index, f.partial_y, f.partial_v, f.at, None)
+    delta_integrands = tuple((index, f.partial_y, f.partial_v, f.at)
                              for index, f in enumerate(a.delta))
-    nabla_integrands = tuple((index, g.partial_y, g.partial_v, g.at, None)
+    nabla_integrands = tuple((index, g.partial_y, g.partial_v, g.at)
                              for index, g in enumerate(a.nabla, len(a.delta)))
 
-    # A kind is read through (y, v, weights, integrands, jump, step, forward):
-    # y at the jump and the quotient (sig and d_rate for the delta kind, rho
-    # and n_rate for the nabla kind), the weights, the kind's integrands as
-    # (component index, partial_y, partial_v, at, rates), its jump map and
-    # graininess, and whether its quotient looks forward (delta) or back.  A
-    # rate partial is read at a point and at its jump: a stack tabulates it
-    # once per state (``rates``; 4.3% of the benchmark's ``horizon``
-    # throughput), one state calls it at both points (``rates`` is None), as
-    # tables made a one-state residual at T = 3 about a sixth slower.
-    stacked = a.stacked
-
-    def as_kind(integrands, y, v, weights, jump, step, forward):
+    # A kind is read through (y, v, weights, integrands, rates, forward): y at
+    # the jump and the quotient (sig and d_rate for the delta kind, rho and
+    # n_rate for the nabla kind), the weights, the kind's integrands as
+    # (component index, partial_y, partial_v, at), their rate partials by
+    # component index, and whether its quotient looks forward (delta) or
+    # back.  A rate partial is read at a point and at its jump: a stack
+    # tabulates it once per state, one state calls it at both points (its
+    # ``rates`` are None), as tables made a one-state residual at T = 3
+    # about a sixth slower.
+    def kind(integrands, y, v, weights, forward):
+        rates = None
         if stacked:
-            integrands = [(index, partial_y, partial_v, at, partial_v(at, y, v))
-                          for index, partial_y, partial_v, at, _ in integrands]
-        return y, v, weights, integrands, jump, step, forward
+            rates = {index: partial_v(at, y, v) for index, _, partial_v, at in integrands}
+        return y, v, weights, integrands, rates, forward
 
-    def cores(kind, i):
-        """sum w (f_y - (f_v)^Delta), or sum w (g_y - (g_v)^nabla), at t_i.
+    def cores(kind, i, j, step):
+        """sum w (f_y - (f_v)^Delta), or sum w (g_y - (g_v)^nabla), at t_i,
+        whose jump is t_j and graininess ``step``.
 
         The core of :func:`terms` alone: most residual calls read only the
         cores, and taking them from ``terms`` cost 3% of the benchmark's
         ``tables`` and ``horizon`` throughput (ten pairs each, x86-64)."""
-        y, v, weights, integrands, jump, step, forward = kind
-        j = jump[i]
+        y, v, weights, integrands, rates, forward = kind
         total = None
-        for index, partial_y, partial_v, at, rates in integrands:
-            if stacked:
-                here, there = rates[i], rates[j]
-            else:
+        for index, partial_y, partial_v, at in integrands:
+            if rates is None:
                 here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
-            quotient = (there - here if forward else here - there) / step[i]
+            else:
+                here, there = rates[index][i], rates[index][j]
+            quotient = (there - here if forward else here - there) / step
             term = weights[index] * (partial_y(at[i], y[i], v[i]) - quotient)
             total = term if total is None else total + term
         return 0.0 if total is None else total
 
-    def terms(kind, i):
-        """The kind's weighted core at t_i, and the weighted sums of its state
-        partial at t_i and of its rate partial at t_i and at the jump."""
-        y, v, weights, integrands, jump, step, forward = kind
-        j = jump[i]
+    def terms(kind, i, j, step):
+        """The kind's weighted core at t_i, whose jump is t_j and graininess
+        ``step``, and the weighted sums of its state partial at t_i and of
+        its rate partial at t_i and at t_j."""
+        y, v, weights, integrands, rates, forward = kind
         sums = None
-        for index, partial_y, partial_v, at, rates in integrands:
+        for index, partial_y, partial_v, at in integrands:
             w = weights[index]
             state = partial_y(at[i], y[i], v[i])
-            if stacked:
-                here, there = rates[i], rates[j]
-            else:
+            if rates is None:
                 here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
-            quotient = (there - here if forward else here - there) / step[i]
+            else:
+                here, there = rates[index][i], rates[index][j]
+            quotient = (there - here if forward else here - there) / step
             parts = (w * (state - quotient), w * state, w * here, w * there)
             sums = parts if sums is None else tuple(map(add, sums, parts))
         return (0.0, 0.0, 0.0, 0.0) if sums is None else sums
 
+    # A point's output reads its row i, its jump j and a third row k, with
+    # the graininess gi, gj and gk at three of them; the el forms read the
+    # form's other kind, its tail, through its terms at j and its core at k.
     if form == "cores":
-        def equation(d, n, i, other):
-            return cores(d, i) + cores(n, i)
+        def equation(d, n, i, j, k, gi, gj, gk, ahead, beyond):
+            """Both kinds' cores: j and k are the delta and nabla jumps of
+            i, gi and gj the delta and nabla graininess at i."""
+            return cores(d, i, j, gi) + cores(n, i, k, gj)
+        sites = [(i, up[i], down[i]) for i in points]
+        grains = (mu, 0), (nu, 0), (nu, 0)   # gi = mu_i, gj = nu_i; gk is unread
+        tail, tail_jump, tail_step = (), None, None
     elif form == "delta":
-        def equation(d, n, i, nabla):
+        def equation(d, n, i, j, k, gi, gj, gk, ahead, beyond):
             """The delta cores; the nabla state partials sigma-shifted, less the
             forward quotient of the nabla rate partials; the forward quotient
             of nu times the nabla cores across the sigma-shifted points."""
-            j = up[i]
-            k = up[j]
-            core_ahead, state_ahead, rate_ahead, rate_here = nabla(j)
-            return (cores(d, i) + (state_ahead - (rate_ahead - rate_here) / mu[i])
-                    + (nu[k] * nabla(k)[0] - nu[j] * core_ahead) / mu[i])
+            core_ahead, state_ahead, rate_ahead, rate_here = ahead
+            return (cores(d, i, j, gi) + (state_ahead - (rate_ahead - rate_here) / gi)
+                    + (gk * beyond - gj * core_ahead) / gi)
+        sites = [(i, up[i], up[up[i]]) for i in points]
+        grains = (mu, 0), (nu, 1), (nu, 2)   # gi = mu_i, gj = nu_j, gk = nu_k
+        tail, tail_jump, tail_step = nabla_integrands, down, nu
     elif form == "nabla":
-        def equation(d, n, i, delta):
+        def equation(d, n, i, j, k, gi, gj, gk, ahead, beyond):
             """The mirror image: the delta state partials rho-shifted, less the
             backward quotient of the delta rate partials; the nabla cores;
             less the backward quotient of mu times the delta cores across the
             rho-shifted points."""
-            j = down[i]
-            k = down[j]
-            core_behind, state_behind, rate_behind, rate_here = delta(j)
-            return ((state_behind - (rate_here - rate_behind) / nu[i]) + cores(n, i)
-                    - (mu[j] * core_behind - mu[k] * delta(k)[0]) / nu[i])
+            core_behind, state_behind, rate_behind, rate_here = ahead
+            return ((state_behind - (rate_here - rate_behind) / gi) + cores(n, i, j, gi)
+                    - (gj * core_behind - gk * beyond) / gi)
+        sites = [(i, down[i], down[down[i]]) for i in points]
+        grains = (nu, 0), (mu, 1), (mu, 2)   # gi = nu_i, gj = mu_j, gk = mu_k
+        tail, tail_jump, tail_step = delta_integrands, up, mu
     else:
         raise ValueError(f"unknown form {form!r}")
-
-    # The delta (nabla) form reads the other kind's terms at the jumps of
-    # each point and at their jumps, by a call.  One state tabulates them
-    # there only, since elsewhere an integrand may fail to evaluate; a stack
-    # tabulates them everywhere.
-    jump = up if form == "delta" else down
-    reads = sorted({j for i in points for j in (jump[i], jump[jump[i]])}) \
-        if form != "cores" and not a.stacked else ()
+    # one state tabulates the tail's terms only where the output reads them,
+    # since elsewhere an integrand may fail to evaluate, and so does a stack
+    reads = sorted({p for _, j, k in sites for p in (j, k)}) if tail else []
+    if stacked:
+        # a stack reads each window of rows at once, through index objects
+        # and graininess built here, once per assembly; the tail's terms are
+        # read at its rows j and k among the rows they are tabulated at
+        rows = [_rows(column) for column in zip(*sites)] or [slice(0, 0)] * 3
+        if tail:
+            position = {p: r for r, p in enumerate(reads)}
+            reads = (_rows(reads), _rows([tail_jump[p] for p in reads]),
+                     tail_step[_rows(reads)], _rows([position[j] for _, j, _ in sites]),
+                     _rows([position[k] for _, _, k in sites]))
+        sites = [(*rows, *(g[rows[x]] for g, x in grains))]
+    else:
+        sites = [(*site, *(g[site[x]] for g, x in grains)) for site in sites]
 
     def evaluate(s: State, comps=None):
         try:
             if comps is None:
                 comps = _integrals(a, s, _RESIDUAL_FAILS)
             weights = [derivative(comps) for derivative in derivatives]
-            d = as_kind(delta_integrands, s.sig, s.d_rate, weights, up, mu, True)
-            n = as_kind(nabla_integrands, s.rho, s.n_rate, weights, down, nu, False)
-            other = None
-            if form != "cores":
-                tail = n if form == "delta" else d
-                if stacked:
-                    other = partial(_at, terms(tail, slice(None)))
-                else:
-                    other = {j: terms(tail, j) for j in reads}.__getitem__
-            if stacked:
-                return equation(d, n, points, other)
-            return [equation(d, n, i, other) for i in points]
+            d = kind(delta_integrands, s.sig, s.d_rate, weights, True)
+            n = kind(nabla_integrands, s.rho, s.n_rate, weights, False)
+            other = n if form == "delta" else d
+            if not tail:   # the cores form, or a tail kind without integrands
+                zeros = 0.0, 0.0, 0.0, 0.0
+                out = [equation(d, n, i, j, k, gi, gj, gk, zeros, 0.0)
+                       for i, j, k, gi, gj, gk in sites]
+            elif stacked:
+                tabulated, jumps, steps, ahead, beyond = reads
+                columns = terms(other, tabulated, jumps, steps)
+                (i, j, k, gi, gj, gk), = sites
+                return equation(d, n, i, j, k, gi, gj, gk,
+                                [column[ahead] for column in columns], columns[0][beyond])
+            else:
+                table = {p: terms(other, p, tail_jump[p], tail_step[p]) for p in reads}
+                out = [equation(d, n, i, j, k, gi, gj, gk, table[j], table[k][0])
+                       for i, j, k, gi, gj, gk in sites]
         except ZeroDivisionError as exc:   # floats only: a square that underflows to 0
             raise DomainError(_RESIDUAL_FAILS) from exc
+        if stacked:
+            return out[0]
+        if a.edge == 0.0 and not all(map(math.isfinite, out)):   # clamped: inf or NaN
+            raise DomainError(_RESIDUAL_FAILS)
+        return out
 
     return evaluate
-
-
-def _at(columns: tuple, j) -> tuple:
-    """The rows j of the columns; the zeros of a kind without integrands stay floats."""
-    return tuple(column if isinstance(column, float) else column[j] for column in columns)
 
 
 def _stencils(a: _Assembly, form: str, points: range) -> tuple:
@@ -790,14 +823,15 @@ def _read(problem: CompositeProblem, y: GridFunction, read, policy: str = CLAMPE
           form: str = "cores", points: range = range(0)):
     """``read(assembled, tables)`` of the state ``y``: where the problem's
     integrands all have read forms, on ``y`` as one column of the stacked
-    assembly, unless a guard fails on it or it raises a floating-point
-    error; then, or without them, on its floats.  The two agree bit for bit
-    wherever the column raises nothing, so the floats give every value, NaN
-    and error text."""
+    assembly, unless a guard fails on it, it raises a floating-point error
+    or, under the clamped policy, its output is not finite; then, or
+    without them, on its floats.  The two agree bit for bit wherever the
+    column raises nothing, so the floats give every value, NaN and error
+    text, such as the clamped residual's where it is not finite."""
     vals = _admissible_values(problem, y)
     column = _problem_assembly(problem, policy, form, points, True)
     got = None if column is None else _on_column(read, column, vals)
-    if got is None:
+    if got is None or policy == CLAMPED and not np.isfinite(got).all():
         one = _problem_assembly(problem, policy, form, points)
         got = read(one, one.state(vals.tolist()))
     return got
@@ -847,7 +881,10 @@ def theorem_main_residual(
     mirror image.  The residual lives on the interior of the scale.  A
     division by zero in it, such as the firm capital partial's where the
     square of a tiny margin underflows to 0, raises :class:`DomainError`
-    ("residual is not finite at this state"), as the firm systems do.
+    ("residual is not finite at this state"), as the firm systems do, and
+    so, under the clamped policy, does any entry that is not finite, such
+    as that partial past the float range at a huge B; under the strict
+    policy NaN marks the points where the residual is undefined.
     """
     _check_policy(policy)
     if form not in ("delta", "nabla"):
@@ -909,10 +946,7 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         return kept[1], kept[2]
 
     def residual(x: np.ndarray) -> np.ndarray:
-        values = one.evaluate(*tables(x))
-        if not all(map(math.isfinite, values)):
-            raise DomainError(_RESIDUAL_FAILS)
-        return np.array(values)
+        return np.array(one.evaluate(*tables(x)))
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         return _finite_jacobian(one, *tables(x))
@@ -920,15 +954,19 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     def functional(x: np.ndarray) -> float:
         return outer.value(tables(x)[1])
 
+    column = []   # the stacked assembly, built on the first stacked call
+
     def stacked_residual(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         if xs.ndim != 2 or xs.shape[1] != m:
             raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
+        if not column:
+            column.append(_problem_assembly(problem, CLAMPED, form, points, True))
         y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
         y[0] = ya
         y[1:-1] = xs.T
         y[-1] = yb
-        return _stacked_rows(_problem_assembly(problem, CLAMPED, form, points, True), y)
+        return _stacked_rows(column[0], y)
 
     return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
                           jacobian=None if one.jacobian is None else jacobian,
@@ -955,8 +993,11 @@ def _stacked_rows(column: Assembled, y: np.ndarray) -> np.ndarray:
     """The output at the (n, S) states ``y``, a row per state, NaN where a
     guard fails on the state or the row is not finite."""
     s = column.state(y)
-    rows = column.evaluate(s).T
-    rows[s.infeasible | ~np.isfinite(rows).all(axis=1)] = np.nan
+    out = column.evaluate(s)
+    # reduced along the columns of the C-ordered output: across its
+    # transpose the reduction took twice as long at S = 256
+    rows = out.T
+    rows[s.infeasible | ~np.isfinite(out).all(axis=0)] = np.nan
     return rows
 
 

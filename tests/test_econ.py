@@ -387,6 +387,51 @@ def test_a_read_form_runs_on_arrays_as_on_floats():
                     read(d, y_hit, v_hit)
 
 
+@st.composite
+def extreme_reads(draw):
+    """Firm params with B up to 1e305 and lam and beta zeros of either sign,
+    and (y, v) entries whose margins over the floor reach down to 2**-500
+    and whose quotients sit next to -b, at or just past it."""
+    zero = st.sampled_from([0.0, -0.0])
+    params = FirmParams(B=draw(st.one_of(st.floats(1e-3, 1e305), st.sampled_from([1e305]))),
+                        lam=draw(st.one_of(zero, st.floats(-10.0, 10.0))),
+                        beta=draw(st.one_of(zero, st.floats(0.0, 10.0))),
+                        y_floor=draw(st.sampled_from([0.0, 1.0])), horizon=4)
+    margin = st.one_of(st.floats(2.0 ** -500, 2.0 ** -400), st.floats(2.0 ** -60, 10.0),
+                       st.sampled_from([2.0 ** -500, 0.0]))
+    b = params.b
+    rate = st.one_of(st.sampled_from([-b, math.nextafter(-b, math.inf),
+                                      math.nextafter(-b, -math.inf)]),
+                     st.floats(-b, -b + 1e-9), st.floats(-b + 1e-9, 4.0))
+    ys = [params.y_floor + draw(margin) for _ in range(params.horizon + 1)]
+    vs = [draw(rate) for _ in range(params.horizon + 1)]
+    return params, np.array(ys)[:, None], np.array(vs)[:, None]
+
+
+@given(extreme_reads())
+def test_a_read_form_runs_on_arrays_as_on_floats_at_extremes(case):
+    # the array form computes with 0-d constants, the float form with
+    # Python floats; at huge B, margins whose powers underflow, roots of
+    # next to nothing and signed zeros each entry the floats give without
+    # raising is the array's to the byte
+    params, y, v = case
+    scale = TimeScale.integer_range(0, params.horizon)
+    for name in INTEGRAND_NAMES:
+        anywhere = firm_integrand(params, name)
+        form = anywhere.on_points(anywhere, scale.points, True)
+        floats = anywhere.on_points(anywhere, scale.points, False)
+        d = np.array(form.at)[:, None]
+        for partial in PARTIALS:
+            with np.errstate(all="ignore"):
+                got = np.broadcast_to(getattr(form, partial)(d, y, v), y.shape)[:, 0]
+            for entry, (t, yi, vi) in enumerate(zip(d[:, 0], y[:, 0], v[:, 0])):
+                try:
+                    want = getattr(floats, partial)(float(t), float(yi), float(vi))
+                except (ZeroDivisionError, ValueError):   # a zero margin or root, a negative root
+                    continue
+                assert got[entry].tobytes() == np.float64(want).tobytes(), (name, partial, entry)
+
+
 def fast_path_count(monkeypatch):
     """The ``stacked`` flag of every assembly a problem evaluation asks for."""
     from tsvar import variational
@@ -485,6 +530,53 @@ def test_a_margin_whose_square_underflows_is_a_domain_error(kind, form, policy):
             continue
         with pytest.raises(DomainError, match="^residual is not finite at this state$"):
             theorem_main_residual(problem, y, form, policy)
+
+
+def test_a_clamped_theorem_residual_that_is_not_finite_raises_as_the_systems_do():
+    # at B = 1e300 and a margin of 2**-40 the capital state partial is past
+    # the float range: both el systems refuse the state, and the clamped
+    # theorem residual, on floats or read first as one column, does so too
+    params = FirmParams(B=1e300)
+    for read in (True, False):
+        problem = firm_composite(params, ProblemKind.DELTA_NABLA, TimeScale.integer_range(0, 3),
+                                 read)
+        y = GridFunction(problem.scale, [2.0, 1 + 2 ** -40, 2.5, 3.0])
+        for form in ("delta", "nabla"):
+            with pytest.raises(DomainError, match="^residual is not finite at this state$"):
+                theorem_main_residual(problem, y, form, CLAMPED)
+    for equation in (EquationKind.TIMESCALE_EL1, EquationKind.TIMESCALE_EL2):
+        system = residual_system(params, ProblemKind.DELTA_NABLA, equation)
+        with pytest.raises(DomainError, match="^residual is not finite at this state$"):
+            system.residual(np.array([1 + 2 ** -40, 2.5]))
+
+
+@pytest.mark.parametrize("horizon", [3, 4, 6])
+def test_the_clamped_theorem_residual_raises_where_the_el_systems_raise(horizon):
+    # each el system is the theorem's form on the interior under the clamped
+    # policy; at states near the floor with B up to 1e305 the two raise the
+    # same text at the same states and give the same bytes elsewhere
+    rng = np.random.default_rng(3000 + horizon)
+    outcomes = set()
+    for _ in range(60):
+        params = FirmParams(B=10.0 ** rng.uniform(0.0, 305.0), horizon=horizon)
+        inner = params.y_floor + 2.0 ** -rng.uniform(0.0, 60.0, horizon - 1)
+        inner[rng.random(horizon - 1) < 0.3] = rng.uniform(1.5, 4.0)
+        for kind in (ProblemKind.DELTA_NABLA, ProblemKind.NABLA_DELTA):
+            problem = firm_problem(params, kind)
+            y = GridFunction(problem.scale, [params.y_initial, *inner, params.y_terminal])
+            for equation, form in ((EquationKind.TIMESCALE_EL1, "delta"),
+                                   (EquationKind.TIMESCALE_EL2, "nabla")):
+                results = []
+                for residual in (lambda: residual_system(params, kind, equation).residual(inner),
+                                 lambda: theorem_main_residual(problem, y, form,
+                                                               CLAMPED).values[1:-1]):
+                    try:
+                        results.append(residual().tobytes())
+                    except DomainError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (params.B, inner.tolist(), kind, form)
+                outcomes.add(isinstance(results[0], str))
+    assert outcomes == {True, False}
 
 
 def test_the_corollary_reports_a_margin_whose_square_underflows_as_the_theorem_does():
@@ -764,6 +856,40 @@ def test_a_stack_in_any_layout_gives_the_one_state_rows(horizon, kind, equation)
     want = [system.residual(x).tobytes() for x in xs]
     for stack in (xs, np.asfortranarray(xs), xs.T.copy().T):
         assert [row.tobytes() for row in system.stacked_residual(stack)] == want
+
+
+# stack sizes the solvers pass: one state, the 2m probes of each of 8 starts
+# at T = 3, a start's 31 damping levels, and the largest stack
+STACK_SIZES = (1, 4 * 8, 31, 1024)
+
+
+@pytest.mark.parametrize("horizon", [3, 20])
+@pytest.mark.parametrize("rate", [0.05, 0.02])
+def test_a_stack_of_any_size_gives_the_one_state_rows(rate, horizon):
+    # a stack's window indices, tables and constants are built once per
+    # assembly; whatever the stack's size and wherever a state sits in it,
+    # its row is the one-state residual's bytes, or NaN where that raises
+    params = FirmParams(discount_rate=rate, horizon=horizon)
+    rng = np.random.default_rng(horizon + int(rate * 100))
+    line = np.linspace(params.y_initial, params.y_terminal, horizon + 1)[1:-1]
+    pool = np.concatenate((stacked_test_states(params, rng, count=40),
+                           line + rng.normal(0.0, 0.05, (20, horizon - 1))))
+    for kind, equation in EIGHT_SYSTEMS:
+        system = residual_system(params, kind, equation)
+        want = []
+        for x in pool:
+            try:
+                want.append(system.residual(x).tobytes())
+            except DomainError:
+                want.append(None)
+        assert None in want and any(want), system.label
+        for size in STACK_SIZES:
+            picks = rng.integers(0, len(pool), size)   # each state at random rows
+            for row, pick in zip(system.stacked_residual(pool[picks]), picks):
+                if want[pick] is None:
+                    assert np.isnan(row).all(), (system.label, size)
+                else:
+                    assert row.tobytes() == want[pick], (system.label, size)
 
 
 def test_a_state_that_fails_both_guards_names_the_margin_first():
