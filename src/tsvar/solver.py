@@ -169,6 +169,8 @@ class ResidualSystem:
 
     ``jacobian``, when given, is the residual's exact Jacobian, an (m, m)
     array; it may raise :class:`DomainError` where it is not finite.
+    :func:`newton_solve` raises ValueError where its guess, a scalar
+    residual or the Jacobian has another shape.
     ``stacked_residual``, when given, evaluates a stack of states at once,
     ``(S, m) -> (S, m)``: row ``i`` equals the residual at state ``i``, and
     is all-NaN where that call would raise :class:`DomainError`.  A system
@@ -238,14 +240,15 @@ def newton_solve(
     config: SolverConfig | None = None,
 ) -> SolveReport:
     cfg = config or SolverConfig()
+    m = system.dimension
     x = np.array(guess, dtype=float)
-    if x.shape != (system.dimension,):
-        raise ValueError(f"guess has shape {x.shape}, system dimension is {system.dimension}")
+    if x.shape != (m,):
+        raise ValueError(f"guess has shape {x.shape}, system dimension is {m}")
     try:
         res = np.asarray(system.residual(x), dtype=float)
     except DomainError as exc:
         return _report(system, _INFEASIBLE, x, detail=exc)
-    if res.shape != (system.dimension,):
+    if res.shape != (m,):
         raise ValueError("residual shape does not match the system dimension")
     if _nan_rows(res):
         return _report(system, _INFEASIBLE, x, detail=_domain_message(system.residual, x))
@@ -268,6 +271,9 @@ def newton_solve(
         except DomainError as exc:
             why, detail = _JACOBIAN_FAILED, exc
             break
+        # checked here, or np.linalg.solve would report a wrong shape as singular
+        if np.shape(jac) != (m, m):
+            raise ValueError(f"jacobian has shape {np.shape(jac)}, system dimension is {m}")
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -290,6 +296,8 @@ def newton_solve(
                 trial_res = np.asarray(system.residual(trial), dtype=float)
             except DomainError:
                 continue
+            if trial_res.shape != (m,):
+                raise ValueError("residual shape does not match the system dimension")
             trial_norm = _norm(trial_res)
             if trial_norm < norm:
                 accepted = True

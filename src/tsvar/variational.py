@@ -319,8 +319,8 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     finite at this state" in ``integrals``, "residual is not finite at this
     state" in ``evaluate`` and "jacobian is not finite at this state" in
     ``jacobian``, each also where it sums the integrals itself; under the
-    clamped policy ``evaluate`` also raises its text where an entry of its
-    output is not finite.
+    clamped policy ``evaluate`` and ``jacobian`` also raise their texts
+    where an entry of their output is not finite.
 
     ``state`` checks each integrand's :class:`Guard` once per state, at the
     points its component integral sums, which hold every value a callable
@@ -597,14 +597,10 @@ def _evaluator(a: _Assembly, form: str, points: range):
     return evaluate
 
 
-def _stencils(a: _Assembly, form: str, points: range) -> tuple:
-    """The fixed part of :func:`_jacobian` on the one-state assembly's
-    scale, read from its jump and graininess lists: for each kind, what
-    reads the partials of its integrands at each point, and where the band
-    lands in a padded array.  The Jacobian builds
-    it on its first call and keeps it, so it is built once per assembly,
-    which a :class:`CompositeProblem` keeps: 23-45 us at T = 3 and
-    146-290 us at T = 20 on the firm systems (x86-64, Python 3.11).
+def _readers(a: _Assembly, form: str, points: range) -> tuple:
+    """What reads the partials of each kind's integrands at each point, for
+    :func:`_jacobian` on the one-state assembly's scale, read from its jump
+    and graininess lists: the delta kind's readers, then the nabla kind's.
 
     A kind's readers at point p are its rows as (r, cy, cv, k, hi, lo), and
     its integral gradient as (j, cy, cv).  Row r reads cy f_y(p) + cv f_v(p),
@@ -613,9 +609,9 @@ def _stencils(a: _Assembly, form: str, points: range) -> tuple:
     its lower end: the jump of p is the upper end for the delta kind and the
     lower for the nabla kind, and past an end of the scale the quotient is
     constant and the jump a boundary value, so nothing moves.  Entry j of
-    the gradient in y_1..y_{n-2} reads cy f_y(p) + cv f_v(p).  Band entry
-    (r, offset) sits at column points[r] + offset of a zero-padded
-    (len(points), n + 4) array, whose columns 3..n are y_1..y_{n-2}.
+    the gradient in y_1..y_{n-2} reads cy f_y(p) + cv f_v(p).  Band index
+    5 r + offset holds entry (r, points[r] + offset - 3) of the Jacobian,
+    whose columns are y_1..y_{n-2}, where that column exists.
     """
     up, down, mu, nu = a.up, a.down, a.mu, a.nu
     n = len(mu)
@@ -677,18 +673,48 @@ def _stencils(a: _Assembly, form: str, points: range) -> tuple:
                     gradient[p].append((column - 1, cy, cv))
         return tuple(zip(map(tuple, rows), map(tuple, gradient)))
 
-    targets = np.array([r * (n + 4) + i + offset for r, i in enumerate(points)
-                        for offset in range(5)])
-    targets.flags.writeable = False
-    return readers(delta_row, True), readers(nabla_row, False), targets
+    return readers(delta_row, True), readers(nabla_row, False)
+
+
+def _stencils(a: _Assembly, form: str, points: range) -> tuple:
+    """The fixed part of :func:`_jacobian`, its read plan: per integrand, in
+    component order, its five partials, the State fields of its y and v,
+    and the points its :func:`_readers` read, ascending, each as (p, at[p],
+    rows, gradient); and the band index of each entry of the
+    (len(points), n - 2) Jacobian, 5 len(points) (the zero slot) where the
+    band does not reach.  The Jacobian builds it on its first call and
+    keeps it, so it is built once per assembly, which a
+    :class:`CompositeProblem` keeps: 19-38 us at T = 3 and 113-171 us at
+    T = 20 on the firm systems (x86-64, Python 3.11), where one call takes
+    about 18 us and 73 us.
+    """
+    n = len(a.mu)
+    delta_readers, nabla_readers = _readers(a, form, points)
+    plans = tuple(((f.partial_y, f.partial_v, f.partial_yy, f.partial_yv, f.partial_vv),
+                   y_field, v_field,
+                   tuple((p, t, rows, gradient)
+                         for p, (t, (rows, gradient)) in enumerate(zip(f.at, reading))
+                         if rows or gradient))
+                  for integrands, reading, y_field, v_field in (
+                      (a.delta, delta_readers, 0, 2), (a.nabla, nabla_readers, 1, 3))
+                  for f in integrands)
+    size = len(points)
+    # column c of row r reads offset c + 3 - points[r] of the row's band
+    positions = np.array([[5 * r + offset if 0 <= offset < 5 else 5 * size
+                           for offset in range(3 - i, n + 1 - i)] for r, i in enumerate(points)],
+                         dtype=np.intp).reshape(size, n - 2)
+    positions.flags.writeable = False
+    return plans, positions
 
 
 def _jacobian(a: _Assembly, form: str, points: range):
     """The Jacobian of ``form`` at ``points`` in the interior values
     y_1, ..., y_{n-2}, as a function of one state's tables (and, when known,
     its component integrals).  :func:`assemble` builds it only where every
-    integrand has its second partials and the outer function its Hessian;
-    a division by zero raises :class:`DomainError`.
+    integrand has its second partials and the outer function its Hessian.
+    A division by zero raises :class:`DomainError`, and so, under the
+    clamped policy, does a matrix with an entry that is not finite; a
+    strict matrix keeps its NaN.
 
     Every form is linear in the outer weights: its row at a point is
     sum_c w_c R_c, where R_c adds integrand c's state and rate partials at a
@@ -698,9 +724,14 @@ def _jacobian(a: _Assembly, form: str, points: range):
     quotient, one of them its jump, and every form reads points whose
     quotient ends lie within two points of the row's.  The second part has
     rank at most the number of components: dw_c = sum_d H_cd dI_d, with H
-    the outer Hessian and dI_d the gradient of component integral d.  One
-    pass over the points of each integrand evaluates its partials once and
-    adds them to every row, band entry and gradient entry that reads them.
+    the outer Hessian and dI_d the gradient of component integral d.
+
+    The first call builds the read plan (:func:`_stencils`).  A call then
+    passes once over the points each integrand's plan holds, evaluates its
+    partials there once and adds them to every row, band entry and gradient
+    entry that reads them; it gathers the matrix from the band by one index
+    array, whose entries off the band read the band's zero slot, and adds
+    the rank part.
     """
     n = len(a.mu)
     size = len(points)
@@ -711,46 +742,51 @@ def _jacobian(a: _Assembly, form: str, points: range):
     def jacobian(s: State, comps=None) -> np.ndarray:
         if not stencils:
             stencils.append(_stencils(a, form, points))
-        delta_readers, nabla_readers, targets = stencils[0]
-        kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
+        plans, positions = stencils[0]
         try:
             if comps is None:
                 comps = _integrals(a, s, _JACOBIAN_FAILS)
             weights = [derivative(comps) for derivative in derivatives]
-            band = [0.0] * (5 * size)
+            band = [0.0] * (5 * size + 1)   # the last entry is the zero slot
             rows, grads = [], []
-            for (integrands, readers), ys, vs in zip(kinds, (s.sig, s.rho), (s.d_rate, s.n_rate)):
-                for f in integrands:
-                    w = weights[len(rows)]
-                    f_y, f_v, f_yy, f_yv, f_vv = (f.partial_y, f.partial_v, f.partial_yy,
-                                                  f.partial_yv, f.partial_vv)
-                    row, grad = [0.0] * size, [0.0] * (n - 2)
-                    for t, y, v, (reading_rows, reading_grad) in zip(f.at, ys, vs, readers):
-                        if not (reading_rows or reading_grad):
-                            continue
-                        py, pv = f_y(t, y, v), f_v(t, y, v)
-                        if reading_rows:
-                            yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
-                            for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
-                                row[r] += cy * py + cv * pv
-                                band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
-                                band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
-                        for j, cy, cv in reading_grad:
-                            grad[j] += cy * py + cv * pv
-                    rows.append(row)
-                    grads.append(grad)
+            for (f_y, f_v, f_yy, f_yv, f_vv), y_field, v_field, plan in plans:
+                w = weights[len(rows)]
+                ys, vs = s[y_field], s[v_field]
+                row, grad = [0.0] * size, [0.0] * (n - 2)
+                for p, t, reading_rows, reading_grad in plan:
+                    y, v = ys[p], vs[p]
+                    py, pv = f_y(t, y, v), f_v(t, y, v)
+                    if reading_rows:
+                        yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
+                        for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
+                            row[r] += cy * py + cv * pv
+                            band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
+                            band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
+                    for j, cy, cv in reading_grad:
+                        grad[j] += cy * py + cv * pv
+                rows.append(row)
+                grads.append(grad)
             outer_hessian = hessian(comps)
         except ZeroDivisionError as exc:   # a power of the margin that underflows to 0
             raise DomainError(_JACOBIAN_FAILS) from exc
-        jac = np.zeros(size * (n + 4))
-        jac[targets] = band
-        jac = jac.reshape(size, n + 4)[:, 3:n + 1]
+        jac = np.array(band)[positions]
         if any(map(any, outer_hessian)):
-            # ndarray.dot: a third cheaper than @ on these small arrays
-            jac += np.array(rows).T.dot(np.array(outer_hessian, dtype=float).dot(np.array(grads)))
+            _add_rank_part(jac, rows, outer_hessian, grads)
+        if a.edge == 0.0 and not np.isfinite(jac).all():   # clamped: inf or NaN
+            raise DomainError(_JACOBIAN_FAILS)
         return jac
 
     return jacobian
+
+
+# an overflow, or an inf less an inf, in the rank part makes the Jacobian not
+# finite, which the clamped assembly refuses and a strict one returns, so
+# numpy's warnings about them are off; the errstate is built once, here
+@np.errstate(over="ignore", invalid="ignore")
+def _add_rank_part(jac: np.ndarray, rows: list, outer_hessian, grads: list) -> None:
+    """Adds sum_cd R_c H_cd dI_d to ``jac`` in place."""
+    # ndarray.dot: a third cheaper than @ on these small arrays
+    jac += np.array(rows).T.dot(np.array(outer_hessian, dtype=float).dot(np.array(grads)))
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +985,7 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         return np.array(one.evaluate(*tables(x)))
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return _finite_jacobian(one, *tables(x))
+        return one.jacobian(*tables(x))
 
     def functional(x: np.ndarray) -> float:
         return outer.value(tables(x)[1])
@@ -971,18 +1007,6 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
     return ResidualSystem(dimension=m, residual=residual, label=label, functional=functional,
                           jacobian=None if one.jacobian is None else jacobian,
                           stacked_residual=stacked_residual if on_arrays else None)
-
-
-# an overflow, or an inf less an inf, in the rank part of a Jacobian is
-# refused by its finiteness check, so numpy's warnings about them are off
-@np.errstate(over="ignore", invalid="ignore")
-def _finite_jacobian(one: Assembled, s: State, comps) -> np.ndarray:
-    """The assembly's Jacobian at one state; :class:`DomainError` where it
-    is not finite."""
-    jac = one.jacobian(s, comps)
-    if not np.isfinite(jac).all():
-        raise DomainError(_JACOBIAN_FAILS)
-    return jac
 
 
 # overflow is expected in a stacked residual and marked by its NaN rows, so

@@ -52,3 +52,20 @@ def test_a_value_is_written_as_its_bits():
     assert got == [["row", ["0x1.999999999999ap-4", "-0x0.0p+0", "0x1.4000000000000p+1",
                             "nan:7ff8000000000000",
                             "3", "True", "'text'"]]]
+
+
+def test_the_jacobian_surface_holds_each_systems_matrix_or_its_refusal():
+    outputs = load_tool()
+    rows = outputs.jacobian_rows(3)
+    states = 1 + outputs.PERTURBATIONS + len(outputs.FLOOR_B)
+    assert len(rows) == len(outputs.RATES) * 12 * states
+    key, values = rows[0]
+    assert key == "0.05 dd/direct seed"
+    seed = np.array([2.0 + 1.0 * j / 3 for j in (1, 2)])
+    system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
+    assert values == system.jacobian(seed).ravel().tolist()
+    # near the floor at B = 1e305 the Jacobian overflows and is refused
+    refused = {key for key, values in rows
+               if values == ["DomainError: jacobian is not finite at this state"]}
+    assert refused and all(key.endswith("floor B=1e+305") for key in refused)
+    assert all(len(values) == 4 for key, values in rows if key not in refused)

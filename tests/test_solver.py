@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import re
 import time
 
 import numpy as np
@@ -539,6 +540,28 @@ def test_newton_refuses_a_guess_or_a_residual_of_the_wrong_shape():
     short = ResidualSystem(2, lambda x: np.array([x[0]]))
     with pytest.raises(ValueError, match="^residual shape does not match the system dimension$"):
         newton_solve(short, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2,)])
+def test_newton_refuses_a_jacobian_of_the_wrong_shape(shape):
+    # np.linalg.solve raises LinAlgError on these, which read as singular
+    system, _ = affine_system()
+    wide = dataclasses.replace(system, jacobian=lambda x: np.ones(shape))
+    text = f"jacobian has shape {shape}, system dimension is 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        newton_solve(wide, (1.0, 2.0))
+
+
+def test_newton_refuses_a_trial_residual_of_the_wrong_shape():
+    # right at the start only: the trial's residual decreases, and the next
+    # step's solve would fail on its shape in numpy's own words
+    def residual(x):
+        r = np.array([x[0] - 1.0, x[1] - 2.0])
+        return r if x[0] == 0.0 else np.append(r, 0.5)
+
+    system = ResidualSystem(2, residual, jacobian=lambda x: np.eye(2))
+    with pytest.raises(ValueError, match="^residual shape does not match the system dimension$"):
+        newton_solve(system, (0.0, 0.0))
 
 
 def test_lockstep_refuses_a_residual_of_the_wrong_shape():

@@ -16,6 +16,7 @@ from tsvar import (
     BoundaryMismatchError,
     CompositeProblem,
     DomainError,
+    EquationKind,
     FirmParams,
     GridFunction,
     Integrand,
@@ -35,9 +36,11 @@ from tsvar import (
     multistart_solve,
     newton_solve,
     product_outer,
+    residual_system,
     sum_outer,
     theorem_main_residual,
 )
+from tsvar import econ, variational
 from tsvar.solver import _lift_residual
 from tsvar.variational import Guard, assemble, problem_system
 
@@ -446,12 +449,13 @@ def smooth_integrand(kind, coefficients, times):
 
 
 @st.composite
-def assemblies(draw):
-    """A random non-uniform scale with 3 to 10 points, generic integrands of
-    either kind under the product or the sum outer, a form, a window of
-    n - 2 points and a state."""
+def assemblies(draw, unit_steps=False):
+    """A random non-uniform scale with 3 to 10 points (with ``unit_steps``,
+    the integers 0..n-1), generic integrands of either kind under the
+    product or the sum outer, a form, a window of n - 2 points and a state."""
     n = draw(st.integers(3, 10))
-    gaps = draw(st.lists(st.floats(0.3, 1.7), min_size=n - 1, max_size=n - 1))
+    gaps = [1.0] * (n - 1) if unit_steps else draw(
+        st.lists(st.floats(0.3, 1.7), min_size=n - 1, max_size=n - 1))
     times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
     k, m = draw(st.sampled_from([(1, 1), (2, 0), (0, 2), (2, 1), (1, 2), (1, 0), (0, 1)]))
     outer = draw(st.sampled_from([product_outer(), sum_outer(2)])) if k + m == 2 \
@@ -495,6 +499,168 @@ def test_the_jacobian_needs_second_partials_and_an_outer_hessian():
         assert build(integrand=dataclasses.replace(f, **{second: None})).jacobian is None
     assert build(outer=OuterFunction(lambda c: c[0], (lambda c: 1.0,))).jacobian is None
     assert build(stacked=True).jacobian is None
+
+
+def loop_jacobian(assembled, form, points):
+    """The one-state Jacobian as the assembly computed it before its read
+    plan, kept as the plan's oracle: its call is the loop over every point
+    of every integrand, zipped with its kind's readers, and the band
+    scattered into a zero-padded array and sliced.  It refuses nothing, so
+    a clamped matrix that is not finite is returned as computed; numpy's
+    warnings about the rank part are off, as they were where it was read."""
+    a = assembled.state.args[0]
+    n = len(a.mu)
+    size = len(points)
+    derivatives, hessian = a.outer.partials, a.outer.hessian
+    delta_readers, nabla_readers = variational._readers(a, form, points)
+    targets = np.array([r * (n + 4) + i + offset for r, i in enumerate(points)
+                        for offset in range(5)])
+
+    def jacobian(s, comps=None):
+        kinds = (a.delta, delta_readers), (a.nabla, nabla_readers)
+        try:
+            if comps is None:
+                comps = variational._integrals(a, s, variational._JACOBIAN_FAILS)
+            weights = [derivative(comps) for derivative in derivatives]
+            band = [0.0] * (5 * size)
+            rows, grads = [], []
+            for (integrands, readers), ys, vs in zip(kinds, (s.sig, s.rho), (s.d_rate, s.n_rate)):
+                for f in integrands:
+                    w = weights[len(rows)]
+                    f_y, f_v, f_yy, f_yv, f_vv = (f.partial_y, f.partial_v, f.partial_yy,
+                                                  f.partial_yv, f.partial_vv)
+                    row, grad = [0.0] * size, [0.0] * (n - 2)
+                    for t, y, v, (reading_rows, reading_grad) in zip(f.at, ys, vs, readers):
+                        if not (reading_rows or reading_grad):
+                            continue
+                        py, pv = f_y(t, y, v), f_v(t, y, v)
+                        if reading_rows:
+                            yy, yv, vv = f_yy(t, y, v), f_yv(t, y, v), f_vv(t, y, v)
+                            for r, cy, cv, k, h1, h2, h3, l1, l2, l3 in reading_rows:
+                                row[r] += cy * py + cv * pv
+                                band[k] += w * (h1 * yy + h2 * yv + h3 * vv)
+                                band[k - 1] += w * (l1 * yy + l2 * yv + l3 * vv)
+                        for j, cy, cv in reading_grad:
+                            grad[j] += cy * py + cv * pv
+                    rows.append(row)
+                    grads.append(grad)
+            outer_hessian = hessian(comps)
+        except ZeroDivisionError as exc:   # a power of the margin that underflows to 0
+            raise DomainError(variational._JACOBIAN_FAILS) from exc
+        jac = np.zeros(size * (n + 4))
+        jac[targets] = band
+        jac = jac.reshape(size, n + 4)[:, 3:n + 1]
+        if any(map(any, outer_hessian)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                jac += np.array(rows).T.dot(
+                    np.array(outer_hessian, dtype=float).dot(np.array(grads)))
+        return jac
+
+    return jacobian
+
+
+def outcome(call, *args):
+    """What ``call`` gives: its array, or the text of its DomainError."""
+    try:
+        return call(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+def assert_same_jacobian(got, expected):
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def assert_plan_gives_the_loops_jacobian(assembled, form, points, values, clamped):
+    """The assembly's Jacobian at the state, with its integrals given and
+    not, has the loop's bytes, NaN included, or raises the loop's text;
+    under the clamped policy it raises where the loop's matrix is not finite."""
+    loop = loop_jacobian(assembled, form, points)
+    s = assembled.state(values)
+    comps = outcome(assembled.integrals, s)
+    for given in (None,) if isinstance(comps, str) else (None, comps):
+        expected = outcome(loop, s, given)
+        if clamped and not isinstance(expected, str) and not np.isfinite(expected).all():
+            expected = "jacobian is not finite at this state"
+        assert_same_jacobian(outcome(assembled.jacobian, s, given), expected)
+
+
+def firm_window(problem, kind, equation):
+    form, domain = econ._WINDOWS[kind, equation]
+    return form, getattr(problem.scale, domain)
+
+
+@st.composite
+def firm_jacobian_states(draw):
+    """A firm model at T = 2, 3, 4, 10 or 20 and either rate, and a state
+    whose sales keep the guards."""
+    horizon = draw(st.sampled_from([2, 3, 4, 10, 20]))
+    params = FirmParams(horizon=horizon, discount_rate=draw(st.sampled_from([0.05, 0.02])))
+    inner = draw(st.lists(st.floats(1.3, 3.8), min_size=horizon - 1, max_size=horizon - 1))
+    return params, [params.y_initial, *inner, params.y_terminal]
+
+
+@given(firm_jacobian_states())
+def test_the_read_plan_gives_the_loops_jacobian_on_the_firm_systems(case):
+    params, values = case
+    for kind in ProblemKind:
+        problem = firm_problem(params, kind)
+        for equation in EquationKind:
+            form, points = firm_window(problem, kind, equation)
+            one = variational._problem_assembly(problem, CLAMPED, form, points)
+            assert_plan_gives_the_loops_jacobian(one, form, points, values, clamped=True)
+
+
+@given(st.one_of(assemblies(), assemblies(unit_steps=True)), st.sampled_from([STRICT, CLAMPED]))
+def test_the_read_plan_gives_the_loops_jacobian_on_smooth_integrands(case, policy):
+    # under the strict policy a quotient past an end is NaN, and so are the
+    # entries that read it, in the same places
+    gaps, integrands, outer, form, points, values = case
+    assembled = assemble(gaps, integrands, outer, policy, form, points)
+    assert_plan_gives_the_loops_jacobian(assembled, form, points, values, policy == CLAMPED)
+
+
+def test_the_clamped_assembly_refuses_a_jacobian_that_is_not_finite():
+    # near the sales floor with B up to 1e305 the loop's clamped matrix has
+    # entries that are inf or NaN at some states: the clamped assembly, and
+    # the firm system that reads it, raise exactly there, and the strict
+    # assembly returns its matrix, NaN and inf included
+    rng = np.random.default_rng(20)
+    seen = set()
+    for _ in range(300):
+        horizon = int(rng.choice([2, 3, 4, 6]))
+        params = FirmParams(B=10.0 ** rng.uniform(0.0, 305.0), horizon=horizon,
+                            discount_rate=float(rng.choice([0.05, 0.02])))
+        inner = params.y_floor + 2.0 ** -rng.uniform(0.0, 60.0, horizon - 1)
+        inner[rng.random(horizon - 1) < 0.3] = rng.uniform(1.5, 4.0)
+        values = [params.y_initial, *inner.tolist(), params.y_terminal]
+        kind = list(ProblemKind)[rng.integers(4)]
+        equation = list(EquationKind)[rng.integers(3)]
+        problem = firm_problem(params, kind)
+        form, points = firm_window(problem, kind, equation)
+        clamped, strict = (variational._problem_assembly(problem, policy, form, points)
+                           for policy in (CLAMPED, STRICT))
+        try:
+            s = clamped.state(values)
+        except DomainError:   # a guard fails
+            continue
+        expected = outcome(loop_jacobian(clamped, form, points), s)
+        refused = isinstance(expected, str) or not np.isfinite(expected).all()
+        if refused:
+            expected = "jacobian is not finite at this state"
+        assert_same_jacobian(outcome(clamped.jacobian, s), expected)
+        assert_same_jacobian(outcome(residual_system(params, kind, equation).jacobian, inner),
+                             expected)
+        s = strict.state(values)
+        expected = outcome(loop_jacobian(strict, form, points), s)
+        assert_same_jacobian(outcome(strict.jacobian, s), expected)
+        seen.add((refused, isinstance(expected, str) or bool(np.isfinite(expected).all())))
+    # finite matrices, and refused ones whose strict matrix is returned not finite
+    assert {(False, True), (True, False)} <= seen
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ surface.  A row is a key and a list of values: a float is written as
 * ``lockstep/<rate>``: every field of the ``lockstep_solve`` reports of the
   12 firm systems from the default start grid;
 * ``newton/<horizon>``: every field of the ``newton_solve`` reports of the
-  12 firm systems from the linear seed, with and without their Jacobian.
+  12 firm systems from the linear seed, with and without their Jacobian;
+* ``jacobian/<horizon>``: the one-state Jacobian of the 12 firm systems at
+  both rates, read through ``econ.residual_system(...).jacobian``, its
+  entries row by row or the text of its ``DomainError``, at seeded states:
+  the linear seed, perturbations of it, and states with sales next to the
+  floor at a large B, where a Jacobian overflows.
 
 ``compare`` prints ``same`` per surface whose digests agree, or the rows that
 differ, are missing or are new, with the largest absolute and relative gap
@@ -45,6 +50,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 RATES = (0.05, 0.02)
 NEWTON_HORIZONS = (10, 20)
+JACOBIAN_HORIZONS = (2, 3, 10, 20)
+PERTURBATIONS = 4
+FLOOR_B = (1e100, 1e250, 1e305)
 ENGINE_SEEDS = (1, 2)
 
 
@@ -161,9 +169,43 @@ def _solver_surfaces() -> dict:
     return out
 
 
+def jacobian_rows(horizon: int) -> list:
+    """The ``jacobian/<horizon>`` surface's rows: per rate, system and state,
+    the Jacobian's entries in row order, or ``DomainError: <text>``."""
+    from tsvar import econ
+    from tsvar.timescale import DomainError
+
+    rng = np.random.default_rng(horizon)
+    rows = []
+    for rate in RATES:
+        params = econ.FirmParams(horizon=horizon, discount_rate=rate)
+        a, b, m = params.y_initial, params.y_terminal, horizon - 1
+        seed = np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
+        states = [("seed", params, seed)]
+        states += [(f"perturbed {i}", params, seed + rng.normal(0.0, 0.3, m))
+                   for i in range(PERTURBATIONS)]
+        for B in FLOOR_B:
+            near = seed.copy()
+            at = rng.random(m) < 0.5
+            at[rng.integers(m)] = True
+            near[at] = params.y_floor + 2.0 ** -rng.uniform(1.0, 50.0, int(at.sum()))
+            states.append((f"floor B={B:g}", econ.FirmParams(horizon=horizon, discount_rate=rate,
+                                                             B=B), near))
+        for name, state_params, x in states:
+            for label, system in _systems(state_params):
+                try:
+                    got = system.jacobian(x).ravel().tolist()
+                except DomainError as exc:
+                    got = [f"DomainError: {exc}"]
+                rows.append((f"{rate} {label} {name}", got))
+    return rows
+
+
 def write(path: str) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    surfaces = {**_cli_surfaces(), **_workload_surfaces(), **_solver_surfaces()}
+    surfaces = {**_cli_surfaces(), **_workload_surfaces(), **_solver_surfaces(),
+                **{f"jacobian/{horizon}": surface(jacobian_rows(horizon))
+                   for horizon in JACOBIAN_HORIZONS}}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"surfaces": surfaces}, handle, indent=0)
     for name, record in surfaces.items():
