@@ -44,15 +44,18 @@ scalar residual.
 Most lock-step iterations of a sweep carry a few starts: on the 16 firm
 cells at T = 3 swept from the default grid, half of them carry 8 or fewer.
 Such an iteration costs about the same whatever their number: a median of
-about 205 us at one start and 265 us at 9-16 (x86-64, Python 3.11, numpy
-2.4, firm systems, over the 16 cells' sweeps), and its two or three stacked
-residual calls, about 50 us each at a few starts, take about 60% of it.
-The rest is a fixed count of whole-array numpy calls, a microsecond or
-so each, with no Python loop over the starts: the difference probes
-perturb both blocks of each start's probes through one strided view of
-their diagonals, the damping lays its trials out by repeating the rows,
-and a first damping call in which every start takes its one trial returns
-that call's own arrays.
+about 240 us at one start and 340 us at 9-16 (x86-64, Python 3.11, numpy
+2.4, firm systems, over the 16 cells' sweeps, on a 2-CPU container whose
+CPU speed swings by up to 2x), and its two or three stacked residual
+calls, about 75 us each at up to 32 rows, take about 63% of it.  The rest
+is a fixed count of whole-array numpy calls, a microsecond or so each,
+with no Python loop over the starts and none whose result decides
+nothing: the difference probes perturb both blocks of each start's probes
+through one strided view of their diagonals, the damping lays its trials
+out by repeating the rows, a batched solve that succeeds flags no
+singular system, a first damping call in which every start takes its one
+trial returns that call's own arrays, and one in which every start took a
+level scans for no second call.
 
 The lock-step loop keeps the state of the active starts only, and records
 per iteration the states and norms its damping built; a start that stops
@@ -415,12 +418,13 @@ def _stacked_jacobian(residual: Callable, x: np.ndarray):
 
 
 def _newton_steps(jac: np.ndarray, rhs: np.ndarray):
-    """Solves every system of the stack, and flags the singular ones."""
-    singular = np.zeros(len(jac), dtype=bool)
+    """Solves every system of the stack; returns the steps and the flags
+    of the singular systems, None where one batched solve found none."""
     try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], singular
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], None
     except np.linalg.LinAlgError:
         pass
+    singular = np.zeros(len(jac), dtype=bool)
     steps = np.empty_like(rhs)
     for i in range(len(jac)):
         try:
@@ -445,8 +449,9 @@ def _trials(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarra
     numpy functions, which cost up to a microsecond a call.
     """
     # every width is at least 1, so the segments start strictly later
-    first = np.add.accumulate(width) - width
-    total = int(first[-1] + width[-1])
+    ends = np.add.accumulate(width)
+    first = ends - width
+    total = int(ends[-1])
     index = np.arange(total)
     tried = (level - first).repeat(width) + index
     cand = x.repeat(width, axis=0) + (0.5 ** tried)[:, None] * step.repeat(width, axis=0)
@@ -477,8 +482,8 @@ def _first_decrease(residual: Callable, x: np.ndarray, step: np.ndarray, base: n
         at = np.minimum(at, len(trial) - 1)
         trial, trial_res, trial_norm, taken = trial[at], trial_res[at], trial_norm[at], taken[at]
     # the rows still looking with levels left try all of them in one more call
-    rows = (~accepted & (width < levels - level)).nonzero()[0]
-    if rows.size:
+    rows = () if accepted.all() else (~accepted & (width < levels - level)).nonzero()[0]
+    if len(rows):
         # written below: not the arrays the residual was given or returned
         trial, trial_res = trial.copy(), trial_res.copy()
         after = level + width[rows]
@@ -631,9 +636,13 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
         if failed.any():
             jac, = stop(failed, _JACOBIAN_FAILED, it - 1, jac)
         step, singular = _newton_steps(jac, -res)
-        bad = singular | ~np.isfinite(step).all(axis=1)
+        bad = ~np.isfinite(step).all(axis=1)
+        why = _NOT_FINITE
+        if singular is not None:
+            bad |= singular
+            why = np.where(singular, _SINGULAR, _NOT_FINITE)[bad]
         if bad.any():
-            step, = stop(bad, np.where(singular, _SINGULAR, _NOT_FINITE)[bad], it - 1, step)
+            step, = stop(bad, why, it - 1, step)
         if not ids.size:   # the damping lays out no trials for an empty stack
             break
 

@@ -282,6 +282,7 @@ class _Assembly(NamedTuple):
     down: list          # index of rho(t_i)
     mu: Sequence        # forward graininess; the policy's step at the top
     nu: Sequence        # backward graininess; the policy's step at the bottom
+    gaps: Sequence      # the quotients' divisors, mu_0 .. mu_{n-2}; a stack's by _grain
     edge: float         # a quotient past an end: 0.0 clamped, NaN strict
     delta: tuple        # the delta integrands
     nabla: tuple        # the nabla integrands
@@ -292,7 +293,7 @@ class _Assembly(NamedTuple):
     times: Sequence     # the points a failed guard names
     sums: tuple         # per component integral, in order: (value, at, graininess,
                         # summation points, State field indices of y and v); a stack
-                        # reads at and the graininess on those points
+                        # reads at and the graininess (by _grain) on those points
 
 
 def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
@@ -335,18 +336,23 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     the rows each piece of the output reads, its graininess and each
     integrand's table (columns for a stack), and a stack's guard bounds as
     0-d arrays, with which numpy computes faster than with Python floats
-    and to the same bits.  A call then does the state's arithmetic only.
+    and to the same bits.  A stack's graininess on a window, the quotients'
+    divisor among them, is a 0-d array where it holds one value, as on
+    every firm system and in the gaps of any uniform scale, and an (n, 1)
+    column where it varies, as on a non-uniform scale or across an end,
+    where the step is the policy's (see :func:`_grain`).  A call then does
+    the state's arithmetic only.
     """
     n = len(gaps) + 1
     step = 1.0 if policy == CLAMPED else math.nan
     mu, nu = gaps + [step], [step] + gaps
+    gaps = mu[:-1]
     integrands = tuple(integrands)
     if stacked:
-        def column(values):
-            return np.array(values, dtype=float)[:, None]
-
-        mu, nu = column(mu), column(nu)
-        integrands = tuple(replace(f, at=column(f.at)) for f in integrands)
+        mu, nu = np.array(mu, dtype=float), np.array(nu, dtype=float)
+        gaps = _grain(mu[:-1])
+        integrands = tuple(replace(f, at=np.array(f.at, dtype=float)[:, None])
+                           for f in integrands)
     edge = 0.0 if policy == CLAMPED else math.nan
     delta = tuple(f for f in integrands if f.kind == "delta")
     nabla = tuple(f for f in integrands if f.kind == "nabla")
@@ -364,9 +370,9 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
                                                   (nabla, nu, range(1, n), 1, 3))
                  for f in kind)
     if stacked:
-        sums = tuple((value, at[rows], step[rows], rows, y, v)
+        sums = tuple((value, at[rows], _grain(step[rows]), rows, y, v)
                      for value, at, step, window, y, v in sums for rows in (_rows(window),))
-    a = _Assembly([*range(1, n), n - 1], [0, *range(n - 1)], mu, nu, edge, delta, nabla,
+    a = _Assembly([*range(1, n), n - 1], [0, *range(n - 1)], mu, nu, gaps, edge, delta, nabla,
                   outer, stacked, guards, range(n) if times is None else times, sums)
     exact = outer.hessian is not None and all(
         None not in (f.partial_yy, f.partial_yv, f.partial_vv) for f in integrands)
@@ -384,13 +390,25 @@ def _rows(indices: Sequence):
     return np.array(indices)
 
 
+def _grain(steps: np.ndarray) -> np.ndarray:
+    """A stack's graininess on a window of rows, from its steps there: a
+    0-d array where every step has the same bits, and an (n, 1) column
+    where they vary.  An (n, S) table times or over a 0-d array runs as a
+    same-shape op, at about half the cost of a broadcast column, and the
+    two give the same bits, since each entry meets the same step."""
+    bits = steps.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return np.array(steps[0])
+    return steps[:, None]
+
+
 def _state(a: _Assembly, y) -> State:
     """The state's tables, once its guards are checked; see :func:`assemble`."""
     if a.stacked:
         rates = np.empty((len(y) + 1, y.shape[1]))
         inner = rates[1:-1]
         np.subtract(y[1:], y[:-1], out=inner)
-        inner /= a.mu[:-1]
+        inner /= a.gaps
         rates[0] = rates[-1] = a.edge
         padded = np.concatenate((y[:1], y, y[-1:]))
         tables = padded[2:], padded[:-2], rates[1:], rates[:-1]
@@ -400,7 +418,7 @@ def _state(a: _Assembly, y) -> State:
         infeasible = reduce(or_, fails).any(axis=0) if fails else np.zeros(y.shape[1], bool)
         return State(*tables, infeasible)
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
-    quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.mu)]
+    quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.gaps)]
     s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
     for field, window, guard, bound in a.guards:
         values = s[field]
@@ -418,10 +436,11 @@ def _integrals(a: _Assembly, s: State, fails: str = _INTEGRALS_FAILS) -> list:
     A delta integral sums mu f over the points 0..n-2, a nabla one nu g over
     1..n-1, where the quotients stay on the scale.  One state adds the terms
     in order, and so does a stack: ``sum(axis=0)`` adds the rows of its
-    (n-1, S) term array in order, but a single column pairwise, which
-    differs from the one-state sum from about eight terms on, so one column
-    is summed by ``cumsum``, which is in order but several times slower
-    across a wide array (at S = 256 and 2048).  One state's sum and
+    (n-1, S) term array in order, for every S but 1, an empty stack
+    included, but a single column pairwise, which differs from the
+    one-state sum from about eight terms on, so one column is summed by
+    ``cumsum``, which is in order but several times slower across a wide
+    array (at S = 256 and 2048).  One state's sum and
     ``sum(axis=0)`` start from 0.0 and ``cumsum`` from the first term, which
     differ only where every term is -0.0; 0.0 plus the cumsum gives 0.0
     there too.  One column's integrals are floats, as one state's are, so
@@ -436,7 +455,7 @@ def _integrals(a: _Assembly, s: State, fails: str = _INTEGRALS_FAILS) -> list:
             y, v = s[y_field], s[v_field]
             if a.stacked:
                 terms = step * value(at, y[window], v[window])
-                comps.append(terms.sum(axis=0) if terms.shape[1] > 1
+                comps.append(terms.sum(axis=0) if terms.shape[1] != 1
                              else 0.0 + np.cumsum(terms[:, 0])[-1].item())
                 continue
             total = 0.0
@@ -506,6 +525,10 @@ def _evaluator(a: _Assembly, form: str, points: range):
                 here, there = partial_v(at[i], y[i], v[i]), partial_v(at[j], y[j], v[j])
             else:
                 here, there = rates[index][i], rates[index][j]
+                if isinstance(w, np.ndarray):
+                    # (S,) weights, read four times: laid out once at the
+                    # table's shape, so the products run as same-shape ops
+                    w = w[None].repeat(len(here), axis=0)
             quotient = (there - here if forward else here - there) / step
             parts = (w * (state - quotient), w * state, w * here, w * there)
             sums = parts if sums is None else tuple(map(add, sums, parts))
@@ -558,9 +581,9 @@ def _evaluator(a: _Assembly, form: str, points: range):
         if tail:
             position = {p: r for r, p in enumerate(reads)}
             reads = (_rows(reads), _rows([tail_jump[p] for p in reads]),
-                     tail_step[_rows(reads)], _rows([position[j] for _, j, _ in sites]),
+                     _grain(tail_step[_rows(reads)]), _rows([position[j] for _, j, _ in sites]),
                      _rows([position[k] for _, _, k in sites]))
-        sites = [(*rows, *(g[rows[x]] for g, x in grains))]
+        sites = [(*rows, *(_grain(g[rows[x]]) for g, x in grains))]
     else:
         sites = [(*site, *(g[site[x]] for g, x in grains)) for site in sites]
 

@@ -36,6 +36,7 @@ from tsvar import (
     theorem_main_residual,
 )
 from tsvar.econ import INTEGRAND_NAMES
+from tsvar.solver import _lift_residual
 from tsvar.variational import assemble
 
 ALL_KINDS = (
@@ -804,6 +805,19 @@ def test_stacked_residual_rejects_a_wrong_state_width():
     system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
     with pytest.raises(ValueError, match="interior values"):
         system.stacked_residual(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("horizon", [3, 20])
+def test_an_empty_stack_gives_no_rows(horizon):
+    # an empty stack sums its (n - 1, 0) terms as every width but 1 does;
+    # the one-column sum read a column it does not have
+    params = FirmParams(horizon=horizon)
+    for kind in ProblemKind:
+        for equation in EquationKind:
+            system = residual_system(params, kind, equation)
+            empty = np.empty((0, system.dimension))
+            got = system.stacked_residual(empty)
+            assert got.shape == _lift_residual(system)(empty).shape == (0, horizon - 1)
 
 
 OVERFLOW_CASES = [

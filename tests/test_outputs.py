@@ -69,3 +69,20 @@ def test_the_jacobian_surface_holds_each_systems_matrix_or_its_refusal():
                if values == ["DomainError: jacobian is not finite at this state"]}
     assert refused and all(key.endswith("floor B=1e+305") for key in refused)
     assert all(len(values) == 4 for key, values in rows if key not in refused)
+
+
+def test_the_stacked_surface_holds_each_systems_rows_at_each_stack_size():
+    outputs = load_tool()
+    rows = outputs.stacked_rows(3)
+    assert len(rows) == len(outputs.RATES) * 2 * sum(outputs.STACK_SIZES) * 12
+    key, values = rows[0]
+    assert key == "0.05 S=1 dd/direct seed 0"
+    seed = np.array([2.0 + 1.0 * j / 3 for j in (1, 2)])
+    system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
+    assert values == system.stacked_residual(seed[None])[0].tolist()
+    # near the floor at the large B the rows overflow to NaN; the perturbed
+    # rows between them and the rows at the model's own B do not
+    nan = {key for key, values in rows if all(math.isnan(x) for x in values)}
+    assert nan and all(" floor B=1e+305 " in key for key in nan)
+    assert any(" floor B=1e+305 " in key for key, _ in rows if key not in nan)
+    assert {len(values) for _, values in rows} == {2}

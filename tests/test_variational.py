@@ -1,6 +1,7 @@
 """Tests for composite functionals and their stationarity residuals."""
 
 import dataclasses
+import inspect
 import math
 import operator
 
@@ -284,6 +285,24 @@ def test_policy_name_is_validated():
         theorem_main_residual(problem, y, form="diagonal", policy=CLAMPED)
 
 
+def polynomial_integrand(kind, c, times):
+    return Integrand(kind, lambda t, y, v: t * y * y + c * v * v,
+                     lambda t, y, v: 2.0 * t * y, lambda t, y, v: 2.0 * c * v, at=times)
+
+
+def stack_and_states(gaps, integrands, policy, form, points, states):
+    """The stacked assembly, and the bytes of its rows and integrals and of
+    each state's alone, as rows."""
+    one = assemble(gaps, integrands, product_outer(), policy, form, points)
+    stack = assemble(gaps, integrands, product_outer(), policy, form, points, stacked=True)
+    tables = stack.state(states.T)
+    alone = [(one.evaluate(s), one.integrals(s)) for s in map(one.state, states.tolist())]
+    return stack, ([row.tobytes() for row in stack.evaluate(tables).T],
+                   [row.tobytes() for row in np.array(stack.integrals(tables)).T],
+                   [np.array(row).tobytes() for row, _ in alone],
+                   [np.array(comps).tobytes() for _, comps in alone])
+
+
 def test_stacked_assembly_matches_one_state_on_a_non_uniform_scale():
     """Every form, on windows that reach both ends of a scale whose
     graininess is not 1, evaluates a stack as its states bit for bit; and an
@@ -291,32 +310,84 @@ def test_stacked_assembly_matches_one_state_on_a_non_uniform_scale():
     rng = np.random.default_rng(33)
     gaps = rng.uniform(0.3, 1.7, 7).tolist()
     times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
-
-    def integrand(kind, c):
-        return Integrand(kind, lambda t, y, v: t * y * y + c * v * v,
-                         lambda t, y, v: 2.0 * t * y, lambda t, y, v: 2.0 * c * v, at=times)
-
     states = rng.uniform(1.0, 3.0, (6, 8))
 
     def outputs(integrands, form, points):
-        """A stack's rows and integrals, and each state's alone."""
-        one = assemble(gaps, integrands, product_outer(), CLAMPED, form, points)
-        stack = assemble(gaps, integrands, product_outer(), CLAMPED, form, points, stacked=True)
-        tables = stack.state(states.T)
-        alone = [(one.evaluate(s), one.integrals(s)) for s in map(one.state, states.tolist())]
-        return (stack.evaluate(tables).T.tolist(), np.array(stack.integrals(tables)).T.tolist(),
-                alone)
+        return stack_and_states(gaps, integrands, CLAMPED, form, points, states)[1]
 
-    mixed = (integrand("delta", 0.5), integrand("nabla", 1.5))
-    for integrands in (mixed, (integrand("delta", 0.5), integrand("delta", 2.0)),
-                       (integrand("nabla", 0.5), integrand("nabla", 2.0))):
+    mixed = (polynomial_integrand("delta", 0.5, times), polynomial_integrand("nabla", 1.5, times))
+    for integrands in (mixed, (polynomial_integrand("delta", 0.5, times),
+                               polynomial_integrand("delta", 2.0, times)),
+                       (polynomial_integrand("nabla", 0.5, times),
+                        polynomial_integrand("nabla", 2.0, times))):
         for form in ("cores", "delta", "nabla"):
             for points in (range(0, 8), range(1, 7), range(2, 5)):
-                rows, comps, alone = outputs(integrands, form, points)
-                assert rows == [row for row, _ in alone]
-                assert comps == [comp for _, comp in alone]
+                rows, comps, alone_rows, alone_comps = outputs(integrands, form, points)
+                assert rows == alone_rows
+                assert comps == alone_comps
                 if integrands is mixed:
-                    assert outputs(mixed[::-1], form, points) == (rows, comps, alone)
+                    assert outputs(mixed[::-1], form, points) == (rows, comps, alone_rows,
+                                                                  alone_comps)
+
+
+def graininess(stack):
+    """Every graininess a stacked assembly reads: its quotients' divisor,
+    its component sums' steps, its evaluator's gi, gj and gk, and its
+    tail's steps where it has a tail."""
+    a = stack.state.args[0]
+    read = inspect.getclosurevars(stack.evaluate).nonlocals
+    (*_, gi, gj, gk), = read["sites"]
+    tail = [read["reads"][2]] if read["reads"] else []
+    return [a.gaps, *(step for _, _, step, *_ in a.sums), gi, gj, gk, *tail]
+
+
+@pytest.mark.parametrize("policy", [CLAMPED, STRICT])
+@pytest.mark.parametrize("gap", [1.0, 0.5, 3.0, None], ids=["1", "0.5", "3", "non-uniform"])
+def test_a_stack_reads_one_graininess_as_a_0_d_array_to_the_one_state_bytes(gap, policy):
+    """A stack reads a graininess that holds one value as a 0-d array, as
+    every graininess on a clamped unit scale, and one that varies (on a
+    non-uniform scale, or across an end, whose step is the policy's) as a
+    column; either way, under both policies, every form on windows that
+    reach both ends gives each state's rows and integrals byte for byte,
+    NaN included."""
+    rng = np.random.default_rng(38)
+    gaps = [gap] * 7 if gap else rng.uniform(0.3, 1.7, 7).tolist()
+    times = np.concatenate(([0.0], np.cumsum(gaps))).tolist()
+    states = rng.uniform(1.0, 3.0, (6, 8))
+    strict_nan = 0
+    for integrands in ((polynomial_integrand("delta", 0.5, times),
+                        polynomial_integrand("nabla", 1.5, times)),
+                       (polynomial_integrand("delta", 0.5, times),
+                        polynomial_integrand("delta", 2.0, times)),
+                       (polynomial_integrand("nabla", 0.5, times),
+                        polynomial_integrand("nabla", 2.0, times))):
+        for form in ("cores", "delta", "nabla"):
+            for points in (range(0, 8), range(1, 7), range(0, 3), range(5, 8)):
+                stack, (rows, comps, alone_rows, alone_comps) = stack_and_states(
+                    gaps, integrands, policy, form, points, states)
+                assert rows == alone_rows
+                assert comps == alone_comps
+                strict_nan += any(np.isnan(np.frombuffer(row)).any() for row in rows)
+                dims = [g.ndim for g in graininess(stack)]
+                if gap is None:
+                    assert 2 in dims
+                else:   # the divisor and the sums' steps read the gaps alone
+                    assert dims[:1 + len(integrands)] == [0] * (1 + len(integrands))
+                if gap == 1.0 and policy == CLAMPED:   # the clamped step past an end is 1
+                    assert set(dims) == {0}
+    assert strict_nan if policy == STRICT else not strict_nan
+
+
+def test_an_empty_stack_gives_an_empty_output():
+    times = [0.0, 1.0, 2.5, 3.0]
+    integrands = (polynomial_integrand("delta", 0.5, times),
+                  polynomial_integrand("nabla", 1.5, times))
+    for form in ("cores", "delta", "nabla"):
+        stack = assemble([1.0, 1.5, 0.5], integrands, product_outer(), CLAMPED, form,
+                         range(1, 3), stacked=True)
+        tables = stack.state(np.empty((4, 0)))
+        assert stack.evaluate(tables).shape == (2, 0)
+        assert [comp.shape for comp in stack.integrals(tables)] == [(0,), (0,)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,13 @@ surface.  A row is a key and a list of values: a float is written as
   both rates, read through ``econ.residual_system(...).jacobian``, its
   entries row by row or the text of its ``DomainError``, at seeded states:
   the linear seed, perturbations of it, and states with sales next to the
-  floor at a large B, where a Jacobian overflows.
+  floor at a large B, where a Jacobian overflows;
+* ``stacked/<horizon>``: the ``stacked_residual`` rows of the 12 firm
+  systems at both rates, read through
+  ``econ.residual_system(...).stacked_residual``, for seeded stacks of 1, 8
+  and 31 states (a one-row call, a few-start tail, a deep damping call):
+  the linear seed and perturbations of it, and, at a large B, states with
+  sales next to the floor, whose rows overflow to NaN, among perturbed ones.
 
 ``compare`` prints ``same`` per surface whose digests agree, or the rows that
 differ, are missing or are new, with the largest absolute and relative gap
@@ -53,6 +59,7 @@ NEWTON_HORIZONS = (10, 20)
 JACOBIAN_HORIZONS = (2, 3, 10, 20)
 PERTURBATIONS = 4
 FLOOR_B = (1e100, 1e250, 1e305)
+STACK_SIZES = (1, 8, 31)
 ENGINE_SEEDS = (1, 2)
 
 
@@ -169,6 +176,22 @@ def _solver_surfaces() -> dict:
     return out
 
 
+def _linear_seed(params) -> np.ndarray:
+    a, b, m = params.y_initial, params.y_terminal, params.horizon - 1
+    return np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
+
+
+def _near_floor(params, rng) -> np.ndarray:
+    """The linear seed with about half its values, one at least, a power of
+    two between 2**-50 and 2**-1 above the sales floor."""
+    near = _linear_seed(params)
+    m = len(near)
+    at = rng.random(m) < 0.5
+    at[rng.integers(m)] = True
+    near[at] = params.y_floor + 2.0 ** -rng.uniform(1.0, 50.0, int(at.sum()))
+    return near
+
+
 def jacobian_rows(horizon: int) -> list:
     """The ``jacobian/<horizon>`` surface's rows: per rate, system and state,
     the Jacobian's entries in row order, or ``DomainError: <text>``."""
@@ -179,18 +202,13 @@ def jacobian_rows(horizon: int) -> list:
     rows = []
     for rate in RATES:
         params = econ.FirmParams(horizon=horizon, discount_rate=rate)
-        a, b, m = params.y_initial, params.y_terminal, horizon - 1
-        seed = np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
+        seed = _linear_seed(params)
         states = [("seed", params, seed)]
-        states += [(f"perturbed {i}", params, seed + rng.normal(0.0, 0.3, m))
+        states += [(f"perturbed {i}", params, seed + rng.normal(0.0, 0.3, len(seed)))
                    for i in range(PERTURBATIONS)]
         for B in FLOOR_B:
-            near = seed.copy()
-            at = rng.random(m) < 0.5
-            at[rng.integers(m)] = True
-            near[at] = params.y_floor + 2.0 ** -rng.uniform(1.0, 50.0, int(at.sum()))
             states.append((f"floor B={B:g}", econ.FirmParams(horizon=horizon, discount_rate=rate,
-                                                             B=B), near))
+                                                             B=B), _near_floor(params, rng)))
         for name, state_params, x in states:
             for label, system in _systems(state_params):
                 try:
@@ -201,10 +219,40 @@ def jacobian_rows(horizon: int) -> list:
     return rows
 
 
+def stacked_rows(horizon: int) -> list:
+    """The ``stacked/<horizon>`` surface's rows: per rate, stack size and
+    system, the ``stacked_residual`` row of each state of two stacks.  The
+    first stack holds the linear seed and perturbations of it; the second,
+    at the largest of ``FLOOR_B``, alternates states next to the floor,
+    which give NaN rows, with perturbed ones."""
+    from tsvar import econ
+
+    rng = np.random.default_rng(horizon)
+    rows = []
+    for rate in RATES:
+        params = econ.FirmParams(horizon=horizon, discount_rate=rate)
+        large = econ.FirmParams(horizon=horizon, discount_rate=rate, B=FLOOR_B[-1])
+        seed = _linear_seed(params)
+        for size in STACK_SIZES:
+            perturbed = seed + rng.normal(0.0, 0.3, (size, len(seed)))
+            perturbed[0] = seed
+            mixed = perturbed.copy()
+            mixed[::2] = [_near_floor(params, rng) for _ in range(0, size, 2)]
+            for name, stack_params, stack in (("seed", params, perturbed),
+                                              (f"floor B={large.B:g}", large, mixed)):
+                for label, system in _systems(stack_params):
+                    got = system.stacked_residual(stack)
+                    rows += [(f"{rate} S={size} {label} {name} {i}", row)
+                             for i, row in enumerate(got.tolist())]
+    return rows
+
+
 def write(path: str) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     surfaces = {**_cli_surfaces(), **_workload_surfaces(), **_solver_surfaces(),
                 **{f"jacobian/{horizon}": surface(jacobian_rows(horizon))
+                   for horizon in JACOBIAN_HORIZONS},
+                **{f"stacked/{horizon}": surface(stacked_rows(horizon))
                    for horizon in JACOBIAN_HORIZONS}}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"surfaces": surfaces}, handle, indent=0)
