@@ -494,8 +494,6 @@ FLAGS = {
         "action": "append", "metavar": "A,B",
         "help": 'explicit start point such as "2.3,2.7"; repeatable'}),
 }
-#: each flag that writes an INI key, and that key
-FLAG_KEYS = {flag: key for flag, (key, *_) in FLAGS.items() if key}
 
 
 @functools.cache
@@ -568,7 +566,3 @@ def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None) -> int
 
 def console_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

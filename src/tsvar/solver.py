@@ -6,10 +6,11 @@
 the scalar residual); :func:`lockstep_solve` always takes central
 differences.  Damping tries the steps 1, 1/2, 1/4, ... of the Newton step,
 at most :data:`HALVINGS` halvings, and takes the first whose residual
-sup-norm decreases.  Residual evaluations may signal infeasibility by raising
-:class:`~tsvar.timescale.DomainError` or by an all-NaN residual (a stacked
-residual by a NaN row), which rejects the trial step the same way a norm
-increase does.
+sup-norm decreases.  What a read of a system's residual, stacked residual
+or Jacobian means to both solvers (a raised
+:class:`~tsvar.timescale.DomainError`, an all-NaN result, a wrong shape) is
+stated once, in :class:`ResidualSystem`; the scalar residual is read
+through one helper, :func:`_residual_at`.
 
 :func:`newton_solve` iterates from one start.  It tries the first
 :data:`SCALAR_LEVELS` damping levels (the full step and the first halving)
@@ -31,9 +32,7 @@ full step alone after a full step (and at the first iteration), levels
 it took last time, as most do, needs no further call; the starts that find
 no decrease in their window try all their remaining levels in one more
 call.  Both solvers share that search, whose trials are laid out row by
-row, one window per row, and the difference probes.  Both read an all-NaN
-residual as a raised :class:`~tsvar.timescale.DomainError`: at a start it
-makes the start infeasible, at a probe it fails the Jacobian.  For a system
+row, one window per row, and the difference probes.  For a system
 without a ``jacobian``, every start takes the same steps and stops for the
 same reason as under :func:`newton_solve`; for one with a ``jacobian`` the two
 solvers take Newton steps from different Jacobians, which can lead a start
@@ -93,6 +92,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -170,18 +170,32 @@ class SolverConfig:
 class ResidualSystem:
     """A square nonlinear system with an optional objective attached.
 
-    ``jacobian``, when given, is the residual's exact Jacobian, an (m, m)
-    array; it may raise :class:`DomainError` where it is not finite.
-    :func:`newton_solve` raises ValueError where its guess, a scalar
-    residual or the Jacobian has another shape.
-    ``stacked_residual``, when given, evaluates a stack of states at once,
-    ``(S, m) -> (S, m)``: row ``i`` equals the residual at state ``i``, and
-    is all-NaN where that call would raise :class:`DomainError`.  A system
-    gives one only where it evaluates a stack faster than state by state:
-    without it the lock-step solvers loop over the scalar residual
-    themselves, and :func:`newton_solve` tries its levels one by one,
-    stopping at the first decrease.  The functional has no stacked form:
-    the solvers evaluate it at the roots they report only.
+    What the solvers read from each callable:
+
+    * ``residual`` maps a state, an (m,) array, to an (m,) array.  Where it
+      raises :class:`DomainError`, or returns all NaN, the state is
+      rejected: a start is infeasible (its report's text is the error's, or
+      "residual is not finite"), a damping trial fails as a norm increase
+      does, and a difference probe fails the Jacobian.  A result of any
+      other shape raises ValueError.
+    * ``stacked_residual``, when given, evaluates a stack of states at once,
+      ``(S, m) -> (S, m)``: row ``i`` equals the residual at state ``i``,
+      and is all NaN where that state is rejected.  The lock-step solvers
+      raise ValueError where the stack of starts gives another shape.  A
+      system gives one only where it evaluates a stack faster than state by
+      state: without it the lock-step solvers loop over the scalar residual
+      themselves, and :func:`newton_solve` tries its levels one by one,
+      stopping at the first decrease.
+    * ``jacobian``, when given, is the residual's exact Jacobian, an (m, m)
+      array, which :func:`newton_solve` reads in place of differences.
+      Where it raises :class:`DomainError` the solve stops as "jacobian
+      failed"; any other shape raises ValueError.  The lock-step solvers
+      always take differences.
+
+    :func:`newton_solve` also raises ValueError where its guess has another
+    shape.  The functional has no stacked form: the solvers evaluate it at
+    the roots they report only, as NaN where it raises
+    :class:`DomainError`.
     """
 
     dimension: int
@@ -247,14 +261,10 @@ def newton_solve(
     x = np.array(guess, dtype=float)
     if x.shape != (m,):
         raise ValueError(f"guess has shape {x.shape}, system dimension is {m}")
-    try:
-        res = np.asarray(system.residual(x), dtype=float)
-    except DomainError as exc:
-        return _report(system, _INFEASIBLE, x, detail=exc)
-    if res.shape != (m,):
-        raise ValueError("residual shape does not match the system dimension")
-    if _nan_rows(res):
+    res = _residual_at(system, x)
+    if res is None or _nan_rows(res):
         return _report(system, _INFEASIBLE, x, detail=_domain_message(system.residual, x))
+    jacobian = system.jacobian or partial(fd_jacobian, system)
     norm = _norm(res)
     norms = [norm]
     path = [x.copy()]   # the start, then the state after each step
@@ -267,10 +277,7 @@ def newton_solve(
             why = _TOLERANCE
             break
         try:
-            if system.jacobian is None:
-                jac = fd_jacobian(system, x)
-            else:
-                jac = system.jacobian(x)
+            jac = jacobian(x)
         except DomainError as exc:
             why, detail = _JACOBIAN_FAILED, exc
             break
@@ -295,12 +302,9 @@ def newton_solve(
         accepted = False
         for level in range(scalar_levels):
             trial = x + 0.5 ** level * step
-            try:
-                trial_res = np.asarray(system.residual(trial), dtype=float)
-            except DomainError:
+            trial_res = _residual_at(system, trial)
+            if trial_res is None:
                 continue
-            if trial_res.shape != (m,):
-                raise ValueError("residual shape does not match the system dimension")
             trial_norm = _norm(trial_res)
             if trial_norm < norm:
                 accepted = True
@@ -368,19 +372,26 @@ def default_start_grid(dimension: int, spec: tuple = DEFAULT_GRID) -> list:
     return list(itertools.product(axis, repeat=dimension))
 
 
-def _lift_residual(system: ResidualSystem) -> Callable:
-    m = system.dimension
+def _residual_at(system: ResidualSystem, x: np.ndarray) -> np.ndarray | None:
+    """The scalar residual at ``x`` as an (m,) float array, or None where it
+    raises :class:`DomainError`; a residual of another shape raises
+    ValueError."""
+    try:
+        r = np.asarray(system.residual(x), dtype=float)
+    except DomainError:
+        return None
+    if r.shape != (system.dimension,):
+        raise ValueError("residual shape does not match the system dimension")
+    return r
 
+
+def _lift_residual(system: ResidualSystem) -> Callable:
     def residual(xs: np.ndarray) -> np.ndarray:
-        out = np.full((len(xs), m), np.nan)
+        out = np.full((len(xs), system.dimension), np.nan)
         for i, x in enumerate(xs):
-            try:
-                r = np.asarray(system.residual(x), dtype=float)
-            except DomainError:
-                continue
-            if r.shape != (m,):
-                raise ValueError("residual shape does not match the system dimension")
-            out[i] = r
+            r = _residual_at(system, x)
+            if r is not None:
+                out[i] = r
         return out
 
     return residual

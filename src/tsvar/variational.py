@@ -342,8 +342,17 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     column where it varies, as on a non-uniform scale or across an end,
     where the step is the policy's (see :func:`_grain`).  A call then does
     the state's arithmetic only.
+
+    A policy other than ``STRICT`` and ``CLAMPED``, and a window that is
+    not a range of points in 0 .. n - 1 (it may be empty or stepped), raise
+    ValueError.
     """
     n = len(gaps) + 1
+    _check_policy(policy)
+    # a range's points lie between its first and its last
+    if not (isinstance(points, range)
+            and (not points or 0 <= points[0] < n and 0 <= points[-1] < n)):
+        raise ValueError(f"points must be a range of points in 0..{n - 1}, got {points!r}")
     step = 1.0 if policy == CLAMPED else math.nan
     mu, nu = gaps + [step], [step] + gaps
     gaps = mu[:-1]

@@ -28,6 +28,9 @@ from tsvar import (
     run_table,
 )
 
+# each flag that writes an INI key, and that key
+FLAG_KEYS = {flag: key for flag, (key, *_) in tcli.FLAGS.items() if key}
+
 ALL_KINDS = (
     ProblemKind.DELTA_DELTA,
     ProblemKind.NABLA_NABLA,
@@ -645,10 +648,10 @@ FLAG_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("flag", list(tcli.FLAG_KEYS))
+@pytest.mark.parametrize("flag", list(FLAG_KEYS))
 def test_a_flag_acts_as_its_ini_key_over_the_file(flag, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    section, key = tcli.FLAG_KEYS[flag]
+    section, key = FLAG_KEYS[flag]
     in_file, by_flag = FLAG_SAMPLES[flag]
     (tmp_path / "file.ini").write_text(f"[{section}]\n{key} = {in_file}\n")
     (tmp_path / "flag.ini").write_text(f"[{section}]\n{key} = {by_flag or 'true'}\n")
@@ -678,8 +681,8 @@ def test_each_command_takes_the_flags_the_table_gives_it():
         assert options == taken | {"-h", "--help"}
         assert ("--config" in options) == (command == "run")
     # every other flag writes a key the config file can hold
-    assert set(tcli.FLAGS) - set(tcli.FLAG_KEYS) == {"--config"}
-    assert all(key in tcli._KEYS[section] for section, key in tcli.FLAG_KEYS.values())
+    assert set(tcli.FLAGS) - set(FLAG_KEYS) == {"--config"}
+    assert all(key in tcli._KEYS[section] for section, key in FLAG_KEYS.values())
 
 
 @pytest.mark.parametrize("flag, value, key", [
@@ -712,7 +715,7 @@ PRESET_TEXTS = {"table1": "# no keys\n", "table2": "[params]\nrho = 0.02\n"}
     [], ["--tol", "1e-10", "--max-iter", "7", "--format", "json"]])
 def test_a_preset_resolves_as_its_ini_text(command, flags):
     args = tcli._build_parser().parse_args([command, *flags])
-    overrides = {tcli.FLAG_KEYS[flag]: value for flag, value in zip(flags[::2], flags[1::2])}
+    overrides = {FLAG_KEYS[flag]: value for flag, value in zip(flags[::2], flags[1::2])}
     assert tcli._load_config(args) == parse_config(PRESET_TEXTS[command], overrides)
 
 
@@ -737,7 +740,7 @@ def resolved(source, overrides):
         return str(exc)
 
 
-@pytest.mark.parametrize("key", list(tcli.FLAG_KEYS.values()))
+@pytest.mark.parametrize("key", list(FLAG_KEYS.values()))
 def test_blank_text_resolves_a_key_as_the_ini_parser_does(key):
     for text in KEY_TEXTS[key]:
         assert resolved("", {key: text}) == resolved("# no keys\n", {key: text})
@@ -747,7 +750,7 @@ def test_blank_text_refuses_the_key_the_ini_parser_refuses_first():
     # every key given in flag order, two of them refused: the parser reads
     # them section by section, so the first refused key it names can be the
     # later of the two in flag order
-    keys = list(tcli.FLAG_KEYS.values())
+    keys = list(FLAG_KEYS.values())
     for first in keys:
         for second in keys:
             overrides = {key: KEY_TEXTS[key][key in (first, second)] for key in keys}

@@ -1,5 +1,6 @@
 """Tests for tools/outputs.py, the record and comparison of every output."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -86,3 +87,24 @@ def test_the_stacked_surface_holds_each_systems_rows_at_each_stack_size():
     assert nan and all(" floor B=1e+305 " in key for key in nan)
     assert any(" floor B=1e+305 " in key for key, _ in rows if key not in nan)
     assert {len(values) for _, values in rows} == {2}
+
+
+def test_the_scalar_surface_holds_both_solvers_reports_over_the_scalar_residual(monkeypatch):
+    outputs = load_tool()
+    monkeypatch.setattr(outputs, "SCALAR_EVERY", 37)   # starts 0, 37, ..., 222 of 256
+    rows = outputs.surface(outputs.scalar_rows(0.05))["rows"]
+    system = residual_system(FirmParams(), ProblemKind.DELTA_DELTA)
+    first = outputs.report_rows("dd/direct newton jacobian start 0",
+                                newton_solve(dataclasses.replace(system, stacked_residual=None),
+                                             (0.5, 0.5)))
+    assert rows[:len(first)] == outputs.surface(first)["rows"]
+    # without a Jacobian both solvers give each start the same report
+    by_key = dict(rows)
+    lockstep = [(key, values) for key, values in rows if " lockstep " in key]
+    assert len(lockstep) > 12 * 7
+    for key, values in lockstep:
+        assert by_key[key.replace(" lockstep ", " newton differences ")] == values
+    messages = {values[0] for key, values in rows if key.endswith(" message")}
+    # an infeasible start names the guard it fails
+    assert any(m.startswith("'infeasible start: ") and " guard: " in m for m in messages)
+    assert "'residual tolerance reached'" in messages

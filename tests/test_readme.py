@@ -5,9 +5,11 @@ import shlex
 from pathlib import Path
 
 from tsvar import ExperimentConfig, parse_config
-from tsvar.cli import FLAG_KEYS, _build_parser
+from tsvar.cli import FLAGS, _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+# each flag that writes an INI key, and that key
+FLAG_KEYS = {flag: key for flag, (key, *_) in FLAGS.items() if key}
 
 
 def blocks(language):

@@ -575,6 +575,41 @@ def test_lockstep_refuses_a_residual_of_the_wrong_shape():
             lockstep_solve(bad, [(1.0, 2.0)])
 
 
+def test_a_start_a_trial_and_a_lifted_row_read_the_residual_through_one_check(monkeypatch):
+    # arctan's full Newton step from 3 lands near -9.5 and its half step near
+    # -3.2, so the first step takes its quarter, near -0.1; each scalar call
+    # of a feasible solve is one checked read
+    calls = []
+    system = ResidualSystem(1, lambda x: calls.append("residual") or np.arctan(x))
+    exact = dataclasses.replace(system, jacobian=lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]))
+    checked = tsolver._residual_at
+    monkeypatch.setattr(tsolver, "_residual_at",
+                        lambda s, x: calls.append("checked") or checked(s, x))
+    for solve in (newton_solve, lambda s, g: lockstep_solve(s, [g])[0]):
+        for used in (system, exact):
+            calls.clear()
+            report = solve(used, (3.0,))
+            assert report.converged and abs(report.iterates[1][0]) < 1.0
+            assert calls == ["checked", "residual"] * (len(calls) // 2) and calls
+
+
+@pytest.mark.parametrize("fails", ["raises", "nan"])
+def test_an_infeasible_newton_start_names_its_error_as_the_lock_step_does(fails):
+    def residual(x):
+        if x[0] < 0.0:
+            if fails == "raises":
+                raise DomainError("below zero")
+            return np.full(2, np.nan)
+        return x - 1.0
+
+    system = ResidualSystem(2, residual)
+    report = newton_solve(system, (-1.0, 2.0))
+    text = "below zero" if fails == "raises" else "residual is not finite"
+    assert report.message == f"infeasible start: {text}"
+    assert report.iterations == 0 and report.residual_norm == math.inf
+    assert_same_report(report, lockstep_solve(system, [(-1.0, 2.0)])[0])
+
+
 def test_a_start_whose_residual_is_nan_without_raising_is_infeasible():
     # the lifted residual marks the start infeasible by its NaN row, and the
     # scalar call, which raises nothing, gives no DomainError text to name

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -288,6 +289,39 @@ def test_policy_name_is_validated():
 def polynomial_integrand(kind, c, times):
     return Integrand(kind, lambda t, y, v: t * y * y + c * v * v,
                      lambda t, y, v: 2.0 * t * y, lambda t, y, v: 2.0 * c * v, at=times)
+
+
+POLYNOMIALS = (polynomial_integrand("delta", 1.0, [0.0, 1.0, 2.0, 3.0]),
+               polynomial_integrand("nabla", 2.0, [0.0, 1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("policy", ["Clamped", "bogus", ""])
+def test_assemble_refuses_a_policy_it_does_not_know(policy, stacked):
+    # an unknown policy ran as the strict one
+    with pytest.raises(ValueError, match=f"got {policy!r}$"):
+        assemble([1.0] * 3, POLYNOMIALS, product_outer(), policy, "cores", range(1, 3), stacked)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("points", [range(-1, 2), range(2, 6), range(4, 0, -1), [1, 2], (1,)])
+def test_assemble_refuses_a_window_off_the_scale(points, stacked):
+    # range(-1, 2) read "point -1" at point 3, range(2, 6) raised IndexError
+    text = f"points must be a range of points in 0..3, got {points!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        assemble([1.0] * 3, POLYNOMIALS, product_outer(), CLAMPED, "cores", points, stacked)
+
+
+@pytest.mark.parametrize("policy", [CLAMPED, STRICT])
+@pytest.mark.parametrize("points", [range(0), range(0, 4), range(0, 4, 2), range(3, -1, -2)])
+def test_assemble_takes_an_empty_or_stepped_window(points, policy):
+    y = [1.0, 2.0, 3.0, 5.0]
+    one = assemble([1.0] * 3, POLYNOMIALS, product_outer(), policy, "cores", points)
+    stack = assemble([1.0] * 3, POLYNOMIALS, product_outer(), policy, "cores", points, True)
+    row = one.evaluate(one.state(y))
+    assert len(row) == len(points)
+    column = stack.evaluate(stack.state(np.array(y)[:, None]))
+    assert np.asarray(row).tobytes() == column[:, 0].tobytes()
 
 
 def stack_and_states(gaps, integrands, policy, form, points, states):

@@ -19,6 +19,13 @@ surface.  A row is a key and a list of values: a float is written as
   12 firm systems from the default start grid;
 * ``newton/<horizon>``: every field of the ``newton_solve`` reports of the
   12 firm systems from the linear seed, with and without their Jacobian;
+* ``scalar/<rate>``: every field of the ``newton_solve`` reports, with and
+  without the Jacobian, and of the ``lockstep_solve`` reports of the 12
+  firm systems at T = 3 without their stacked residual, from every fourth
+  default-grid start, so that each start, damping trial and lock-step row
+  reads the scalar residual; the starts at or below the sales floor, or
+  past the rate-change guard, are infeasible, and their reports carry the
+  guards' texts;
 * ``jacobian/<horizon>``: the one-state Jacobian of the 12 firm systems at
   both rates, read through ``econ.residual_system(...).jacobian``, its
   entries row by row or the text of its ``DomainError``, at seeded states:
@@ -60,6 +67,7 @@ JACOBIAN_HORIZONS = (2, 3, 10, 20)
 PERTURBATIONS = 4
 FLOOR_B = (1e100, 1e250, 1e305)
 STACK_SIZES = (1, 8, 31)
+SCALAR_EVERY = 4
 ENGINE_SEEDS = (1, 2)
 
 
@@ -176,6 +184,28 @@ def _solver_surfaces() -> dict:
     return out
 
 
+def scalar_rows(rate: float) -> list:
+    """The ``scalar/<rate>`` surface's rows: per firm system at T = 3,
+    without its stacked residual, the reports of ``newton_solve`` with its
+    Jacobian, then with differences, then of ``lockstep_solve``, each from
+    every ``SCALAR_EVERY``-th default-grid start, keyed by its grid index."""
+    from tsvar import econ, solver
+
+    rows = []
+    for label, system in _systems(econ.FirmParams(discount_rate=rate)):
+        scalar = replace(system, stacked_residual=None)
+        grid = solver.default_start_grid(system.dimension)
+        at = range(0, len(grid), SCALAR_EVERY)
+        starts = [grid[i] for i in at]
+        for which, used in (("jacobian", scalar), ("differences", replace(scalar, jacobian=None))):
+            for i, start in zip(at, starts):
+                rows += report_rows(f"{label} newton {which} start {i}",
+                                    solver.newton_solve(used, start))
+        for i, report in zip(at, solver.lockstep_solve(scalar, starts)):
+            rows += report_rows(f"{label} lockstep start {i}", report)
+    return rows
+
+
 def _linear_seed(params) -> np.ndarray:
     a, b, m = params.y_initial, params.y_terminal, params.horizon - 1
     return np.array([a + (b - a) * j / (m + 1) for j in range(1, m + 1)])
@@ -253,7 +283,8 @@ def write(path: str) -> int:
                 **{f"jacobian/{horizon}": surface(jacobian_rows(horizon))
                    for horizon in JACOBIAN_HORIZONS},
                 **{f"stacked/{horizon}": surface(stacked_rows(horizon))
-                   for horizon in JACOBIAN_HORIZONS}}
+                   for horizon in JACOBIAN_HORIZONS},
+                **{f"scalar/{rate}": surface(scalar_rows(rate)) for rate in RATES}}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"surfaces": surfaces}, handle, indent=0)
     for name, record in surfaces.items():
