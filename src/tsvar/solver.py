@@ -385,6 +385,15 @@ def _residual_at(system: ResidualSystem, x: np.ndarray) -> np.ndarray | None:
     return r
 
 
+def _stacked_at(residual: Callable, xs: np.ndarray) -> np.ndarray:
+    """The stacked residual at the states ``xs``, a row per state; a
+    residual of another shape raises ValueError."""
+    r = residual(xs)
+    if r.shape != xs.shape:
+        raise ValueError("residual shape does not match the system dimension")
+    return r
+
+
 def _lift_residual(system: ResidualSystem) -> Callable:
     def residual(xs: np.ndarray) -> np.ndarray:
         out = np.full((len(xs), system.dimension), np.nan)
@@ -423,7 +432,7 @@ def _stacked_jacobian(residual: Callable, x: np.ndarray):
     diagonals = probes.reshape(count, 2, m * m)[:, :, ::m + 1]
     diagonals[:, 0] += h
     diagonals[:, 1] -= h
-    r = residual(probes.reshape(-1, m)).reshape(count, 2 * m, m)
+    r = _stacked_at(residual, probes.reshape(-1, m)).reshape(count, 2 * m, m)
     jac = ((r[:, :m] - r[:, m:]) / (2.0 * h[:, :, None])).transpose(0, 2, 1)
     return jac, probes, _nan_rows(r)
 
@@ -466,7 +475,7 @@ def _trials(residual: Callable, x: np.ndarray, step: np.ndarray, base: np.ndarra
     index = np.arange(total)
     tried = (level - first).repeat(width) + index
     cand = x.repeat(width, axis=0) + (0.5 ** tried)[:, None] * step.repeat(width, axis=0)
-    cand_res = residual(cand)
+    cand_res = _stacked_at(residual, cand)
     cand_norm = _row_norms(cand_res)
     at = np.minimum.reduceat(np.where(cand_norm < base.repeat(width), index, total), first)
     return cand, cand_res, cand_norm, tried, at, at < total
@@ -606,9 +615,7 @@ def _lockstep(residual: Callable, x0: np.ndarray, cfg: SolverConfig) -> _Outcome
     are left to :func:`_reports`, for the reports a caller returns.
     """
     count = len(x0)
-    res = residual(x0)
-    if res.shape != x0.shape:
-        raise ValueError("residual shape does not match the system dimension")
+    res = _stacked_at(residual, x0)
     norm = _row_norms(res)
     reason = np.full(count, _INFEASIBLE)
     converged = np.zeros(count, dtype=bool)

@@ -23,10 +23,14 @@ specialization written with index shifts, sums its own component integrals
 and shares none of it, so it serves as the independent check.
 
 Shifted difference quotients near the scale's extremes exit their
-natural domains.  The ``strict`` policy leaves such points undefined
-(NaN in the returned grid function; access raises), while the
-``clamped`` policy substitutes a zero quotient at the offending extreme,
-mirroring the convention used by the firm model in :mod:`tsvar.econ`.
+natural domains.  The assembly reads one convention, the firm model's in
+:mod:`tsvar.econ`: past an end of the scale the quotient is zero and the
+graininess 1 (the ``clamped`` policy).  The ``strict`` policy of the two
+residual readers is a choice of rows, not of arithmetic: they read the
+clamped residual on the interior less the one row whose form reads a
+quotient past an end, the theorem's own domains T^kappa^2 and T_kappa^2,
+and leave that row undefined (NaN in the returned grid function; access
+raises).
 """
 
 from __future__ import annotations
@@ -192,13 +196,13 @@ class CompositeProblem:
     callables take times.  Where every integrand has one, it evaluates
     a state as one column of the stacked assembly, on whole arrays; where a
     declared guard fails on that column, the arrays raise a floating-point
-    error (a division by zero or an invalid operation) or, under the
-    clamped policy, the column's output is not finite, it evaluates the
-    state again as floats, point by point, and returns that value or raises
-    that error, which names the guard's point, so the two give the same
-    bytes and texts.  A problem with an integrand that has no read form
-    evaluates as floats alone.  It builds each assembly once per policy,
-    form, window and kind of evaluation, on first use, and keeps it, with
+    error (a division by zero or an invalid operation) or the column's
+    output is not finite, it evaluates the state again as floats, point by
+    point, and returns that value or raises that error, which names the
+    guard's point, so the two give the same bytes and texts.  A problem
+    with an integrand that has no read form evaluates as floats alone.  It
+    builds each assembly once per form, window and kind of evaluation, on
+    first use, and keeps it, with
     the stencils its Jacobian builds on its first call: an evaluation then
     does only the state's arithmetic, since the window's rows, graininess
     and tables are built with the assembly.  This is the one cache of what
@@ -210,7 +214,7 @@ class CompositeProblem:
     nabla_integrands: tuple
     outer: OuterFunction
     boundary: tuple
-    # (policy, form, points, stacked) -> the assembly of the read forms, built on
+    # (form, points, stacked) -> the assembly of the read forms, built on
     # first use; None for a stack where an integrand has no read form
     _assemblies: dict = field(init=False, repr=False, compare=False)
 
@@ -249,16 +253,15 @@ class CompositeProblem:
 # and i is a slice or an int array, so a piece evaluates the whole window at
 # once.  The two evaluations agree bit for bit.
 #
-# A quotient past an end of the scale takes the policy's value, zero when
-# clamped and NaN when strict; the graininess holds the policy's step there,
-# 1 or NaN, so a clamped quotient across an end is exactly zero.
+# A quotient past an end of the scale is 0.0, and the graininess there 1.0,
+# so a quotient across an end is exactly zero.
 
 
 class State(NamedTuple):
     """A state's tables, lists for one state and (n, S) arrays for a stack.
-    The quotients take the policy's edge value past the top (delta) and the
-    bottom (nabla).  A stack's ``infeasible`` marks the columns at which a
-    declared guard fails; one state has None, since its guard pass raises."""
+    The quotients are 0.0 past the top (delta) and the bottom (nabla).  A
+    stack's ``infeasible`` marks the columns at which a declared guard
+    fails; one state has None, since its guard pass raises."""
 
     sig: Sequence      # y at sigma(t_i)
     rho: Sequence      # y at rho(t_i)
@@ -280,10 +283,9 @@ class Assembled(NamedTuple):
 class _Assembly(NamedTuple):
     up: list            # index of sigma(t_i)
     down: list          # index of rho(t_i)
-    mu: Sequence        # forward graininess; the policy's step at the top
-    nu: Sequence        # backward graininess; the policy's step at the bottom
+    mu: Sequence        # forward graininess; 1.0 at the top
+    nu: Sequence        # backward graininess; 1.0 at the bottom
     gaps: Sequence      # the quotients' divisors, mu_0 .. mu_{n-2}; a stack's by _grain
-    edge: float         # a quotient past an end: 0.0 clamped, NaN strict
     delta: tuple        # the delta integrands
     nabla: tuple        # the nabla integrands
     outer: OuterFunction
@@ -296,8 +298,8 @@ class _Assembly(NamedTuple):
                         # reads at and the graininess (by _grain) on those points
 
 
-def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
-             form: str = "cores", points: range = range(0), stacked: bool = False,
+def assemble(gaps: list, integrands, outer: OuterFunction, form: str = "cores",
+             points: range = range(0), stacked: bool = False,
              times: Sequence | None = None) -> Assembled:
     """The Euler-Lagrange assembly of ``integrands`` on the scale with these
     gaps between consecutive points, read on a window.
@@ -319,13 +321,13 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     :class:`DomainError`, once per output: "component integrals are not
     finite at this state" in ``integrals``, "residual is not finite at this
     state" in ``evaluate`` and "jacobian is not finite at this state" in
-    ``jacobian``, each also where it sums the integrals itself; under the
-    clamped policy ``evaluate`` and ``jacobian`` also raise their texts
-    where an entry of their output is not finite.
+    ``jacobian``, each also where it sums the integrals itself; ``evaluate``
+    and ``jacobian`` also raise their texts where an entry of their output
+    is not finite.
 
     ``state`` checks each integrand's :class:`Guard` once per state, at the
     points its component integral sums, which hold every value a callable
-    reads but the policy's edge quotient: the guards on y before those on
+    reads but the zero quotient past an end: the guards on y before those on
     v, each kind's in component order, the delta integrands first, and
     each over ascending points.  For one state the first failure raises
     :class:`DomainError`, naming the point as ``times[i]`` (the indices
@@ -340,21 +342,18 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     divisor among them, is a 0-d array where it holds one value, as on
     every firm system and in the gaps of any uniform scale, and an (n, 1)
     column where it varies, as on a non-uniform scale or across an end,
-    where the step is the policy's (see :func:`_grain`).  A call then does
-    the state's arithmetic only.
+    where the step is 1 (see :func:`_grain`).  A call then does the
+    state's arithmetic only.
 
-    A policy other than ``STRICT`` and ``CLAMPED``, and a window that is
-    not a range of points in 0 .. n - 1 (it may be empty or stepped), raise
-    ValueError.
+    A window that is not a range of points in 0 .. n - 1 (it may be empty
+    or stepped) raises ValueError.
     """
     n = len(gaps) + 1
-    _check_policy(policy)
     # a range's points lie between its first and its last
     if not (isinstance(points, range)
             and (not points or 0 <= points[0] < n and 0 <= points[-1] < n)):
         raise ValueError(f"points must be a range of points in 0..{n - 1}, got {points!r}")
-    step = 1.0 if policy == CLAMPED else math.nan
-    mu, nu = gaps + [step], [step] + gaps
+    mu, nu = gaps + [1.0], [1.0] + gaps
     gaps = mu[:-1]
     integrands = tuple(integrands)
     if stacked:
@@ -362,7 +361,6 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
         gaps = _grain(mu[:-1])
         integrands = tuple(replace(f, at=np.array(f.at, dtype=float)[:, None])
                            for f in integrands)
-    edge = 0.0 if policy == CLAMPED else math.nan
     delta = tuple(f for f in integrands if f.kind == "delta")
     nabla = tuple(f for f in integrands if f.kind == "nabla")
     # a delta integral sums mu f over 0..n-2 reading sig and d_rate (fields 0
@@ -381,7 +379,7 @@ def assemble(gaps: list, integrands, outer: OuterFunction, policy: str,
     if stacked:
         sums = tuple((value, at[rows], _grain(step[rows]), rows, y, v)
                      for value, at, step, window, y, v in sums for rows in (_rows(window),))
-    a = _Assembly([*range(1, n), n - 1], [0, *range(n - 1)], mu, nu, gaps, edge, delta, nabla,
+    a = _Assembly([*range(1, n), n - 1], [0, *range(n - 1)], mu, nu, gaps, delta, nabla,
                   outer, stacked, guards, range(n) if times is None else times, sums)
     exact = outer.hessian is not None and all(
         None not in (f.partial_yy, f.partial_yv, f.partial_vv) for f in integrands)
@@ -402,9 +400,11 @@ def _rows(indices: Sequence):
 def _grain(steps: np.ndarray) -> np.ndarray:
     """A stack's graininess on a window of rows, from its steps there: a
     0-d array where every step has the same bits, and an (n, 1) column
-    where they vary.  An (n, S) table times or over a 0-d array runs as a
-    same-shape op, at about half the cost of a broadcast column, and the
-    two give the same bits, since each entry meets the same step."""
+    where they vary, as on a non-uniform scale, or where a window reaches
+    past an end, whose step is 1.  An (n, S) table times or over a 0-d
+    array runs as a same-shape op, at about half the cost of a broadcast
+    column, and the two give the same bits, since each entry meets the
+    same step."""
     bits = steps.view(np.int64)
     if bits.size and (bits == bits[0]).all():
         return np.array(steps[0])
@@ -418,7 +418,7 @@ def _state(a: _Assembly, y) -> State:
         inner = rates[1:-1]
         np.subtract(y[1:], y[:-1], out=inner)
         inner /= a.gaps
-        rates[0] = rates[-1] = a.edge
+        rates[0] = rates[-1] = 0.0
         padded = np.concatenate((y[:1], y, y[-1:]))
         tables = padded[2:], padded[:-2], rates[1:], rates[:-1]
         # every guard's window has n - 1 rows, so one reduction marks the columns
@@ -428,7 +428,7 @@ def _state(a: _Assembly, y) -> State:
         return State(*tables, infeasible)
     # mu[i] and nu[i + 1] are the same gap, so one quotient serves both kinds
     quotient = [(ahead - here) / step for here, ahead, step in zip(y, y[1:], a.gaps)]
-    s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [a.edge], [a.edge] + quotient)
+    s = State(y[1:] + y[-1:], y[:1] + y[:-1], quotient + [0.0], [0.0] + quotient)
     for field, window, guard, bound in a.guards:
         values = s[field]
         # a screen at C speed over the whole table, which an entry past the
@@ -622,7 +622,7 @@ def _evaluator(a: _Assembly, form: str, points: range):
             raise DomainError(_RESIDUAL_FAILS) from exc
         if stacked:
             return out[0]
-        if a.edge == 0.0 and not all(map(math.isfinite, out)):   # clamped: inf or NaN
+        if not all(map(math.isfinite, out)):   # inf or NaN
             raise DomainError(_RESIDUAL_FAILS)
         return out
 
@@ -744,9 +744,8 @@ def _jacobian(a: _Assembly, form: str, points: range):
     y_1, ..., y_{n-2}, as a function of one state's tables (and, when known,
     its component integrals).  :func:`assemble` builds it only where every
     integrand has its second partials and the outer function its Hessian.
-    A division by zero raises :class:`DomainError`, and so, under the
-    clamped policy, does a matrix with an entry that is not finite; a
-    strict matrix keeps its NaN.
+    A division by zero raises :class:`DomainError`, and so does a matrix
+    with an entry that is not finite.
 
     Every form is linear in the outer weights: its row at a point is
     sum_c w_c R_c, where R_c adds integrand c's state and rate partials at a
@@ -804,7 +803,7 @@ def _jacobian(a: _Assembly, form: str, points: range):
         jac = np.array(band)[positions]
         if any(map(any, outer_hessian)):
             _add_rank_part(jac, rows, outer_hessian, grads)
-        if a.edge == 0.0 and not np.isfinite(jac).all():   # clamped: inf or NaN
+        if not np.isfinite(jac).all():   # inf or NaN
             raise DomainError(_JACOBIAN_FAILS)
         return jac
 
@@ -812,8 +811,8 @@ def _jacobian(a: _Assembly, form: str, points: range):
 
 
 # an overflow, or an inf less an inf, in the rank part makes the Jacobian not
-# finite, which the clamped assembly refuses and a strict one returns, so
-# numpy's warnings about them are off; the errstate is built once, here
+# finite, which the assembly refuses, so numpy's warnings about them are
+# off; the errstate is built once, here
 @np.errstate(over="ignore", invalid="ignore")
 def _add_rank_part(jac: np.ndarray, rows: list, outer_hessian, grads: list) -> None:
     """Adds sum_cd R_c H_cd dI_d to ``jac`` in place."""
@@ -845,25 +844,18 @@ def _check_policy(policy: str) -> None:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
 
 
-def _undefined_past_an_end(fn, stacked: bool = False):
-    """``fn``, but NaN where the strict quotient is undefined."""
-    if stacked:
-        return lambda t, y, v: np.where(np.isnan(v), np.nan, fn(t, y, v))
-    return lambda t, y, v: math.nan if math.isnan(v) else fn(t, y, v)
-
-
-def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores",
-                      points: range = range(0), stacked: bool = False) -> Assembled | None:
+def _problem_assembly(problem: CompositeProblem, form: str = "cores", points: range = range(0),
+                      stacked: bool = False) -> Assembled | None:
     """The assembly of ``problem``'s read forms on ``points``, on floats or,
     with ``stacked``, on arrays; None on arrays where an integrand has no
     read form, and on floats that integrand read at its times.
 
-    It depends on the problem, the policy, the form, the window and
-    ``stacked`` alone, so the problem keeps it from the first call with them
-    on; each read form is built then, for its number type.  A read form is
-    missing on both number types or on neither, so a float build that finds
-    one missing keeps None for the stack too."""
-    key = policy, form, points, stacked
+    It depends on the problem, the form, the window and ``stacked`` alone,
+    so the problem keeps it from the first call with them on; each read
+    form is built then, for its number type.  A read form is missing on
+    both number types or on neither, so a float build that finds one
+    missing keeps None for the stack too."""
+    key = form, points, stacked
     try:
         return problem._assemblies[key]
     except KeyError:
@@ -873,34 +865,30 @@ def _problem_assembly(problem: CompositeProblem, policy: str, form: str = "cores
     for f in (*problem.delta_integrands, *problem.nabla_integrands):
         read = None if f.on_points is None else f.on_points(f, scale.points, stacked)
         if read is None:
-            problem._assemblies[policy, form, points, True] = None
+            problem._assemblies[form, points, True] = None
             if stacked:
                 return None
         integrands.append(replace(f, at=scale.points) if read is None else read)
-    if policy == STRICT:
-        integrands = [replace(f, partial_y=_undefined_past_an_end(f.partial_y, stacked),
-                              partial_v=_undefined_past_an_end(f.partial_v, stacked))
-                      for f in integrands]
     assembled = problem._assemblies[key] = assemble(
-        scale.mu_values()[:-1].tolist(), integrands, problem.outer, policy, form, points,
-        stacked, times=scale.points)
+        scale.mu_values()[:-1].tolist(), integrands, problem.outer, form, points, stacked,
+        times=scale.points)
     return assembled
 
 
-def _read(problem: CompositeProblem, y: GridFunction, read, policy: str = CLAMPED,
-          form: str = "cores", points: range = range(0)):
+def _read(problem: CompositeProblem, y: GridFunction, read, form: str = "cores",
+          points: range = range(0)):
     """``read(assembled, tables)`` of the state ``y``: where the problem's
     integrands all have read forms, on ``y`` as one column of the stacked
     assembly, unless a guard fails on it, it raises a floating-point error
-    or, under the clamped policy, its output is not finite; then, or
-    without them, on its floats.  The two agree bit for bit wherever the
-    column raises nothing, so the floats give every value, NaN and error
-    text, such as the clamped residual's where it is not finite."""
+    or its output is not finite; then, or without them, on its floats.  The
+    two agree bit for bit wherever the column raises nothing, so the floats
+    give every value and error text, such as the residual's where it is not
+    finite."""
     vals = _admissible_values(problem, y)
-    column = _problem_assembly(problem, policy, form, points, True)
+    column = _problem_assembly(problem, form, points, True)
     got = None if column is None else _on_column(read, column, vals)
-    if got is None or policy == CLAMPED and not np.isfinite(got).all():
-        one = _problem_assembly(problem, policy, form, points)
+    if got is None or not np.isfinite(got).all():
+        one = _problem_assembly(problem, form, points)
         got = read(one, one.state(vals.tolist()))
     return got
 
@@ -950,24 +938,34 @@ def theorem_main_residual(
     division by zero in it, such as the firm capital partial's where the
     square of a tiny margin underflows to 0, raises :class:`DomainError`
     ("residual is not finite at this state"), as the firm systems do, and
-    so, under the clamped policy, does any entry that is not finite, such
-    as that partial past the float range at a huge B; under the strict
-    policy NaN marks the points where the residual is undefined.
+    so does any entry it computes that is not finite, such as that partial
+    past the float range at a huge B.
+
+    The clamped policy reads the whole interior.  The strict policy reads
+    the same clamped residual on the theorem's own domain: it leaves out
+    the one row that reads a quotient past an end, the last interior point
+    (n - 2) for the delta form of a problem with a delta integrand, the
+    first (1) for the nabla form of one with a nabla integrand, and holds
+    NaN there, so reading that point raises :class:`DomainError`.
     """
     _check_policy(policy)
     if form not in ("delta", "nabla"):
         raise ValueError(f"form must be 'delta' or 'nabla', got {form!r}")
-    interior = problem.scale.interior_domain
+    interior = points = problem.scale.interior_domain
+    if policy == STRICT and form == "delta" and problem.delta_integrands:
+        points = interior[:-1]
+    elif policy == STRICT and form == "nabla" and problem.nabla_integrands:
+        points = interior[1:]
     out = np.full(len(problem.scale), np.nan)
-    residual = _read(problem, y, lambda one, s: one.evaluate(s), policy, form, interior)
-    out[interior.start : interior.stop] = np.ravel(residual)
+    residual = _read(problem, y, lambda one, s: one.evaluate(s), form, points)
+    out[points.start : points.stop] = np.ravel(residual)
     return GridFunction(problem.scale, out, interior)
 
 
 def problem_system(problem: CompositeProblem, form: str, points: range,
                    label: str = "") -> ResidualSystem:
     """The square system of ``form`` on the window ``points``, in the
-    problem's interior values y_1, ..., y_{n-2}, under the clamped policy.
+    problem's interior values y_1, ..., y_{n-2}.
 
     ``form`` is an output of :func:`assemble` and ``points`` a range of
     n - 2 consecutive points.  The residual and the functional evaluate one
@@ -996,9 +994,9 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         raise ValueError(f"points must be a range of {m} consecutive points, got {points!r}")
     ya, yb = problem.boundary
     outer = problem.outer
-    one = _problem_assembly(problem, CLAMPED, form, points)
+    one = _problem_assembly(problem, form, points)
     # building `one` keeps None for the stack where an integrand has no read form
-    on_arrays = problem._assemblies.get((CLAMPED, form, points, True), one) is not None
+    on_arrays = problem._assemblies.get((form, points, True), one) is not None
     last = (None, None, None)
 
     def tables(x):
@@ -1029,7 +1027,7 @@ def problem_system(problem: CompositeProblem, form: str, points: range,
         if xs.ndim != 2 or xs.shape[1] != m:
             raise ValueError(f"expected states of {m} interior values, got shape {xs.shape}")
         if not column:
-            column.append(_problem_assembly(problem, CLAMPED, form, points, True))
+            column.append(_problem_assembly(problem, form, points, True))
         y = np.empty((n, len(xs)))   # C-ordered, whatever the layout of xs
         y[0] = ya
         y[1:-1] = xs.T
@@ -1068,9 +1066,14 @@ def corollary_z_residual(
     Written directly with unit index shifts, its component integrals
     included; serves as an independent cross-check of
     :func:`theorem_main_residual` on contiguous integer scales.  It reads
-    the state as floats, as the engine does, and a division by zero in it
-    raises the same :class:`DomainError` ("residual is not finite at this
-    state").
+    the state as floats, as the engine does, with a zero quotient past an
+    end, and a division by zero in it, or a row it computes that is not
+    finite, raises the same :class:`DomainError` ("residual is not finite
+    at this state").  ``"first"`` pairs with the delta form and
+    ``"second"`` with the nabla form: under the strict policy each leaves
+    out the row that reads a quotient past an end, by its own index rule,
+    the last interior point for ``"first"`` and the first for
+    ``"second"``, and holds NaN there.
     """
     _check_policy(policy)
     if which not in ("first", "second"):
@@ -1085,7 +1088,6 @@ def corollary_z_residual(
     n = len(scale)
     f = problem.delta_integrands[0]
     g = problem.nabla_integrands[0]
-    clamped = policy == CLAMPED
 
     def fwd(i):
         return min(i + 1, n - 1)
@@ -1094,30 +1096,22 @@ def corollary_z_residual(
         return max(i - 1, 0)
 
     def dy(i):
-        if i == n - 1:
-            return 0.0 if clamped else math.nan
-        return vals[i + 1] - vals[i]
+        return 0.0 if i == n - 1 else vals[i + 1] - vals[i]
 
     def ny(i):
-        if i == 0:
-            return 0.0 if clamped else math.nan
-        return vals[i] - vals[i - 1]
+        return 0.0 if i == 0 else vals[i] - vals[i - 1]
 
     def f_y(i):
-        v = dy(i)
-        return math.nan if math.isnan(v) else f.partial_y(pts[i], vals[fwd(i)], v)
+        return f.partial_y(pts[i], vals[fwd(i)], dy(i))
 
     def f_v(i):
-        v = dy(i)
-        return math.nan if math.isnan(v) else f.partial_v(pts[i], vals[fwd(i)], v)
+        return f.partial_v(pts[i], vals[fwd(i)], dy(i))
 
     def g_y(i):
-        v = ny(i)
-        return math.nan if math.isnan(v) else g.partial_y(pts[i], vals[bwd(i)], v)
+        return g.partial_y(pts[i], vals[bwd(i)], ny(i))
 
     def g_v(i):
-        v = ny(i)
-        return math.nan if math.isnan(v) else g.partial_v(pts[i], vals[bwd(i)], v)
+        return g.partial_v(pts[i], vals[bwd(i)], ny(i))
 
     # the delta core of f at i <= n - 2 and the nabla core of g at i >= 1,
     # the only points the equations read them at; the rate partials are
@@ -1130,18 +1124,21 @@ def corollary_z_residual(
         step = g_v(i) - g_v(i - 1)
         return g_y(i) - step
 
+    rows = scale.interior_domain
+    if policy == STRICT:
+        rows = rows[:-1] if which == "first" else rows[1:]
     out = np.full(n, np.nan)
     try:
         # unit steps: the delta integral sums f over 0..n-2, the nabla one g
-        # over 1..n-1, each in order from 0.0
+        # over 1..n-1, each in order from 0.0; the weights read these floats,
+        # on which an overflow gives inf without a numpy warning
         comps = [0.0, 0.0]
         for i in range(n - 1):
             comps[0] += f.value(pts[i], vals[i + 1], dy(i))
             comps[1] += g.value(pts[i + 1], vals[i], ny(i + 1))
-        comps = np.array(comps)
         wf = problem.outer.partials[0](comps)
         wg = problem.outer.partials[1](comps)
-        for i in scale.interior_domain:
+        for i in rows:
             if which == "first":
                 term_delta = wf * gamma_f(i)
                 term_mid = wg * (g_y(i + 1) - (g_v(i + 1) - g_v(i)))
@@ -1154,6 +1151,8 @@ def corollary_z_residual(
                 out[i] = term_mid + term_nabla - term_tail
     except ZeroDivisionError as exc:   # floats only: a square that underflows to 0
         raise DomainError(_RESIDUAL_FAILS) from exc
+    if not np.isfinite(out[rows.start : rows.stop]).all():
+        raise DomainError(_RESIDUAL_FAILS)
     return GridFunction(scale, out, scale.interior_domain)
 
 

@@ -439,9 +439,9 @@ def fast_path_count(monkeypatch):
 
     asked, real = [], variational._problem_assembly
 
-    def counted(problem, policy, form="cores", points=range(0), stacked=False):
+    def counted(problem, form="cores", points=range(0), stacked=False):
         asked.append(stacked)
-        return real(problem, policy, form, points, stacked)
+        return real(problem, form, points, stacked)
 
     monkeypatch.setattr(variational, "_problem_assembly", counted)
     return asked
@@ -594,6 +594,67 @@ def test_the_corollary_reports_a_margin_whose_square_underflows_as_the_theorem_d
             residual(problem, y, form, CLAMPED)
 
 
+def largest_term(problem, values):
+    """The largest weighted partial a row of either integer-scale reader
+    adds: each integrand's two partials at every point, read at the jump
+    of its kind and its quotient (zero past an end), times its outer weight."""
+    n, pts = len(values), problem.scale.points
+    comps = eval_component_integrals(problem, GridFunction(problem.scale, values)).tolist()
+    terms = [1.0]
+    for weight, f in zip(problem.outer.partials,
+                         (*problem.delta_integrands, *problem.nabla_integrands)):
+        w = abs(weight(comps))
+        for i in range(n):
+            if f.kind == "delta":
+                y, v = values[min(i + 1, n - 1)], values[i + 1] - values[i] if i < n - 1 else 0.0
+            else:
+                y, v = values[max(i - 1, 0)], values[i] - values[i - 1] if i else 0.0
+            terms += [w * abs(f.partial_y(pts[i], y, v)), w * abs(f.partial_v(pts[i], y, v))]
+    return max(terms)
+
+
+def test_the_corollary_raises_where_the_theorem_raises():
+    # at states near the floor with B up to 1e305 the two readers raise the
+    # same text at the same states, a guard's or "residual is not finite"
+    # where a row they compute overflows, under both policies; elsewhere
+    # they leave NaN at the same rows and agree to 1e-10 of the largest
+    # weighted partial their rows add, since near the floor a row is the
+    # difference of terms many orders above it
+    rng = np.random.default_rng(4000)
+    outcomes = set()
+    for _ in range(160):
+        horizon = int(rng.choice([2, 3, 6, 20]))
+        params = FirmParams(B=10.0 ** rng.uniform(0.0, 305.0), horizon=horizon)
+        inner = params.y_floor + 2.0 ** -rng.uniform(0.0, 60.0, horizon - 1)
+        inner[rng.random(horizon - 1) < 0.3] = rng.uniform(1.5, 4.0)
+        values = [params.y_initial, *inner.tolist(), params.y_terminal]
+        for kind in (ProblemKind.DELTA_NABLA, ProblemKind.NABLA_DELTA):
+            problem = firm_problem(params, kind)
+            y = GridFunction(problem.scale, values)
+            for which, form in (("first", "delta"), ("second", "nabla")):
+                for policy in (STRICT, CLAMPED):
+                    got = []
+                    for residual, equation in ((corollary_z_residual, which),
+                                               (theorem_main_residual, form)):
+                        try:
+                            got.append(residual(problem, y, equation, policy).values)
+                        except DomainError as exc:
+                            got.append(str(exc))
+                    oracle, rows = got
+                    case = (params.B, values, kind, form, policy)
+                    if isinstance(oracle, str) or isinstance(rows, str):
+                        assert oracle == rows, case
+                        outcomes.add(oracle)
+                        continue
+                    assert np.array_equal(np.isnan(oracle), np.isnan(rows)), case
+                    kept = ~np.isnan(oracle)
+                    gap = np.abs(rows[kept] - oracle[kept]).max(initial=0.0)
+                    assert gap <= 1e-10 * largest_term(problem, values), case
+                    outcomes.add("finite")
+    assert "finite" in outcomes and "residual is not finite at this state" in outcomes
+    assert any(" guard: " in outcome for outcome in outcomes)
+
+
 # ---------------------------------------------------------------------------
 # one integrand's Euler-Lagrange core
 
@@ -604,7 +665,7 @@ def core(params, which, values, t):
     read at the times, with clamped shifts."""
     T = params.horizon
     f = dataclasses.replace(firm_integrand(params, which), at=tuple(range(T + 1)))
-    assembled = assemble([1.0] * T, (f,), identity_outer(), CLAMPED, "cores", range(0, T + 1))
+    assembled = assemble([1.0] * T, (f,), identity_outer(), "cores", range(0, T + 1))
     return assembled.evaluate(assembled.state(list(values)))[t]
 
 
@@ -929,7 +990,7 @@ def test_a_state_that_fails_both_guards_names_the_margin_first():
         form, domain = econ._WINDOWS[kind, equation]
         points = getattr(problem.scale, domain)
         with pytest.raises(DomainError) as raised:
-            variational._read(problem, y, lambda one, s: one.evaluate(s), CLAMPED, form, points)
+            variational._read(problem, y, lambda one, s: one.evaluate(s), form, points)
         assert str(raised.value) == want, system.label
         assert evaluations(problem, y) == [want] * 6
 

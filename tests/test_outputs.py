@@ -8,7 +8,19 @@ from pathlib import Path
 
 import numpy as np
 
-from tsvar import EquationKind, FirmParams, ProblemKind, newton_solve, residual_system
+from tsvar import (
+    CLAMPED,
+    STRICT,
+    EquationKind,
+    FirmParams,
+    GridFunction,
+    ProblemKind,
+    corollary_z_residual,
+    firm_problem,
+    newton_solve,
+    residual_system,
+    theorem_main_residual,
+)
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "outputs.py"
 
@@ -108,3 +120,35 @@ def test_the_scalar_surface_holds_both_solvers_reports_over_the_scalar_residual(
     # an infeasible start names the guard it fails
     assert any(m.startswith("'infeasible start: ") and " guard: " in m for m in messages)
     assert "'residual tolerance reached'" in messages
+
+
+def test_the_residuals_surface_holds_both_readers_under_both_policies():
+    outputs = load_tool()
+    rows = outputs.residual_rows(3)
+    states = len(outputs.RATES) * (1 + outputs.PERTURBATIONS + len(outputs.FLOOR_B))
+    # per state: dn and nd on the integers (two readers) and on a non-uniform
+    # scale, and two smooth problems (the theorem), in two forms and policies
+    assert len(rows) == states * (2 * 2 + 2 + 2) * 2 * 2
+    problem = firm_problem(FirmParams(), ProblemKind.DELTA_NABLA)
+    seed = GridFunction(problem.scale, [2.0, 2.0 + 1.0 / 3, 2.0 + 2.0 / 3, 3.0])
+    by_key = dict(rows)
+    for policy in (STRICT, CLAMPED):
+        for reader, form in ((theorem_main_residual, "delta"), (corollary_z_residual, "second")):
+            key = f"0.05 seed dn integers {reader.__name__} {form} {policy}"
+            want = reader(problem, seed, form, policy).values[1:-1].tolist()
+            assert outputs.surface([("", by_key[key])]) == outputs.surface([("", want)])
+    # a strict firm row leaves out the point past an end, a smooth problem's
+    # form of the other kind leaves out none
+    strict = [(key.split(), values) for key, values in rows
+              if key.endswith(" strict") and not isinstance(values[0], str)]
+    assert len(strict) > states * 8
+    for (*_, kind, place, reader, form, policy), values in strict:
+        nan = [i for i, x in enumerate(values) if math.isnan(x)]
+        if place == "smooth" and kind != form:
+            assert nan == [], (kind, form)
+        else:
+            assert nan == ([0] if form in ("nabla", "second") else [1]), (kind, place, form)
+    # near the floor at a large B a residual overflows and is refused
+    refused = {key for key, values in rows
+               if values == ["DomainError: residual is not finite at this state"]}
+    assert refused and all(" floor B=" in key for key in refused)

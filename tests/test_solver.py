@@ -575,6 +575,25 @@ def test_lockstep_refuses_a_residual_of_the_wrong_shape():
             lockstep_solve(bad, [(1.0, 2.0)])
 
 
+@pytest.mark.parametrize("wrong", [lambda call: call >= 2, lambda call: call == 3],
+                         ids=["from-the-probes-on", "at-the-trials-only"])
+def test_lockstep_checks_the_shape_of_every_stacked_call(wrong):
+    # the start's call (1) has the right shape; then the difference probes
+    # (2) and the damping trials (3), or the trials alone, return one
+    # column, which each call's check refuses
+    system, _ = affine_system()
+    calls = []
+
+    def stacked(xs):
+        calls.append(len(xs))
+        rows = np.array([system.residual(x) for x in xs])
+        return rows[:, :1] if wrong(len(calls)) else rows
+
+    with pytest.raises(ValueError, match="^residual shape does not match the system dimension$"):
+        lockstep_solve(dataclasses.replace(system, stacked_residual=stacked), [(0.0, 0.0)])
+    assert calls[:2] == [1, 4]
+
+
 def test_a_start_a_trial_and_a_lifted_row_read_the_residual_through_one_check(monkeypatch):
     # arctan's full Newton step from 3 lands near -9.5 and its half step near
     # -3.2, so the first step takes its quarter, near -0.1; each scalar call

@@ -36,7 +36,15 @@ surface.  A row is a key and a list of values: a float is written as
   ``econ.residual_system(...).stacked_residual``, for seeded stacks of 1, 8
   and 31 states (a one-row call, a few-start tail, a deep damping call):
   the linear seed and perturbations of it, and, at a large B, states with
-  sales next to the floor, whose rows overflow to NaN, among perturbed ones.
+  sales next to the floor, whose rows overflow to NaN, among perturbed ones;
+* ``residuals/<horizon>``: ``theorem_main_residual`` in both forms and
+  ``corollary_z_residual`` in both equations, each under both policies, its
+  interior entries or the text of its ``DomainError``, at the states of
+  ``jacobian/<horizon>``: for the firm dn and nd problems on the integers
+  0..T (both readers) and on one seeded non-uniform scale on [0, T] (the
+  theorem only, since the corollary needs the integers), and for a
+  delta-only and a nabla-only smooth problem on the integers (the theorem
+  only), whose form of the other kind leaves no row out.
 
 ``compare`` prints ``same`` per surface whose digests agree, or the rows that
 differ, are missing or are new, with the largest absolute and relative gap
@@ -69,6 +77,7 @@ FLOOR_B = (1e100, 1e250, 1e305)
 STACK_SIZES = (1, 8, 31)
 SCALAR_EVERY = 4
 ENGINE_SEEDS = (1, 2)
+RESIDUAL_HORIZONS = (3, 10)
 
 
 def value(x) -> str:
@@ -222,30 +231,98 @@ def _near_floor(params, rng) -> np.ndarray:
     return near
 
 
-def jacobian_rows(horizon: int) -> list:
-    """The ``jacobian/<horizon>`` surface's rows: per rate, system and state,
-    the Jacobian's entries in row order, or ``DomainError: <text>``."""
+def _states(horizon: int) -> list:
+    """The seeded states of the ``jacobian`` and ``residuals`` surfaces, as
+    (rate, name, params, interior values): per rate, the linear seed,
+    ``PERTURBATIONS`` perturbations of it, and a state next to the floor at
+    each B of ``FLOOR_B``."""
     from tsvar import econ
-    from tsvar.timescale import DomainError
 
     rng = np.random.default_rng(horizon)
-    rows = []
+    states = []
     for rate in RATES:
         params = econ.FirmParams(horizon=horizon, discount_rate=rate)
         seed = _linear_seed(params)
-        states = [("seed", params, seed)]
-        states += [(f"perturbed {i}", params, seed + rng.normal(0.0, 0.3, len(seed)))
+        states.append((rate, "seed", params, seed))
+        states += [(rate, f"perturbed {i}", params, seed + rng.normal(0.0, 0.3, len(seed)))
                    for i in range(PERTURBATIONS)]
-        for B in FLOOR_B:
-            states.append((f"floor B={B:g}", econ.FirmParams(horizon=horizon, discount_rate=rate,
-                                                             B=B), _near_floor(params, rng)))
-        for name, state_params, x in states:
-            for label, system in _systems(state_params):
-                try:
-                    got = system.jacobian(x).ravel().tolist()
-                except DomainError as exc:
-                    got = [f"DomainError: {exc}"]
-                rows.append((f"{rate} {label} {name}", got))
+        states += [(rate, f"floor B={B:g}",
+                    econ.FirmParams(horizon=horizon, discount_rate=rate, B=B),
+                    _near_floor(params, rng)) for B in FLOOR_B]
+    return states
+
+
+def _outcome(call) -> list:
+    """``call()`` as a list, or ``DomainError: <text>`` where it raises that."""
+    from tsvar.timescale import DomainError
+
+    try:
+        return call().tolist()
+    except DomainError as exc:
+        return [f"DomainError: {exc}"]
+
+
+def jacobian_rows(horizon: int) -> list:
+    """The ``jacobian/<horizon>`` surface's rows: per rate, system and state,
+    the Jacobian's entries in row order, or ``DomainError: <text>``."""
+    return [(f"{rate} {label} {name}", _outcome(lambda: system.jacobian(x).ravel()))
+            for rate, name, params, x in _states(horizon) for label, system in _systems(params)]
+
+
+def _smooth(kind: str, c: float, points):
+    """The integrand t y^2 + c v^2 of ``kind``, read at the scale's points."""
+    from tsvar.variational import Integrand
+
+    return Integrand(kind, lambda t, y, v: t * y * y + c * v * v, lambda t, y, v: 2.0 * t * y,
+                     lambda t, y, v: 2.0 * c * v, at=points)
+
+
+def _residual_problems(horizon: int, params) -> list:
+    """The problems of ``residuals/<horizon>`` at ``params``, as (label,
+    problem, readers): the firm dn and nd problems on the integers, with
+    both readers, and on a seeded non-uniform scale, and two smooth ones on
+    the integers, a delta-only and a nabla-only, with the theorem alone."""
+    from tsvar import econ, variational
+    from tsvar.timescale import TimeScale
+
+    rng = np.random.default_rng(1000 + horizon)
+    gaps = rng.uniform(0.5, 1.5, horizon)
+    points = np.concatenate(([0.0], np.cumsum(gaps) * horizon / gaps.sum()))
+    points[-1] = horizon
+    uneven = TimeScale(points.tolist())
+    theorem = [(variational.theorem_main_residual, ("delta", "nabla"))]
+    both = theorem + [(variational.corollary_z_residual, ("first", "second"))]
+    problems = []
+    for kind in ("dn", "nd"):
+        problem = econ.firm_problem(params, econ.ProblemKind(kind))
+        problems += [(f"{kind} integers", problem, both),
+                     (f"{kind} non-uniform", replace(problem, scale=uneven), theorem)]
+    integers = TimeScale.integer_range(0, horizon)
+    outer = variational.product_outer()
+    for kind in ("delta", "nabla"):
+        pair = (_smooth(kind, 0.5, integers.points), _smooth(kind, 1.5, integers.points))
+        slots = (pair, ()) if kind == "delta" else ((), pair)
+        problems.append((f"{kind} smooth", variational.CompositeProblem(
+            integers, *slots, outer, (params.y_initial, params.y_terminal)), theorem))
+    return problems
+
+
+def residual_rows(horizon: int) -> list:
+    """The ``residuals/<horizon>`` surface's rows: per rate, state and
+    problem, each reader's interior entries in each form (the corollary's
+    equations) under each policy, or ``DomainError: <text>``."""
+    from tsvar import variational
+
+    rows = []
+    for rate, name, params, x in _states(horizon):
+        for label, problem, readers in _residual_problems(horizon, params):
+            y = variational.GridFunction(problem.scale, [params.y_initial, *x, params.y_terminal])
+            for reader, forms in readers:
+                for form in forms:
+                    for policy in (variational.STRICT, variational.CLAMPED):
+                        key = f"{rate} {name} {label} {reader.__name__} {form} {policy}"
+                        rows.append((key, _outcome(
+                            lambda: reader(problem, y, form, policy).values[1:-1])))
     return rows
 
 
@@ -284,7 +361,9 @@ def write(path: str) -> int:
                    for horizon in JACOBIAN_HORIZONS},
                 **{f"stacked/{horizon}": surface(stacked_rows(horizon))
                    for horizon in JACOBIAN_HORIZONS},
-                **{f"scalar/{rate}": surface(scalar_rows(rate)) for rate in RATES}}
+                **{f"scalar/{rate}": surface(scalar_rows(rate)) for rate in RATES},
+                **{f"residuals/{horizon}": surface(residual_rows(horizon))
+                   for horizon in RESIDUAL_HORIZONS}}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump({"surfaces": surfaces}, handle, indent=0)
     for name, record in surfaces.items():
